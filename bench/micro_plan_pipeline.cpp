@@ -1,22 +1,20 @@
-// Plan-pipeline throughput: serial shard loop vs pipelined (prefetching)
-// driver vs incremental dirty-shard re-planning, over one .mct store.
+// Plan-pipeline throughput: the serial shard loop vs incremental dirty-shard
+// re-planning, over one .mct store.
 //
 // One size per run: MINICOST_SCALE files (default 100k; the CI perf gate
 // runs 20k, the EXPERIMENTS.md Fig. 12 follow-up runs 1M). The store is
 // split into ~16 shards (shard_files = max(4096, files/16)) and planned
-// with Greedy three ways:
-//   * serial      PlanDriver{pipeline=false}.run() — the reference loop
-//   * pipelined   PlanDriver{pipeline=true}.run() — ShardPrefetcher overlaps
-//                 shard N+1's materialization with shard N's decide/bill
+// with Greedy two ways:
+//   * serial      PlanDriver::run() — every shard materialized, decided,
+//                 billed and merged in turn
 //   * replan      one shard marked dirty, then replan() — the other shards
 //                 are spliced from the cached per-shard bills
 // plus a monolithic run_policy cross-check at <= 100k files (materializing
 // the whole trace at 1M is exactly what the driver exists to avoid).
 //
-// All three bills must match bit for bit (bills_identical == 1). The gated
+// Both bills must match bit for bit (bills_identical == 1). The gated
 // headline is incremental_speedup = serial wall / replan wall, which holds
-// on any core count; pipelined_speedup needs a second hardware thread to
-// rise above 1.0 and is informational on 1-core runners.
+// on any core count.
 //
 // Output: one JSON object on stdout, mirrored to
 // bench_out()/micro_plan_pipeline_raw.json; the schema-versioned run report
@@ -86,23 +84,14 @@ int main() {
 
   core::GreedyPolicy policy;
 
-  // Serial reference loop.
-  options.pipeline = false;
-  core::PlanDriver serial_driver(reader, prices, policy, options);
-  const core::PlanDriverRun serial = serial_driver.run();
-
-  // Pipelined: same partition, shard N+1 materializes while N is planned.
-  options.pipeline = true;
-  core::PlanDriver pipelined_driver(reader, prices, policy, options);
-  const core::PlanDriverRun pipelined = pipelined_driver.run();
+  core::PlanDriver driver(reader, prices, policy, options);
+  const core::PlanDriverRun serial = driver.run();
 
   // Incremental: dirty one mid-partition shard, splice the rest.
-  pipelined_driver.mark_dirty(shard_files * (serial.shard_count / 2), 1);
-  const core::PlanDriverRun replan = pipelined_driver.replan();
+  driver.mark_dirty(shard_files * (serial.shard_count / 2), 1);
+  const core::PlanDriverRun replan = driver.replan();
 
-  bool identical =
-      same_bill(serial.report, pipelined.report) &&
-      same_bill(serial.report, replan.report);
+  bool identical = same_bill(serial.report, replan.report);
 
   // Monolithic cross-check (loads the full trace into memory — skip at 1M).
   if (files <= 100'000) {
@@ -116,15 +105,11 @@ int main() {
                           serial.report);
   }
 
-  const double pipelined_speedup =
-      serial.wall_seconds / pipelined.wall_seconds;
   const double incremental_speedup = serial.wall_seconds / replan.wall_seconds;
 
   const std::vector<std::pair<std::string, double>> metrics{
       {"serial_wall_seconds", serial.wall_seconds},
-      {"pipelined_wall_seconds", pipelined.wall_seconds},
       {"replan_wall_seconds", replan.wall_seconds},
-      {"pipelined_speedup", pipelined_speedup},
       {"incremental_speedup", incremental_speedup},
       {"decide_sum_seconds", serial.decision_seconds},
       {"file_decide_p50_ns", serial.file_decide_p50_ns},
@@ -137,14 +122,13 @@ int main() {
       buf, sizeof buf,
       "{\"bench\":\"micro_plan_pipeline\",\"files\":%zu,\"days\":%zu,"
       "\"shard_files\":%zu,\"shards\":%zu,\"serial_wall_seconds\":%.4f,"
-      "\"pipelined_wall_seconds\":%.4f,\"replan_wall_seconds\":%.4f,"
-      "\"pipelined_speedup\":%.2f,\"incremental_speedup\":%.2f,"
+      "\"replan_wall_seconds\":%.4f,\"incremental_speedup\":%.2f,"
       "\"decide_sum_seconds\":%.4f,\"file_decide_p50_ns\":%.1f,"
       "\"file_decide_p99_ns\":%.1f,\"bills_identical\":%s}",
       files, days, shard_files, serial.shard_count, serial.wall_seconds,
-      pipelined.wall_seconds, replan.wall_seconds, pipelined_speedup,
-      incremental_speedup, serial.decision_seconds, serial.file_decide_p50_ns,
-      serial.file_decide_p99_ns, identical ? "true" : "false");
+      replan.wall_seconds, incremental_speedup, serial.decision_seconds,
+      serial.file_decide_p50_ns, serial.file_decide_p99_ns,
+      identical ? "true" : "false");
 
   std::printf("%s\n", buf);
   std::ofstream(dir / "micro_plan_pipeline_raw.json") << buf << "\n";

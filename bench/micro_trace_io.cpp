@@ -9,8 +9,7 @@
 //   * container bytes: the binary .mct vs the raw CSV text for the same
 //     trace (mct_mib / csv_mib / the compression-style ratio)
 //   * mct_open_scan: mmap open + full checksum scan of every series byte
-//   * materialize prefetch off/on: shard-at-a-time copy-out through a bare
-//     loop vs store::ShardPrefetcher (overlap only helps with >1 hw thread)
+//   * materialize: shard-at-a-time copy-out of the whole store
 //   * eval monolithic vs sharded: Greedy over the last 35 days, and a check
 //     that the two bills match bit for bit
 //   * codec dimension (first size only, integral-counts workload): for each
@@ -35,8 +34,7 @@
 #include "codec/chunk_codec.hpp"
 #include "common.hpp"
 #include "core/greedy.hpp"
-#include "core/shard_eval.hpp"
-#include "store/shard_prefetcher.hpp"
+#include "core/plan_driver.hpp"
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/synthetic.hpp"
@@ -58,7 +56,6 @@ struct Row {
   double open_scan_seconds = 0.0;
   double scan_gb = 0.0;
   double materialize_serial_seconds = 0.0;
-  double materialize_prefetch_seconds = 0.0;
   double eval_mono_seconds = 0.0;
   double eval_shard_seconds = 0.0;
   std::size_t shard_files = 0;
@@ -118,8 +115,8 @@ Row run_size(std::size_t files, std::size_t days,
 
   const store::TraceReader reader(mct);
 
-  // Shard-at-a-time copy-out of the whole store, prefetcher off vs on. The
-  // pages are released after each shard so both passes fault them back in.
+  // Shard-at-a-time copy-out of the whole store, releasing the pages after
+  // each shard as the planning driver does.
   {
     util::Stopwatch watch;
     for (std::size_t first = 0; first < files; first += row.shard_files) {
@@ -128,18 +125,6 @@ Row run_size(std::size_t files, std::size_t days,
       reader.release_frequency_range(first, count);
     }
     row.materialize_serial_seconds = watch.seconds();
-  }
-  {
-    std::vector<store::ShardPrefetcher::Range> ranges;
-    for (std::size_t first = 0; first < files; first += row.shard_files)
-      ranges.push_back({first, std::min(row.shard_files, files - first)});
-    util::Stopwatch watch;
-    store::ShardPrefetcher prefetcher(reader, std::move(ranges));
-    while (!prefetcher.done()) {
-      const store::ShardPrefetcher::Shard shard = prefetcher.next();
-      reader.release_frequency_range(shard.range.first, shard.range.count);
-    }
-    row.materialize_prefetch_seconds = watch.seconds();
   }
 
   const pricing::PricingPolicy prices = benchx::standard_pricing();
@@ -159,10 +144,10 @@ Row run_size(std::size_t files, std::size_t days,
   {
     util::Stopwatch watch;
     core::GreedyPolicy policy;
-    core::ShardEvalOptions options;
+    core::PlanDriverOptions options;
     options.shard_files = row.shard_files;
     options.start_day = start;
-    shard_total = core::run_policy_sharded(reader, prices, policy, options)
+    shard_total = core::PlanDriver(reader, prices, policy, options).run()
                       .report.grand_total()
                       .total();
     row.eval_shard_seconds = watch.seconds();
@@ -280,10 +265,10 @@ std::vector<CodecRow> run_codecs(std::size_t files, std::size_t days,
           row.materialize_seconds;
     }
     core::GreedyPolicy policy;
-    core::ShardEvalOptions options;
+    core::PlanDriverOptions options;
     options.shard_files = kShardFiles;
     options.start_day = start;
-    const double total = core::run_policy_sharded(reader, prices, policy, options)
+    const double total = core::PlanDriver(reader, prices, policy, options).run()
                              .report.grand_total()
                              .total();
     row.identical = total == v1_total;
@@ -318,8 +303,6 @@ int main() {
       metrics.emplace_back(prefix + "csv_mib", row.csv_mib);
     metrics.emplace_back(prefix + "materialize_serial_seconds",
                          row.materialize_serial_seconds);
-    metrics.emplace_back(prefix + "materialize_prefetch_seconds",
-                         row.materialize_prefetch_seconds);
     metrics.emplace_back(prefix + "eval_monolithic_seconds",
                          row.eval_mono_seconds);
     metrics.emplace_back(prefix + "eval_sharded_seconds",
@@ -333,7 +316,6 @@ int main() {
         "\"csv_load_seconds\":%.3f,\"mct_mib\":%.2f,\"csv_mib\":%.2f,"
         "\"mct_csv_ratio\":%.3f,\"mct_open_scan_seconds\":%.3f,"
         "\"mct_scan_gb_per_sec\":%.2f,\"materialize_serial_seconds\":%.3f,"
-        "\"materialize_prefetch_seconds\":%.3f,"
         "\"eval_monolithic_seconds\":%.3f,"
         "\"eval_sharded_seconds\":%.3f,\"shard_files\":%zu,"
         "\"bills_identical\":%s}",
@@ -341,8 +323,7 @@ int main() {
         row.csv_load_seconds, row.mct_mib, row.csv_mib,
         row.csv_mib > 0.0 ? row.mct_mib / row.csv_mib : -1.0,
         row.open_scan_seconds, row.scan_gb / row.open_scan_seconds,
-        row.materialize_serial_seconds, row.materialize_prefetch_seconds,
-        row.eval_mono_seconds, row.eval_shard_seconds, row.shard_files,
+        row.materialize_serial_seconds, row.eval_mono_seconds, row.eval_shard_seconds, row.shard_files,
         row.identical ? "true" : "false");
     json << buf;
   }

@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "core/greedy.hpp"
-#include "core/shard_eval.hpp"
+#include "core/plan_driver.hpp"
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/synthetic.hpp"
@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
   const store::TraceReader reader(path);
   const pricing::PricingPolicy prices = pricing::PricingPolicy::azure_2020();
   core::GreedyPolicy policy;
-  core::ShardEvalOptions options;
+  core::PlanDriverOptions options;
   options.shard_files = static_cast<std::size_t>(cli.integer("shard-files"));
   options.start_day = reader.days() > 35 ? reader.days() - 35 : 1;
-  const core::ShardEvalResult sharded =
-      core::run_policy_sharded(reader, prices, policy, options);
+  const core::PlanDriverRun sharded =
+      core::PlanDriver(reader, prices, policy, options).run();
   std::cout << "sharded   (" << sharded.shard_count << " shards): total $"
             << sharded.report.grand_total().total() << ", peak RSS "
             << peak_rss_mib() << " MiB\n";

@@ -4,7 +4,7 @@
 // ~80% of files sit in the lowest variability bucket (paper Fig. 2): their
 // daily access-count windows are small integers that repeat massively across
 // files and days, so the per-file-per-day network forward — the dominant
-// cost of PlanDriver once shard I/O is pipelined — recomputes the same
+// cost of a PlanDriver run under the RL policy — recomputes the same
 // output millions of times. DecisionCache memoizes the *chosen action* for
 // an exact decision state, so repeated states skip featurization and the
 // forward entirely.

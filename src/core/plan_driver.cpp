@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "store/shard_prefetcher.hpp"
 #include "util/stopwatch.hpp"
 
 namespace minicost::core {
@@ -19,7 +17,6 @@ PlanDriver::PlanDriver(const store::TraceReader& reader,
   end_day_ = options_.end_day == 0 ? reader_.days() : options_.end_day;
   if (options_.start_day >= end_day_ || end_day_ > reader_.days())
     throw std::invalid_argument("PlanDriver: bad planning window");
-  if (options_.prefetch_depth == 0) options_.prefetch_depth = 1;
 
   const std::size_t n = reader_.file_count();
   const std::size_t shard =
@@ -95,18 +92,6 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
   obs::Timer* global_latency =
       obs::enabled() ? &obs::timer("core.plan_driver.file_decide") : nullptr;
 
-  // In pipeline mode only the shards being re-planned enter the prefetcher;
-  // spliced shards need no I/O at all.
-  std::optional<store::ShardPrefetcher> prefetcher;
-  if (options_.pipeline) {
-    std::vector<store::ShardPrefetcher::Range> ranges;
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      if (replan_shard[s]) ranges.push_back({shards_[s].first, shards_[s].count});
-    if (!ranges.empty())
-      prefetcher.emplace(reader_, std::move(ranges), options_.pool,
-                         options_.prefetch_depth);
-  }
-
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto [first, count] = shards_[s];
     if (!replan_shard[s]) {
@@ -118,8 +103,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
 
     trace::RequestTrace shard_trace = [&] {
       MC_OBS_SCOPE("core.shard_eval.materialize");
-      return prefetcher ? prefetcher->next().trace
-                        : reader_.materialize_shard(first, count);
+      return reader_.materialize_shard(first, count);
     }();
 
     PlanOptions plan_options;

@@ -1,17 +1,12 @@
 #pragma once
-// The pipelined planning driver: the reusable shard scheduler behind
-// run_policy_sharded (core/shard_eval.hpp), `minicost plan --serve`, and
-// bench/micro_plan_pipeline.
+// The planning driver: the reusable shard scheduler behind `minicost plan`
+// (including --serve), `tracepack eval`, and bench/micro_plan_pipeline.
 //
 // A PlanDriver partitions a mapped .mct store into contiguous file shards
-// and plans them through the unchanged run_policy harness, in one of two
-// I/O modes:
-//
-//   serial     materialize -> decide -> bill, one shard after another (the
-//              original run_policy_sharded loop);
-//   pipelined  a double-buffered store::ShardPrefetcher materializes shard
-//              N+1 on the thread pool while shard N is decided and billed,
-//              so shard I/O and planning overlap.
+// and plans them one after another through the unchanged run_policy
+// harness: materialize -> decide -> bill -> merge, with each shard's
+// frequency pages released once billed. Peak resident memory stays O(shard)
+// for the trace data plus O(files) for the merged bill.
 //
 // The driver is *resident*: it keeps the policy object (and therefore a
 // trained A3C agent deployed through core::RlPolicy) warm across runs, and
@@ -21,20 +16,25 @@
 // re-materialized and re-decided; the rest are spliced from the cache with
 // BillingReport::merge_shard.
 //
-// Determinism (DESIGN.md §11): every mode — serial, pipelined at any
-// prefetch depth, incremental with any dirty set — produces a bill
-// byte-identical to monolithic run_policy over reader.materialize(), for
-// every shard size and pool size. Per-shard inputs are bit-equal to
-// monolithic slices no matter which thread copied them, per-shard planning
-// is the unchanged harness, and the exact-sum shard merge is associative
-// and commutative, so splicing cached reports cannot perturb a bit.
-// tests/core/plan_driver_test.cpp and tests/store/shard_eval_test.cpp pin
-// this across shard sizes, pool sizes, and dirty sets.
+// Determinism (DESIGN.md §11): for any policy whose decisions are per-file
+// — every baseline and the RL policy qualify — a full run and an
+// incremental replan with any dirty set produce a bill byte-identical to
+// monolithic run_policy over reader.materialize(), for every shard size and
+// pool size. Per-shard inputs are bit-equal to monolithic slices
+// (materialize_shard copies series bytes verbatim, static_initial_tiers is
+// per-file), per-shard planning is the unchanged harness, and the exact-sum
+// shard merge is associative and commutative, so splicing cached reports
+// cannot perturb a bit. tests/core/plan_driver_test.cpp and
+// tests/store/shard_eval_test.cpp pin this across shard sizes, pool sizes,
+// and dirty sets. Policies with cross-file state (none in-tree today) would
+// see a different PlanContext per shard; callers own that trade-off.
 //
-// Timing semantics: decision_seconds is the SUM of per-shard decide time
-// (CPU view — unchanged by overlap), wall_seconds is the run's wall-clock
-// (what pipelining improves). Per-file decision latency is recorded per
-// shard-day into the run-local histogram AND the global obs timer
+// A 0-file store is valid and plans to an empty (0-file) bill.
+//
+// Timing semantics: decision_seconds is the SUM of per-shard decide time,
+// wall_seconds is the run's wall-clock (materialize + decide + bill +
+// merge). Per-file decision latency is recorded per shard-day into the
+// run-local histogram AND the global obs timer
 // `core.plan_driver.file_decide`; p50/p99 land in the run result.
 
 #include <memory>
@@ -59,20 +59,12 @@ struct PlanDriverOptions {
   bool static_initial = true;
   pricing::StorageTier default_initial_tier = pricing::StorageTier::kHot;
   bool charge_initial_placement = true;
-  /// Pool for batched planning/billing inside each shard and for the
-  /// prefetcher's materialization tasks; nullptr = the process-shared pool.
-  /// Results are pool-size independent.
+  /// Pool for batched planning/billing inside each shard; nullptr = the
+  /// process-shared pool. Results are pool-size independent.
   util::ThreadPool* pool = nullptr;
   /// madvise each shard's frequency pages away once billed, keeping RSS
   /// bounded by the shard instead of the mapped trace.
   bool release_shard_pages = true;
-  /// Overlap shard I/O with decide/billing via ShardPrefetcher. Off by
-  /// default: the serial loop is the reference the pipelined mode is
-  /// byte-compared against.
-  bool pipeline = false;
-  /// Shards materializing ahead of the one being planned (pipeline mode);
-  /// 1 = double-buffered.
-  std::size_t prefetch_depth = 1;
   /// Own a DecisionCache (DESIGN.md §15) and hand it to cache-aware
   /// policies via PlanOptions. The cache lives across runs, replans, and
   /// shards — cross-day and cross-shard reuse — and stays byte-identical
@@ -89,9 +81,7 @@ struct PlanDriverRun {
   /// Full-width bill: file_count() == reader.file_count(), days() == window.
   sim::BillingReport report;
   /// Decide time summed over the shards planned in THIS run (cached shards
-  /// contribute nothing). Under pipelining this is the CPU view — compare
-  /// wall_seconds for elapsed time; the two diverge exactly when overlap
-  /// works.
+  /// contribute nothing).
   double decision_seconds = 0.0;
   /// Wall-clock of the whole run (materialize + decide + bill + merge).
   double wall_seconds = 0.0;

@@ -66,16 +66,11 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
 
 /// Per-worker training state. The local nets' initial parameters never
 /// matter (the first sync overwrites them), so they are built from a
-/// throwaway fork of the init stream. In Hogwild mode each worker owns its
-/// optimizer state and a delta scratch: the optimizers step a zero vector,
-/// which yields the exact parameter delta because SGD/RMSProp/Adam update
-/// rules never read the parameter values they advance.
+/// throwaway fork of the init stream.
 struct A3CAgent::WorkerCtx {
   TieringEnv env;
   nn::Network actor, critic;
   std::vector<double> actor_stage, critic_stage;
-  std::unique_ptr<nn::Optimizer> actor_opt, critic_opt;  // Hogwild only
-  std::vector<double> actor_delta, critic_delta;         // Hogwild only
 
   WorkerCtx(A3CAgent& agent, const trace::RequestTrace& trace,
             const pricing::PricingPolicy& policy)
@@ -85,12 +80,6 @@ struct A3CAgent::WorkerCtx {
     critic = make_critic(agent.config_, agent.featurizer_, scratch);
     actor_stage.resize(agent.server_->actor_size());
     critic_stage.resize(agent.server_->critic_size());
-    if (agent.config_.lock_free_apply) {
-      actor_opt = make_optimizer(agent.config_);
-      critic_opt = make_optimizer(agent.config_);
-      actor_delta.resize(agent.server_->actor_size());
-      critic_delta.resize(agent.server_->critic_size());
-    }
   }
 };
 
@@ -144,15 +133,9 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
   nn::Network& critic = ctx.critic;
   // Sync local nets from the parameter server. The wavefront sync admits
   // this episode in ordinal order, so the staged parameters are a pure
-  // function of the ordinal; Hogwild reads whatever the racing applies have
-  // produced so far (relaxed atomics, non-deterministic by design). The
-  // per-shard copies run under shard locks; the network load happens
-  // outside every lock.
-  if (config_.lock_free_apply) {
-    server_->sync_relaxed(ctx.actor_stage, ctx.critic_stage);
-  } else {
-    server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
-  }
+  // function of the ordinal. The per-shard copies run under shard locks; the
+  // network load happens outside every lock.
+  server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
   actor.load_parameters(ctx.actor_stage);
   critic.load_parameters(ctx.critic_stage);
   actor.zero_gradients();
@@ -349,21 +332,10 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
 
   {
     MC_OBS_SCOPE("rl.a3c.opt_step");
-    if (config_.lock_free_apply) {
-      // Hogwild: turn the gradient into an exact update delta by stepping a
-      // zero vector with the worker-local optimizer state, then accumulate
-      // it into the shared parameters lock-free.
-      std::fill(ctx.actor_delta.begin(), ctx.actor_delta.end(), 0.0);
-      std::fill(ctx.critic_delta.begin(), ctx.critic_delta.end(), 0.0);
-      ctx.actor_opt->step(ctx.actor_delta, actor_grads);
-      ctx.critic_opt->step(ctx.critic_delta, critic_grads);
-      server_->apply_relaxed(ctx.actor_delta, ctx.critic_delta);
-    } else {
-      // Wavefront apply: per-shard in-place SIMD optimizer steps, admitted
-      // in episode order (admission wait lands in the
-      // rl.a3c.opt_step[.shardN].lock_wait_ns counters).
-      server_->apply(round_episode, actor_grads, critic_grads);
-    }
+    // Wavefront apply: per-shard in-place SIMD optimizer steps, admitted in
+    // episode order (admission wait lands in the
+    // rl.a3c.opt_step[.shardN].lock_wait_ns counters).
+    server_->apply(round_episode, actor_grads, critic_grads);
   }
   return outcome;
 }
@@ -512,7 +484,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_batch(
   // choice (file, window, tier, exploration) derives from the ordinal's
   // stream (rl/stream.hpp) — never from which worker ran it.
   const std::size_t base = episodes_.load(std::memory_order_relaxed);
-  server_->begin_round(batch, config_.workers, config_.lock_free_apply);
+  server_->begin_round(batch, config_.workers);
 
   std::atomic<std::size_t> next{0};
   // Outcomes land by ordinal and reduce in ordinal order after the join:

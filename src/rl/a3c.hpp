@@ -103,13 +103,6 @@ struct A3CConfig {
   /// depends only on episode ordinals); 1 — the default — keeps the
   /// single-lock layout. Range [1, 64].
   std::size_t param_shards = 1;
-  /// Opt-in Hogwild-style lock-free apply (Recht et al. 2011): workers
-  /// read and accumulate into the shared parameters through relaxed
-  /// atomics with worker-local optimizer state (state is round-local, so
-  /// momentum restarts each reporting window). No locks on the training
-  /// hot path — and NO determinism: results vary run to run with thread
-  /// timing. The default locked path remains the deterministic reference.
-  bool lock_free_apply = false;
   /// Run the per-episode update phase through the batched kernels: one
   /// forward_batch/backward_batch over the episode's T stored states per
   /// network plus fused loss-gradient rows, instead of 2T scalar passes.
@@ -222,8 +215,8 @@ class A3CAgent {
     double cost_sum = 0.0;
   };
 
-  /// Per-worker training state (local nets, env, staging/delta buffers,
-  /// Hogwild optimizer state); defined in a3c.cpp.
+  /// Per-worker training state (local nets, env, staging buffers); defined
+  /// in a3c.cpp.
   struct WorkerCtx;
 
   /// Runs one episode on the worker's local nets and routes the gradient

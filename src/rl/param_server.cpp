@@ -1,7 +1,6 @@
 #include "rl/param_server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -14,25 +13,6 @@ std::uint64_t steady_now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-// Relaxed element-wise atomic copy/accumulate over double buffers. The
-// Hogwild discipline routes *every* round-concurrent access to the flats
-// through these, which is what keeps the TSan no-suppressions policy intact:
-// parameter races stay, data races don't.
-void relaxed_load(std::span<const double> src, std::span<double> dst) {
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    // atomic_ref<const T> lands in C++26; const_cast is safe here — the
-    // referenced object is never actually written through this path.
-    dst[i] = std::atomic_ref<double>(const_cast<double&>(src[i]))
-                 .load(std::memory_order_relaxed);
-  }
-}
-
-void relaxed_add(std::span<const double> delta, std::span<double> dst) {
-  for (std::size_t i = 0; i < delta.size(); ++i)
-    std::atomic_ref<double>(dst[i]).fetch_add(delta[i],
-                                              std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -84,11 +64,6 @@ void ParamServer::snapshot_into(std::vector<double>& actor,
                                 std::vector<double>& critic) {
   actor.resize(actor_size_);
   critic.resize(critic_size_);
-  if (lock_free_round_.load(std::memory_order_relaxed)) {
-    relaxed_load(actor_flat_, actor);
-    relaxed_load(critic_flat_, critic);
-    return;
-  }
   // Ascending shard order — the one global lock order (see header).
   for (auto& sp : shards_) {
     Shard& sh = *sp;
@@ -102,8 +77,7 @@ void ParamServer::snapshot_into(std::vector<double>& actor,
   }
 }
 
-void ParamServer::begin_round(std::size_t episodes, std::size_t window,
-                              bool lock_free) {
+void ParamServer::begin_round(std::size_t episodes, std::size_t window) {
   if (round_active_)
     throw std::logic_error("ParamServer::begin_round: round already active");
   if (window == 0)
@@ -113,7 +87,6 @@ void ParamServer::begin_round(std::size_t episodes, std::size_t window,
   round_total_ = episodes;
   window_ = window;
   round_active_ = true;
-  lock_free_round_.store(lock_free, std::memory_order_relaxed);
   const bool timing = obs::kCompiledIn && obs::enabled();
   if (timing && sync_wait_total_ == nullptr) {
     sync_wait_total_ = &obs::counter("rl.a3c.sync.wait_ns");
@@ -135,15 +108,12 @@ void ParamServer::begin_round(std::size_t episodes, std::size_t window,
 void ParamServer::end_round() {
   if (!round_active_)
     throw std::logic_error("ParamServer::end_round: no round active");
-  if (!lock_free_round_.load(std::memory_order_relaxed)) {
-    for (const auto& sp : shards_) {
-      if (sp->synced != round_total_ || sp->applied != round_total_)
-        throw std::logic_error(
-            "ParamServer::end_round: wavefront incomplete (protocol bug)");
-    }
+  for (const auto& sp : shards_) {
+    if (sp->synced != round_total_ || sp->applied != round_total_)
+      throw std::logic_error(
+          "ParamServer::end_round: wavefront incomplete (protocol bug)");
   }
   round_active_ = false;
-  lock_free_round_.store(false, std::memory_order_relaxed);
 }
 
 void ParamServer::sync(std::size_t episode, std::span<double> actor_out,
@@ -213,20 +183,6 @@ void ParamServer::apply(std::size_t episode,
     ++sh.applied;
     sh.cv.notify_all();
   }
-  version_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ParamServer::sync_relaxed(std::span<double> actor_out,
-                               std::span<double> critic_out) {
-  relaxed_load(actor_flat_, actor_out);
-  relaxed_load(critic_flat_, critic_out);
-}
-
-void ParamServer::apply_relaxed(std::span<const double> actor_delta,
-                                std::span<const double> critic_delta) {
-  relaxed_add(actor_delta, actor_flat_);
-  relaxed_add(critic_delta, critic_flat_);
-  MC_OBS_COUNT("rl.a3c.hogwild.applies", 1);
   version_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -9,32 +9,20 @@
 // on shard k can overlap another episode's sync of shard k+1 (a wavefront
 // pipeline over the shards).
 //
-// Two apply disciplines, chosen per training round:
-//
-//  * Deterministic wavefront (the default). Training episodes are numbered
-//    0..total-1 within the round; per shard, sync and apply events are
-//    admitted in a fixed total order derived only from the episode ordinal
-//    and the configured worker window W:
-//        sync(e)  waits until  synced == e  and  applied >= max(0, e-W+1)
-//        apply(e) waits until  applied == e and  synced  >= min(e+W, total)
-//    Episode e therefore always reads the parameters produced by exactly
-//    the first max(0, e-W+1) applies, and applies land in episode order —
-//    regardless of thread scheduling, actual thread count, or shard count.
-//    With W == 1 this degenerates to strict sync/apply alternation (the
-//    pre-sharding serial semantics). Exactly one event is admissible per
-//    shard state, so the protocol cannot deadlock; because applies complete
-//    in episode order, a slow episode delays later applies (head-of-line
-//    blocking) — the price of determinism.
-//
-//  * Hogwild (opt-in, A3CConfig::lock_free_apply). No locks on the hot
-//    path: workers read the buffers and fetch_add deltas into them through
-//    std::atomic_ref<double> with relaxed ordering. Races on parameter
-//    *values* are by design (Recht et al. 2011) and non-deterministic, but
-//    every access is an atomic, so the data-race-freedom contract (TSan, no
-//    suppressions) still holds. Optimizer state must be worker-local in
-//    this mode: workers compute a delta by stepping a zero vector and ship
-//    only the delta (SGD/RMSProp/Adam never read the parameters, so the
-//    delta is exact).
+// Apply discipline: a deterministic wavefront. Training episodes are
+// numbered 0..total-1 within a round; per shard, sync and apply events are
+// admitted in a fixed total order derived only from the episode ordinal and
+// the configured worker window W:
+//     sync(e)  waits until  synced == e  and  applied >= max(0, e-W+1)
+//     apply(e) waits until  applied == e and  synced  >= min(e+W, total)
+// Episode e therefore always reads the parameters produced by exactly the
+// first max(0, e-W+1) applies, and applies land in episode order —
+// regardless of thread scheduling, actual thread count, or shard count.
+// With W == 1 this degenerates to strict sync/apply alternation (the
+// pre-sharding serial semantics). Exactly one event is admissible per shard
+// state, so the protocol cannot deadlock; because applies complete in
+// episode order, a slow episode delays later applies (head-of-line
+// blocking) — the price of determinism.
 //
 // Lock order: shard mutexes are only ever taken one at a time in ascending
 // shard order; front-door methods (assign / snapshot_into) take all of them
@@ -43,6 +31,7 @@
 // which MC_GUARDED_BY cannot express; the discipline above is enforced by
 // the TSan CI job instead.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -68,8 +57,8 @@ class ParamServer {
   std::size_t actor_size() const noexcept { return actor_size_; }
   std::size_t critic_size() const noexcept { return critic_size_; }
 
-  /// Monotone apply counter; bumped once per apply/apply_relaxed and per
-  /// assign(). Readers use it to detect staleness of materialized networks.
+  /// Monotone apply counter; bumped once per apply() and per assign().
+  /// Readers use it to detect staleness of materialized networks.
   std::uint64_t version() const noexcept {
     return version_.load(std::memory_order_relaxed);
   }
@@ -81,23 +70,20 @@ class ParamServer {
   void assign(std::vector<double> actor, std::vector<double> critic);
 
   /// Copies the authoritative parameters out. Safe concurrently with an
-  /// active round: takes every shard lock (wavefront rounds; waiters park in
-  /// condition variables, so this never blocks behind a full episode) or
-  /// reads through relaxed atomics (Hogwild rounds). Mid-round snapshots
-  /// may mix episodes across shards; quiesced snapshots are exact.
+  /// active round: takes every shard lock (waiters park in condition
+  /// variables, so this never blocks behind a full episode). Mid-round
+  /// snapshots may mix episodes across shards; quiesced snapshots are exact.
   void snapshot_into(std::vector<double>& actor, std::vector<double>& critic);
 
   /// Opens a training round of `episodes` episodes with worker window
   /// `window` (the A3CConfig worker count — part of the deterministic
-  /// schedule, NOT the number of threads actually running). `lock_free`
-  /// selects the Hogwild discipline for the whole round.
-  void begin_round(std::size_t episodes, std::size_t window, bool lock_free);
+  /// schedule, NOT the number of threads actually running).
+  void begin_round(std::size_t episodes, std::size_t window);
 
-  /// Closes the round; throws std::logic_error if a wavefront round ends
-  /// with unapplied episodes (a protocol bug, not a user error).
+  /// Closes the round; throws std::logic_error if the round ends with
+  /// unapplied episodes (a protocol bug, not a user error).
   void end_round();
 
-  // -- Deterministic wavefront path ---------------------------------------
   /// Waits for episode `episode`'s turn on each shard in ascending order and
   /// copies the authoritative parameters into the staging buffers (sized
   /// actor_size()/critic_size()).
@@ -108,15 +94,6 @@ class ParamServer {
   /// order and runs the per-shard optimizer slices over the gradients.
   void apply(std::size_t episode, std::span<const double> actor_grads,
              std::span<const double> critic_grads);
-
-  // -- Hogwild path --------------------------------------------------------
-  /// Relaxed-atomic element-wise read of the authoritative parameters.
-  void sync_relaxed(std::span<double> actor_out, std::span<double> critic_out);
-
-  /// Relaxed-atomic element-wise accumulation of a precomputed update delta
-  /// (NOT a gradient — the caller owns the optimizer math in this mode).
-  void apply_relaxed(std::span<const double> actor_delta,
-                     std::span<const double> critic_delta);
 
  private:
   struct Shard {
@@ -138,9 +115,8 @@ class ParamServer {
 
   OptimizerFactory factory_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Authoritative parameters. Wavefront rounds access [lo, hi) slices under
-  // the owning shard's mutex; Hogwild rounds access elements exclusively
-  // through std::atomic_ref<double> (relaxed).
+  // Authoritative parameters. Rounds access [lo, hi) slices under the
+  // owning shard's mutex.
   std::vector<double> actor_flat_;
   std::vector<double> critic_flat_;
   std::size_t actor_size_ = 0;
@@ -151,8 +127,6 @@ class ParamServer {
   std::size_t round_total_ = 0;
   std::size_t window_ = 1;
   bool round_active_ = false;
-  // Atomic so snapshot_into() can pick the Hogwild read path mid-round.
-  std::atomic<bool> lock_free_round_{false};
 
   std::atomic<std::uint64_t> version_{0};
   // Aggregate wait counters (the pre-sharding "rl.a3c.opt_step.lock_wait_ns"

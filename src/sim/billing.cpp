@@ -64,29 +64,14 @@ double BillingReport::cumulative_through(std::size_t d) const {
   return total;
 }
 
-void BillingReport::merge(const BillingReport& other) {
-  if (other.per_day_exact_.size() != per_day_exact_.size() ||
-      other.per_file_total_.size() != per_file_total_.size())
-    throw std::invalid_argument("BillingReport::merge: shape mismatch");
-  for (std::size_t d = 0; d < per_day_exact_.size(); ++d) {
-    per_day_exact_[d].storage.add(other.per_day_exact_[d].storage);
-    per_day_exact_[d].read.add(other.per_day_exact_[d].read);
-    per_day_exact_[d].write.add(other.per_day_exact_[d].write);
-    per_day_exact_[d].change.add(other.per_day_exact_[d].change);
-    per_day_changes_[d] += other.per_day_changes_[d];
-  }
-  for (std::size_t f = 0; f < per_file_total_.size(); ++f)
-    // lint-ast: allow(billing-exact-sum) -- disjoint per-file partials, one addend per file
-    per_file_total_[f] += other.per_file_total_[f];
-  tier_changes_ += other.tier_changes_;
-  stale_ = true;
-}
-
 void BillingReport::merge_shard(const BillingReport& other,
                                 std::size_t file_offset) {
   if (other.per_day_exact_.size() != per_day_exact_.size())
     throw std::invalid_argument("BillingReport::merge_shard: day mismatch");
-  if (file_offset + other.per_file_total_.size() > per_file_total_.size())
+  // Overflow-safe form of file_offset + width > file_count (an offset near
+  // SIZE_MAX must not wrap past the check).
+  if (other.per_file_total_.size() > per_file_total_.size() ||
+      file_offset > per_file_total_.size() - other.per_file_total_.size())
     throw std::invalid_argument(
         "BillingReport::merge_shard: file range exceeds report width");
   for (std::size_t d = 0; d < per_day_exact_.size(); ++d) {

@@ -9,7 +9,7 @@
 // when read, and the grand total is the day-ordered fold of those rounded
 // per-day values. Two reports over the same multiset of charges — however
 // the charges were ordered, grouped, or split across shard reports merged
-// with merge()/merge_shard() — are therefore byte-identical (DESIGN.md §9).
+// with merge_shard() — are therefore byte-identical (DESIGN.md §9).
 // Per-file totals stay plain doubles: a file's charges always arrive in day
 // order from exactly one simulator run, so their fold order is fixed.
 
@@ -50,15 +50,12 @@ class BillingReport {
   /// Cumulative total cost through day d inclusive (the Figure 7/13 series).
   double cumulative_through(std::size_t d) const;
 
-  /// Merges a report over the same shape (parallel accumulation over the
-  /// same files). Exact, so any merge tree yields identical bytes. Throws
-  /// std::invalid_argument on shape mismatch.
-  void merge(const BillingReport& other);
-
   /// Merges a report covering the contiguous file range
   /// [file_offset, file_offset + other.file_count()) of this report's file
-  /// space — the shard-streamed evaluation path. Day counts must match and
-  /// the range must fit; throws std::invalid_argument otherwise.
+  /// space — the shard-streamed planning path; offset 0 with an equal width
+  /// merges a report over the same files. Exact, so any merge tree yields
+  /// identical bytes. Day counts must match and the range must fit; throws
+  /// std::invalid_argument otherwise.
   void merge_shard(const BillingReport& other, std::size_t file_offset);
 
  private:

@@ -14,7 +14,6 @@
 #include "codec/chunk_codec.hpp"
 #include "obs/metrics.hpp"
 #include "store/crc32.hpp"
-#include "util/thread_pool.hpp"
 
 namespace minicost::store {
 namespace {
@@ -465,9 +464,8 @@ trace::RequestTrace TraceReader::materialize_shard(std::size_t first,
       push_file(i, at(header_.freq_offset + i * 2 * header_.series_stride));
   } else if (count > 0) {
     // Decode only the chunks the range overlaps, into local scratch — no
-    // shared state, so concurrent materializations (the shard prefetcher's
-    // double-buffering) need no locking and resident memory stays
-    // O(chunk + shard), not O(trace).
+    // shared state, so concurrent materializations need no locking and
+    // resident memory stays O(chunk + shard), not O(trace).
     std::vector<std::byte> scratch;
     const std::size_t last = first + count - 1;
     for (std::size_t c = first / ext_.files_per_chunk;
@@ -487,16 +485,6 @@ trace::RequestTrace TraceReader::materialize_shard(std::size_t first,
   collect_groups(first, count, groups);
   return trace::RequestTrace(header_.days, std::move(files),
                              std::move(groups));
-}
-
-std::future<trace::RequestTrace> TraceReader::materialize_shard_async(
-    std::size_t first, std::size_t count, util::ThreadPool* pool) const {
-  if (count > header_.file_count || first > header_.file_count - count)
-    throw std::out_of_range(
-        "TraceReader::materialize_shard_async: bad file range");
-  util::ThreadPool& target = pool != nullptr ? *pool : util::ThreadPool::shared();
-  return target.submit(
-      [this, first, count] { return materialize_shard(first, count); });
 }
 
 trace::RequestTrace TraceReader::materialize() const {

@@ -11,13 +11,12 @@
 // Per-file series come back as std::span<const double> straight into the
 // mapping — 64-byte aligned, so the PR 1 SIMD kernels can consume them in
 // place — and materialize_shard() builds an ordinary RequestTrace for any
-// contiguous file range, which is what the shard-streamed evaluation driver
-// (core/shard_eval.hpp) iterates over with O(shard) rather than O(trace)
+// contiguous file range, which is what the shard-streamed planning driver
+// (core/plan_driver.hpp) iterates over with O(shard) rather than O(trace)
 // resident memory.
 
 #include <cstdint>
 #include <filesystem>
-#include <future>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -26,10 +25,6 @@
 #include "trace/trace.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
-
-namespace minicost::util {
-class ThreadPool;
-}  // namespace minicost::util
 
 namespace minicost::store {
 
@@ -99,17 +94,6 @@ class TraceReader {
   /// range.
   trace::RequestTrace materialize_shard(std::size_t first,
                                         std::size_t count) const;
-
-  /// Posts materialize_shard(first, count) to `pool` (nullptr = the
-  /// process-shared pool) and returns its future — the building block of
-  /// the pipelined planning driver (core/plan_driver.hpp), which readies
-  /// shard N+1 while shard N is being planned. The range is validated
-  /// eagerly (std::out_of_range before anything is queued); the reader must
-  /// outlive the future's completion. Do not call get() from inside a task
-  /// running on the same pool — block only from driver threads.
-  std::future<trace::RequestTrace> materialize_shard_async(
-      std::size_t first, std::size_t count,
-      util::ThreadPool* pool = nullptr) const;
 
   /// The whole trace as a RequestTrace (== materialize_shard(0, all)).
   trace::RequestTrace materialize() const;

@@ -1,7 +1,7 @@
 // PlanDriver: residency (one policy instance warm across runs), incremental
-// dirty-shard re-planning spliced from cached per-shard bills, pipelined
-// prefetching, and the per-file decision-latency percentiles — all pinned
-// against the monolithic run_policy reference bit for bit (DESIGN.md §11).
+// dirty-shard re-planning spliced from cached per-shard bills, and the
+// per-file decision-latency percentiles — all pinned against the monolithic
+// run_policy reference bit for bit (DESIGN.md §11).
 
 #include "core/plan_driver.hpp"
 
@@ -96,12 +96,10 @@ class PlanDriverTest : public ::testing::Test {
     return run_policy(whole, prices_, policy, options);
   }
 
-  PlanDriverOptions driver_options(std::size_t shard_files,
-                                   bool pipeline) const {
+  PlanDriverOptions driver_options(std::size_t shard_files) const {
     PlanDriverOptions options;
     options.shard_files = shard_files;
     options.start_day = 3;
-    options.pipeline = pipeline;
     return options;
   }
 
@@ -110,28 +108,25 @@ class PlanDriverTest : public ::testing::Test {
   pricing::PricingPolicy prices_;
 };
 
-TEST_F(PlanDriverTest, RunMatchesMonolithicSerialAndPipelined) {
+TEST_F(PlanDriverTest, RunMatchesMonolithic) {
   const PlanResult reference = monolithic(3);
-  for (const bool pipeline : {false, true}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      util::ThreadPool pool(threads);
-      GreedyPolicy policy;
-      PlanDriverOptions options = driver_options(7, pipeline);
-      options.pool = &pool;
-      PlanDriver driver(*reader_, prices_, policy, options);
-      const PlanDriverRun run = driver.run();
-      SCOPED_TRACE("pipeline=" + std::to_string(pipeline) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(run.shard_count, 9u);  // ceil(61 / 7)
-      EXPECT_EQ(run.replanned_shards, 9u);
-      expect_identical(run.report, reference.report);
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::ThreadPool pool(threads);
+    GreedyPolicy policy;
+    PlanDriverOptions options = driver_options(7);
+    options.pool = &pool;
+    PlanDriver driver(*reader_, prices_, policy, options);
+    const PlanDriverRun run = driver.run();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(run.shard_count, 9u);  // ceil(61 / 7)
+    EXPECT_EQ(run.replanned_shards, 9u);
+    expect_identical(run.report, reference.report);
   }
 }
 
 TEST_F(PlanDriverTest, CleanReplanSplicesEverythingFromCache) {
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7, false));
+  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
   const PlanDriverRun full = driver.run();
   EXPECT_EQ(driver.dirty_shard_count(), 0u);
 
@@ -144,31 +139,28 @@ TEST_F(PlanDriverTest, CleanReplanSplicesEverythingFromCache) {
 
 TEST_F(PlanDriverTest, DirtySubsetReplanIsByteIdenticalToFullRun) {
   const PlanResult reference = monolithic(3);
-  for (const bool pipeline : {false, true}) {
-    GreedyPolicy policy;
-    PlanDriver driver(*reader_, prices_, policy, driver_options(7, pipeline));
-    driver.run();
+  GreedyPolicy policy;
+  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
+  driver.run();
 
-    // Files 10..24 live in shards 1..3 (width 7).
-    driver.mark_dirty(10, 15);
-    EXPECT_EQ(driver.dirty_shard_count(), 3u);
-    const PlanDriverRun replan = driver.replan();
-    SCOPED_TRACE("pipeline=" + std::to_string(pipeline));
-    EXPECT_EQ(replan.replanned_shards, 3u);
-    EXPECT_EQ(driver.dirty_shard_count(), 0u);
-    expect_identical(replan.report, reference.report);
+  // Files 10..24 live in shards 1..3 (width 7).
+  driver.mark_dirty(10, 15);
+  EXPECT_EQ(driver.dirty_shard_count(), 3u);
+  const PlanDriverRun replan = driver.replan();
+  EXPECT_EQ(replan.replanned_shards, 3u);
+  EXPECT_EQ(driver.dirty_shard_count(), 0u);
+  expect_identical(replan.report, reference.report);
 
-    // The tail file lands in the short last shard.
-    driver.mark_dirty(60, 1);
-    const PlanDriverRun tail = driver.replan();
-    EXPECT_EQ(tail.replanned_shards, 1u);
-    expect_identical(tail.report, reference.report);
-  }
+  // The tail file lands in the short last shard.
+  driver.mark_dirty(60, 1);
+  const PlanDriverRun tail = driver.replan();
+  EXPECT_EQ(tail.replanned_shards, 1u);
+  expect_identical(tail.report, reference.report);
 }
 
 TEST_F(PlanDriverTest, MarkDirtyValidatesTheFileRange) {
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7, false));
+  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
   EXPECT_THROW(driver.mark_dirty(55, 7), std::out_of_range);
   EXPECT_THROW(driver.mark_dirty(61, 1), std::out_of_range);
   EXPECT_NO_THROW(driver.mark_dirty(61, 0));  // empty range, even at the end
@@ -177,7 +169,7 @@ TEST_F(PlanDriverTest, MarkDirtyValidatesTheFileRange) {
 
 TEST_F(PlanDriverTest, PolicyInstanceStaysWarmAcrossRuns) {
   CountingGreedy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7, false));
+  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
 
   driver.run();
   EXPECT_EQ(policy.prepare_calls, 9u);  // one per shard
@@ -195,7 +187,7 @@ TEST_F(PlanDriverTest, PolicyInstanceStaysWarmAcrossRuns) {
 
 TEST_F(PlanDriverTest, ReportsLatencyPercentilesAndTimings) {
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7, false));
+  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
   const PlanDriverRun run = driver.run();
   EXPECT_GT(run.wall_seconds, 0.0);
   EXPECT_GT(run.decision_seconds, 0.0);

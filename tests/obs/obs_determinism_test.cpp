@@ -11,7 +11,7 @@
 
 #include "core/greedy.hpp"
 #include "core/planner.hpp"
-#include "core/shard_eval.hpp"
+#include "core/plan_driver.hpp"
 #include "obs/metrics.hpp"
 #include "pricing/policy.hpp"
 #include "sim/billing.hpp"
@@ -76,20 +76,20 @@ TEST_F(ObsDeterminismTest, ShardedBillsAreIdenticalEnabledVsDisabled) {
   store::pack_trace(small_trace(), mct);
   const store::TraceReader reader(mct);
   const pricing::PricingPolicy prices = pricing::PricingPolicy::azure_2020();
-  core::ShardEvalOptions options;
+  core::PlanDriverOptions options;
   options.shard_files = 64;
   options.start_day = 5;
   options.release_shard_pages = true;  // exercises the instrumented madvise
 
   obs::set_enabled(true);
   core::GreedyPolicy instrumented;
-  const core::ShardEvalResult with_obs =
-      core::run_policy_sharded(reader, prices, instrumented, options);
+  const core::PlanDriverRun with_obs =
+      core::PlanDriver(reader, prices, instrumented, options).run();
 
   obs::set_enabled(false);
   core::GreedyPolicy plain;
-  const core::ShardEvalResult without_obs =
-      core::run_policy_sharded(reader, prices, plain, options);
+  const core::PlanDriverRun without_obs =
+      core::PlanDriver(reader, prices, plain, options).run();
 
   EXPECT_EQ(with_obs.shard_count, without_obs.shard_count);
   expect_identical(with_obs.report, without_obs.report, reader.file_count());

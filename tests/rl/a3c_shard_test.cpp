@@ -2,14 +2,11 @@
 //   * the final parameters are a pure function of (seed, episode count) —
 //     byte-identical across shard counts at every worker count, and
 //     run-to-run deterministic even with many workers;
-//   * the Hogwild path trains without locks and still produces a valid
-//     (non-deterministic) agent;
 //   * episode RNG streams derive only from the lifetime ordinal and can
 //     never alias the agent's other stream families.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -97,43 +94,6 @@ TEST(A3CShardTest, ShardCountIsValidated) {
   EXPECT_THROW(A3CAgent(config, 1), std::invalid_argument);
   config.param_shards = 64;  // more shards than some layers have parameters
   EXPECT_NO_THROW(A3CAgent(config, 1));
-}
-
-TEST(A3CShardTest, HogwildTrainsAValidAgent) {
-  // Hogwild is documented non-deterministic, so assert behavioral sanity
-  // rather than bytes: every episode runs, the policy stays a distribution,
-  // and the trained agent round-trips through save/load.
-  A3CConfig config = shard_config(4, 8);
-  config.lock_free_apply = true;
-  A3CAgent agent(config, 31);
-  const trace::RequestTrace trace = small_trace();
-  TrainOptions options;
-  options.episodes = 120;
-  options.report_every = 60;
-  agent.train(trace, pricing::PricingPolicy::azure_2020(), options);
-  EXPECT_EQ(agent.trained_episodes(), 120u);
-  EXPECT_GT(agent.trained_steps(), 120u);
-
-  const auto features =
-      agent.featurizer().encode(trace.file(0), 20, pricing::StorageTier::kHot);
-  const auto pi = agent.policy_probabilities(features);
-  ASSERT_EQ(pi.size(), kActionCount);
-  double total = 0.0;
-  for (const double p : pi) {
-    EXPECT_TRUE(std::isfinite(p));
-    EXPECT_GE(p, 0.0);
-    total += p;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("minicost_hogwild_" + std::to_string(::getpid()) + ".txt");
-  agent.save(path);
-  A3CAgent reloaded(config, 32);
-  reloaded.load(path);
-  std::filesystem::remove(path);
-  EXPECT_EQ(reloaded.act(features, /*greedy=*/true),
-            agent.act(features, /*greedy=*/true));
 }
 
 TEST(A3CStreamTest, EpisodeStreamsAreInjective) {

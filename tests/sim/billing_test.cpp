@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace minicost::sim {
@@ -55,16 +56,16 @@ TEST(BillingReportTest, MergeCombinesReports) {
   a.charge(0, 0, CostBreakdown{1.0, 0.0, 0.0, 0.0});
   b.charge(1, 1, CostBreakdown{0.0, 2.0, 0.0, 0.0});
   b.count_change(1);
-  a.merge(b);
+  a.merge_shard(b, 0);
   EXPECT_DOUBLE_EQ(a.grand_total().total(), 3.0);
   EXPECT_DOUBLE_EQ(a.file_total(1), 2.0);
   EXPECT_EQ(a.tier_changes(), 1u);
 }
 
 TEST(BillingReportTest, MergeRejectsShapeMismatch) {
-  BillingReport a(2, 2), b(1, 2), c(2, 3);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
+  BillingReport a(2, 2), wider(3, 2), c(2, 3);
+  EXPECT_THROW(a.merge_shard(wider, 0), std::invalid_argument);
+  EXPECT_THROW(a.merge_shard(c, 0), std::invalid_argument);
 }
 
 TEST(BillingReportTest, MergeShardPlacesFileRange) {
@@ -93,6 +94,11 @@ TEST(BillingReportTest, MergeShardRejectsBadShapes) {
   EXPECT_THROW(full.merge_shard(wrong_days, 0), std::invalid_argument);
   BillingReport overflow(3, 2);
   EXPECT_THROW(full.merge_shard(overflow, 2), std::invalid_argument);
+  // offset + width wraps to a small value; a plain sum check would pass and
+  // write past the end of the per-file totals.
+  const auto max = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(full.merge_shard(overflow, max), std::invalid_argument);
+  EXPECT_THROW(full.merge_shard(overflow, max - 1), std::invalid_argument);
 }
 
 // The property the shard-streamed evaluation path rests on (DESIGN.md §9):

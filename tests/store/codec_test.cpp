@@ -23,7 +23,7 @@
 #include "codec/chunk_codec.hpp"
 #include "codec/delta_codec.hpp"
 #include "core/greedy.hpp"
-#include "core/shard_eval.hpp"
+#include "core/plan_driver.hpp"
 #include "store/crc32.hpp"
 #include "store/format.hpp"
 #include "store/trace_reader.hpp"
@@ -325,12 +325,12 @@ TEST_F(CodecContainerTest, BillsByteIdenticalAcrossShardSizesAndPools) {
                      " threads=" + std::to_string(threads));
         util::ThreadPool pool(threads);
         core::GreedyPolicy policy;
-        core::ShardEvalOptions options;
+        core::PlanDriverOptions options;
         options.shard_files = shard_files;
         options.start_day = mono.start_day;
         options.pool = &pool;
-        const core::ShardEvalResult sharded =
-            core::run_policy_sharded(v2, prices, policy, options);
+        const core::PlanDriverRun sharded =
+            core::PlanDriver(v2, prices, policy, options).run();
         const sim::CostBreakdown& a = sharded.report.grand_total();
         const sim::CostBreakdown& b = reference.report.grand_total();
         EXPECT_EQ(bits(a.storage), bits(b.storage));

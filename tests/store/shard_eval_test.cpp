@@ -2,7 +2,7 @@
 // policies, the shard-streamed bill over a .mct store is byte-identical to
 // the monolithic in-memory bill for EVERY shard size and pool size.
 
-#include "core/shard_eval.hpp"
+#include "core/plan_driver.hpp"
 
 #include <gtest/gtest.h>
 
@@ -64,11 +64,9 @@ class ShardEvalTest : public ::testing::Test {
 
   /// Runs the matrix {shard sizes} x {pool sizes} for one policy and checks
   /// every cell against the monolithic reference bill. shard size 1000 >
-  /// file count pins the "one oversized shard" edge; `pipeline` runs the
-  /// same matrix through the prefetching driver path.
+  /// file count pins the "one oversized shard" edge.
   template <typename Policy>
-  void check_policy(std::size_t start_day, bool pipeline = false,
-                    bool static_initial = true) {
+  void check_policy(std::size_t start_day, bool static_initial = true) {
     const pricing::PricingPolicy prices = pricing::PricingPolicy::azure_2020();
     const trace::RequestTrace whole = reader_->materialize();
 
@@ -85,17 +83,15 @@ class ShardEvalTest : public ::testing::Test {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         util::ThreadPool pool(threads);
         Policy policy;
-        ShardEvalOptions options;
+        PlanDriverOptions options;
         options.shard_files = shard_files;
         options.start_day = start_day;
         options.static_initial = static_initial;
         options.pool = &pool;
-        options.pipeline = pipeline;
-        const ShardEvalResult sharded =
-            run_policy_sharded(*reader_, prices, policy, options);
+        const PlanDriverRun sharded =
+            PlanDriver(*reader_, prices, policy, options).run();
         SCOPED_TRACE("shard_files=" + std::to_string(shard_files) +
-                     " threads=" + std::to_string(threads) +
-                     " pipeline=" + std::to_string(pipeline));
+                     " threads=" + std::to_string(threads));
         const std::size_t n = reader_->file_count();
         EXPECT_EQ(sharded.shard_count,
                   shard_files == 0 || shard_files >= n
@@ -122,19 +118,8 @@ TEST_F(ShardEvalTest, WholeWindowFromDayZeroMatches) {
   check_policy<GreedyPolicy>(0);
 }
 
-TEST_F(ShardEvalTest, PipelinedMatchesMonolithicForEveryShardAndPoolSize) {
-  check_policy<GreedyPolicy>(/*start_day=*/3, /*pipeline=*/true);
-}
-
-TEST_F(ShardEvalTest, PipelinedWholeWindowFromDayZeroMatches) {
-  check_policy<GreedyPolicy>(/*start_day=*/0, /*pipeline=*/true);
-}
-
 TEST_F(ShardEvalTest, ObservationWindowWithoutStaticInitialMatches) {
-  check_policy<GreedyPolicy>(/*start_day=*/3, /*pipeline=*/false,
-                             /*static_initial=*/false);
-  check_policy<GreedyPolicy>(/*start_day=*/3, /*pipeline=*/true,
-                             /*static_initial=*/false);
+  check_policy<GreedyPolicy>(/*start_day=*/3, /*static_initial=*/false);
 }
 
 TEST_F(ShardEvalTest, EmptyStoreBillsToEmptyReport) {
@@ -154,20 +139,16 @@ TEST_F(ShardEvalTest, EmptyStoreBillsToEmptyReport) {
   const PlanResult reference =
       run_policy(reader.materialize(), prices, mono_policy, mono);
 
-  for (const bool pipeline : {false, true}) {
-    GreedyPolicy policy;
-    ShardEvalOptions options;
-    options.shard_files = 7;
-    options.start_day = 3;
-    options.pipeline = pipeline;
-    const ShardEvalResult sharded =
-        run_policy_sharded(reader, prices, policy, options);
-    SCOPED_TRACE("pipeline=" + std::to_string(pipeline));
-    EXPECT_EQ(sharded.shard_count, 0u);
-    EXPECT_EQ(sharded.replanned_shards, 0u);
-    expect_identical(sharded.report, reference.report);
-    EXPECT_EQ(sharded.report.grand_total().total(), 0.0);
-  }
+  GreedyPolicy policy;
+  PlanDriverOptions options;
+  options.shard_files = 7;
+  options.start_day = 3;
+  const PlanDriverRun sharded =
+      PlanDriver(reader, prices, policy, options).run();
+  EXPECT_EQ(sharded.shard_count, 0u);
+  EXPECT_EQ(sharded.replanned_shards, 0u);
+  expect_identical(sharded.report, reference.report);
+  EXPECT_EQ(sharded.report.grand_total().total(), 0.0);
   std::error_code ec;
   std::filesystem::remove(empty, ec);
 }
@@ -175,13 +156,13 @@ TEST_F(ShardEvalTest, EmptyStoreBillsToEmptyReport) {
 TEST_F(ShardEvalTest, RejectsBadWindows) {
   const pricing::PricingPolicy prices = pricing::PricingPolicy::azure_2020();
   GreedyPolicy policy;
-  ShardEvalOptions options;
+  PlanDriverOptions options;
   options.start_day = 10;  // == days
-  EXPECT_THROW(run_policy_sharded(*reader_, prices, policy, options),
+  EXPECT_THROW(PlanDriver(*reader_, prices, policy, options).run(),
                std::invalid_argument);
   options.start_day = 0;
   options.end_day = 11;
-  EXPECT_THROW(run_policy_sharded(*reader_, prices, policy, options),
+  EXPECT_THROW(PlanDriver(*reader_, prices, policy, options).run(),
                std::invalid_argument);
 }
 

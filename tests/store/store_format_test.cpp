@@ -396,8 +396,6 @@ TEST_F(StoreFormatTest, ShardRangeChecksDoNotWrap) {
   // first + count wraps to a small value; the check must still reject.
   EXPECT_THROW(reader.materialize_shard(1, max), std::out_of_range);
   EXPECT_THROW(reader.materialize_shard(max, 2), std::out_of_range);
-  EXPECT_THROW(reader.materialize_shard_async(1, max, nullptr),
-               std::out_of_range);
   EXPECT_THROW(reader.release_frequency_range(1, max), std::out_of_range);
 }
 

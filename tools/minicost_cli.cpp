@@ -361,16 +361,10 @@ int cmd_plan_store(const util::Cli& cli) {
       return 1;
     }
   // Validate before the size_t casts: a negative flag value would silently
-  // wrap into an absurd shard size or prefetch depth.
+  // wrap into an absurd shard size.
   if (cli.integer("shard-files") < 0) {
     std::cerr << "plan: --shard-files must be >= 0 (0 = one shard), got "
               << cli.integer("shard-files") << "\n";
-    return 1;
-  }
-  if (cli.integer("prefetch-depth") < 1 || cli.integer("prefetch-depth") > 64) {
-    std::cerr << "plan: --prefetch-depth must be in [1, 64] (shards readied "
-                 "ahead), got "
-              << cli.integer("prefetch-depth") << "\n";
     return 1;
   }
   const std::string decision_cache = cli.str("decision-cache");
@@ -400,9 +394,6 @@ int cmd_plan_store(const util::Cli& cli) {
       cli.integer("start") > 0
           ? static_cast<std::size_t>(cli.integer("start"))
           : (reader.days() > 35 ? reader.days() - 35 : 1);
-  config.options.pipeline = cli.boolean("pipeline");
-  config.options.prefetch_depth =
-      static_cast<std::size_t>(cli.integer("prefetch-depth"));
 
   if (cli.boolean("serve")) return serve_loop(reader, prices, config);
 
@@ -483,7 +474,7 @@ int cmd_plan_store(const util::Cli& cli) {
   }
 
   obs::RunReport report = obs::make_report("minicost_plan");
-  report.metrics.emplace_back("pipeline_wall_seconds", last.wall_seconds);
+  report.metrics.emplace_back("plan_wall_seconds", last.wall_seconds);
   report.metrics.emplace_back("decide_sum_seconds", last.decision_seconds);
   report.metrics.emplace_back("file_decide_p50_ns", last.file_decide_p50_ns);
   report.metrics.emplace_back("file_decide_p99_ns", last.file_decide_p99_ns);
@@ -499,7 +490,7 @@ int cmd_plan_store(const util::Cli& cli) {
 int cmd_plan(int argc, const char* const* argv) {
   util::Cli cli("minicost plan",
                 "bill tiering policies over a trace (.csv in-memory, .mct "
-                "through the pipelined PlanDriver)");
+                "through the sharded PlanDriver)");
   cli.add_flag("policy", "optimal",
                "hot | cold | greedy | optimal | mpc | rl (comma list sweeps)");
   cli.add_flag("agent", "",
@@ -514,9 +505,6 @@ int cmd_plan(int argc, const char* const* argv) {
   cli.add_flag("start", "0", "first billed day (default: last 35 days)");
   cli.add_flag("preset", "azure", "price preset");
   cli.add_flag("shard-files", "65536", ".mct files per shard (0 = one shard)");
-  cli.add_flag("pipeline", "true",
-               "overlap shard materialization with decide/billing (.mct)");
-  cli.add_flag("prefetch-depth", "1", "shards readied ahead (pipeline mode)");
   cli.add_flag("serve", "false",
                "resident mode: read plan/replan/touch/policy/sweep commands "
                "from stdin (.mct)");

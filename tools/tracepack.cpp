@@ -10,7 +10,7 @@
 // `generate` streams the synthetic workload into the container chunk by
 // chunk (generate_synthetic_files), so a 1M-file, 62-day trace packs in a
 // few hundred MB of RAM; `eval` runs a policy shard-streamed
-// (core/shard_eval.hpp) and can check the merged bill bit-for-bit against
+// (core/plan_driver.hpp) and can check the merged bill bit-for-bit against
 // the monolithic in-memory path with --compare.
 
 #include <cinttypes>
@@ -22,7 +22,7 @@
 #include "core/forecast_policy.hpp"
 #include "core/greedy.hpp"
 #include "core/optimal.hpp"
-#include "core/shard_eval.hpp"
+#include "core/plan_driver.hpp"
 #include "obs/run_report.hpp"
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
@@ -250,14 +250,14 @@ int cmd_eval(int argc, const char* const* argv) {
     return 1;
   }
 
-  core::ShardEvalOptions options;
+  core::PlanDriverOptions options;
   options.shard_files = static_cast<std::size_t>(cli.integer("shard-files"));
   options.start_day =
       cli.integer("start") > 0
           ? static_cast<std::size_t>(cli.integer("start"))
           : (reader.days() > 35 ? reader.days() - 35 : 1);
-  const core::ShardEvalResult sharded =
-      core::run_policy_sharded(reader, prices, *policy, options);
+  const core::PlanDriverRun sharded =
+      core::PlanDriver(reader, prices, *policy, options).run();
 
   const auto& total = sharded.report.grand_total();
   util::Table bill({"component", "amount"});
