@@ -25,15 +25,6 @@ PlanDriver::PlanDriver(const store::TraceReader& reader,
     shards_.push_back({first, std::min(shard, n - first)});
   cache_.resize(shards_.size());
   dirty_.assign(shards_.size(), true);
-
-  if (options_.decision_cache) {
-    DecisionCacheConfig cache_config;
-    if (options_.decision_cache_capacity != 0)
-      cache_config.capacity = options_.decision_cache_capacity;
-    if (options_.decision_cache_shards != 0)
-      cache_config.shards = options_.decision_cache_shards;
-    decision_cache_ = std::make_unique<DecisionCache>(cache_config);
-  }
 }
 
 std::size_t PlanDriver::dirty_shard_count() const noexcept {
@@ -83,9 +74,6 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
 
   MC_OBS_COUNT("core.shard_eval.calls", 1);
 
-  const DecisionCacheStats cache_before =
-      decision_cache_ ? decision_cache_->stats() : DecisionCacheStats{};
-
   // Run-local latency histogram (percentiles must cover THIS run only) plus
   // the cumulative global timer the run reports serialize.
   obs::Timer latency;
@@ -112,7 +100,6 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     plan_options.default_initial_tier = options_.default_initial_tier;
     plan_options.charge_initial_placement = options_.charge_initial_placement;
     plan_options.pool = options_.pool;
-    plan_options.decision_cache = decision_cache_.get();
     if (options_.static_initial && options_.start_day > 0)
       plan_options.initial_tiers =
           static_initial_tiers(shard_trace, pricing_, options_.start_day);
@@ -147,20 +134,6 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
   const obs::TimerStats stats = latency.stats();
   run.file_decide_p50_ns = stats.percentile_ns(0.5);
   run.file_decide_p99_ns = stats.percentile_ns(0.99);
-  if (decision_cache_) {
-    // Delta of the monotone counters; residency fields report the current
-    // cache state (a delta of entries would be meaningless).
-    const DecisionCacheStats now = decision_cache_->stats();
-    run.cache_stats.hits = now.hits - cache_before.hits;
-    run.cache_stats.misses = now.misses - cache_before.misses;
-    run.cache_stats.insertions = now.insertions - cache_before.insertions;
-    run.cache_stats.evictions = now.evictions - cache_before.evictions;
-    run.cache_stats.dedup_rows = now.dedup_rows - cache_before.dedup_rows;
-    run.cache_stats.dedup_unique_rows =
-        now.dedup_unique_rows - cache_before.dedup_unique_rows;
-    run.cache_stats.entries = now.entries;
-    run.cache_stats.resident_bytes = now.resident_bytes;
-  }
   run.wall_seconds = wall.seconds();
   return run;
 }

@@ -37,11 +37,9 @@
 // run-local histogram AND the global obs timer
 // `core.plan_driver.file_decide`; p50/p99 land in the run result.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/decision_cache.hpp"
 #include "core/planner.hpp"
 #include "store/trace_reader.hpp"
 
@@ -65,15 +63,6 @@ struct PlanDriverOptions {
   /// madvise each shard's frequency pages away once billed, keeping RSS
   /// bounded by the shard instead of the mapped trace.
   bool release_shard_pages = true;
-  /// Own a DecisionCache (DESIGN.md §15) and hand it to cache-aware
-  /// policies via PlanOptions. The cache lives across runs, replans, and
-  /// shards — cross-day and cross-shard reuse — and stays byte-identical
-  /// because keys are exact windows under a parameter-hash epoch (stale
-  /// entries from a trained/reloaded agent can never serve).
-  bool decision_cache = false;
-  /// Entry capacity / lock-shard count of the owned cache (0 = defaults).
-  std::size_t decision_cache_capacity = 0;
-  std::size_t decision_cache_shards = 0;
 };
 
 struct PlanDriverRun {
@@ -92,10 +81,6 @@ struct PlanDriverRun {
   /// (ns; estimated from the log2 histogram). 0 when nothing was planned.
   double file_decide_p50_ns = 0.0;
   double file_decide_p99_ns = 0.0;
-  /// Decision-cache activity attributable to THIS run (stats delta across
-  /// the run; all-zero when the driver owns no cache or the policy
-  /// ignores it).
-  DecisionCacheStats cache_stats;
 };
 
 class PlanDriver {
@@ -126,8 +111,6 @@ class PlanDriver {
   std::size_t dirty_shard_count() const noexcept;
   std::size_t file_count() const noexcept { return reader_.file_count(); }
   const PlanDriverOptions& options() const noexcept { return options_; }
-  /// The owned decision cache; nullptr when options.decision_cache is off.
-  DecisionCache* decision_cache() noexcept { return decision_cache_.get(); }
 
  private:
   struct ShardRange {
@@ -149,7 +132,6 @@ class PlanDriver {
   std::vector<ShardRange> shards_;
   std::vector<ShardCache> cache_;
   std::vector<bool> dirty_;  ///< per shard; starts all-true
-  std::unique_ptr<DecisionCache> decision_cache_;
 };
 
 }  // namespace minicost::core

@@ -26,8 +26,7 @@ PlanResult run_policy(const trace::RequestTrace& trace,
     throw std::invalid_argument("run_policy: initial_tiers width mismatch");
 
   const PlanContext context{trace,   pricing, options.start_day,
-                            end_day, initial, options.pool,
-                            options.decision_cache};
+                            end_day, initial, options.pool};
   {
     // Forecast phase: prepare() is where forecasting policies fit their
     // models (ARIMA/EWMA) and the RL policy warms its featurizer.

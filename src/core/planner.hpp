@@ -25,10 +25,6 @@ struct PlanOptions {
   /// Pool for batched planning and billing; nullptr = the process-shared
   /// pool. Plans and bills are byte-identical for every pool size.
   util::ThreadPool* pool = nullptr;
-  /// Optional decision-reuse cache consulted by cache-aware policies
-  /// (DESIGN.md §15); nullptr disables reuse. Plans and bills are
-  /// byte-identical with and without it.
-  DecisionCache* decision_cache = nullptr;
 };
 
 struct PlanResult {

@@ -28,8 +28,6 @@ class ThreadPool;
 
 namespace minicost::core {
 
-class DecisionCache;
-
 enum class Knowledge {
   kNone,       ///< ignores the trace entirely (Hot / Cold)
   kHistory,    ///< online: only days < t when deciding day t (MiniCost)
@@ -47,9 +45,8 @@ struct PlanContext {
   /// Pool for batch planning; nullptr = util::ThreadPool::shared(). Results
   /// never depend on the pool's size (per-index work is independent).
   util::ThreadPool* pool = nullptr;
-  /// Optional decision-reuse cache (DESIGN.md §15). nullptr = disabled;
-  /// cache-aware policies must stay byte-identical either way.
-  DecisionCache* decision_cache = nullptr;
+  /// Unused; only perfbench/src/pipeline.cpp's positional init sets it.
+  const void* decision_cache = nullptr;
 };
 
 /// The pool batch planning runs on: context.pool, or the shared pool.

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
-
-#include "core/decision_cache.hpp"
-#include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 
@@ -32,137 +27,10 @@ void RlPolicy::decide_day(const PlanContext& context, std::size_t day,
     std::copy(current.begin(), current.end(), out_plan.begin());
     return;
   }
-  if (context.decision_cache != nullptr) {
-    decide_day_cached(context, day, current, out_plan);
-    return;
-  }
   const std::vector<rl::Action> actions = agent_.act_batch(
       context.trace.files(), day, current, greedy_, &plan_pool(context));
   for (std::size_t i = 0; i < actions.size(); ++i)
     out_plan[i] = pricing::tier_from_index(actions[i]);
-}
-
-// The dedup-aware reuse path (DESIGN.md §15). Five phases:
-//   1. parallel probe of the cross-day DecisionCache (exact key + epoch);
-//   2. serial index-order dedup of the misses to unique decision states —
-//      serial so unique-slot numbering (and thus the forward batch) is a
-//      pure function of the inputs, never of thread timing;
-//   3. parallel featurization of ONLY the unique states, each row written
-//      directly into its slot of the flat batch buffer (structure-of-
-//      arrays: no per-file gather copies, duplicates never encoded);
-//   4. one act_features_batch over the unique rows;
-//   5. scatter to every duplicate + hit, and insert the fresh decisions.
-// Identical feature rows produce identical actions (forward_batch is
-// row-independent; sampled mode draws every row from the same forked
-// stream), so collapsing duplicates and serving cached actions is
-// byte-identical to the uncached act_batch path.
-void RlPolicy::decide_day_cached(const PlanContext& context, std::size_t day,
-                                 std::span<const pricing::StorageTier> current,
-                                 std::span<pricing::StorageTier> out_plan) {
-  MC_OBS_SCOPE("core.rl_policy.decide_day_cached");
-  DecisionCache& cache = *context.decision_cache;
-  const rl::Featurizer& featurizer = agent_.featurizer();
-  const std::size_t h = featurizer.history_len();
-  const double day_phase = featurizer.config().include_day_of_week
-                               ? static_cast<double>(day % 7)
-                               : -1.0;
-  const std::uint64_t epoch = agent_.decision_fingerprint(greedy_);
-  const std::size_t n = context.trace.file_count();
-  util::ThreadPool& pool = plan_pool(context);
-
-  const auto key_for = [&](std::size_t i) {
-    const trace::FileRecord& f = context.trace.file(i);
-    return DecisionKey{
-        std::span<const double>(f.reads).subspan(day - h, h),
-        f.writes[day - 1], f.size_gb,
-        static_cast<double>(pricing::tier_index(current[i])), day_phase};
-  };
-
-  // Phase 1: probe. Chunks are fixed-size so the work split never depends
-  // on the pool size; per-index writes keep the result deterministic.
-  constexpr std::uint8_t kNoAction = 0xff;
-  static_assert(pricing::kTierCount < kNoAction);
-  std::vector<std::uint8_t> cached(n, kNoAction);
-  constexpr std::size_t kChunk = 1024;
-  const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
-  const auto probe_chunk = [&](std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t hi = std::min(n, lo + kChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (const auto action = cache.lookup(epoch, key_for(i)))
-        cached[i] = *action;
-    }
-  };
-  if (pool.size() > 1 && chunk_count > 1) {
-    pool.parallel_for(0, chunk_count, probe_chunk);
-  } else {
-    for (std::size_t c = 0; c < chunk_count; ++c) probe_chunk(c);
-  }
-
-  // Phase 2: dedup the misses in index order. `slot_of[i]` is the unique
-  // forward row deciding file i; `unique_files[s]` is slot s's
-  // representative file.
-  std::vector<std::size_t> miss;
-  std::vector<std::size_t> slot_of(n, 0);
-  std::vector<std::size_t> unique_files;
-  // hash -> unique slots sharing it (exact compare disambiguates); only
-  // probed and appended, never iterated.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> slots_by_hash;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cached[i] != kNoAction) continue;
-    miss.push_back(i);
-    const DecisionKey key = key_for(i);
-    std::vector<std::size_t>& slots = slots_by_hash[key.hash(epoch)];
-    std::size_t found = unique_files.size();
-    for (const std::size_t s : slots) {
-      if (key.equals(key_for(unique_files[s]))) {
-        found = s;
-        break;
-      }
-    }
-    if (found == unique_files.size()) {
-      slots.push_back(found);
-      unique_files.push_back(i);
-    }
-    slot_of[i] = found;
-  }
-
-  // Phase 3: featurize only the unique states, straight into the batch.
-  const std::size_t width = featurizer.feature_count();
-  const std::size_t unique_count = unique_files.size();
-  std::vector<double> rows(unique_count * width);
-  const std::span<double> rows_span(rows);
-  const auto encode_chunk = [&](std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t hi = std::min(unique_count, lo + kChunk);
-    for (std::size_t s = lo; s < hi; ++s) {
-      const std::size_t i = unique_files[s];
-      featurizer.encode_into(context.trace.file(i), day, current[i],
-                             rows_span.subspan(s * width, width));
-    }
-  };
-  const std::size_t encode_chunks = (unique_count + kChunk - 1) / kChunk;
-  if (pool.size() > 1 && encode_chunks > 1) {
-    pool.parallel_for(0, encode_chunks, encode_chunk);
-  } else {
-    for (std::size_t c = 0; c < encode_chunks; ++c) encode_chunk(c);
-  }
-
-  // Phase 4: forward the unique rows.
-  const std::vector<rl::Action> actions =
-      agent_.act_features_batch(rows, unique_count, greedy_, &pool);
-
-  // Phase 5: scatter + insert.
-  for (std::size_t s = 0; s < unique_count; ++s) {
-    cache.insert(epoch, key_for(unique_files[s]),
-                 static_cast<std::uint8_t>(actions[s]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out_plan[i] = pricing::tier_from_index(
-        cached[i] != kNoAction ? cached[i]
-                               : static_cast<std::uint8_t>(actions[slot_of[i]]));
-  }
-  cache.note_dedup(miss.size(), unique_count);
 }
 
 namespace {

@@ -29,23 +29,11 @@ class RlPolicy final : public TieringPolicy {
 
   /// Batch path: one A3CAgent::act_batch call — fused NN forwards sharded
   /// over the planning pool — instead of one locked forward per file.
-  /// When context.decision_cache is set, decisions are reused instead of
-  /// recomputed (DESIGN.md §15): each file's exact decision state (read
-  /// window bytes, write rate, size, tier, day phase) is probed against the
-  /// cross-day cache under the agent's decision fingerprint; the misses are
-  /// deduplicated to unique states, only those rows are featurized (written
-  /// straight into the batch buffer) and forwarded, and results scatter
-  /// back to every duplicate and into the cache. Byte-identical to the
-  /// uncached path because keys are exact and the network deterministic.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;
 
  private:
-  void decide_day_cached(const PlanContext& context, std::size_t day,
-                         std::span<const pricing::StorageTier> current,
-                         std::span<pricing::StorageTier> out_plan);
-
   rl::A3CAgent& agent_;
   bool greedy_;
   std::vector<double> scratch_;
@@ -60,7 +48,7 @@ struct RlPolicyOptions {
   std::uint64_t seed = 1234;
   /// Checkpoint to load (A3CAgent::save format). Empty = fresh
   /// deterministic initialization (untrained but fully functional — it
-  /// still exercises the real featurize/forward/cache pipeline).
+  /// still exercises the real featurize/forward pipeline).
   std::filesystem::path checkpoint;
   bool greedy = true;
 };

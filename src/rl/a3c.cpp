@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -32,22 +31,6 @@ nn::Network make_critic(const A3CConfig& config, const Featurizer& featurizer,
   return nn::build_trunk(featurizer.history_len(), featurizer.aux_count(),
                          config.filters, config.kernel, config.hidden,
                          /*outputs=*/1, rng);
-}
-
-// splitmix64 finalizer, used to hash decision-relevant state for
-// decision_fingerprint (a cache epoch, not a cryptographic commitment).
-constexpr std::uint64_t fp_mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fp_mix_double(std::uint64_t state, double value) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return fp_mix(state ^ bits);
 }
 
 std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
@@ -554,10 +537,41 @@ std::vector<Action> A3CAgent::act_batch(
   if (files.size() != current_tiers.size())
     throw std::invalid_argument("A3CAgent::act_batch: span width mismatch");
   MC_OBS_SCOPE("rl.a3c.act_batch");
-  const std::size_t n = files.size();
-  MC_OBS_COUNT("rl.a3c.act_batch.files", n);
-  std::vector<Action> actions(n);
-  if (n == 0) return actions;
+  MC_OBS_COUNT("rl.a3c.act_batch.files", files.size());
+  const std::size_t width = featurizer_.feature_count();
+  return act_rows(
+      files.size(), greedy, pool,
+      [&](std::size_t lo, std::size_t rows, std::vector<double>& buffer) {
+        buffer.resize(rows * width);
+        const std::span<double> rows_span(buffer);
+        for (std::size_t r = 0; r < rows; ++r)
+          featurizer_.encode_into(files[lo + r], day, current_tiers[lo + r],
+                                  rows_span.subspan(r * width, width));
+        return std::span<const double>(buffer);
+      });
+}
+
+std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
+                                                 std::size_t count, bool greedy,
+                                                 util::ThreadPool* pool) {
+  const std::size_t width = featurizer_.feature_count();
+  if (rows.size() != count * width)
+    throw std::invalid_argument(
+        "A3CAgent::act_features_batch: rows span width mismatch");
+  MC_OBS_SCOPE("rl.a3c.act_features_batch");
+  MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
+  return act_rows(
+      count, greedy, pool,
+      [&](std::size_t lo, std::size_t n_rows, std::vector<double>&) {
+        return rows.subspan(lo * width, n_rows * width);
+      });
+}
+
+std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
+                                       util::ThreadPool* pool,
+                                       const ChunkRows& chunk_rows) {
+  std::vector<Action> actions(count);
+  if (count == 0) return actions;
 
   // Snapshot the actor so the whole batch sees one parameter set and runs
   // lock-free; cloning a few thousand parameters is noise against the batch.
@@ -575,27 +589,23 @@ std::vector<Action> A3CAgent::act_batch(
   // never depend on the pool size. 256 keeps the transposed dense input
   // (hidden-layer in × chunk doubles) resident in L2.
   constexpr std::size_t kChunk = 256;
-  const std::size_t width = featurizer_.feature_count();
   const std::size_t out_width = actor.output_size();
-  const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
+  const std::size_t chunk_count = (count + kChunk - 1) / kChunk;
 
-  const auto run_chunk = [&](nn::Network& net, std::vector<double>& features,
+  const auto run_chunk = [&](nn::Network& net, std::vector<double>& buffer,
                              std::size_t c) {
     const std::size_t lo = c * kChunk;
-    const std::size_t rows = std::min(n - lo, kChunk);
-    features.resize(rows * width);
-    const std::span<double> rows_span(features);
-    for (std::size_t r = 0; r < rows; ++r)
-      featurizer_.encode_into(files[lo + r], day, current_tiers[lo + r],
-                              rows_span.subspan(r * width, width));
-    std::vector<double> pi = net.forward_batch(features, rows);
+    const std::size_t rows = std::min(count - lo, kChunk);
+    std::vector<double> pi =
+        net.forward_batch(chunk_rows(lo, rows, buffer), rows);
     nn::softmax_rows(pi, rows, pi);
     for (std::size_t r = 0; r < rows; ++r) {
       const double* row = pi.data() + r * out_width;
       if (greedy) {
         actions[lo + r] = nn::argmax(std::span<const double>(row, out_width));
       } else {
-        // Mirror act(): each decision draws from the same forked stream.
+        // Mirror act(): every decision draws from the same forked stream, so
+        // identical rows yield identical actions.
         util::Rng rng = seed_rng_.fork(act_stream);
         if (rng.bernoulli(config_.epsilon)) {
           actions[lo + r] =
@@ -611,118 +621,15 @@ std::vector<Action> A3CAgent::act_batch(
     // forward_batch state is per-thread: clone the snapshot per chunk.
     pool->parallel_for(0, chunk_count, [&](std::size_t c) {
       nn::Network net = actor;
-      std::vector<double> features;
-      run_chunk(net, features, c);
+      std::vector<double> buffer;
+      run_chunk(net, buffer, c);
     });
   } else {
-    // Serial: one network and one feature buffer serve every chunk.
-    std::vector<double> features;
-    for (std::size_t c = 0; c < chunk_count; ++c)
-      run_chunk(actor, features, c);
+    // Serial: one network and one scratch buffer serve every chunk.
+    std::vector<double> buffer;
+    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, buffer, c);
   }
   return actions;
-}
-
-std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
-                                                 std::size_t count, bool greedy,
-                                                 util::ThreadPool* pool) {
-  const std::size_t width = featurizer_.feature_count();
-  if (rows.size() != count * width)
-    throw std::invalid_argument(
-        "A3CAgent::act_features_batch: rows span width mismatch");
-  MC_OBS_SCOPE("rl.a3c.act_features_batch");
-  MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
-  std::vector<Action> actions(count);
-  if (count == 0) return actions;
-
-  // Same structure as act_batch minus featurization: snapshot the actor so
-  // the whole batch sees one parameter set, then run fixed-size chunks
-  // (pool-size-independent decisions, DESIGN.md §7).
-  nn::Network actor;
-  {
-    util::MutexLock lock(param_mutex_);
-    refresh_networks_locked();
-    actor = actor_;
-  }
-  const std::uint64_t act_stream =
-      kActStreamBase + env_steps_.load(std::memory_order_relaxed);
-
-  constexpr std::size_t kChunk = 256;
-  const std::size_t out_width = actor.output_size();
-  const std::size_t chunk_count = (count + kChunk - 1) / kChunk;
-
-  const auto run_chunk = [&](nn::Network& net, std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t n_rows = std::min(count - lo, kChunk);
-    std::vector<double> pi =
-        net.forward_batch(rows.subspan(lo * width, n_rows * width), n_rows);
-    nn::softmax_rows(pi, n_rows, pi);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      const double* row = pi.data() + r * out_width;
-      if (greedy) {
-        actions[lo + r] = nn::argmax(std::span<const double>(row, out_width));
-      } else {
-        // Mirror act()/act_batch(): every decision draws from the same
-        // forked stream, so identical rows yield identical actions — the
-        // invariant dedup and the decision cache rely on.
-        util::Rng rng = seed_rng_.fork(act_stream);
-        if (rng.bernoulli(config_.epsilon)) {
-          actions[lo + r] =
-              static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
-        } else {
-          actions[lo + r] =
-              rng.weighted_index(std::vector<double>(row, row + out_width));
-        }
-      }
-    }
-  };
-  if (pool && pool->size() > 1 && chunk_count > 1) {
-    pool->parallel_for(0, chunk_count, [&](std::size_t c) {
-      nn::Network net = actor;
-      run_chunk(net, c);
-    });
-  } else {
-    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, c);
-  }
-  return actions;
-}
-
-std::uint64_t A3CAgent::decision_fingerprint(bool greedy) {
-  std::uint64_t params = 0;
-  std::uint64_t stream = 0;
-  {
-    util::MutexLock lock(param_mutex_);
-    const std::uint64_t version = server_->version();
-    if (!param_hash_valid_ || param_hash_version_ != version) {
-      std::vector<double> actor_flat, critic_flat;
-      server_->snapshot_into(actor_flat, critic_flat);
-      std::uint64_t h = fp_mix(actor_flat.size());
-      for (const double value : actor_flat) h = fp_mix_double(h, value);
-      param_hash_ = h;
-      param_hash_version_ = version;
-      param_hash_valid_ = true;
-    }
-    params = param_hash_;
-    stream = kActStreamBase + env_steps_.load(std::memory_order_relaxed);
-  }
-
-  // Everything besides the feature row that steers the chosen action: the
-  // featurizer layout (two configs must never share cached actions for
-  // differently-encoded windows) and the decision mode.
-  const FeatureConfig& fc = config_.features;
-  std::uint64_t fp = fp_mix(params ^ 0x646563666970ULL);  // "decfip"
-  fp = fp_mix(fp ^ fc.history_len);
-  fp = fp_mix_double(fp, fc.log_scale);
-  fp = fp_mix(fp ^ (fc.include_day_of_week ? 2u : 0u) ^
-              (fc.include_summary ? 1u : 0u));
-  fp = fp_mix(fp ^ (greedy ? 1u : 0u));
-  if (!greedy) {
-    // Sampled mode: the action also depends on ε and the act stream (which
-    // advances with training), so bake both into the epoch.
-    fp = fp_mix_double(fp, config_.epsilon);
-    fp = fp_mix(fp ^ stream);
-  }
-  return fp;
 }
 
 std::vector<double> A3CAgent::policy_probabilities(

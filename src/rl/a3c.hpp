@@ -170,23 +170,12 @@ class A3CAgent {
 
   /// act_batch over pre-encoded feature rows: `rows` holds `count` rows of
   /// featurizer().feature_count() doubles each, densely packed; actions[i]
-  /// decides row i. This is the dedup-friendly entry point (DESIGN.md §15):
-  /// callers that collapse duplicate states forward only the unique rows
-  /// here and scatter the results. Bit-identical to act_batch on the files
-  /// that would encode to these rows, for any pool size. Thread-safe.
+  /// decides row i. For callers that featurize on their own. Bit-identical
+  /// to act_batch on the files that would encode to these rows, for any
+  /// pool size. Thread-safe.
   std::vector<Action> act_features_batch(std::span<const double> rows,
                                          std::size_t count, bool greedy = true,
                                          util::ThreadPool* pool = nullptr);
-
-  /// Fingerprint of everything the act paths' decision depends on besides
-  /// the state itself: the learned parameters (hashed content, memoized by
-  /// the parameter-server version), the featurizer configuration, and the
-  /// decision mode (greedy vs ε-sampling, including the current action
-  /// stream ordinal). Two calls return the same value iff identical
-  /// features are guaranteed identical actions — the DecisionCache epoch
-  /// (DESIGN.md §15). Training, load(), or mode changes change it.
-  /// Thread-safe.
-  std::uint64_t decision_fingerprint(bool greedy = true);
 
   /// The actor's π(s, ·). Thread-safe.
   std::vector<double> policy_probabilities(std::span<const double> features);
@@ -242,6 +231,18 @@ class A3CAgent {
   /// of the networks (act/value/save paths).
   void refresh_networks_locked() MC_REQUIRES(param_mutex_);
 
+  /// Yields the feature rows [lo, lo + rows) of a batch: encoded into
+  /// `buffer` (scratch owned by the chunk's runner, so never n × width) or
+  /// viewed in place.
+  using ChunkRows = std::function<std::span<const double>(
+      std::size_t lo, std::size_t rows, std::vector<double>& buffer)>;
+
+  /// The body of act_batch and act_features_batch: snapshots the actor,
+  /// then per fixed-size chunk forwards chunk_rows' rows and picks actions.
+  std::vector<Action> act_rows(std::size_t count, bool greedy,
+                               util::ThreadPool* pool,
+                               const ChunkRows& chunk_rows);
+
   A3CConfig config_;
   Featurizer featurizer_;
 
@@ -255,11 +256,6 @@ class A3CAgent {
   nn::Network actor_ MC_GUARDED_BY(param_mutex_);
   nn::Network critic_ MC_GUARDED_BY(param_mutex_);
   std::uint64_t net_sync_version_ MC_GUARDED_BY(param_mutex_) = 0;
-  // Memoized content hash of the actor parameters for decision_fingerprint:
-  // recomputed only when the server version moves.
-  std::uint64_t param_hash_ MC_GUARDED_BY(param_mutex_) = 0;
-  std::uint64_t param_hash_version_ MC_GUARDED_BY(param_mutex_) = 0;
-  bool param_hash_valid_ MC_GUARDED_BY(param_mutex_) = false;
   std::unique_ptr<ParamServer> server_;
 
   // Progress counters. All accesses use std::memory_order_relaxed: they are

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/decision_cache.hpp"
 #include "core/planner.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -76,97 +75,41 @@ TEST(RlPolicyTest, DecideDayMatchesScalarDecide) {
         << "file " << f;
 }
 
-// Fig. 2-shaped workload: integral counts repeat across files and days, so
-// the cached path actually exercises hits and intra-batch dedup.
-trace::RequestTrace make_integral_trace() {
+// Wider than act_batch's 256-row chunk, so the pool really splits days.
+trace::RequestTrace make_wide_trace() {
   trace::SyntheticConfig config;
-  config.file_count = 60;
+  config.file_count = 600;
   config.days = 40;
   config.seed = 77;
-  config.integral_counts = true;
   return trace::generate_synthetic(config);
 }
 
-TEST(RlPolicyTest, CachedPlanIsBitIdenticalToUncached) {
-  const trace::RequestTrace tr = make_integral_trace();
+void expect_pooled_plan_matches_serial(bool greedy) {
+  const trace::RequestTrace tr = make_wide_trace();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   rl::A3CAgent agent = make_agent();
-  RlPolicy policy(agent);
-  PlanOptions options;
-  options.start_day = 20;
-  const PlanResult uncached = run_policy(tr, azure, policy, options);
-
-  DecisionCache cache;
-  options.decision_cache = &cache;
-  const PlanResult cached = run_policy(tr, azure, policy, options);
-  EXPECT_EQ(uncached.plan, cached.plan);
-  EXPECT_EQ(uncached.report.grand_total().total(),
-            cached.report.grand_total().total());
-  const DecisionCacheStats stats = cache.stats();
-  EXPECT_GT(stats.hits + stats.misses, 0u);
-  EXPECT_GT(stats.hits, 0u) << "integral workload should repeat states";
-
+  util::ThreadPool serial_pool(1);
   util::ThreadPool pool(4);
+  RlPolicy policy(agent, greedy);
+  PlanOptions options;
+  options.start_day = 20;
+  options.pool = &serial_pool;
+  const PlanResult serial = run_policy(tr, azure, policy, options);
   options.pool = &pool;
-  DecisionCache pooled_cache;
-  options.decision_cache = &pooled_cache;
   const PlanResult pooled = run_policy(tr, azure, policy, options);
-  EXPECT_EQ(uncached.plan, pooled.plan);
+  EXPECT_EQ(serial.plan, pooled.plan);
+  EXPECT_EQ(serial.report.grand_total().total(),
+            pooled.report.grand_total().total());
 }
 
-TEST(RlPolicyTest, CachedPlanMatchesUncachedWhenSampling) {
-  const trace::RequestTrace tr = make_integral_trace();
-  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  rl::A3CAgent agent = make_agent();
-  RlPolicy policy(agent, /*greedy=*/false);
-  PlanOptions options;
-  options.start_day = 20;
-  // Sampling forks one rng stream per decision *state*, so identical rows
-  // sample identical actions and reuse stays safe even off-greedy.
-  const PlanResult uncached = run_policy(tr, azure, policy, options);
-  DecisionCache cache;
-  options.decision_cache = &cache;
-  const PlanResult cached = run_policy(tr, azure, policy, options);
-  EXPECT_EQ(uncached.plan, cached.plan);
+TEST(RlPolicyTest, PooledPlanIsBitIdenticalToSerial) {
+  expect_pooled_plan_matches_serial(/*greedy=*/true);
 }
 
-TEST(RlPolicyTest, WarmCacheReplansIdentically) {
-  const trace::RequestTrace tr = make_integral_trace();
-  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  rl::A3CAgent agent = make_agent();
-  RlPolicy policy(agent);
-  PlanOptions options;
-  options.start_day = 20;
-  DecisionCache cache;
-  options.decision_cache = &cache;
-  const PlanResult cold = run_policy(tr, azure, policy, options);
-  const DecisionCacheStats after_cold = cache.stats();
-  const PlanResult warm = run_policy(tr, azure, policy, options);
-  const DecisionCacheStats after_warm = cache.stats();
-  EXPECT_EQ(cold.plan, warm.plan);
-  EXPECT_GT(after_warm.hits, after_cold.hits);
-  // The second pass replays the same states: every probe must hit.
-  EXPECT_EQ(after_warm.misses, after_cold.misses);
-}
-
-TEST(RlPolicyTest, DistinctAgentsNeverShareCacheEntries) {
-  const trace::RequestTrace tr = make_integral_trace();
-  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  rl::A3CAgent agent_a = make_agent();
-  rl::A3CAgent agent_b(agent_a.config(), 99);  // different parameters
-  RlPolicy policy_a(agent_a);
-  RlPolicy policy_b(agent_b);
-  PlanOptions options;
-  options.start_day = 20;
-  const PlanResult b_alone = run_policy(tr, azure, policy_b, options);
-
-  // One cache serves both policies back to back; b's epoch differs, so a's
-  // entries must be invisible to it and its plan unchanged.
-  DecisionCache cache;
-  options.decision_cache = &cache;
-  (void)run_policy(tr, azure, policy_a, options);
-  const PlanResult b_shared = run_policy(tr, azure, policy_b, options);
-  EXPECT_EQ(b_alone.plan, b_shared.plan);
+TEST(RlPolicyTest, PooledPlanMatchesSerialWhenSampling) {
+  // Sampling forks one rng stream per decision state, so the split across
+  // pool workers must not change which action each row samples.
+  expect_pooled_plan_matches_serial(/*greedy=*/false);
 }
 
 TEST(RlPolicyTest, SampledModeStillProducesValidTiers) {

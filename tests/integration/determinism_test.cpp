@@ -16,7 +16,6 @@
 #include "core/optimal.hpp"
 #include "core/planner.hpp"
 #include "core/rl_policy.hpp"
-#include "core/slo_policy.hpp"
 #include "rl/a3c.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -170,17 +169,8 @@ TEST(BatchScalarEquivalenceTest, StaticAndHistoryPolicies) {
 
 TEST(BatchScalarEquivalenceTest, StatefulPolicies) {
   util::ThreadPool pool(4);
-  {
-    core::ForecastMpcPolicy a, b;
-    expect_batch_matches_scalar(a, b, pool);
-  }
-  {
-    core::GreedyPolicy inner_a, inner_b;
-    core::SloConstrainedPolicy a(inner_a, sim::LatencyModel{}, {}, 500.0);
-    core::SloConstrainedPolicy b(inner_b, sim::LatencyModel{}, {}, 500.0);
-    expect_batch_matches_scalar(a, b, pool);
-    EXPECT_EQ(a.overrides(), b.overrides());
-  }
+  core::ForecastMpcPolicy a, b;
+  expect_batch_matches_scalar(a, b, pool);
 }
 
 TEST(BatchScalarEquivalenceTest, RlPolicyGreedyAndSampled) {

@@ -150,9 +150,9 @@ TEST(NetworkTest, ForwardBatchMatchesPerRowThroughConvTrunk) {
 }
 
 TEST(NetworkTest, ForwardBatchDuplicateRowsProduceByteIdenticalOutputs) {
-  // Dedup support contract (DESIGN.md §15): a row's output depends only on
-  // its bytes, never on its batch position or neighbours — duplicated rows
-  // must come out bit-equal at batch sizes across the chunk boundaries.
+  // Row independence (DESIGN.md §7): a row's output depends only on its
+  // bytes, never on its batch position or neighbours — duplicated rows must
+  // come out bit-equal at every batch size.
   util::Rng rng(21);
   Network net = build_trunk(14, 12, 16, 4, 16, 3, rng);
   util::Rng data(22);

@@ -33,12 +33,11 @@ chains, or the build graph:
                        the build.
   lock-pool-callback   inside a method of a class with MC_GUARDED_BY-
                        annotated members, while a scoped lock is held, a call
-                       back into the thread pool (submit / parallel_for /
-                       materialize_shard_async) or a blocking future
-                       get()/wait(). The help-while-waiting pool executes
-                       queued tasks from inside blocking waits — re-entering
-                       it with a mutex held is a lock-inversion deadlock
-                       waiting for load (DESIGN.md §8).
+                       back into the thread pool (submit / parallel_for) or
+                       a blocking future get()/wait(). The help-while-waiting
+                       pool executes queued tasks from inside blocking waits
+                       — re-entering it with a mutex held is a lock-inversion
+                       deadlock waiting for load (DESIGN.md §8).
 
 Frontends: the rule engine runs on a backend-neutral "semantic facts" model
 (declared types, alias tables, call edges, lock-held regions), so the C++
@@ -104,7 +103,7 @@ RNG_ENGINE_TYPES = {
 LOCK_TYPE_RE = re.compile(
     r"\b(MutexLock|lock_guard|scoped_lock|unique_lock)\b")
 
-POOL_CALLEES = {"submit", "parallel_for", "materialize_shard_async"}
+POOL_CALLEES = {"submit", "parallel_for"}
 FUTURE_BLOCKERS = {"get", "wait", "wait_for", "wait_until"}
 
 RNG_EXEMPT_RE = re.compile(r"(^|/)src/util/rng\.(cpp|hpp)$")

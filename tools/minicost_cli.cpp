@@ -18,7 +18,6 @@
 #include <memory>
 #include <sstream>
 
-#include "core/decision_cache.hpp"
 #include "core/forecast_policy.hpp"
 #include "core/greedy.hpp"
 #include "core/optimal.hpp"
@@ -114,8 +113,8 @@ int cmd_analyze(int argc, const char* const* argv) {
 
 /// How `--policy rl` builds its agent: a checkpoint when given, otherwise a
 /// fresh deterministic initialization from --agent-seed (untrained, but it
-/// runs the full featurize/forward pipeline — what the decision-cache
-/// smokes and benches exercise).
+/// runs the full featurize/forward pipeline, which is what the RL smokes
+/// exercise).
 struct RlCliOptions {
   std::string checkpoint;
   std::uint64_t seed = 1234;
@@ -303,22 +302,9 @@ int serve_loop(const store::TraceReader& reader,
                     << ",shards=" << (driver ? driver->shard_count() : 0)
                     << ",dirty=" << (driver ? driver->dirty_shard_count() : 0)
                     << ",warm_policies=" << drivers.size() << std::endl;
-          if (driver != nullptr && driver->decision_cache() != nullptr) {
-            const core::DecisionCacheStats cs =
-                driver->decision_cache()->stats();
-            char buf[256];
-            std::snprintf(buf, sizeof buf,
-                          "cache,hits=%" PRIu64 ",misses=%" PRIu64
-                          ",hit_rate=%.4f,entries=%" PRIu64
-                          ",evictions=%" PRIu64 ",dedup_ratio=%.4f"
-                          ",bytes=%" PRIu64,
-                          cs.hits, cs.misses, cs.hit_rate(), cs.entries,
-                          cs.evictions, cs.dedup_ratio(), cs.resident_bytes);
-            std::cout << buf << std::endl;
-          }
           // A LIVE registry snapshot each call — counters registered after
-          // driver construction (e.g. core.cache.* on the first cached
-          // plan) show up as soon as they exist.
+          // driver construction (e.g. core.shard_eval.* on the first plan)
+          // show up as soon as they exist.
           for (const auto& snapshot : obs::Registry::global().counters())
             std::cout << "counter," << snapshot.name << "," << snapshot.value
                       << std::endl;
@@ -367,25 +353,11 @@ int cmd_plan_store(const util::Cli& cli) {
               << cli.integer("shard-files") << "\n";
     return 1;
   }
-  const std::string decision_cache = cli.str("decision-cache");
-  if (decision_cache != "on" && decision_cache != "off") {
-    std::cerr << "plan: --decision-cache must be on or off, got '"
-              << decision_cache << "'\n";
-    return 1;
-  }
-  if (cli.integer("cache-capacity") < 0) {
-    std::cerr << "plan: --cache-capacity must be >= 0 (0 = default), got "
-              << cli.integer("cache-capacity") << "\n";
-    return 1;
-  }
   if (cli.integer("agent-seed") < 0) {
     std::cerr << "plan: --agent-seed must be >= 0, got "
               << cli.integer("agent-seed") << "\n";
     return 1;
   }
-  config.options.decision_cache = decision_cache == "on";
-  config.options.decision_cache_capacity =
-      static_cast<std::size_t>(cli.integer("cache-capacity"));
   config.rl.checkpoint = cli.str("agent");
   config.rl.seed = static_cast<std::uint64_t>(cli.integer("agent-seed"));
   config.options.shard_files =
@@ -497,11 +469,6 @@ int cmd_plan(int argc, const char* const* argv) {
                "A3C checkpoint for --policy rl (empty = fresh "
                "deterministic init from --agent-seed)");
   cli.add_flag("agent-seed", "1234", "init seed for --policy rl");
-  cli.add_flag("decision-cache", "off",
-               "on | off — reuse decisions across days/shards via the "
-               "exact-key DecisionCache (bit-identical bills either way)");
-  cli.add_flag("cache-capacity", "0",
-               "decision-cache entry capacity (0 = default)");
   cli.add_flag("start", "0", "first billed day (default: last 35 days)");
   cli.add_flag("preset", "azure", "price preset");
   cli.add_flag("shard-files", "65536", ".mct files per shard (0 = one shard)");
@@ -546,15 +513,6 @@ int cmd_plan(int argc, const char* const* argv) {
   if (policy == nullptr) {
     std::cerr << "plan: unknown policy '" << cli.str("policy") << "'\n";
     return 1;
-  }
-  std::unique_ptr<core::DecisionCache> cache;
-  if (cli.str("decision-cache") == "on") {
-    core::DecisionCacheConfig cache_config;
-    if (cli.integer("cache-capacity") > 0)
-      cache_config.capacity =
-          static_cast<std::size_t>(cli.integer("cache-capacity"));
-    cache = std::make_unique<core::DecisionCache>(cache_config);
-    options.decision_cache = cache.get();
   }
 
   const core::PlanResult result = core::run_policy(tr, prices, *policy, options);
