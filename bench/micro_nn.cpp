@@ -33,6 +33,23 @@ void BM_NN_Forward(benchmark::State& state) {
 }
 BENCHMARK(BM_NN_Forward)->Arg(8)->Arg(32)->Arg(128);
 
+// The inference path the planner runs: one 256-row chunk (A3CAgent's
+// act_rows chunk size) through Network::forward_batch.
+void BM_NN_ForwardBatch(benchmark::State& state) {
+  constexpr std::size_t kRows = 256;
+  nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(3);
+  std::vector<double> input(kRows * net.input_size());
+  for (double& x : input) x = rng.uniform(0.0, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.forward_batch(input, kRows));
+  }
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRows),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NN_ForwardBatch)->Arg(8)->Arg(32)->Arg(128);
+
 void BM_NN_ForwardBackward(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
   const std::vector<double> input = make_input();

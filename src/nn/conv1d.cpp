@@ -18,10 +18,12 @@ namespace {
 // only strided stores are the final scatter into the f-major output row.
 // Filters are processed in fixed-width register tiles (constant-trip inner
 // loops promote the accumulators out of memory), mirroring the dense GEMM.
+// `relu` stores Relu's select (x > 0.0 ? x : 0.0) of each value instead of
+// the value itself, so a following Relu layer costs no extra pass.
 MINICOST_TARGET_CLONES void conv_wt_row_major(
     const double* wt, const double* bias, const double* x, std::size_t input,
     std::size_t prefix, std::size_t filters, std::size_t kernel,
-    std::size_t out_width, std::size_t batch, double* y) {
+    std::size_t out_width, std::size_t batch, bool relu, double* y) {
   constexpr std::size_t kTile = 32;
   const std::size_t pos = prefix - kernel + 1;
   for (std::size_t b = 0; b < batch; ++b) {
@@ -37,6 +39,10 @@ MINICOST_TARGET_CLONES void conv_wt_row_major(
           const double* w = wt + k * filters + f0;
           for (std::size_t j = 0; j < kTile; ++j) acc[j] += xk * w[j];
         }
+        if (relu) {
+          for (std::size_t j = 0; j < kTile; ++j)
+            acc[j] = acc[j] > 0.0 ? acc[j] : 0.0;
+        }
         for (std::size_t j = 0; j < kTile; ++j)
           yb[(f0 + j) * pos + p] = acc[j];
       }
@@ -44,7 +50,7 @@ MINICOST_TARGET_CLONES void conv_wt_row_major(
         double sum = bias[f0];
         for (std::size_t k = 0; k < kernel; ++k)
           sum += xb[p + k] * wt[k * filters + f0];
-        yb[f0 * pos + p] = sum;
+        yb[f0 * pos + p] = relu ? (sum > 0.0 ? sum : 0.0) : sum;
       }
     }
   }
@@ -195,6 +201,19 @@ void Conv1DOverPrefix::forward(std::span<const double> in,
 void Conv1DOverPrefix::forward_batch(std::span<const double> in,
                                      std::span<double> out,
                                      std::size_t batch) {
+  run_batch(in, out, batch, /*relu=*/false);
+}
+
+bool Conv1DOverPrefix::forward_batch_relu(std::span<const double> in,
+                                          std::span<double> out,
+                                          std::size_t batch) {
+  run_batch(in, out, batch, /*relu=*/true);
+  return true;
+}
+
+void Conv1DOverPrefix::run_batch(std::span<const double> in,
+                                 std::span<double> out, std::size_t batch,
+                                 bool relu) {
   assert(in.size() == batch * input_ && out.size() == batch * output_size());
   const std::size_t pos = positions();
   const std::size_t out_width = output_size();
@@ -206,12 +225,16 @@ void Conv1DOverPrefix::forward_batch(std::span<const double> in,
       batch_wt_[k * filters_ + f] = params_[f * kernel_ + k];
   conv_wt_row_major(batch_wt_.data(), params_.data() + bias_offset(),
                     in.data(), input_, prefix_, filters_, kernel_, out_width,
-                    batch, out.data());
+                    batch, relu, out.data());
+  // The aux features pass through; a fused Relu clamps them too, since it
+  // covers the layer's whole output row.
   for (std::size_t b = 0; b < batch; ++b) {
     const double* x = in.data() + b * input_;
     double* y = out.data() + b * out_width;
-    for (std::size_t a = 0; a < aux(); ++a)
-      y[filters_ * pos + a] = x[prefix_ + a];
+    for (std::size_t a = 0; a < aux(); ++a) {
+      const double v = x[prefix_ + a];
+      y[filters_ * pos + a] = relu ? (v > 0.0 ? v : 0.0) : v;
+    }
   }
 }
 

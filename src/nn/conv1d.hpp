@@ -37,6 +37,9 @@ class Conv1DOverPrefix final : public Layer {
   /// Fused batch convolution: filter taps stay in registers across rows.
   void forward_batch(std::span<const double> in, std::span<double> out,
                      std::size_t batch) override;
+  /// The same convolution with the ReLU folded into its output stores.
+  bool forward_batch_relu(std::span<const double> in, std::span<double> out,
+                          std::size_t batch) override;
   /// Fused batched backward: bias, tap, and input gradients in one pass,
   /// SIMD across independent accumulators only — bit-identical to per-row
   /// backward() calls in ascending row order (DESIGN.md §7).
@@ -60,6 +63,8 @@ class Conv1DOverPrefix final : public Layer {
   // params_ layout: filter weights (filters x kernel) row-major, then one
   // bias per filter.
   std::size_t bias_offset() const noexcept { return filters_ * kernel_; }
+  void run_batch(std::span<const double> in, std::span<double> out,
+                 std::size_t batch, bool relu);
 
   std::size_t input_, prefix_, filters_, kernel_;
   std::vector<double> params_;

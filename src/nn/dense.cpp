@@ -1,5 +1,6 @@
 #include "nn/dense.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -8,58 +9,93 @@
 namespace minicost::nn {
 namespace {
 
+// One block of kRows rows over the input slice [i0, iend): every output
+// element of every row continues its own accumulation — from the bias on
+// the first slice, from the partial sum parked in y otherwise — and the
+// last slice stores the finished value. Output neurons go in fixed-width
+// register tiles (constant-trip inner loops promote acc[kRows][kTile] out
+// of memory); each weight vector loaded feeds all kRows rows. Outputs past
+// the last full tile are scalar per element, rows still side by side. With
+// `relu`, the last slice stores the Relu layer's select (x > 0.0 ? x : 0.0),
+// so NaN and -0.0 map to +0.0 exactly as Relu::forward() maps them.
+template <std::size_t kRows>
+[[gnu::always_inline]] inline void dense_rows(
+    const double* wt, const double* bias, const double* x, std::size_t in,
+    std::size_t out, std::size_t i0, std::size_t iend, bool relu, double* y) {
+  constexpr std::size_t kTile = 32;
+  const double* src = i0 == 0 ? bias : y;
+  const std::size_t src_stride = i0 == 0 ? 0 : out;
+  const bool clamp = relu && iend == in;
+  std::size_t o0 = 0;
+  for (; o0 + kTile <= out; o0 += kTile) {
+    double acc[kRows][kTile];
+    for (std::size_t r = 0; r < kRows; ++r)
+      for (std::size_t j = 0; j < kTile; ++j)
+        acc[r][j] = src[r * src_stride + o0 + j];
+    for (std::size_t i = i0; i < iend; ++i) {
+      const double* w = wt + i * out + o0;
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const double xi = x[r * in + i];
+        for (std::size_t j = 0; j < kTile; ++j) acc[r][j] += xi * w[j];
+      }
+    }
+    if (clamp) {
+      for (std::size_t r = 0; r < kRows; ++r)
+        for (std::size_t j = 0; j < kTile; ++j)
+          acc[r][j] = acc[r][j] > 0.0 ? acc[r][j] : 0.0;
+    }
+    for (std::size_t r = 0; r < kRows; ++r)
+      for (std::size_t j = 0; j < kTile; ++j) y[r * out + o0 + j] = acc[r][j];
+  }
+  for (; o0 < out; ++o0) {
+    double sum[kRows];
+    for (std::size_t r = 0; r < kRows; ++r) sum[r] = src[r * src_stride + o0];
+    for (std::size_t i = i0; i < iend; ++i) {
+      const double w = wt[i * out + o0];
+      for (std::size_t r = 0; r < kRows; ++r) sum[r] += x[r * in + i] * w;
+    }
+    for (std::size_t r = 0; r < kRows; ++r)
+      y[r * out + o0] = clamp ? (sum[r] > 0.0 ? sum[r] : 0.0) : sum[r];
+  }
+}
+
 // Per row b: y[o] = bias[o] + sum_i x[i] * wt[i][o], with wt the transposed
-// weight matrix (in x out). The unit-stride o loop is the SIMD dimension —
-// independent output elements, so vectorizing it is always legal — while
-// each element still accumulates bias first and inputs 0..in-1 in order,
-// exactly like the scalar forward(). Rows are therefore bit-identical to
-// per-row forward() calls on every ISA (FP contraction is off for this
-// translation unit). Row-major in and out: the output row lives in L1
-// (or registers) for the whole accumulation — no strided stores.
-// Two levels of blocking:
-//  * output neurons in fixed-width register tiles (constant-trip inner
-//    loops promote the accumulators out of memory and give the OOO core
-//    several independent FP-add chains per input);
+// weight matrix (in x out). Only independent output elements are computed
+// side by side — output neurons (the unit-stride SIMD dimension) and rows —
+// while each element still accumulates bias first and inputs 0..in-1 in
+// ascending order, exactly like the scalar forward(). Rows are therefore
+// bit-identical to per-row forward() calls on every ISA (FP contraction is
+// off for this translation unit). Row-major in and out; no strided stores.
+// Blocking, outermost first:
 //  * inputs in kIBlk slices with the batch loop inside, so the active wt
 //    slice (kIBlk x out doubles) stays L1-resident across the whole batch
 //    instead of streaming the full matrix from L2 once per row. Partial
-//    sums ride in the output rows between slices — an exact round-trip,
-//    and each y element still accumulates bias first and inputs 0..in-1
-//    in ascending order, exactly like the scalar forward().
+//    sums ride in the output rows between slices — an exact round-trip;
+//  * rows in blocks of kRows (dense_rows): one row alone keeps only
+//    kTile / vector-width add chains in flight and spends a weight load on
+//    every multiply-add, so it is bound by load and add latency; four rows
+//    share each load and quadruple the independent chains. Rows past the
+//    last full block run the same loops one at a time.
+// `relu` stores relu(y) instead of y (Network::forward_batch fuses a
+// following Relu layer here); partial sums between slices stay raw.
 MINICOST_TARGET_CLONES void gemm_wt_row_major(const double* wt,
                                               const double* bias,
                                               const double* x, std::size_t in,
                                               std::size_t out,
-                                              std::size_t batch, double* y) {
-  constexpr std::size_t kTile = 32;
+                                              std::size_t batch, bool relu,
+                                              double* y) {
+  constexpr std::size_t kRows = 4;
   constexpr std::size_t kIBlk = 64;
-  for (std::size_t b = 0; b < batch; ++b) {
-    double* yb = y + b * out;
-    for (std::size_t o = 0; o < out; ++o) yb[o] = bias[o];
-  }
-  for (std::size_t i0 = 0; i0 < in; i0 += kIBlk) {
+  for (std::size_t i0 = 0;; i0 += kIBlk) {
     const std::size_t iend = std::min(in, i0 + kIBlk);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* xb = x + b * in;
-      double* yb = y + b * out;
-      std::size_t o0 = 0;
-      for (; o0 + kTile <= out; o0 += kTile) {
-        double acc[kTile];
-        for (std::size_t j = 0; j < kTile; ++j) acc[j] = yb[o0 + j];
-        for (std::size_t i = i0; i < iend; ++i) {
-          const double xi = xb[i];
-          const double* w = wt + i * out + o0;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += xi * w[j];
-        }
-        for (std::size_t j = 0; j < kTile; ++j) yb[o0 + j] = acc[j];
-      }
-      for (; o0 < out; ++o0) {
-        double sum = yb[o0];
-        for (std::size_t i = i0; i < iend; ++i)
-          sum += xb[i] * wt[i * out + o0];
-        yb[o0] = sum;
-      }
-    }
+    std::size_t b = 0;
+    for (; b + kRows <= batch; b += kRows)
+      dense_rows<kRows>(wt, bias, x + b * in, in, out, i0, iend, relu,
+                        y + b * out);
+    for (; b < batch; ++b)
+      dense_rows<1>(wt, bias, x + b * in, in, out, i0, iend, relu,
+                    y + b * out);
+    if (iend == in) break;
   }
 }
 
@@ -176,6 +212,17 @@ void Dense::forward(std::span<const double> in, std::span<double> out) {
 
 void Dense::forward_batch(std::span<const double> in, std::span<double> out,
                           std::size_t batch) {
+  run_batch(in, out, batch, /*relu=*/false);
+}
+
+bool Dense::forward_batch_relu(std::span<const double> in,
+                               std::span<double> out, std::size_t batch) {
+  run_batch(in, out, batch, /*relu=*/true);
+  return true;
+}
+
+void Dense::run_batch(std::span<const double> in, std::span<double> out,
+                      std::size_t batch, bool relu) {
   assert(in.size() == batch * in_ && out.size() == batch * out_);
   // The scalar dot product is a serial FP-add chain the compiler may not
   // reassociate, so the batch kernel vectorizes across output neurons
@@ -196,7 +243,7 @@ void Dense::forward_batch(std::span<const double> in, std::span<double> out,
     }
   }
   gemm_wt_row_major(batch_wt_.data(), params_.data() + bias_offset(),
-                    in.data(), in_, out_, batch, out.data());
+                    in.data(), in_, out_, batch, relu, out.data());
 }
 
 void Dense::backward(std::span<const double> grad_out,

@@ -21,6 +21,9 @@ class Dense final : public Layer {
   /// One GEMM over the whole batch (weight rows stay hot across rows).
   void forward_batch(std::span<const double> in, std::span<double> out,
                      std::size_t batch) override;
+  /// The same GEMM with the ReLU folded into its final store.
+  bool forward_batch_relu(std::span<const double> in, std::span<double> out,
+                          std::size_t batch) override;
   /// Fused batched backward: bias, weight, and input gradients in one pass,
   /// SIMD across independent accumulators only — bit-identical to per-row
   /// backward() calls in ascending row order (DESIGN.md §7).
@@ -39,6 +42,8 @@ class Dense final : public Layer {
   // params_ layout: W row-major (out x in), then b (out).
   double weight(std::size_t o, std::size_t i) const { return params_[o * in_ + i]; }
   std::size_t bias_offset() const noexcept { return out_ * in_; }
+  void run_batch(std::span<const double> in, std::span<double> out,
+                 std::size_t batch, bool relu);
 
   std::size_t in_, out_;
   std::vector<double> params_;

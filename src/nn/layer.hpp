@@ -4,13 +4,16 @@
 // implement the same architecture natively — see DESIGN.md).
 //
 // Design notes:
-//  * Single-sample forward/backward for training: the RL agent trains on
-//    one transition at a time (episode roll-outs), so the gradient path has
-//    no batch dimension. This keeps layers allocation-free on the hot path.
+//  * Single-sample forward()/backward() are the reference path: every
+//    batched pass is defined as bit-identical to a loop of them.
 //  * Batched inference via forward_batch(): the deployed daily planning
 //    loop pushes every file's state through the network at once, one fused
 //    pass per layer instead of B single-sample calls. forward_batch() must
 //    produce rows bit-identical to forward() and never feeds backward().
+//  * Batched training via backward_batch(): the A3C update phase runs one
+//    pass per layer over a whole episode's rows, given the input rows each
+//    layer consumed on the way forward (Network::forward_batch_train keeps
+//    them), with gradients bit-identical to per-row backward() calls.
 //  * A layer owns its parameters and their gradient accumulators; backward()
 //    ACCUMULATES into the gradients (callers zero them per update step).
 //  * Layers cache their last input, so a Network instance is not
@@ -56,6 +59,19 @@ class Layer {
       forward(in.subspan(b * in_width, in_width),
               out.subspan(b * out_width, out_width));
     }
+  }
+
+  /// forward_batch() followed by a Relu layer, fused: stores
+  /// `x > 0.0 ? x : 0.0` (Relu's select, so NaN and -0.0 map to +0.0 as
+  /// there) instead of x, each row bit-identical to forward() then
+  /// Relu::forward(). Returns false, leaving `out` untouched, when the layer
+  /// has no fused store; the caller then runs the Relu layer itself.
+  /// Inference only, like forward_batch(): Network::forward_batch_train
+  /// never fuses, since backward_batch() needs the pre-activation rows.
+  virtual bool forward_batch_relu(std::span<const double> /*in*/,
+                                  std::span<double> /*out*/,
+                                  std::size_t /*batch*/) {
+    return false;
   }
 
   /// Batched training backward: `in` holds the same `batch` rows this layer

@@ -59,15 +59,27 @@ std::vector<double> Network::forward_batch(std::span<const double> input,
     throw std::invalid_argument("Network::forward_batch: input size mismatch");
   // Ping-pong between two reusable scratch buffers (layers never alias
   // in/out); the wide intermediates are megabytes per chunk, so repeated
-  // calls must not reallocate them. Only the final batch × output_size()
-  // rows are copied out.
-  batch_back_.assign(input.begin(), input.end());
-  for (auto& layer : layers_) {
-    batch_front_.resize(batch * layer->output_size());
-    layer->forward_batch(batch_back_, batch_front_, batch);
-    std::swap(batch_front_, batch_back_);
+  // calls must not reallocate them. The first layer reads the caller's rows
+  // in place, and only the final batch × output_size() rows are copied out.
+  // A Relu directly after a layer with a fused store (Dense, Conv1D) runs
+  // inside that layer's kernel instead of as a pass of its own; training
+  // never fuses (forward_batch_train), as backward_batch() needs the
+  // pre-activation rows.
+  std::span<const double> current = input;
+  std::vector<double>* dst = &batch_front_;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Layer& layer = *layers_[i];
+    dst->resize(batch * layer.output_size());
+    const bool relu_next = i + 1 < layers_.size() &&
+                           dynamic_cast<const Relu*>(layers_[i + 1].get());
+    if (relu_next && layer.forward_batch_relu(current, *dst, batch))
+      ++i;
+    else
+      layer.forward_batch(current, *dst, batch);
+    current = *dst;
+    dst = dst == &batch_front_ ? &batch_back_ : &batch_front_;
   }
-  return std::vector<double>(batch_back_.begin(), batch_back_.end());
+  return std::vector<double>(current.begin(), current.end());
 }
 
 std::vector<double> Network::backward(std::span<const double> grad_output) {

@@ -32,8 +32,10 @@ class Network {
 
   /// Inference-only batched forward: `input` is `batch` rows of
   /// input_size() (row-major); returns `batch` rows of output_size(). Runs
-  /// one fused kernel per layer instead of `batch` forward() calls; every
-  /// output row is bit-identical to forward() on the matching input row.
+  /// one fused kernel per layer instead of `batch` forward() calls, and a
+  /// Relu directly after a layer with a fused store (Layer::
+  /// forward_batch_relu) inside that layer's kernel; every output row is
+  /// bit-identical to forward() on the matching input row.
   /// Invalidates forward() state, so backward() must not follow it. Not
   /// thread-safe; clone per thread.
   std::vector<double> forward_batch(std::span<const double> input,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "nn/activation.hpp"
 #include "nn/conv1d.hpp"
@@ -8,6 +11,8 @@
 
 namespace minicost::nn {
 namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(DenseTest, ForwardComputesAffineMap) {
   util::Rng rng(1);
@@ -150,19 +155,48 @@ TEST(Conv1DTest, RejectsBadGeometry) {
 }
 
 TEST(DenseTest, ForwardBatchMatchesPerRowExactly) {
-  util::Rng rng(10);
-  Dense layer(3, 4, rng);
-  const std::size_t batch = 6;
-  util::Rng data(11);
-  std::vector<double> in(batch * 3);
-  for (double& v : in) v = data.normal(0.0, 2.0);
-  std::vector<double> out(batch * 4);
-  layer.forward_batch(in, out, batch);
-  std::vector<double> row_out(4);
-  for (std::size_t b = 0; b < batch; ++b) {
-    layer.forward(std::span<const double>(in.data() + b * 3, 3), row_out);
-    for (std::size_t o = 0; o < 4; ++o)
-      EXPECT_EQ(out[b * 4 + o], row_out[o]) << "row " << b << " out " << o;
+  // 0-ULP edge grid for the row-blocked kernel: widths on both sides of the
+  // 64-input slice and the 32-output tile, batches on both sides of the
+  // 4-row block and the 256-row planner chunk, plus the original small case
+  // (in 3, out 4, batch 6). Compared bit for bit, so a
+  // sign of zero counts. The fused-ReLU store is checked against forward()
+  // then Relu::forward() on the same rows; row 0 is all -0.0, so some
+  // pre-activations are exactly -0.0 or +0.0.
+  for (const std::size_t in : {1u, 3u, 63u, 64u, 65u, 366u}) {
+    for (const std::size_t out : {1u, 3u, 4u, 31u, 32u, 33u, 65u}) {
+      util::Rng rng(10 + in * 100 + out);
+      Dense layer(in, out, rng);
+      // Neuron 0 (weights made positive, bias -0.0) is exactly -0.0 on the
+      // all -0.0 row; the others are +0.0 there.
+      auto params = layer.parameters();
+      for (std::size_t i = 0; i < in; ++i) params[i] = std::abs(params[i]);
+      params[in * out] = -0.0;
+      Relu relu(out);
+      for (const std::size_t batch :
+           {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 14u, 255u, 256u, 257u}) {
+        util::Rng data(11 + batch);
+        std::vector<double> rows(batch * in);
+        for (double& v : rows) v = data.normal(0.0, 2.0);
+        std::fill_n(rows.begin(), in, -0.0);
+        std::vector<double> plain(batch * out), fused(batch * out);
+        layer.forward_batch(rows, plain, batch);
+        ASSERT_TRUE(layer.forward_batch_relu(rows, fused, batch));
+        std::vector<double> expected(out), expected_relu(out);
+        std::size_t mismatches = 0;
+        for (std::size_t b = 0; b < batch; ++b) {
+          layer.forward(std::span<const double>(rows.data() + b * in, in),
+                        expected);
+          relu.forward(expected, expected_relu);
+          for (std::size_t o = 0; o < out; ++o) {
+            if (bits(plain[b * out + o]) != bits(expected[o]) ||
+                bits(fused[b * out + o]) != bits(expected_relu[o]))
+              ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "in=" << in << " out=" << out << " batch=" << batch;
+      }
+    }
   }
 }
 
@@ -182,6 +216,48 @@ TEST(Conv1DTest, ForwardBatchMatchesPerRowExactly) {
                   row_out);
     for (std::size_t o = 0; o < row_out.size(); ++o)
       EXPECT_EQ(out[b * layer.output_size() + o], row_out[o]);
+  }
+}
+
+TEST(Conv1DTest, ForwardBatchReluMatchesForwardThenRelu) {
+  // The fused-ReLU store against forward() then Relu::forward(), bit for
+  // bit, aux pass-through included, with filter counts on both sides of the
+  // 32-filter tile. Filter 0 (taps made positive, bias -0.0) is exactly
+  // -0.0 on the all -0.0 row; rows 0-3 of every 5 are all -0.0, all +0.0,
+  // all -1.0 and random with NaNs.
+  for (const std::size_t filters : {2u, 32u, 33u}) {
+    util::Rng rng(13 + filters);
+    Conv1DOverPrefix layer(10, 7, filters, 3, rng);
+    auto params = layer.parameters();
+    for (std::size_t k = 0; k < 3; ++k) params[k] = std::abs(params[k]);
+    params[filters * 3] = -0.0;
+    const std::size_t in_w = layer.input_size();
+    const std::size_t out_w = layer.output_size();
+    Relu relu(out_w);
+    const std::size_t batch = 9;
+    util::Rng data(14);
+    std::vector<double> in(batch * in_w);
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t i = 0; i < in_w; ++i) {
+        const double fill[] = {-0.0, 0.0, -1.0};
+        in[b * in_w + i] = b % 5 < 3 ? fill[b % 5] : data.uniform(-3.0, 3.0);
+      }
+      if (b % 5 == 3) {
+        in[b * in_w + 2] = std::nan("");
+        in[b * in_w + in_w - 1] = std::nan("");
+      }
+    }
+    std::vector<double> fused(batch * out_w);
+    ASSERT_TRUE(layer.forward_batch_relu(in, fused, batch));
+    std::vector<double> row_out(out_w), expected(out_w);
+    for (std::size_t b = 0; b < batch; ++b) {
+      layer.forward(std::span<const double>(in.data() + b * in_w, in_w),
+                    row_out);
+      relu.forward(row_out, expected);
+      for (std::size_t o = 0; o < out_w; ++o)
+        EXPECT_EQ(bits(fused[b * out_w + o]), bits(expected[o]))
+            << "filters=" << filters << " row " << b << " out " << o;
+    }
   }
 }
 

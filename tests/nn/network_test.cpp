@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
@@ -16,6 +20,80 @@ Network tiny_net(util::Rng& rng) {
   net.add(std::make_unique<Relu>(4));
   net.add(std::make_unique<Dense>(4, 2, rng));
   return net;
+}
+
+// The deployed actor/critic geometry (14-day history + 14 aux, Conv 32x4,
+// hidden 32, 3 outputs), so the 32-wide tiles the planner runs are
+// bit-compared. Conv filter 0 (weights made positive, bias -0.0) and hidden
+// neuron 0 (weights made negative, bias -0.0) reach a pre-activation of
+// exactly -0.0 on an all -0.0 row, and +0.0 on an all +0.0 row, so both
+// fused ReLUs meet both signs of zero. Output 0 (weights made negative,
+// bias -0.0) is -0.0 only if every hidden ReLU stored +0.0, which makes a
+// wrong sign of zero from the hidden layer's fused store visible in the
+// output; the conv's is masked by the hidden ReLU and is pinned by
+// Conv1DTest.ForwardBatchReluMatchesForwardThenRelu instead.
+Network deployed_trunk() {
+  constexpr std::size_t kHistory = 14, kAux = 14, kFilters = 32, kKernel = 4,
+                        kHidden = 32;
+  util::Rng rng(27);
+  Network net = build_trunk(kHistory, kAux, kFilters, kKernel, kHidden, 3, rng);
+  std::vector<double> params = net.snapshot_parameters();
+  for (std::size_t k = 0; k < kKernel; ++k) params[k] = std::abs(params[k]);
+  params[kFilters * kKernel] = -0.0;
+  const std::size_t hidden = kFilters * kKernel + kFilters;
+  const std::size_t hidden_in = net.layer(2).input_size();
+  for (std::size_t i = 0; i < hidden_in; ++i)
+    params[hidden + i] = -std::abs(params[hidden + i]);
+  params[hidden + kHidden * hidden_in] = -0.0;
+  const std::size_t output = hidden + kHidden * hidden_in + kHidden;
+  for (std::size_t i = 0; i < kHidden; ++i)
+    params[output + i] = -std::abs(params[output + i]);
+  params[output + 3 * kHidden] = -0.0;
+  net.load_parameters(params);
+  return net;
+}
+
+// `batch` rows of `width`: rows 0, 1, 2 and 3 of every 8 are all -0.0, all
+// +0.0, all -1.0, and random with a NaN in the history and in the aux
+// features; the rest are uniform in [-1, 1].
+std::vector<double> edge_rows(std::size_t width, std::size_t batch,
+                              util::Rng& data) {
+  std::vector<double> rows(batch * width);
+  for (std::size_t b = 0; b < batch; ++b) {
+    double* row = rows.data() + b * width;
+    for (std::size_t i = 0; i < width; ++i) {
+      switch (b % 8) {
+        case 0: row[i] = -0.0; break;
+        case 1: row[i] = 0.0; break;
+        case 2: row[i] = -1.0; break;
+        default: row[i] = data.uniform(-1.0, 1.0);
+      }
+    }
+    if (b % 8 == 3) {
+      row[5] = std::numeric_limits<double>::quiet_NaN();
+      row[width - 1] = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  return rows;
+}
+
+// Number of elements of `batched` whose bits differ from forward() on the
+// matching row of `input` (a sign of zero counts).
+std::size_t mismatches_vs_forward(Network& net, const std::vector<double>& input,
+                                  const std::vector<double>& batched,
+                                  std::size_t batch) {
+  const std::size_t in_w = net.input_size();
+  const std::size_t out_w = net.output_size();
+  std::size_t mismatches = 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const auto expected =
+        net.forward(std::span<const double>(input.data() + b * in_w, in_w));
+    for (std::size_t o = 0; o < out_w; ++o)
+      if (std::bit_cast<std::uint64_t>(batched[b * out_w + o]) !=
+          std::bit_cast<std::uint64_t>(expected[o]))
+        ++mismatches;
+  }
+  return mismatches;
 }
 
 TEST(NetworkTest, ShapesAndParameterCount) {
@@ -147,6 +225,16 @@ TEST(NetworkTest, ForwardBatchMatchesPerRowThroughConvTrunk) {
     for (std::size_t o = 0; o < expected.size(); ++o)
       EXPECT_EQ(batched[b * net.output_size() + o], expected[o]);
   }
+
+  // The deployed geometry on edge rows, through the fused-ReLU stores.
+  Network deployed = deployed_trunk();
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 14u, 256u, 257u}) {
+    const auto deployed_input = edge_rows(deployed.input_size(), rows, data);
+    const auto deployed_out = deployed.forward_batch(deployed_input, rows);
+    EXPECT_EQ(mismatches_vs_forward(deployed, deployed_input, deployed_out, rows),
+              0u)
+        << "batch=" << rows;
+  }
 }
 
 TEST(NetworkTest, ForwardBatchDuplicateRowsProduceByteIdenticalOutputs) {
@@ -221,6 +309,16 @@ TEST(NetworkTest, ForwardBatchTrainMatchesPerRowForwardExactly) {
     const auto expected = net.forward(row);
     for (std::size_t o = 0; o < expected.size(); ++o)
       EXPECT_EQ(batched[b * net.output_size() + o], expected[o]);
+  }
+
+  // The deployed geometry on edge rows; the training path never fuses.
+  Network deployed = deployed_trunk();
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 14u, 256u, 257u}) {
+    const auto deployed_input = edge_rows(deployed.input_size(), rows, data);
+    const auto deployed_out = deployed.forward_batch_train(deployed_input, rows);
+    EXPECT_EQ(mismatches_vs_forward(deployed, deployed_input, deployed_out, rows),
+              0u)
+        << "batch=" << rows;
   }
 }
 
