@@ -22,6 +22,8 @@ namespace {
 using namespace minicost;
 
 /// Adapters so the tabular/DQN agents run through the planner harness.
+/// Those agents are not thread-safe, so decide_day loops over the files
+/// serially.
 template <typename Agent>
 class AgentPolicy final : public core::TieringPolicy {
  public:
@@ -31,12 +33,15 @@ class AgentPolicy final : public core::TieringPolicy {
   core::Knowledge knowledge() const noexcept override {
     return core::Knowledge::kHistory;
   }
-  pricing::StorageTier decide(const core::PlanContext& context,
-                              trace::FileId file, std::size_t day,
-                              pricing::StorageTier current) override {
-    if (day < min_history_) return current;
-    return pricing::tier_from_index(
-        agent_.act(context.trace.file(file), day, current));
+  void decide_day(const core::PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override {
+    core::check_batch_widths(context, current, out_plan);
+    for (std::size_t i = 0; i < out_plan.size(); ++i)
+      out_plan[i] = day < min_history_
+                        ? current[i]
+                        : pricing::tier_from_index(agent_.act(
+                              context.trace.files()[i], day, current[i]));
   }
 
  private:

@@ -10,6 +10,7 @@
 //     isolates the value of *dynamic re-tiering* (this is the series whose
 //     per-file value grows with variability, the figure's headline shape).
 
+#include <algorithm>
 #include <iostream>
 
 #include "common.hpp"
@@ -37,10 +38,11 @@ int main() {
     core::Knowledge knowledge() const noexcept override {
       return core::Knowledge::kNone;
     }
-    pricing::StorageTier decide(const core::PlanContext&, trace::FileId,
-                                std::size_t,
-                                pricing::StorageTier current) override {
-      return current;
+    void decide_day(const core::PlanContext& context, std::size_t,
+                    std::span<const pricing::StorageTier> current,
+                    std::span<pricing::StorageTier> out_plan) override {
+      core::check_batch_widths(context, current, out_plan);
+      std::copy(current.begin(), current.end(), out_plan.begin());
     }
   };
 

@@ -1,12 +1,9 @@
-// Planning throughput: the scalar decide() loop vs the batched decide_day()
-// pipeline, per policy, on a wide synthetic trace. This is the number the
-// batched-planning refactor is accountable for — one day of tier decisions
-// for every file, as files/second.
+// Planning throughput: one decide_day() call — a day of tier decisions for
+// every file — per policy, on a wide synthetic trace, as files/second.
 //
 // Output is machine-readable JSON on stdout (one object), e.g.
 //   {"bench":"micro_batch_plan","files":50000, ...,
-//    "results":[{"policy":"MiniCost","scalar_files_per_sec":...,
-//                "batched_files_per_sec":...,"speedup":...}, ...]}
+//    "results":[{"policy":"MiniCost","batched_files_per_sec":...}, ...]}
 //
 // MINICOST_SCALE overrides the file count (default 50000); MINICOST_SEED
 // the trace/agent seed.
@@ -35,32 +32,21 @@ using namespace minicost;
 
 struct Measurement {
   std::string policy;
-  double scalar_seconds = 0.0;
-  double batched_seconds = 0.0;
+  double seconds = 0.0;
 };
 
-// Best-of-`repeats` timing of one full-width planning day down each path.
+// Best-of-`repeats` timing of one full-width planning day.
 Measurement measure(core::TieringPolicy& policy, const core::PlanContext& context,
                     std::size_t day,
                     const std::vector<pricing::StorageTier>& current,
                     int repeats = 3) {
-  const std::size_t n = context.trace.file_count();
-  Measurement m;
-  m.policy = policy.name();
-  m.scalar_seconds = 1e300;
-  m.batched_seconds = 1e300;
+  Measurement m{policy.name(), 1e300};
   policy.prepare(context);
-  std::vector<pricing::StorageTier> plan(n);
-  for (int r = 0; r < repeats; ++r) {
-    util::Stopwatch watch;
-    for (trace::FileId f = 0; f < n; ++f)
-      plan[f] = policy.decide(context, f, day, current[f]);
-    m.scalar_seconds = std::min(m.scalar_seconds, watch.seconds());
-  }
+  std::vector<pricing::StorageTier> plan(context.trace.file_count());
   for (int r = 0; r < repeats; ++r) {
     util::Stopwatch watch;
     policy.decide_day(context, day, current, plan);
-    m.batched_seconds = std::min(m.batched_seconds, watch.seconds());
+    m.seconds = std::min(m.seconds, watch.seconds());
   }
   return m;
 }
@@ -104,29 +90,19 @@ int main() {
   std::printf("{\"bench\":\"micro_batch_plan\",\"files\":%zu,\"day\":%zu,"
               "\"pool_threads\":%zu,\"results\":[",
               files, day, util::ThreadPool::shared().size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Measurement& m = results[i];
-    const double scalar_fps = static_cast<double>(files) / m.scalar_seconds;
-    const double batched_fps = static_cast<double>(files) / m.batched_seconds;
-    std::printf("%s{\"policy\":\"%s\",\"scalar_files_per_sec\":%.1f,"
-                "\"batched_files_per_sec\":%.1f,\"speedup\":%.2f}",
-                i == 0 ? "" : ",", m.policy.c_str(), scalar_fps, batched_fps,
-                m.scalar_seconds / m.batched_seconds);
-  }
+  for (std::size_t i = 0; i < results.size(); ++i)
+    std::printf("%s{\"policy\":\"%s\",\"batched_files_per_sec\":%.1f}",
+                i == 0 ? "" : ",", results[i].policy.c_str(),
+                static_cast<double>(files) / results[i].seconds);
   std::printf("]}\n");
 
-  // Run report: per-policy throughput scalars for the CI perf gate
+  // Run report: per-policy throughput for the CI perf gate
   // (tools/bench_diff.py reads *_per_sec as higher-is-better).
   std::vector<std::pair<std::string, double>> metrics;
   metrics.emplace_back("files", static_cast<double>(files));
-  for (const Measurement& m : results) {
-    metrics.emplace_back(m.policy + ".scalar_files_per_sec",
-                         static_cast<double>(files) / m.scalar_seconds);
+  for (const Measurement& m : results)
     metrics.emplace_back(m.policy + ".batched_files_per_sec",
-                         static_cast<double>(files) / m.batched_seconds);
-    metrics.emplace_back(m.policy + ".speedup",
-                         m.scalar_seconds / m.batched_seconds);
-  }
+                         static_cast<double>(files) / m.seconds);
   benchx::write_run_report("micro_batch_plan", metrics);
   return 0;
 }

@@ -1,12 +1,11 @@
-// Per-file decision latency for every policy — the microscopic view behind
-// Figure 12 ("the average time cost for one data file storage type
-// assignment per day is less than 1 ms").
+// Featurization latency: encoding one file's state, the per-file half of a
+// MiniCost decision. The other half (one A3CAgent::act per encoded state)
+// and every policy's full daily decide_day pass are in fig12_overhead.
 
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
-#include "core/greedy.hpp"
-#include "core/rl_policy.hpp"
+#include "rl/a3c.hpp"
 
 namespace {
 
@@ -15,16 +14,10 @@ using namespace minicost;
 struct Fixture {
   Fixture()
       : workload(benchx::standard_workload()),
-        prices(benchx::standard_pricing()),
-        agent(benchx::shared_agent(workload, 20000)),
-        initial(core::static_initial_tiers(workload.test, prices, 27)),
-        context{workload.test, prices, 27, workload.test.days(), initial} {}
+        featurizer(rl::A3CConfig{}.features) {}
 
   benchx::Workload workload;
-  pricing::PricingPolicy prices;
-  std::unique_ptr<rl::A3CAgent> agent;
-  std::vector<pricing::StorageTier> initial;
-  core::PlanContext context;
+  rl::Featurizer featurizer;  ///< the default agent's featurizer
 };
 
 Fixture& fixture() {
@@ -32,45 +25,14 @@ Fixture& fixture() {
   return f;
 }
 
-void decide_loop(benchmark::State& state, core::TieringPolicy& policy) {
-  Fixture& f = fixture();
-  policy.prepare(f.context);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto id = static_cast<trace::FileId>(i % f.workload.test.file_count());
-    benchmark::DoNotOptimize(policy.decide(f.context, id, 30, f.initial[id]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void BM_Decide_Hot(benchmark::State& state) {
-  auto policy = core::make_hot_policy();
-  decide_loop(state, *policy);
-}
-BENCHMARK(BM_Decide_Hot);
-
-void BM_Decide_Greedy(benchmark::State& state) {
-  core::GreedyPolicy policy;
-  decide_loop(state, policy);
-}
-BENCHMARK(BM_Decide_Greedy);
-
-void BM_Decide_MiniCost(benchmark::State& state) {
-  core::RlPolicy policy(*fixture().agent);
-  decide_loop(state, policy);
-}
-BENCHMARK(BM_Decide_MiniCost)->Unit(benchmark::kMicrosecond);
-
 void BM_Decide_FeaturizeOnly(benchmark::State& state) {
   Fixture& f = fixture();
-  const rl::Featurizer& featurizer = f.agent->featurizer();
   std::vector<double> buffer;
   std::size_t i = 0;
   for (auto _ : state) {
     const auto id = static_cast<trace::FileId>(i % f.workload.test.file_count());
-    featurizer.encode_into(f.workload.test.file(id), 30,
-                           pricing::StorageTier::kHot, buffer);
+    f.featurizer.encode_into(f.workload.test.file(id), 30,
+                             pricing::StorageTier::kHot, buffer);
     benchmark::DoNotOptimize(buffer.data());
     ++i;
   }

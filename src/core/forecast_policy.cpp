@@ -55,10 +55,19 @@ void ForecastMpcPolicy::replan(const PlanContext& context, trace::FileId file,
   plan_[file].tiers = std::move(sequence.tiers);
 }
 
-pricing::StorageTier ForecastMpcPolicy::decide(const PlanContext& context,
-                                               trace::FileId file,
-                                               std::size_t day,
-                                               pricing::StorageTier current) {
+void ForecastMpcPolicy::decide_day(
+    const PlanContext& context, std::size_t day,
+    std::span<const pricing::StorageTier> current,
+    std::span<pricing::StorageTier> out_plan) {
+  decide_each_file(context, current, out_plan,
+                   [&](trace::FileId file, pricing::StorageTier tier) {
+                     return decide_file(context, file, day, tier);
+                   });
+}
+
+pricing::StorageTier ForecastMpcPolicy::decide_file(
+    const PlanContext& context, trace::FileId file, std::size_t day,
+    pricing::StorageTier current) {
   if (day < config_.min_history) return current;  // not enough history yet
 
   FilePlan& plan = plan_.at(file);

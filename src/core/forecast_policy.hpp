@@ -28,8 +28,8 @@ struct ForecastMpcConfig {
   std::size_t min_history = 14;
   /// Factory for the per-file forecaster. Defaults to seasonal-naive(7),
   /// which is cheap and exploits the weekly request cycle; swap in
-  /// forecast::Arima or forecast::Ewma via the factory. The batched
-  /// decide_day invokes it concurrently across files, so the factory must
+  /// forecast::Arima or forecast::Ewma via the factory. decide_day
+  /// invokes it concurrently across files, so the factory must
   /// be callable from multiple threads (stateless factories are).
   std::function<std::unique_ptr<forecast::Forecaster>()> make_forecaster;
   /// Clamp negative forecasted frequencies to zero.
@@ -44,14 +44,17 @@ class ForecastMpcPolicy final : public TieringPolicy {
   Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
 
   void prepare(const PlanContext& context) override;
-  pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
-                              std::size_t day,
-                              pricing::StorageTier current) override;
-
-  /// Per-file state only (plan_[file]), so batch replanning shards safely.
-  bool thread_safe_decide() const noexcept override { return true; }
+  /// Per-file state only (plan_[file]), so replanning shards safely on the
+  /// pool through decide_each_file.
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override;
 
  private:
+  /// `file`'s tier on `day`: its committed mini-plan, re-planned when stale.
+  pricing::StorageTier decide_file(const PlanContext& context,
+                                   trace::FileId file, std::size_t day,
+                                   pricing::StorageTier current);
   /// Re-plans `file` at `day` from its history; fills plan_[file].
   void replan(const PlanContext& context, trace::FileId file, std::size_t day,
               pricing::StorageTier current);

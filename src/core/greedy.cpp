@@ -32,22 +32,31 @@ pricing::StorageTier cheapest_for_day(const PlanContext& context,
 
 }  // namespace
 
-pricing::StorageTier GreedyPolicy::decide(const PlanContext& context,
-                                          trace::FileId file, std::size_t day,
-                                          pricing::StorageTier current) {
-  const trace::FileRecord& f = context.trace.file(file);
+void GreedyPolicy::decide_day(const PlanContext& context, std::size_t day,
+                              std::span<const pricing::StorageTier> current,
+                              std::span<pricing::StorageTier> out_plan) {
   // Online: price the coming day with the most recent observation.
   const std::size_t observed = day > 0 ? day - 1 : 0;
-  return cheapest_for_day(context, f, f.reads[observed], f.writes[observed],
-                          current, include_archive_);
+  decide_each_file(context, current, out_plan,
+                   [&](trace::FileId file, pricing::StorageTier tier) {
+                     const trace::FileRecord& f = context.trace.file(file);
+                     return cheapest_for_day(context, f, f.reads[observed],
+                                             f.writes[observed], tier,
+                                             include_archive_);
+                   });
 }
 
-pricing::StorageTier ClairvoyantGreedyPolicy::decide(
-    const PlanContext& context, trace::FileId file, std::size_t day,
-    pricing::StorageTier current) {
-  const trace::FileRecord& f = context.trace.file(file);
-  return cheapest_for_day(context, f, f.reads[day], f.writes[day], current,
-                          include_archive_);
+void ClairvoyantGreedyPolicy::decide_day(
+    const PlanContext& context, std::size_t day,
+    std::span<const pricing::StorageTier> current,
+    std::span<pricing::StorageTier> out_plan) {
+  decide_each_file(context, current, out_plan,
+                   [&](trace::FileId file, pricing::StorageTier tier) {
+                     const trace::FileRecord& f = context.trace.file(file);
+                     return cheapest_for_day(context, f, f.reads[day],
+                                             f.writes[day], tier,
+                                             include_archive_);
+                   });
 }
 
 }  // namespace minicost::core

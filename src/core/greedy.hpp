@@ -35,12 +35,10 @@ class GreedyPolicy final : public TieringPolicy {
   }
   Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
 
-  pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
-                              std::size_t day,
-                              pricing::StorageTier current) override;
-
-  /// Pure per-file pricing — the batched decide_day shards it on the pool.
-  bool thread_safe_decide() const noexcept override { return true; }
+  /// Pure per-file pricing, sharded on the pool by decide_each_file.
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override;
 
  private:
   bool include_archive_;
@@ -56,11 +54,9 @@ class ClairvoyantGreedyPolicy final : public TieringPolicy {
   std::string name() const override { return "Greedy-1day-oracle"; }
   Knowledge knowledge() const noexcept override { return Knowledge::kNextDay; }
 
-  pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
-                              std::size_t day,
-                              pricing::StorageTier current) override;
-
-  bool thread_safe_decide() const noexcept override { return true; }
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override;
 
  private:
   bool include_archive_;

@@ -142,21 +142,10 @@ void OptimalPolicy::prepare(const PlanContext& context) {
   for (double c : costs) planned_cost_ += c;
 }
 
-pricing::StorageTier OptimalPolicy::decide(const PlanContext&,
-                                           trace::FileId file, std::size_t day,
-                                           pricing::StorageTier) {
-  const auto& seq = sequences_.at(file);
-  if (day < start_day_ || day - start_day_ >= seq.size())
-    throw std::out_of_range("OptimalPolicy::decide: day outside prepared window");
-  return seq[day - start_day_];
-}
-
 void OptimalPolicy::decide_day(const PlanContext& context, std::size_t day,
                                std::span<const pricing::StorageTier> current,
                                std::span<pricing::StorageTier> out_plan) {
-  if (current.size() != context.trace.file_count() ||
-      out_plan.size() != context.trace.file_count())
-    throw std::invalid_argument("decide_day: span width != file count");
+  check_batch_widths(context, current, out_plan);
   for (std::size_t i = 0; i < out_plan.size(); ++i) {
     const auto& seq = sequences_.at(i);
     if (day < start_day_ || day - start_day_ >= seq.size())

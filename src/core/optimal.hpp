@@ -51,11 +51,8 @@ class OptimalPolicy final : public TieringPolicy {
   /// Runs the per-file DP for the whole window (parallel over files).
   void prepare(const PlanContext& context) override;
 
-  pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
-                              std::size_t day,
-                              pricing::StorageTier current) override;
-
-  /// Batch path: one pass copying the precomputed sequences' day column.
+  /// One pass copying the precomputed sequences' day column. Throws
+  /// std::out_of_range for a day outside the prepared window.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;

@@ -31,7 +31,7 @@ struct PlanResult {
   std::string policy_name;
   sim::HorizonPlan plan;      ///< plan[t] covers absolute day start_day + t
   sim::BillingReport report;  ///< billed over the window only
-  double decision_seconds = 0.0;    ///< total wall-clock spent in decide()
+  double decision_seconds = 0.0;    ///< wall-clock spent in decide_day()
   std::vector<double> day_seconds;  ///< per-day decision wall-clock
   std::size_t start_day = 0;
 };

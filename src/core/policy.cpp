@@ -11,6 +11,12 @@ namespace {
 /// Below this file count a daily batch is not worth the pool handoff.
 constexpr std::size_t kParallelDecideGrain = 256;
 
+}  // namespace
+
+util::ThreadPool& plan_pool(const PlanContext& context) noexcept {
+  return context.pool ? *context.pool : util::ThreadPool::shared();
+}
+
 void check_batch_widths(const PlanContext& context,
                         std::span<const pricing::StorageTier> current,
                         std::span<pricing::StorageTier> out_plan) {
@@ -19,23 +25,17 @@ void check_batch_widths(const PlanContext& context,
     throw std::invalid_argument("decide_day: span width != file count");
 }
 
-}  // namespace
-
-util::ThreadPool& plan_pool(const PlanContext& context) noexcept {
-  return context.pool ? *context.pool : util::ThreadPool::shared();
-}
-
-void TieringPolicy::decide_day(const PlanContext& context, std::size_t day,
-                               std::span<const pricing::StorageTier> current,
-                               std::span<pricing::StorageTier> out_plan) {
+void decide_each_file(const PlanContext& context,
+                      std::span<const pricing::StorageTier> current,
+                      std::span<pricing::StorageTier> out_plan,
+                      const FileDecision& decide_file) {
   check_batch_widths(context, current, out_plan);
   const std::size_t n = out_plan.size();
   const auto decide_one = [&](std::size_t i) {
-    out_plan[i] =
-        decide(context, static_cast<trace::FileId>(i), day, current[i]);
+    out_plan[i] = decide_file(static_cast<trace::FileId>(i), current[i]);
   };
   util::ThreadPool& pool = plan_pool(context);
-  if (thread_safe_decide() && pool.size() > 1 && n >= kParallelDecideGrain) {
+  if (pool.size() > 1 && n >= kParallelDecideGrain) {
     // Per-index work is independent and out_plan writes are disjoint, so
     // the result is byte-identical to the serial loop for any pool size.
     pool.parallel_for(0, n, decide_one);

@@ -3,18 +3,19 @@
 // paper compares against (Sec. 6.1): "Hot: we always put data files into the
 // hot storage type; Cold: we always put data files into cold storage type".
 //
-// A policy is consulted once per file per day (the paper's daily decision
-// loop, Sec. 5.1). prepare() runs once before a planning window so
+// A policy decides every file's tier for one day in one decide_day() call
+// (the paper's daily pass: "the trained agent runs one time for all data
+// files", Sec. 5.1). prepare() runs once before a planning window so
 // whole-horizon policies (Optimal) can precompute, and online policies can
 // size caches. Policies declare how much of the future they peek at via
 // knowledge() — the evaluation harness prints it so comparisons stay honest.
 //
-// Two decision entry points exist: the scalar decide() (one file) and the
-// batched decide_day() (every file of one day). decide_day() is the hot
-// path at fleet scale; its default implementation reproduces the scalar
-// loop exactly, and every override must keep the outputs byte-identical to
-// that loop (see DESIGN.md, "Batched planning pipeline").
+// decide_day() is the only decision entry point, and its output never
+// depends on the size of the planning pool. Policies whose decisions are
+// per-file independent implement it with decide_each_file(), which shards
+// the per-file function across plan_pool(context) (see DESIGN.md §7).
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -62,27 +63,35 @@ class TieringPolicy {
   /// Called once before a planning window.
   virtual void prepare(const PlanContext& context) { (void)context; }
 
-  /// Tier for `file` on `day` given it currently sits in `current`.
-  /// `day` is an absolute index into the full trace.
-  virtual pricing::StorageTier decide(const PlanContext& context,
-                                      trace::FileId file, std::size_t day,
-                                      pricing::StorageTier current) = 0;
-
-  /// Batch API: decides the tier of every file for `day` in one call.
-  /// `current[i]` is file i's tier entering the day; the decision lands in
-  /// `out_plan[i]`. Both spans must be trace.file_count() wide (throws
-  /// std::invalid_argument otherwise). The default implementation runs the
-  /// scalar decide() over all files — sharded across plan_pool(context) in
-  /// contiguous chunks when thread_safe_decide() says that is legal — and
-  /// every override must produce byte-identical output to that serial loop.
+  /// Decides the tier of every file for `day` (an absolute index into the
+  /// full trace). `current[i]` is file i's tier entering the day; the
+  /// decision lands in `out_plan[i]`. Both spans must be
+  /// trace.file_count() wide (throws std::invalid_argument otherwise).
   virtual void decide_day(const PlanContext& context, std::size_t day,
                           std::span<const pricing::StorageTier> current,
-                          std::span<pricing::StorageTier> out_plan);
-
-  /// True when decide() may be called concurrently for distinct files (no
-  /// cross-file mutable state). Lets the default decide_day() parallelize.
-  virtual bool thread_safe_decide() const noexcept { return false; }
+                          std::span<pricing::StorageTier> out_plan) = 0;
 };
+
+/// Throws std::invalid_argument unless `current` and `out_plan` are both
+/// context.trace.file_count() wide.
+void check_batch_widths(const PlanContext& context,
+                        std::span<const pricing::StorageTier> current,
+                        std::span<pricing::StorageTier> out_plan);
+
+/// One file's decision: its tier for the day, given the tier it holds.
+using FileDecision = std::function<pricing::StorageTier(
+    trace::FileId file, pricing::StorageTier current)>;
+
+/// decide_day body for per-file independent policies: checks the widths,
+/// then sets out_plan[i] = decide_file(i, current[i]) for every file,
+/// sharded across plan_pool(context) in contiguous chunks for wide days.
+/// decide_file is called concurrently for distinct files, so it must touch
+/// no cross-file mutable state; the result is then byte-identical to the
+/// serial loop for every pool size.
+void decide_each_file(const PlanContext& context,
+                      std::span<const pricing::StorageTier> current,
+                      std::span<pricing::StorageTier> out_plan,
+                      const FileDecision& decide_file);
 
 /// Pins every file to one tier forever.
 class AlwaysTierPolicy final : public TieringPolicy {
@@ -91,10 +100,6 @@ class AlwaysTierPolicy final : public TieringPolicy {
 
   std::string name() const override;
   Knowledge knowledge() const noexcept override { return Knowledge::kNone; }
-  pricing::StorageTier decide(const PlanContext&, trace::FileId, std::size_t,
-                              pricing::StorageTier) override {
-    return tier_;
-  }
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;

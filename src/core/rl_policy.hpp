@@ -13,32 +13,6 @@
 
 namespace minicost::core {
 
-class RlPolicy final : public TieringPolicy {
- public:
-  /// Borrows the agent (must outlive the policy). greedy=true uses the
-  /// argmax of π (deployment mode); false samples (training-style).
-  explicit RlPolicy(rl::A3CAgent& agent, bool greedy = true)
-      : agent_(agent), greedy_(greedy) {}
-
-  std::string name() const override { return "MiniCost"; }
-  Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
-
-  pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
-                              std::size_t day,
-                              pricing::StorageTier current) override;
-
-  /// Batch path: one A3CAgent::act_batch call — fused NN forwards sharded
-  /// over the planning pool — instead of one locked forward per file.
-  void decide_day(const PlanContext& context, std::size_t day,
-                  std::span<const pricing::StorageTier> current,
-                  std::span<pricing::StorageTier> out_plan) override;
-
- private:
-  rl::A3CAgent& agent_;
-  bool greedy_;
-  std::vector<double> scratch_;
-};
-
 /// Configuration for a self-contained MiniCost policy (CLI deployments that
 /// have no externally-owned agent).
 struct RlPolicyOptions {
@@ -51,6 +25,33 @@ struct RlPolicyOptions {
   /// still exercises the real featurize/forward pipeline).
   std::filesystem::path checkpoint;
   bool greedy = true;
+};
+
+class RlPolicy final : public TieringPolicy {
+ public:
+  /// Borrows the agent (must outlive the policy). greedy=true uses the
+  /// argmax of π (deployment mode); false samples (training-style).
+  explicit RlPolicy(rl::A3CAgent& agent, bool greedy = true)
+      : agent_(agent), greedy_(greedy) {}
+
+  /// Owns an agent built from `options` (and loaded from its checkpoint,
+  /// if one is named).
+  explicit RlPolicy(const RlPolicyOptions& options);
+
+  std::string name() const override { return "MiniCost"; }
+  Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
+
+  /// One A3CAgent::act_batch call — fused NN forwards sharded over the
+  /// planning pool. Every row equals A3CAgent::act on the file's encoded
+  /// features; before a full history window exists every file stays put.
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override;
+
+ private:
+  std::unique_ptr<rl::A3CAgent> owned_;  ///< null when the agent is borrowed
+  rl::A3CAgent& agent_;
+  bool greedy_;
 };
 
 /// An RlPolicy that owns its agent: for `minicost plan --policy rl` and

@@ -103,7 +103,7 @@ void policy_entropy_grad_rows(std::span<const double> probs, std::size_t rows,
     const std::size_t action = chosen[r];
     const double h = entropy(std::span<const double>(pi, width));
     for (std::size_t a = 0; a < width; ++a) {
-      // Same expressions, same order, as the per-step scalar loss.
+      // Same expressions, same order, as the per-step loss.
       const double pg = (pi[a] - (a == action ? 1.0 : 0.0)) * advantage;
       const double ent = beta * pi[a] * (std::log(std::max(pi[a], 1e-12)) + h);
       g[a] = (pg + ent) * inv_n;

@@ -50,8 +50,8 @@ void policy_entropy_grad_rows(std::span<const double> probs, std::size_t rows,
                               double inv_n, std::span<double> grad);
 
 /// Fused MSE gradient rows: grad[i] = 2.0 * (values[i] - targets[i]) * inv_n
-/// — the critic's per-step value-regression gradient, same expression
-/// order as the scalar path. Throws std::invalid_argument on size mismatch.
+/// — the critic's per-step value-regression gradient, in that expression
+/// order. Throws std::invalid_argument on size mismatch.
 void mse_grad_rows(std::span<const double> values,
                    std::span<const double> targets, double inv_n,
                    std::span<double> grad);

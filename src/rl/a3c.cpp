@@ -137,9 +137,8 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
   std::vector<double> states;
   states.reserve(config_.episode_len * width);
   // Rollout logits, cached per step (T x kActionCount, row-major). Weights
-  // are frozen within an episode, so the update phase can reuse these
-  // instead of re-forwarding the actor for its output — the re-forward
-  // below only rebuilds layer activation caches for backward().
+  // are frozen within an episode, so the update phase reuses these instead
+  // of re-forwarding the actor.
   std::vector<double> rollout_logits;
   rollout_logits.reserve(config_.episode_len * kActionCount);
 
@@ -158,13 +157,13 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     Action held_action = 0;
     const double hold_stop_p =
         config_.epsilon_hold_mean > 0.0 ? 1.0 / config_.epsilon_hold_mean : 1.0;
-    // Batched path: stash each rollout forward's per-layer activations so
-    // the update phase can run backward_batch directly — the rollout IS the
-    // actor's forward pass (weights are frozen within an episode).
-    if (config_.batched_update) actor.begin_train_batch();
+    // Stash each rollout forward's per-layer activations so the update
+    // phase can run backward_batch directly — the rollout IS the actor's
+    // forward pass (weights are frozen within an episode).
+    actor.begin_train_batch();
     while (!done) {
       const std::vector<double> logits = actor.forward(state);
-      if (config_.batched_update) actor.append_train_row(state);
+      actor.append_train_row(state);
       rollout_logits.insert(rollout_logits.end(), logits.begin(), logits.end());
       const std::vector<double> pi = nn::softmax(logits);
       Action action;
@@ -203,10 +202,10 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     MC_OBS_SCOPE("rl.a3c.grad");
     const std::size_t n = steps.size();
 
-    // Critic pass: one forward per step feeds both the advantage and the
-    // value-regression gradient (the critic descends (V - R)^2, averaged
-    // over the episode). Weights are frozen within the episode, so a second
-    // forward before backward() would recompute the exact same activations.
+    // Critic pass: one batched forward over the T stored states feeds both
+    // the advantage and the value-regression gradient (the critic descends
+    // (V - R)^2, averaged over the episode). The critic's output width is
+    // 1, so the output block *is* the value column.
     //
     // Advantages are centered per episode. Centering is load-bearing: the
     // critic is trained on *behavior-policy* returns, which include the cost
@@ -218,29 +217,14 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     const double inv_n = 1.0 / static_cast<double>(n);
     std::vector<double> advantages(n);
     double advantage_mean = 0.0;
-    if (config_.batched_update) {
-      // One batched forward over the T stored states (critic output width is
-      // 1, so the output block *is* the value column), one fused gradient
-      // row block, one batched backward. Bit-identical to the scalar branch
-      // below by the DESIGN.md §7 contract.
-      const std::vector<double> values = critic.forward_batch_train(states, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        advantages[i] = returns[i] - values[i];
-        advantage_mean += advantages[i];
-      }
-      std::vector<double> grad_v(n);
-      nn::mse_grad_rows(values, returns, inv_n, grad_v);
-      critic.backward_batch(grad_v, n, /*want_input_grads=*/false);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::span<const double> s(states.data() + i * width, width);
-        const std::vector<double> v_out = critic.forward(s);
-        advantages[i] = returns[i] - v_out[0];
-        advantage_mean += advantages[i];
-        const std::vector<double> grad_v{2.0 * (v_out[0] - returns[i]) * inv_n};
-        critic.backward(grad_v);
-      }
+    const std::vector<double> values = critic.forward_batch_train(states, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      advantages[i] = returns[i] - values[i];
+      advantage_mean += advantages[i];
     }
+    std::vector<double> grad_v(n);
+    nn::mse_grad_rows(values, returns, inv_n, grad_v);
+    critic.backward_batch(grad_v, n, /*want_input_grads=*/false);
     advantage_mean /= static_cast<double>(n);
 
     // Entropy weight with linear warmup (see A3CConfig), measured from the
@@ -264,48 +248,22 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     }
 
     // Actor pass: ascends log π(a|s)·A + β·H(π), averaged over the episode.
-    // The forward only rebuilds the layer caches backward consumes; its
-    // output is bit-identical to the cached rollout logits (same weights,
-    // same input), so the loss reads the cache instead of recomputing.
-    if (config_.batched_update) {
-      // No forward here at all: the rollout stashed each step's per-layer
-      // activations (begin_train_batch/append_train_row above), which is
-      // exactly the state backward_batch consumes.
-      std::vector<double> probs(n * kActionCount);
-      nn::softmax_rows(rollout_logits, n, probs);
-      std::vector<double> centered(n);
-      std::vector<std::size_t> chosen(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        centered[i] = advantages[i] - advantage_mean;
-        chosen[i] = steps[i].action;
-      }
-      std::vector<double> grad_logits(n * kActionCount);
-      nn::policy_entropy_grad_rows(probs, n, chosen, centered, beta, inv_n,
-                                   grad_logits);
-      actor.backward_batch(grad_logits, n, /*want_input_grads=*/false);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double advantage = advantages[i] - advantage_mean;
-
-        actor.forward(std::span<const double>(states.data() + i * width, width));
-        const std::span<const double> logits(
-            rollout_logits.data() + i * kActionCount, kActionCount);
-        const std::vector<double> pi = nn::softmax(logits);
-        const double h = nn::entropy(pi);
-        std::vector<double> grad_logits(kActionCount);
-        for (std::size_t a = 0; a < kActionCount; ++a) {
-          // d(-log π(a*))/dz_a = π_a - 1{a = a*}; scaled by the advantage.
-          const double pg =
-              (pi[a] - (a == steps[i].action ? 1.0 : 0.0)) * advantage;
-          // Entropy ascent: dH/dz_a = -π_a (log π_a + H); descend its
-          // negative.
-          const double ent =
-              beta * pi[a] * (std::log(std::max(pi[a], 1e-12)) + h);
-          grad_logits[a] = (pg + ent) * inv_n;
-        }
-        actor.backward(grad_logits);
-      }
+    // No forward here at all: the rollout stashed each step's per-layer
+    // activations (begin_train_batch/append_train_row above), which is
+    // exactly the state backward_batch consumes, and its cached logits are
+    // the ones the loss reads (same weights, same input).
+    std::vector<double> probs(n * kActionCount);
+    nn::softmax_rows(rollout_logits, n, probs);
+    std::vector<double> centered(n);
+    std::vector<std::size_t> chosen(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      centered[i] = advantages[i] - advantage_mean;
+      chosen[i] = steps[i].action;
     }
+    std::vector<double> grad_logits(n * kActionCount);
+    nn::policy_entropy_grad_rows(probs, n, chosen, centered, beta, inv_n,
+                                 grad_logits);
+    actor.backward_batch(grad_logits, n, /*want_input_grads=*/false);
 
     actor_grads = actor.collect_gradients(/*zero_after=*/true);
     critic_grads = critic.collect_gradients(/*zero_after=*/true);

@@ -103,13 +103,6 @@ struct A3CConfig {
   /// depends only on episode ordinals); 1 — the default — keeps the
   /// single-lock layout. Range [1, 64].
   std::size_t param_shards = 1;
-  /// Run the per-episode update phase through the batched kernels: one
-  /// forward_batch/backward_batch over the episode's T stored states per
-  /// network plus fused loss-gradient rows, instead of 2T scalar passes.
-  /// Bit-identical to the scalar path by the DESIGN.md §7 contract (pinned
-  /// by test); the scalar path is kept as the reference implementation and
-  /// as the micro_train baseline.
-  bool batched_update = true;
   /// Sample training files proportionally to (0.2 + variability): the >80%
   /// near-stationary files (Fig. 2) need few samples to learn "stay put".
   bool sample_by_variability = true;

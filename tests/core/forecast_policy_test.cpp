@@ -4,8 +4,10 @@
 
 #include "core/optimal.hpp"
 #include "core/planner.hpp"
+#include "decide_one.hpp"
 #include "forecast/ewma.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -35,7 +37,7 @@ TEST(ForecastMpcTest, StaysPutBeforeMinHistory) {
   const PlanContext context{tr, azure, 0, tr.days(), initial};
   ForecastMpcPolicy policy;
   policy.prepare(context);
-  EXPECT_EQ(policy.decide(context, 0, 3, pricing::StorageTier::kCool),
+  EXPECT_EQ(decide_one(policy, context, 0, 3, pricing::StorageTier::kCool),
             pricing::StorageTier::kCool);
 }
 
@@ -109,33 +111,30 @@ TEST(ForecastMpcTest, CustomForecasterFactoryIsUsed) {
 }
 
 TEST(ForecastMpcTest, BatchedPlanMatchesScalarPlan) {
-  // MPC keeps per-file plan state, so the sharded decide_day must land on
-  // exactly the plan a fresh instance produces file by file.
-  const trace::RequestTrace tr = make_trace(60);
+  // MPC keeps per-file plan state, so the sharded decide_day (over 256
+  // files, on a 4-thread pool) must land on exactly the plan each file gets
+  // when it is planned alone, on a trace holding just that file.
+  const trace::RequestTrace tr = make_trace(300);
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  const std::size_t start_day = 15;
-  const std::vector<pricing::StorageTier> initial(
-      tr.file_count(), pricing::StorageTier::kCool);
-  const PlanContext context{tr, azure, start_day, tr.days(), initial};
-
-  ForecastMpcPolicy scalar;
-  EXPECT_TRUE(scalar.thread_safe_decide());
-  scalar.prepare(context);
-  sim::HorizonPlan reference;
-  std::vector<pricing::StorageTier> current = initial;
-  for (std::size_t day = start_day; day < tr.days(); ++day) {
-    sim::DayPlan day_plan(tr.file_count());
-    for (trace::FileId f = 0; f < tr.file_count(); ++f)
-      day_plan[f] = scalar.decide(context, f, day, current[f]);
-    current = day_plan;
-    reference.push_back(std::move(day_plan));
-  }
-
-  ForecastMpcPolicy batched;
+  util::ThreadPool pool(4);
   PlanOptions options;
-  options.start_day = start_day;
-  options.initial_tiers = initial;
-  EXPECT_EQ(run_policy(tr, azure, batched, options).plan, reference);
+  options.start_day = 15;
+  options.initial_tiers = static_initial_tiers(tr, azure, options.start_day);
+  options.pool = &pool;
+  ForecastMpcPolicy batched;
+  const sim::HorizonPlan plan = run_policy(tr, azure, batched, options).plan;
+
+  for (trace::FileId f = 0; f < tr.file_count(); ++f) {
+    const trace::RequestTrace alone(tr.days(), {tr.file(f)});
+    PlanOptions single = options;
+    single.initial_tiers = {options.initial_tiers[f]};
+    ForecastMpcPolicy scalar;
+    const sim::HorizonPlan reference =
+        run_policy(alone, azure, scalar, single).plan;
+    ASSERT_EQ(reference.size(), plan.size());
+    for (std::size_t t = 0; t < plan.size(); ++t)
+      EXPECT_EQ(plan[t][f], reference[t][0]) << "file " << f << " day " << t;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "decide_one.hpp"
 #include "sim/cost_model.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -31,10 +33,10 @@ TEST(GreedyPolicyTest, UsesYesterdaysObservation) {
   const std::vector<StorageTier> initial(1, StorageTier::kCool);
   const PlanContext context{tr, azure, 1, 4, initial};
   GreedyPolicy greedy;
-  EXPECT_EQ(greedy.decide(context, 0, 2, StorageTier::kCool),
+  EXPECT_EQ(decide_one(greedy, context, 0, 2, StorageTier::kCool),
             StorageTier::kCool);
   // On day 3 it has seen day 2's burst and moves to hot.
-  EXPECT_EQ(greedy.decide(context, 0, 3, StorageTier::kCool),
+  EXPECT_EQ(decide_one(greedy, context, 0, 3, StorageTier::kCool),
             StorageTier::kHot);
 }
 
@@ -44,7 +46,7 @@ TEST(GreedyPolicyTest, ClairvoyantSeesTheDecisionDay) {
   const std::vector<StorageTier> initial(1, StorageTier::kCool);
   const PlanContext context{tr, azure, 1, 4, initial};
   ClairvoyantGreedyPolicy oracle;
-  EXPECT_EQ(oracle.decide(context, 0, 2, StorageTier::kCool),
+  EXPECT_EQ(decide_one(oracle, context, 0, 2, StorageTier::kCool),
             StorageTier::kHot);
 }
 
@@ -57,7 +59,7 @@ TEST(GreedyPolicyTest, TwoTierGreedyNeverEntersArchive) {
   GreedyPolicy greedy;
   StorageTier tier = StorageTier::kCool;
   for (std::size_t day = 1; day < 6; ++day) {
-    tier = greedy.decide(context, 0, day, tier);
+    tier = decide_one(greedy, context, 0, day, tier);
     EXPECT_NE(tier, StorageTier::kArchive);
   }
 }
@@ -68,7 +70,7 @@ TEST(GreedyPolicyTest, ThreeTierVariantUsesArchiveForDeadFiles) {
   const std::vector<StorageTier> initial(1, StorageTier::kCool);
   const PlanContext context{tr, azure, 1, 4, initial};
   GreedyPolicy greedy3(/*include_archive=*/true);
-  EXPECT_EQ(greedy3.decide(context, 0, 1, StorageTier::kCool),
+  EXPECT_EQ(decide_one(greedy3, context, 0, 1, StorageTier::kCool),
             StorageTier::kArchive);
 }
 
@@ -80,7 +82,7 @@ TEST(GreedyPolicyTest, TwoTierGreedyMayKeepFileAlreadyInArchive) {
   const std::vector<StorageTier> initial(1, StorageTier::kArchive);
   const PlanContext context{tr, azure, 1, 4, initial};
   GreedyPolicy greedy;
-  EXPECT_EQ(greedy.decide(context, 0, 1, StorageTier::kArchive),
+  EXPECT_EQ(decide_one(greedy, context, 0, 1, StorageTier::kArchive),
             StorageTier::kArchive);
 }
 
@@ -96,22 +98,37 @@ TEST(GreedyPolicyTest, ChangeCostCreatesHysteresis) {
   const std::vector<StorageTier> initial(1, StorageTier::kCool);
   const PlanContext context{tr, azure, 1, 3, initial};
   GreedyPolicy greedy;
-  EXPECT_EQ(greedy.decide(context, 0, 1, StorageTier::kCool),
+  EXPECT_EQ(decide_one(greedy, context, 0, 1, StorageTier::kCool),
             StorageTier::kCool);
 }
 
 TEST(GreedyPolicyTest, DecideDayMatchesScalarDecide) {
-  const trace::RequestTrace tr = one_file({0.0, 0.0, 500.0, 500.0});
+  // The pooled daily pass over a wide trace (sharded: over 256 files)
+  // equals every file decided alone, on a trace holding just that file.
+  trace::SyntheticConfig config;
+  config.file_count = 300;
+  config.days = 8;
+  config.seed = 5;
+  const trace::RequestTrace tr = trace::generate_synthetic(config);
   const PricingPolicy azure = PricingPolicy::azure_2020();
-  const std::vector<StorageTier> initial(1, StorageTier::kCool);
-  const PlanContext context{tr, azure, 1, 4, initial};
-  GreedyPolicy greedy;
-  EXPECT_TRUE(greedy.thread_safe_decide());
-  for (std::size_t day = 1; day < 4; ++day) {
-    std::vector<StorageTier> batch(1);
-    greedy.decide_day(context, day, initial, batch);
-    EXPECT_EQ(batch[0], greedy.decide(context, 0, day, initial[0]))
-        << "day " << day;
+  std::vector<StorageTier> initial(tr.file_count());
+  for (std::size_t f = 0; f < initial.size(); ++f)
+    initial[f] = pricing::tier_from_index(f % pricing::kTierCount);
+  util::ThreadPool pool(4);
+  const PlanContext context{tr, azure, 1, tr.days(), initial, &pool};
+  for (const bool archive : {false, true}) {
+    GreedyPolicy greedy(archive);
+    for (std::size_t day = 1; day < tr.days(); ++day) {
+      std::vector<StorageTier> batch(tr.file_count());
+      greedy.decide_day(context, day, initial, batch);
+      for (trace::FileId f = 0; f < tr.file_count(); ++f) {
+        const trace::RequestTrace alone(tr.days(), {tr.file(f)});
+        const std::vector<StorageTier> tier{initial[f]};
+        const PlanContext single{alone, azure, 1, tr.days(), tier};
+        EXPECT_EQ(batch[f], decide_one(greedy, single, 0, day, initial[f]))
+            << "file " << f << " day " << day << " archive " << archive;
+      }
+    }
   }
 }
 

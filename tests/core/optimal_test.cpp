@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decide_one.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
@@ -129,7 +130,7 @@ TEST(OptimalPolicyTest, PreparedPlanMatchesPerFileDp) {
         optimal_sequence(azure, tr.file(f), 5, 20, StorageTier::kHot);
     expected_total += seq.cost;
     for (std::size_t day = 5; day < 20; ++day) {
-      EXPECT_EQ(policy.decide(context, f, day, StorageTier::kHot),
+      EXPECT_EQ(decide_one(policy, context, f, day, StorageTier::kHot),
                 seq.tiers[day - 5]);
     }
   }
@@ -147,9 +148,9 @@ TEST(OptimalPolicyTest, DecideOutsideWindowThrows) {
   const PlanContext context{tr, azure, 5, 15, initial};
   OptimalPolicy policy;
   policy.prepare(context);
-  EXPECT_THROW(policy.decide(context, 0, 2, StorageTier::kHot),
+  EXPECT_THROW(decide_one(policy, context, 0, 2, StorageTier::kHot),
                std::out_of_range);
-  EXPECT_THROW(policy.decide(context, 0, 17, StorageTier::kHot),
+  EXPECT_THROW(decide_one(policy, context, 0, 17, StorageTier::kHot),
                std::out_of_range);
 }
 
@@ -173,11 +174,14 @@ TEST(OptimalPolicyTest, DecideDayCopiesPrecomputedSequences) {
   for (std::size_t day = 1; day < days; ++day) {
     std::vector<StorageTier> batch(4);
     policy.decide_day(context, day, initial, batch);
-    for (trace::FileId f = 0; f < 4; ++f)
-      EXPECT_EQ(batch[f], policy.decide(context, f, day, initial[f]))
+    for (trace::FileId f = 0; f < 4; ++f) {
+      const OptimalSequence seq =
+          optimal_sequence(azure, tr.file(f), 1, days, initial[f]);
+      EXPECT_EQ(batch[f], seq.tiers[day - 1])
           << "file " << f << " day " << day;
+    }
   }
-  // Outside the prepared window the batch path throws like the scalar one.
+  // Outside the prepared window decide_day throws.
   std::vector<StorageTier> batch(4);
   EXPECT_THROW(policy.decide_day(context, days + 1, initial, batch),
                std::out_of_range);

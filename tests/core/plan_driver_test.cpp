@@ -52,13 +52,10 @@ class CountingGreedy final : public TieringPolicy {
     ++prepare_calls;
     inner_.prepare(context);
   }
-  pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
-                              std::size_t day,
-                              pricing::StorageTier current) override {
-    return inner_.decide(context, file, day, current);
-  }
-  bool thread_safe_decide() const noexcept override {
-    return inner_.thread_safe_decide();
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override {
+    inner_.decide_day(context, day, current, out_plan);
   }
 
   std::size_t prepare_calls = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decide_one.hpp"
 #include "trace/synthetic.hpp"
 
 namespace minicost::core {
@@ -23,8 +24,9 @@ TEST(AlwaysTierPolicyTest, HotAlwaysReturnsHot) {
   auto hot = make_hot_policy();
   for (trace::FileId f = 0; f < 10; ++f) {
     for (std::size_t day = 0; day < 10; ++day) {
-      EXPECT_EQ(hot->decide(context, f, day, pricing::StorageTier::kArchive),
-                pricing::StorageTier::kHot);
+      EXPECT_EQ(
+          decide_one(*hot, context, f, day, pricing::StorageTier::kArchive),
+          pricing::StorageTier::kHot);
     }
   }
 }
@@ -41,7 +43,7 @@ TEST(AlwaysTierPolicyTest, ColdMapsToCoolTier) {
   const std::vector<pricing::StorageTier> initial(10, pricing::StorageTier::kHot);
   const PlanContext context{tr, azure, 0, 10, initial};
   auto cold = make_cold_policy();
-  EXPECT_EQ(cold->decide(context, 0, 0, pricing::StorageTier::kHot),
+  EXPECT_EQ(decide_one(*cold, context, 0, 0, pricing::StorageTier::kHot),
             pricing::StorageTier::kCool);
 }
 

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <memory>
+#include <string>
+
 #include "core/planner.hpp"
+#include "decide_one.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -40,7 +47,7 @@ TEST(RlPolicyTest, StaysPutBeforeFullHistory) {
   const std::vector<pricing::StorageTier> initial(tr.file_count(),
                                                   pricing::StorageTier::kCool);
   const PlanContext context{tr, azure, 0, tr.days(), initial};
-  EXPECT_EQ(policy.decide(context, 0, 3, pricing::StorageTier::kCool),
+  EXPECT_EQ(decide_one(policy, context, 0, 3, pricing::StorageTier::kCool),
             pricing::StorageTier::kCool);
 }
 
@@ -71,8 +78,35 @@ TEST(RlPolicyTest, DecideDayMatchesScalarDecide) {
   // After warmup: one act_batch call equals the per-file act loop.
   policy.decide_day(context, 25, current, batch);
   for (trace::FileId f = 0; f < tr.file_count(); ++f)
-    EXPECT_EQ(batch[f], policy.decide(context, f, 25, current[f]))
+    EXPECT_EQ(batch[f],
+              pricing::tier_from_index(agent.act(
+                  agent.featurizer().encode(tr.file(f), 25, current[f]))))
         << "file " << f;
+}
+
+TEST(RlPolicyTest, OwnedAgentFromOptionsDecidesLikeBorrowedAgent) {
+  // make_rl_policy builds its own agent from the options and loads the
+  // checkpoint over the seed's initialization.
+  const trace::RequestTrace tr = make_trace();
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  rl::A3CAgent agent = make_agent();
+  const auto checkpoint =
+      std::filesystem::temp_directory_path() /
+      ("minicost_rl_policy_" + std::to_string(::getpid()) + ".txt");
+  agent.save(checkpoint);
+  RlPolicyOptions options;
+  options.agent = agent.config();
+  options.seed = 99;
+  options.checkpoint = checkpoint;
+  const std::unique_ptr<TieringPolicy> owned = make_rl_policy(options);
+  std::filesystem::remove(checkpoint);
+  RlPolicy borrowed(agent);
+  EXPECT_EQ(owned->name(), "MiniCost");
+
+  PlanOptions plan_options;
+  plan_options.start_day = 20;
+  EXPECT_EQ(run_policy(tr, azure, *owned, plan_options).plan,
+            run_policy(tr, azure, borrowed, plan_options).plan);
 }
 
 // Wider than act_batch's 256-row chunk, so the pool really splits days.

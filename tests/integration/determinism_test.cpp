@@ -1,13 +1,15 @@
 // Determinism: identical seeds produce identical traces, plans, and bills —
 // the property every reproducible figure rests on. Since the planning
-// pipeline batches and shards across threads, this suite also pins the two
-// contracts that keep it reproducible: decide_day == a scalar decide() loop,
-// and every result is byte-identical for every pool size.
+// pipeline batches and shards across threads, this suite also pins the
+// contracts that keep it reproducible: every plan is byte-identical for
+// every pool size, and decide_day equals its per-file oracles (A3CAgent::act
+// for MiniCost, optimal_sequence for Optimal).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "core/forecast_policy.hpp"
@@ -96,94 +98,98 @@ TEST(DeterminismTest, DifferentSeedsProduceDifferentAgents) {
   EXPECT_NE(probs[0], probs[1]);
 }
 
-// Reference plan: the pre-batching daily loop — scalar decide() per file,
-// current tiers carried day to day. decide_day must reproduce it exactly.
-sim::HorizonPlan scalar_reference_plan(const trace::RequestTrace& tr,
-                                       const pricing::PricingPolicy& pricing,
-                                       core::TieringPolicy& policy,
-                                       std::size_t start_day) {
-  const std::vector<pricing::StorageTier> initial =
-      core::static_initial_tiers(tr, pricing, start_day);
-  const core::PlanContext context{tr, pricing, start_day, tr.days(), initial};
-  policy.prepare(context);
-  sim::HorizonPlan plan;
-  std::vector<pricing::StorageTier> current = initial;
-  for (std::size_t day = start_day; day < tr.days(); ++day) {
-    sim::DayPlan day_plan(tr.file_count());
-    for (trace::FileId f = 0; f < tr.file_count(); ++f)
-      day_plan[f] = policy.decide(context, f, day, current[f]);
-    current = day_plan;
-    plan.push_back(std::move(day_plan));
-  }
+// The 300-file trace every equivalence test plans: wide enough that
+// decide_each_file shards a day across the pool (kParallelDecideGrain).
+trace::RequestTrace wide_trace() {
+  trace::SyntheticConfig tc = trace_config();
+  tc.file_count = 300;
+  return trace::generate_synthetic(tc);
+}
+
+constexpr std::size_t kEquivalenceStart = 15;
+
+sim::HorizonPlan plan_on(const trace::RequestTrace& tr,
+                         core::TieringPolicy& policy, util::ThreadPool& pool) {
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  core::PlanOptions options;
+  options.start_day = kEquivalenceStart;
+  options.initial_tiers =
+      core::static_initial_tiers(tr, azure, kEquivalenceStart);
+  options.pool = &pool;
+  return core::run_policy(tr, azure, policy, options).plan;
+}
+
+// Plans with one instance on a 1-thread pool and a fresh one on a 4-thread
+// pool; the plans must be byte-identical. Returns the plan.
+template <typename MakePolicy>
+sim::HorizonPlan expect_pool_size_independent(const trace::RequestTrace& tr,
+                                              MakePolicy make_policy) {
+  util::ThreadPool one(1), many(4);
+  auto serial = make_policy();
+  auto pooled = make_policy();
+  const sim::HorizonPlan plan = plan_on(tr, *serial, one);
+  EXPECT_EQ(plan, plan_on(tr, *pooled, many)) << "policy " << serial->name();
   return plan;
 }
 
-// Runs the batch path (run_policy -> decide_day, sharded over `pool`) on a
-// fresh `batch` instance and compares against `scalar`'s reference plan.
-void expect_batch_matches_scalar(core::TieringPolicy& scalar,
-                                 core::TieringPolicy& batch,
-                                 util::ThreadPool& pool) {
-  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  // Wide enough that the default decide_day shards the scalar loop across
-  // the pool (kParallelDecideGrain) instead of degrading to a serial loop.
-  trace::SyntheticConfig tc = trace_config();
-  tc.file_count = 300;
-  const trace::RequestTrace tr = trace::generate_synthetic(tc);
-  const std::size_t start_day = 15;
-  const sim::HorizonPlan reference =
-      scalar_reference_plan(tr, azure, scalar, start_day);
-  core::PlanOptions options;
-  options.start_day = start_day;
-  options.initial_tiers = core::static_initial_tiers(tr, azure, start_day);
-  options.pool = &pool;
-  const sim::HorizonPlan batched =
-      core::run_policy(tr, azure, batch, options).plan;
-  EXPECT_EQ(reference, batched) << "policy " << batch.name();
-}
-
 TEST(BatchScalarEquivalenceTest, StaticAndHistoryPolicies) {
-  util::ThreadPool pool(4);
-  {
-    auto a = core::make_hot_policy();
-    auto b = core::make_hot_policy();
-    expect_batch_matches_scalar(*a, *b, pool);
-  }
-  {
-    auto a = core::make_cold_policy();
-    auto b = core::make_cold_policy();
-    expect_batch_matches_scalar(*a, *b, pool);
-  }
-  {
-    core::GreedyPolicy a, b;
-    expect_batch_matches_scalar(a, b, pool);
-  }
-  {
-    core::ClairvoyantGreedyPolicy a, b;
-    expect_batch_matches_scalar(a, b, pool);
-  }
-  {
-    core::OptimalPolicy a, b;
-    expect_batch_matches_scalar(a, b, pool);
+  const trace::RequestTrace tr = wide_trace();
+  expect_pool_size_independent(tr, [] { return core::make_hot_policy(); });
+  expect_pool_size_independent(tr, [] { return core::make_cold_policy(); });
+  expect_pool_size_independent(
+      tr, [] { return std::make_unique<core::GreedyPolicy>(); });
+  expect_pool_size_independent(
+      tr, [] { return std::make_unique<core::ClairvoyantGreedyPolicy>(); });
+
+  // Optimal's plan is also each file's own DP sequence.
+  const sim::HorizonPlan optimal = expect_pool_size_independent(
+      tr, [] { return std::make_unique<core::OptimalPolicy>(); });
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  const std::vector<pricing::StorageTier> initial =
+      core::static_initial_tiers(tr, azure, kEquivalenceStart);
+  for (trace::FileId f = 0; f < tr.file_count(); ++f) {
+    const core::OptimalSequence seq = core::optimal_sequence(
+        azure, tr.file(f), kEquivalenceStart, tr.days(), initial[f]);
+    for (std::size_t t = 0; t < optimal.size(); ++t)
+      EXPECT_EQ(optimal[t][f], seq.tiers[t]) << "file " << f << " day " << t;
   }
 }
 
 TEST(BatchScalarEquivalenceTest, StatefulPolicies) {
-  util::ThreadPool pool(4);
-  core::ForecastMpcPolicy a, b;
-  expect_batch_matches_scalar(a, b, pool);
+  expect_pool_size_independent(
+      wide_trace(), [] { return std::make_unique<core::ForecastMpcPolicy>(); });
 }
 
 TEST(BatchScalarEquivalenceTest, RlPolicyGreedyAndSampled) {
+  const trace::RequestTrace tr = wide_trace();
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   util::ThreadPool pool(4);
   rl::A3CConfig config;
   config.filters = 8;
   config.hidden = 8;
   config.workers = 1;
   rl::A3CAgent agent(config, 77);
+  const rl::Featurizer& featurizer = agent.featurizer();
   for (const bool greedy : {true, false}) {
-    core::RlPolicy a(agent, greedy);
-    core::RlPolicy b(agent, greedy);
-    expect_batch_matches_scalar(a, b, pool);
+    core::RlPolicy policy(agent, greedy);
+    const sim::HorizonPlan plan = plan_on(tr, policy, pool);
+
+    // Oracle: the daily loop of per-file act() on the encoded state, tiers
+    // carried day to day; every file stays put until a full history exists.
+    std::vector<pricing::StorageTier> current =
+        core::static_initial_tiers(tr, azure, kEquivalenceStart);
+    sim::HorizonPlan reference;
+    for (std::size_t day = kEquivalenceStart; day < tr.days(); ++day) {
+      sim::DayPlan day_plan = current;
+      if (day >= featurizer.history_len()) {
+        for (trace::FileId f = 0; f < tr.file_count(); ++f)
+          day_plan[f] = pricing::tier_from_index(agent.act(
+              featurizer.encode(tr.file(f), day, current[f]), greedy));
+      }
+      current = day_plan;
+      reference.push_back(std::move(day_plan));
+    }
+    EXPECT_EQ(plan, reference) << "greedy=" << greedy;
   }
 }
 

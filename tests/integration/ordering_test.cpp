@@ -4,6 +4,8 @@
 // not here — training at full quality is too slow for a unit suite.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/greedy.hpp"
 #include "core/metrics.hpp"
 #include "core/optimal.hpp"
@@ -107,10 +109,11 @@ TEST(OrderingTest, HigherVariabilityBucketsSaveMorePerFile) {
    public:
     std::string name() const override { return "Pinned"; }
     Knowledge knowledge() const noexcept override { return Knowledge::kNone; }
-    pricing::StorageTier decide(const PlanContext&, trace::FileId,
-                                std::size_t,
-                                pricing::StorageTier current) override {
-      return current;
+    void decide_day(const PlanContext& context, std::size_t,
+                    std::span<const pricing::StorageTier> current,
+                    std::span<pricing::StorageTier> out_plan) override {
+      check_batch_widths(context, current, out_plan);
+      std::copy(current.begin(), current.end(), out_plan.begin());
     }
   };
   PinnedPolicy pinned;

@@ -2,14 +2,10 @@
 """Tests for tools/lint_ast.py.
 
 Two layers:
-  * unit tests for the builtin frontend's lexer / type machinery, and
+  * unit tests for the frontend's lexer / type machinery, and
   * the committed good/bad fixture mini-trees under fixtures/ast/ — each
     bad fixture must fail with exactly its rule id, each good fixture must
-    be clean. The fixtures pin the builtin frontend (the reference backend:
-    its verdicts must not depend on what is installed).
-
-The clang frontend is exercised only when python clang.cindex is importable
-(skipped otherwise), and only for agreement on the billing fixture.
+    be clean.
 """
 
 import sys
@@ -25,7 +21,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "ast"
 
 
 def run_fixture(name: str):
-    return lint_ast.run(FIXTURES / name, frontend="builtin")
+    return lint_ast.run(FIXTURES / name)
 
 
 def rules_of(findings):
@@ -167,8 +163,7 @@ class RealTreeTest(unittest.TestCase):
     def test_repo_tree_is_clean(self):
         db = REPO_ROOT / "build" / "compile_commands.json"
         findings = lint_ast.run(
-            REPO_ROOT, compile_db=db if db.is_file() else None,
-            frontend="builtin")
+            REPO_ROOT, compile_db=db if db.is_file() else None)
         self.assertEqual([str(f) for f in findings], [])
 
     def test_repo_has_live_suppressions(self):
@@ -176,19 +171,6 @@ class RealTreeTest(unittest.TestCase):
         # argument; if they disappear the rule (or the code) changed.
         text = (REPO_ROOT / "src" / "sim" / "billing.cpp").read_text()
         self.assertIn("lint-ast: allow(billing-exact-sum)", text)
-
-
-class ClangFrontendTest(unittest.TestCase):
-    def setUp(self):
-        try:
-            import clang.cindex  # noqa: F401
-        except ImportError:
-            self.skipTest("python clang.cindex not installed")
-
-    def test_agrees_with_builtin_on_billing_fixture(self):
-        findings = lint_ast.run(FIXTURES / "billing" / "bad",
-                                frontend="clang")
-        self.assertEqual(rules_of(findings), ["billing-exact-sum"])
 
 
 if __name__ == "__main__":

@@ -326,10 +326,13 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
   // Full conv trunk (the actor/critic architecture). The batched pass must
   // accumulate exactly the gradients of per-row forward()+backward() calls
   // in ascending row order, 0 ULP, and return identical input-grad rows.
+  // So must the trainer's rollout-stash arming: per-row forward() +
+  // append_train_row(), then backward_batch without input grads.
   for (const std::size_t batch : {1u, 2u, 14u, 64u}) {
-    util::Rng rng_a(23), rng_b(23);
+    util::Rng rng_a(23), rng_b(23), rng_c(23);
     Network batched = build_trunk(14, 12, 16, 4, 16, 3, rng_a);
     Network scalar = build_trunk(14, 12, 16, 4, 16, 3, rng_b);
+    Network stashed = build_trunk(14, 12, 16, 4, 16, 3, rng_c);
     util::Rng data(500 + batch);
     std::vector<double> input(batch * batched.input_size());
     std::vector<double> grad_rows(batch * batched.output_size());
@@ -352,10 +355,26 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
     }
     const auto grads_scalar = scalar.collect_gradients(/*zero_after=*/true);
 
+    stashed.begin_train_batch();
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::span<const double> row(input.data() + b * in_w, in_w);
+      stashed.forward(row);
+      stashed.append_train_row(row);
+    }
+    EXPECT_TRUE(stashed
+                    .backward_batch(grad_rows, batch,
+                                    /*want_input_grads=*/false)
+                    .empty());
+    const auto grads_stashed = stashed.collect_gradients(/*zero_after=*/true);
+
     ASSERT_EQ(grads_batched.size(), grads_scalar.size());
-    for (std::size_t i = 0; i < grads_batched.size(); ++i)
+    ASSERT_EQ(grads_stashed.size(), grads_scalar.size());
+    for (std::size_t i = 0; i < grads_batched.size(); ++i) {
       EXPECT_EQ(grads_batched[i], grads_scalar[i])
           << "batch=" << batch << " grad " << i;
+      EXPECT_EQ(grads_stashed[i], grads_scalar[i])
+          << "batch=" << batch << " stashed grad " << i;
+    }
     ASSERT_EQ(grad_in_batched.size(), grad_in_scalar.size());
     for (std::size_t i = 0; i < grad_in_batched.size(); ++i)
       EXPECT_EQ(grad_in_batched[i], grad_in_scalar[i])

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/rng.hpp"
 
 namespace minicost::nn {
 namespace {
@@ -131,6 +134,85 @@ TEST(ClipByGlobalNormTest, NonPositiveLimitIsNoop) {
   std::vector<double> xs{30.0, 40.0};
   clip_by_global_norm(xs, 0.0);
   EXPECT_DOUBLE_EQ(xs[0], 30.0);
+}
+
+// The A3C actor-loss gradient of one episode step, as the trainer computes
+// it per step: softmax, entropy, then policy-gradient + entropy terms
+// scaled by 1/n. policy_entropy_grad_rows must reproduce it to 0 ULP.
+std::vector<double> scalar_policy_entropy_grad(std::span<const double> logits,
+                                               std::size_t action,
+                                               double advantage, double beta,
+                                               double inv_n) {
+  const std::vector<double> pi = softmax(logits);
+  const double h = entropy(pi);
+  std::vector<double> grad(pi.size());
+  for (std::size_t a = 0; a < pi.size(); ++a) {
+    // d(-log π(a*))/dz_a = π_a - 1{a = a*}; scaled by the advantage.
+    const double pg = (pi[a] - (a == action ? 1.0 : 0.0)) * advantage;
+    // Entropy ascent: dH/dz_a = -π_a (log π_a + H); descend its negative.
+    const double ent = beta * pi[a] * (std::log(std::max(pi[a], 1e-12)) + h);
+    grad[a] = (pg + ent) * inv_n;
+  }
+  return grad;
+}
+
+TEST(LossGradRowsTest, PolicyEntropyGradRowsMatchesScalarFormula) {
+  constexpr std::size_t kWidth = 3;
+  for (const std::size_t rows : {1u, 14u}) {
+    for (const double beta : {0.0, 0.15}) {
+      util::Rng rng(300 + rows);
+      std::vector<double> logits(rows * kWidth);
+      for (double& z : logits) z = rng.normal(0.0, 2.0);
+      // Row 0 softmaxes to exactly one-hot, so its two 0-probability
+      // actions take the 1e-12 log clamp.
+      logits[0] = -1000.0;
+      logits[1] = 0.0;
+      logits[2] = -2000.0;
+      std::vector<std::size_t> chosen(rows);
+      std::vector<double> advantages(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        chosen[r] = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kWidth) - 1));
+        advantages[r] = rng.normal(0.0, 1.0);
+      }
+      const double inv_n = 1.0 / static_cast<double>(rows);
+
+      std::vector<double> probs(rows * kWidth);
+      softmax_rows(logits, rows, probs);
+      ASSERT_EQ(probs[0], 0.0);
+      ASSERT_EQ(probs[1], 1.0);
+      std::vector<double> grad(rows * kWidth);
+      policy_entropy_grad_rows(probs, rows, chosen, advantages, beta, inv_n,
+                               grad);
+
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::vector<double> want = scalar_policy_entropy_grad(
+            std::span<const double>(logits.data() + r * kWidth, kWidth),
+            chosen[r], advantages[r], beta, inv_n);
+        for (std::size_t a = 0; a < kWidth; ++a)
+          EXPECT_EQ(grad[r * kWidth + a], want[a])
+              << "rows=" << rows << " beta=" << beta << " row " << r
+              << " action " << a;
+      }
+    }
+  }
+}
+
+TEST(LossGradRowsTest, MseGradRowsMatchesScalarFormula) {
+  for (const std::size_t rows : {1u, 14u}) {
+    util::Rng rng(400 + rows);
+    std::vector<double> values(rows), returns(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      values[i] = rng.normal(0.0, 3.0);
+      returns[i] = rng.normal(0.0, 3.0);
+    }
+    const double inv_n = 1.0 / static_cast<double>(rows);
+    std::vector<double> grad(rows);
+    mse_grad_rows(values, returns, inv_n, grad);
+    for (std::size_t i = 0; i < rows; ++i)
+      EXPECT_EQ(grad[i], 2.0 * (values[i] - returns[i]) * inv_n)
+          << "rows=" << rows << " row " << i;
+  }
 }
 
 }  // namespace

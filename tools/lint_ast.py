@@ -39,22 +39,12 @@ chains, or the build graph:
                        — re-entering it with a mutex held is a lock-inversion
                        deadlock waiting for load (DESIGN.md §8).
 
-Frontends: the rule engine runs on a backend-neutral "semantic facts" model
-(declared types, alias tables, call edges, lock-held regions), so the C++
-frontend is pluggable:
-
-  --frontend=builtin  the bundled micro-frontend: tokenizer + scope/type/
-                      call-graph extractor, stdlib-only. The *reference*
-                      backend — the fixture suite in tests/lint/ pins it.
-  --frontend=clang    libclang (python clang.cindex) over
-                      compile_commands.json where installed; parses real
-                      ASTs, so it also sees through macros and overload
-                      resolution. Falls back to builtin with a warning when
-                      libclang is unavailable.
-  --frontend=auto     clang if importable, else builtin.
-
-The default is builtin: lint verdicts must not depend on what happens to be
-installed on the machine running them.
+Frontend: the rule engine runs on a backend-neutral "semantic facts" model
+(declared types, alias tables, call edges, lock-held regions) that the
+bundled micro-frontend extracts: tokenizer + scope/type/call-graph
+extractor, stdlib-only, pinned by the fixture suite in tests/lint/. Being
+stdlib-only, lint verdicts do not depend on what happens to be installed on
+the machine running them.
 
 The translation-unit set comes from compile_commands.json (pass
 --compile-commands or let it find build/compile_commands.json); without one
@@ -236,7 +226,7 @@ def tokenize(code_lines: list[str]) -> list[Tok]:
 
 
 # --------------------------------------------------------------------------
-# Semantic facts: the backend-neutral model both frontends produce.
+# Semantic facts: the backend-neutral model the frontend produces.
 #
 # Expression references defer type resolution: the frontend records the base
 # identifier (with its locally-declared raw type, if the base is a local or
@@ -1353,170 +1343,6 @@ def rule_lock_pool_callback(index: Index) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Optional clang.cindex frontend.
-# --------------------------------------------------------------------------
-
-def extract_clang(root: Path, rels: list[str],
-                  compile_db: Path | None) -> dict[str, FileFacts] | None:
-    """Parses each TU with libclang and lowers the cursors into the same
-    FileFacts model the builtin frontend produces. Returns None when
-    libclang is unavailable so the caller can fall back."""
-    try:
-        from clang import cindex  # type: ignore
-        index = cindex.Index.create()
-    except Exception as err:  # pragma: no cover - environment dependent
-        print(f"lint_ast: clang frontend unavailable ({err}); "
-              "falling back to builtin", file=sys.stderr)
-        return None
-
-    args_by_file: dict[str, list[str]] = {}
-    if compile_db and compile_db.is_file():
-        for entry in json.loads(compile_db.read_text()):
-            path = str(Path(entry["directory"]) / entry["file"])
-            raw = entry.get("arguments") or entry.get("command", "").split()
-            args = [a for a in raw[1:] if not a.endswith(".cpp") and
-                    a not in ("-c", "-o") and not a.endswith(".o")]
-            args_by_file[str(Path(path).resolve())] = args
-
-    ck = cindex.CursorKind
-    files: dict[str, FileFacts] = {}
-
-    def rel_of(cursor) -> str | None:
-        loc = cursor.location
-        if loc.file is None:
-            return None
-        try:
-            return Path(loc.file.name).resolve().relative_to(root).as_posix()
-        except ValueError:
-            return None
-
-    def facts_for(rel: str) -> FileFacts:
-        return files.setdefault(rel, FileFacts(rel=rel))
-
-    def canon_type(ctype) -> str:
-        return ctype.get_canonical().spelling.replace(" ", "")
-
-    def lower_function(cursor, rel: str) -> None:
-        cls = None
-        sem = cursor.semantic_parent
-        if sem is not None and sem.kind in (ck.CLASS_DECL, ck.STRUCT_DECL):
-            cls = sem.spelling
-        fn = FunctionFacts(
-            qname=f"{cls}::{cursor.spelling}" if cls else cursor.spelling,
-            name=cursor.spelling, cls=cls, rel=rel,
-            line=cursor.location.line)
-        facts_for(rel).functions.append(fn)
-        lock_extents: list[tuple[int, int]] = []
-
-        def locked(line: int) -> bool:
-            return any(a <= line <= b for a, b in lock_extents)
-
-        def walk(node):
-            for child in node.get_children():
-                kind = child.kind
-                line = child.location.line
-                if kind == ck.VAR_DECL:
-                    t = canon_type(child.type)
-                    fn.constructions.append((line, t))
-                    if LOCK_TYPE_RE.search(t):
-                        ext = child.semantic_parent.extent \
-                            if child.semantic_parent else node.extent
-                        lock_extents.append((line, ext.end.line))
-                elif kind == ck.COMPOUND_ASSIGNMENT_OPERATOR:
-                    kids = list(child.get_children())
-                    if kids:
-                        t = canon_type(kids[0].type)
-                        fn.compound_adds.append(
-                            (line, ExprRef(base="", base_type=t,
-                                           text=_tokens_text(child))))
-                elif kind == ck.CXX_FOR_RANGE_STMT:
-                    kids = list(child.get_children())
-                    if len(kids) >= 2:
-                        t = canon_type(kids[1].type)
-                        fn.range_fors.append(
-                            (line, ExprRef(base="", base_type=t,
-                                           text=_tokens_text(kids[1]))))
-                elif kind == ck.CALL_EXPR:
-                    ref = child.referenced
-                    name = child.spelling or ""
-                    qual = ""
-                    recv_type = None
-                    if ref is not None:
-                        sp = ref.semantic_parent
-                        if sp is not None and sp.kind in (ck.CLASS_DECL,
-                                                          ck.STRUCT_DECL):
-                            qual = f"{sp.spelling}::{ref.spelling}"
-                            recv_type = sp.spelling
-                    site = CallSite(line=line, name=name, qual=qual,
-                                    receiver=ExprRef(
-                                        base="", base_type=recv_type)
-                                    if recv_type else None)
-                    fn.calls.append(site)
-                    if locked(line):
-                        fn.locked_calls.append(site)
-                walk(child)
-
-        def _tokens_text(node) -> str:
-            try:
-                return " ".join(t.spelling for t in node.get_tokens())[:60]
-            except Exception:
-                return ""
-
-        walk(cursor)
-
-    def visit(cursor):
-        for child in cursor.get_children():
-            rel = rel_of(child)
-            if rel is None:
-                continue
-            kind = child.kind
-            if kind in (ck.NAMESPACE, ck.UNEXPOSED_DECL):
-                visit(child)
-            elif kind in (ck.CLASS_DECL, ck.STRUCT_DECL) and \
-                    child.is_definition():
-                cf = facts_for(rel).classes.setdefault(
-                    child.spelling,
-                    ClassFacts(name=child.spelling, rel=rel))
-                for member in child.get_children():
-                    if member.kind == ck.FIELD_DECL:
-                        cf.members[member.spelling] = canon_type(member.type)
-                        if any("guarded_by" in (a.spelling or "")
-                               for a in member.get_children()):
-                            cf.guarded = True
-                    elif member.kind == ck.CXX_METHOD and \
-                            member.is_definition():
-                        cf.method_returns.setdefault(
-                            member.spelling,
-                            canon_type(member.result_type))
-                        lower_function(member, rel)
-                visit(child)
-            elif kind in (ck.FUNCTION_DECL, ck.CXX_METHOD, ck.CONSTRUCTOR,
-                          ck.DESTRUCTOR) and child.is_definition():
-                lower_function(child, rel)
-            elif kind == ck.TYPE_ALIAS_DECL or kind == ck.TYPEDEF_DECL:
-                try:
-                    facts_for(rel).aliases[child.spelling] = \
-                        canon_type(child.underlying_typedef_type)
-                except Exception:
-                    pass
-
-    for rel in rels:
-        if not rel.endswith(".cpp"):
-            continue
-        path = root / rel
-        args = args_by_file.get(str(path.resolve()),
-                                ["-std=c++20", f"-I{root / 'src'}"])
-        try:
-            tu = index.parse(str(path), args=args)
-        except Exception as err:  # pragma: no cover
-            print(f"lint_ast: clang parse failed for {rel} ({err}); "
-                  "falling back to builtin", file=sys.stderr)
-            return None
-        visit(tu.cursor)
-    return files
-
-
-# --------------------------------------------------------------------------
 # Suppressions (shared semantics with lint_contract.py, distinct tag).
 # --------------------------------------------------------------------------
 
@@ -1590,8 +1416,7 @@ def discover_files(root: Path, compile_db: Path | None) -> list[str]:
 
 
 def run(root: Path, paths: list[Path] | None = None,
-        compile_db: Path | None = None,
-        frontend: str = "builtin") -> list[Finding]:
+        compile_db: Path | None = None) -> list[Finding]:
     root = root.resolve()
     if paths:
         rels = []
@@ -1614,14 +1439,8 @@ def run(root: Path, paths: list[Path] | None = None,
         except OSError:
             raw_by_rel[rel] = []
 
-    files: dict[str, FileFacts] | None = None
-    if frontend in ("clang", "auto"):
-        files = extract_clang(root, rels, compile_db)
-        if files is None and frontend == "clang":
-            frontend = "builtin"
-    if files is None:
-        files = {rel: extract_builtin(rel, "\n".join(raw_by_rel[rel]))
-                 for rel in rels}
+    files = {rel: extract_builtin(rel, "\n".join(raw_by_rel[rel]))
+             for rel in rels}
     index = Index(files)
     scope_dirs = core_link_closure(root)
 
@@ -1688,9 +1507,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--compile-commands", type=Path, default=None,
                         help="compile_commands.json (default: "
                              "<root>/build/compile_commands.json if present)")
-    parser.add_argument("--frontend", choices=("builtin", "clang", "auto"),
-                        default="builtin",
-                        help="C++ frontend (default: builtin)")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="specific files to lint (default: the "
                              "compile_commands TU set + headers)")
@@ -1703,7 +1519,7 @@ def main(argv: list[str] | None = None) -> int:
     if compile_db is None:
         candidate = root / "build" / "compile_commands.json"
         compile_db = candidate if candidate.is_file() else None
-    findings = run(root, args.paths or None, compile_db, args.frontend)
+    findings = run(root, args.paths or None, compile_db)
     for finding in findings:
         print(finding)
     if findings:
