@@ -9,15 +9,14 @@
 //    "batched_episodes_per_sec":...,"batched_update_step_ns":..., ...}
 //
 // A second section measures multi-worker training scaling: end-to-end
-// episodes/second at 1/2/4/8/16 workers on the sharded parameter server
+// episodes/second at 1/2/4/8/16 workers on the single-lock parameter server
 // (ParamServer, DESIGN.md §14), plus the derived scaling_4w speedup and
 // parallel_efficiency_4w = scaling_4w / 4 that the CI perf gate reads.
 //
 // MINICOST_SCALE overrides the trace file count (default 2000);
 // MINICOST_SEED the trace/agent seed;
-// MINICOST_TRAIN_SHARDS the parameter shard count for the scaling runs
-// (default 8); MINICOST_TRAIN_SCALING_EPISODES the episodes per scaling
-// point (default 1500).
+// MINICOST_TRAIN_SCALING_EPISODES the episodes per scaling point (default
+// 1500).
 
 #include <cstdio>
 #include <string>
@@ -72,14 +71,13 @@ Measurement measure(const trace::RequestTrace& trace, std::size_t episodes) {
 }
 
 // End-to-end episodes/second of a fresh fixed-seed agent trained with
-// `workers` threads on `shards` parameter shards (deterministic wavefront
-// path; no init racing so the measured phase is pure training).
-double scaling_eps_per_sec(std::size_t workers, std::size_t shards,
+// `workers` threads (deterministic wavefront path; no init racing so the
+// measured phase is pure training).
+double scaling_eps_per_sec(std::size_t workers,
                            const trace::RequestTrace& trace,
                            std::size_t episodes) {
   rl::A3CConfig config;
   config.workers = workers;
-  config.param_shards = shards;
   config.init_candidates = 1;
   rl::A3CAgent agent(config, util::bench_seed());
 
@@ -115,25 +113,21 @@ int main() {
   // Worker-scaling sweep: the same workload trained end to end at each
   // worker count. Counts beyond the hardware thread count still run (the
   // wavefront schedule tolerates oversubscription) but carry no gate.
-  const auto shards = static_cast<std::size_t>(
-      util::env_int("MINICOST_TRAIN_SHARDS", 8));
   const auto scaling_episodes = static_cast<std::size_t>(
       util::env_int("MINICOST_TRAIN_SCALING_EPISODES", 1500));
   const std::size_t hardware_threads = std::thread::hardware_concurrency();
   const std::vector<std::size_t> worker_counts{1, 2, 4, 8, 16};
   std::vector<double> worker_eps;
   for (std::size_t workers : worker_counts)
-    worker_eps.push_back(
-        scaling_eps_per_sec(workers, shards, trace, scaling_episodes));
+    worker_eps.push_back(scaling_eps_per_sec(workers, trace, scaling_episodes));
   const double scaling_4w = worker_eps[2] / worker_eps[0];
   const double efficiency_4w = scaling_4w / 4.0;
 
   std::printf(
       "{\"bench\":\"micro_train\",\"files\":%zu,\"episodes\":%zu,"
       "\"batched_episodes_per_sec\":%.1f,\"batched_update_step_ns\":%.1f,"
-      "\"param_shards\":%zu,\"hardware_threads\":%zu",
-      files, episodes, batched_eps_sec, batched_step_ns, shards,
-      hardware_threads);
+      "\"hardware_threads\":%zu",
+      files, episodes, batched_eps_sec, batched_step_ns, hardware_threads);
   for (std::size_t i = 0; i < worker_counts.size(); ++i)
     std::printf(",\"train_eps_per_sec_w%zu\":%.1f", worker_counts[i],
                 worker_eps[i]);

@@ -78,14 +78,12 @@ A3CAgent::A3CAgent(A3CConfig config, std::uint64_t seed)
     throw std::invalid_argument("A3CAgent: episode_len must be > 0");
   if (config.gamma < 0.0 || config.gamma > 1.0)
     throw std::invalid_argument("A3CAgent: gamma outside [0, 1]");
-  if (config.param_shards == 0 || config.param_shards > 64)
-    throw std::invalid_argument("A3CAgent: param_shards outside [1, 64]");
   util::Rng init_rng = seed_rng_.fork(kInitStream);
   actor_ = make_actor(config_, featurizer_, init_rng);
   critic_ = make_critic(config_, featurizer_, init_rng);
   const A3CConfig& cfg = config_;
   server_ = std::make_unique<ParamServer>(
-      config_.param_shards, [cfg]() { return make_optimizer(cfg); });
+      [cfg]() { return make_optimizer(cfg); });
   util::MutexLock lock(param_mutex_);
   server_->assign(actor_.snapshot_parameters(), critic_.snapshot_parameters());
   net_sync_version_ = server_->version();
@@ -116,11 +114,14 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
   nn::Network& critic = ctx.critic;
   // Sync local nets from the parameter server. The wavefront sync admits
   // this episode in ordinal order, so the staged parameters are a pure
-  // function of the ordinal. The per-shard copies run under shard locks; the
-  // network load happens outside every lock.
-  server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
-  actor.load_parameters(ctx.actor_stage);
-  critic.load_parameters(ctx.critic_stage);
+  // function of the ordinal. The copy runs under the server's lock; the
+  // network load happens outside it.
+  {
+    MC_OBS_SCOPE("rl.a3c.sync");
+    server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
+    actor.load_parameters(ctx.actor_stage);
+    critic.load_parameters(ctx.critic_stage);
+  }
   actor.zero_gradients();
   critic.zero_gradients();
 
@@ -231,7 +232,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     // current initialization's start. The clock is the episode's lifetime
     // ordinal, not the racy episodes_ counter: at any worker count the
     // warmup schedule is then a pure function of the ordinal, which the
-    // cross-worker/cross-shard bit-identity contract requires.
+    // run-to-run determinism contract requires.
     const std::size_t warmup_start =
         warmup_start_.load(std::memory_order_relaxed);
     const std::size_t episodes_done =
@@ -273,9 +274,9 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
 
   {
     MC_OBS_SCOPE("rl.a3c.opt_step");
-    // Wavefront apply: per-shard in-place SIMD optimizer steps, admitted in
-    // episode order (admission wait lands in the
-    // rl.a3c.opt_step[.shardN].lock_wait_ns counters).
+    // Wavefront apply: in-place SIMD optimizer steps, admitted in episode
+    // order (admission wait lands in the rl.a3c.opt_step.lock_wait_ns
+    // counter).
     server_->apply(round_episode, actor_grads, critic_grads);
   }
   return outcome;
@@ -365,8 +366,8 @@ void A3CAgent::train(const trace::RequestTrace& trace,
       }
       remaining -= probe;
     }
-    // The winner restarts with fresh optimizer state (assign() resets the
-    // per-shard slices); actor_/critic_ refresh lazily on the next read.
+    // The winner restarts with fresh optimizer state (assign() resets both
+    // optimizers); actor_/critic_ refresh lazily on the next read.
     server_->assign(std::move(best_actor), std::move(best_critic));
     // The winner continues mid-schedule: give it the post-warmup floor.
     warmup_start_.store(

@@ -94,15 +94,6 @@ struct A3CConfig {
   // Episodes.
   std::size_t episode_len = 14;  ///< days per training episode
   std::size_t workers = 2;       ///< asynchronous workers (threads)
-  /// Parameter-server lock sharding (DESIGN.md §14): the shared flat
-  /// parameter buffers are split into `param_shards` contiguous shards,
-  /// each with its own lock and optimizer slice, so concurrent workers
-  /// pipeline their sync/apply phases across shards instead of serializing
-  /// on one critical section. Results are bit-identical for every shard
-  /// count at a fixed worker count (the deterministic wavefront schedule
-  /// depends only on episode ordinals); 1 — the default — keeps the
-  /// single-lock layout. Range [1, 64].
-  std::size_t param_shards = 1;
   /// Sample training files proportionally to (0.2 + variability): the >80%
   /// near-stationary files (Fig. 2) need few samples to learn "stay put".
   bool sample_by_variability = true;
@@ -212,8 +203,10 @@ class A3CAgent {
 
   /// Runs `batch` training episodes across the configured workers; returns
   /// the aggregate outcome. Each episode's RNG stream derives from its
-  /// lifetime ordinal (rl/stream.hpp), so the result is a pure function of
-  /// the agent seed and episode count — not of worker or shard counts.
+  /// lifetime ordinal (rl/stream.hpp), and the worker count is the
+  /// parameter server's schedule window, so the result is a pure function
+  /// of the agent seed, episode count and worker count — not of thread
+  /// timing or how many threads actually run.
   EpisodeOutcome run_batch(const trace::RequestTrace& trace,
                            const pricing::PricingPolicy& policy,
                            const std::vector<double>& weights,
@@ -239,7 +232,7 @@ class A3CAgent {
   A3CConfig config_;
   Featurizer featurizer_;
 
-  // The authoritative learned state lives in the sharded parameter server
+  // The authoritative learned state lives in the parameter server
   // (rl/param_server.hpp, DESIGN.md §14); workers sync local nets from it
   // and apply gradients through it. actor_/critic_ are lazily-synced
   // materializations for the act/value/serialization paths, guarded by

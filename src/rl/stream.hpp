@@ -4,9 +4,9 @@
 // Every training episode draws its randomness (file choice, window start,
 // initial tier, ε-exploration) from one util::Rng forked off the agent seed
 // at a stream id derived here. The derivation is a pure function of the
-// *lifetime episode ordinal* — never of the worker id, the worker count, or
-// the parameter-shard count — so retuning parallelism can neither alias two
-// episodes onto one stream nor reshuffle which episode sees which stream.
+// *lifetime episode ordinal* — never of the worker id or the worker count —
+// so retuning parallelism can neither alias two episodes onto one stream nor
+// reshuffle which episode sees which stream.
 // (The previous scheme, fork(1 + epoch*1013 + round*131 + worker_id),
 // aliased freely: epoch 0/round 0/worker 131 collided with round 1/worker 0,
 // and raising the worker count re-dealt every stream.)
@@ -37,8 +37,8 @@ constexpr std::uint64_t episode_stream(std::uint64_t ordinal) noexcept {
   return (kEpisodeStreamTag << 56) | (ordinal & 0x00FF'FFFF'FFFF'FFFFULL);
 }
 
-// The derivation takes only the ordinal: worker count, worker id, and shard
-// count cannot enter by construction. These pin the space layout.
+// The derivation takes only the ordinal: worker count and worker id cannot
+// enter by construction. These pin the space layout.
 static_assert(episode_stream(0) == 0x4500'0000'0000'0000ULL);
 static_assert(episode_stream(1) - episode_stream(0) == 1,
               "episode streams must be consecutive (injective in ordinal)");

@@ -4,9 +4,14 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
+#include <unistd.h>
 
 #include "obs/metrics.hpp"
+#include "rl/stream.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -244,6 +249,39 @@ TEST(A3CAgentTest, MultiWorkerTrainingRuns) {
   EXPECT_EQ(agent.trained_episodes(), 60u);
 }
 
+std::string train_and_serialize(const A3CConfig& config, std::uint64_t seed,
+                                std::size_t episodes, const char* tag) {
+  A3CAgent agent(config, seed);
+  const trace::RequestTrace trace = small_trace();
+  TrainOptions options;
+  options.episodes = episodes;
+  options.report_every = episodes;
+  agent.train(trace, pricing::PricingPolicy::azure_2020(), options);
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("minicost_determinism_" + std::to_string(::getpid()) +
+                     "_" + tag + ".txt");
+  agent.save(path);
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+TEST(A3CAgentTest, MultiWorkerTrainingIsRunToRunDeterministic) {
+  // The wavefront schedule keys on (episode ordinal, worker window) only,
+  // so at a fixed worker count thread timing cannot move a single bit —
+  // including heavy oversubscription (8 workers on any host).
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+    A3CConfig config = tiny_config();
+    config.workers = workers;
+    const std::string first = train_and_serialize(config, 23, 150, "r1");
+    const std::string second = train_and_serialize(config, 23, 150, "r2");
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second) << "workers=" << workers;
+  }
+}
+
 TEST(A3CAgentTest, SaveLoadRoundTripsBehaviour) {
   A3CAgent agent(tiny_config(), 13);
   const trace::RequestTrace trace = small_trace();
@@ -297,6 +335,11 @@ TEST(A3CAgentTest, TrainValidatesTrace) {
 }
 
 TEST(A3CAgentTest, TrainingRecordsPhaseTimers) {
+  const auto timer_count = [](std::string_view name) -> std::uint64_t {
+    for (const auto& t : obs::Registry::global().timers())
+      if (t.name == name) return t.stats.count;
+    return 0;
+  };
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   A3CAgent agent(tiny_config(), 19);
@@ -304,23 +347,47 @@ TEST(A3CAgentTest, TrainingRecordsPhaseTimers) {
   TrainOptions options;
   options.episodes = 20;
   options.report_every = 20;
+  const std::uint64_t syncs_before = timer_count("rl.a3c.sync");
   agent.train(trace, pricing::PricingPolicy::azure_2020(), options);
   obs::set_enabled(was_enabled);
 
-  const auto timers = obs::Registry::global().timers();
-  const auto timer_count = [&](std::string_view name) -> std::uint64_t {
-    for (const auto& t : timers)
-      if (t.name == name) return t.stats.count;
-    return 0;
-  };
   EXPECT_GT(timer_count("rl.a3c.rollout"), 0u);
   EXPECT_GT(timer_count("rl.a3c.grad"), 0u);
   EXPECT_GT(timer_count("rl.a3c.opt_step"), 0u);
+  // One sync span per trained episode.
+  EXPECT_EQ(timer_count("rl.a3c.sync") - syncs_before, 20u);
 
   bool found_lock_wait = false;
   for (const auto& c : obs::Registry::global().counters())
     if (c.name == "rl.a3c.opt_step.lock_wait_ns") found_lock_wait = true;
   EXPECT_TRUE(found_lock_wait);
+}
+
+TEST(A3CStreamTest, EpisodeStreamsAreInjective) {
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t ordinal = 0; ordinal < 4096; ++ordinal)
+    seen.insert(episode_stream(ordinal));
+  EXPECT_EQ(seen.size(), 4096u);
+  // Worker reconfiguration cannot re-deal streams: the derivation has no
+  // other inputs, so equal ordinals map to equal streams...
+  EXPECT_EQ(episode_stream(7), episode_stream(7));
+  // ...and distant ordinals (different train() calls, different rounds)
+  // stay distinct.
+  EXPECT_NE(episode_stream(0), episode_stream(1'000'000));
+}
+
+TEST(A3CStreamTest, EpisodeStreamsNeverAliasLegacyFamilies) {
+  // The legacy families move with runtime counters (env steps, racing
+  // candidates); even extreme counter values stay below the tag byte.
+  const std::uint64_t huge_counter = 1ULL << 40;
+  EXPECT_EQ((kActStreamBase + huge_counter) >> 56, 0u);
+  EXPECT_EQ((kRacingStreamBase + huge_counter) >> 56, 0u);
+  EXPECT_EQ(kInitStream >> 56, 0u);
+  for (std::uint64_t ordinal : {std::uint64_t{0}, std::uint64_t{1} << 32,
+                                (std::uint64_t{1} << 56) - 1}) {
+    EXPECT_EQ(episode_stream(ordinal) >> 56, kEpisodeStreamTag)
+        << "ordinal " << ordinal;
+  }
 }
 
 }  // namespace
