@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "nn/conv1d.hpp"
+#include "nn/dense.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
@@ -49,6 +51,40 @@ void BM_NN_ForwardBatch(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_NN_ForwardBatch)->Arg(8)->Arg(32)->Arg(128);
+
+// The deployed trunk's two heavy layers on their own, each with its ReLU
+// fused, on the same 256-row chunk: conv 28/14/32/4 (input, prefix,
+// filters, kernel) and the Dense 366 -> 32 behind it. Together they are the
+// conv/Dense split of BM_NN_ForwardBatch/32.
+void run_layer_relu(benchmark::State& state, nn::Layer& layer) {
+  constexpr std::size_t kRows = 256;
+  util::Rng rng(3);
+  std::vector<double> input(kRows * layer.input_size());
+  for (double& x : input) x = rng.uniform(0.0, 1.0);
+  std::vector<double> output(kRows * layer.output_size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(layer.forward_batch_relu(input, output, kRows));
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRows),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_NN_ConvForwardBatchRelu(benchmark::State& state) {
+  util::Rng rng(1);
+  nn::Conv1DOverPrefix conv(28, 14, 32, 4, rng);
+  run_layer_relu(state, conv);
+}
+BENCHMARK(BM_NN_ConvForwardBatchRelu);
+
+void BM_NN_DenseForwardBatchRelu(benchmark::State& state) {
+  util::Rng rng(1);
+  nn::Dense dense(366, 32, rng);
+  run_layer_relu(state, dense);
+}
+BENCHMARK(BM_NN_DenseForwardBatchRelu);
 
 void BM_NN_ForwardBackward(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));

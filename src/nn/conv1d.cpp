@@ -1,7 +1,10 @@
 #include "nn/conv1d.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/kernel_dispatch.hpp"
@@ -9,49 +12,69 @@
 namespace minicost::nn {
 namespace {
 
-// Per row b and position p: acc[f] = bias[f] + sum_k x[p+k] * wt[k][f],
-// with wt the transposed filter bank (kernel x filters). As in the dense
-// GEMM, the unit-stride f loop is the vectorized dimension (independent
-// output elements) while each element keeps forward()'s
-// bias-then-taps-in-order accumulation, so rows stay bit-identical to the
-// scalar pass. The filters-wide accumulator lives in registers/L1; the
-// only strided stores are the final scatter into the f-major output row.
-// Filters are processed in fixed-width register tiles (constant-trip inner
-// loops promote the accumulators out of memory), mirroring the dense GEMM.
-// `relu` stores Relu's select (x > 0.0 ? x : 0.0) of each value instead of
-// the value itself, so a following Relu layer costs no extra pass.
-MINICOST_TARGET_CLONES void conv_wt_row_major(
-    const double* wt, const double* bias, const double* x, std::size_t input,
+// Forward kernel of forward_batch and forward_batch_relu, in forward()'s
+// loop order: filters outer, kF in flight, each filter's positions in
+// kLanes-wide tiles. A tile holds only independent outputs, each still
+// summing bias, then taps in order, so rows are bit-identical to forward()
+// on every ISA (FP contraction is off here). Each filter's outputs are one
+// unit-stride run; when kLanes does not divide pos, the last tile starts at
+// pos - kLanes and recomputes identical values, so no store leaves the conv
+// block. `xw` is the row's prefix, zero-padded so whole tiles can load.
+// Explicit vectors, because GCC autovectorizes this nest into in-order
+// scalar tap reductions (~10x slower). `relu` ANDs a tile with a bit mask
+// of Relu's select (sign clear, bits <= +inf's: NaN and -0.0 become +0.0);
+// GCC splits a double compare into scalar ones on AVX2 and baseline.
+constexpr std::size_t kLanes = 8;
+typedef double Tile __attribute__((vector_size(kLanes * sizeof(double))));
+typedef std::uint64_t TileBits __attribute__((vector_size(sizeof(Tile))));
+constexpr std::uint64_t kPosInfBits = 0x7FF0000000000000;
+
+template <std::size_t kF>
+[[gnu::always_inline]] inline void conv_filters(
+    const double* w, const double* bias, const double* xw, std::size_t pos,
+    std::size_t kernel, bool relu, double* y) {
+  const std::size_t last = pos < kLanes ? 0 : pos - kLanes;
+  for (std::size_t p0 = 0; p0 < pos; p0 += kLanes) {
+    const std::size_t p = std::min(p0, last);
+    Tile acc[kF];  // splat: b - (+0.0) is exactly b, -0.0 and NaN included
+    for (std::size_t j = 0; j < kF; ++j) acc[j] = bias[j] - Tile{};
+    for (std::size_t k = 0; k < kernel; ++k) {
+      Tile xv;
+      std::memcpy(&xv, xw + p + k, sizeof(Tile));
+      for (std::size_t j = 0; j < kF; ++j) acc[j] += xv * w[j * kernel + k];
+    }
+    for (std::size_t j = 0; j < kF; ++j) {
+      TileBits u = (TileBits)acc[j];
+      if (relu) u &= ((u >> 63) | ((kPosInfBits - u) >> 63)) - std::uint64_t{1};
+      if (pos >= kLanes)
+        std::memcpy(y + j * pos + p, &u, sizeof(Tile));
+      else
+        std::memcpy(y + j * pos, &u, pos * sizeof(double));
+    }
+  }
+}
+
+MINICOST_TARGET_CLONES void conv_forward(
+    const double* w, const double* bias, const double* x, std::size_t input,
     std::size_t prefix, std::size_t filters, std::size_t kernel,
     std::size_t out_width, std::size_t batch, bool relu, double* y) {
-  constexpr std::size_t kTile = 32;
+  constexpr std::size_t kF = 4;
   const std::size_t pos = prefix - kernel + 1;
+  std::vector<double> xw(std::max(prefix, kLanes + kernel - 1), 0.0);
   for (std::size_t b = 0; b < batch; ++b) {
-    const double* xb = x + b * input;
+    std::copy_n(x + b * input, prefix, xw.begin());
     double* yb = y + b * out_width;
-    for (std::size_t p = 0; p < pos; ++p) {
-      std::size_t f0 = 0;
-      for (; f0 + kTile <= filters; f0 += kTile) {
-        double acc[kTile];
-        for (std::size_t j = 0; j < kTile; ++j) acc[j] = bias[f0 + j];
-        for (std::size_t k = 0; k < kernel; ++k) {
-          const double xk = xb[p + k];
-          const double* w = wt + k * filters + f0;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += xk * w[j];
-        }
-        if (relu) {
-          for (std::size_t j = 0; j < kTile; ++j)
-            acc[j] = acc[j] > 0.0 ? acc[j] : 0.0;
-        }
-        for (std::size_t j = 0; j < kTile; ++j)
-          yb[(f0 + j) * pos + p] = acc[j];
-      }
-      for (; f0 < filters; ++f0) {
-        double sum = bias[f0];
-        for (std::size_t k = 0; k < kernel; ++k)
-          sum += xb[p + k] * wt[k * filters + f0];
-        yb[f0 * pos + p] = relu ? (sum > 0.0 ? sum : 0.0) : sum;
-      }
+    std::size_t f = 0;
+    for (; f + kF <= filters; f += kF)
+      conv_filters<kF>(w + f * kernel, bias + f, xw.data(), pos, kernel, relu,
+                       yb + f * pos);
+    for (; f < filters; ++f)
+      conv_filters<1>(w + f * kernel, bias + f, xw.data(), pos, kernel, relu,
+                      yb + f * pos);
+    // Aux features pass through; a fused Relu covers them too.
+    for (std::size_t a = prefix; a < input; ++a) {
+      const double v = x[b * input + a];
+      yb[filters * pos + a - prefix] = relu ? (v > 0.0 ? v : 0.0) : v;
     }
   }
 }
@@ -201,41 +224,20 @@ void Conv1DOverPrefix::forward(std::span<const double> in,
 void Conv1DOverPrefix::forward_batch(std::span<const double> in,
                                      std::span<double> out,
                                      std::size_t batch) {
-  run_batch(in, out, batch, /*relu=*/false);
+  assert(in.size() == batch * input_ && out.size() == batch * output_size());
+  conv_forward(params_.data(), params_.data() + bias_offset(), in.data(),
+               input_, prefix_, filters_, kernel_, output_size(), batch,
+               /*relu=*/false, out.data());
 }
 
 bool Conv1DOverPrefix::forward_batch_relu(std::span<const double> in,
                                           std::span<double> out,
                                           std::size_t batch) {
-  run_batch(in, out, batch, /*relu=*/true);
-  return true;
-}
-
-void Conv1DOverPrefix::run_batch(std::span<const double> in,
-                                 std::span<double> out, std::size_t batch,
-                                 bool relu) {
   assert(in.size() == batch * input_ && out.size() == batch * output_size());
-  const std::size_t pos = positions();
-  const std::size_t out_width = output_size();
-  // Transpose the filter bank once per batch so the kernel can vectorize
-  // across filters; activations stay row-major.
-  batch_wt_.resize(kernel_ * filters_);
-  for (std::size_t f = 0; f < filters_; ++f)
-    for (std::size_t k = 0; k < kernel_; ++k)
-      batch_wt_[k * filters_ + f] = params_[f * kernel_ + k];
-  conv_wt_row_major(batch_wt_.data(), params_.data() + bias_offset(),
-                    in.data(), input_, prefix_, filters_, kernel_, out_width,
-                    batch, relu, out.data());
-  // The aux features pass through; a fused Relu clamps them too, since it
-  // covers the layer's whole output row.
-  for (std::size_t b = 0; b < batch; ++b) {
-    const double* x = in.data() + b * input_;
-    double* y = out.data() + b * out_width;
-    for (std::size_t a = 0; a < aux(); ++a) {
-      const double v = x[prefix_ + a];
-      y[filters_ * pos + a] = relu ? (v > 0.0 ? v : 0.0) : v;
-    }
-  }
+  conv_forward(params_.data(), params_.data() + bias_offset(), in.data(),
+               input_, prefix_, filters_, kernel_, output_size(), batch,
+               /*relu=*/true, out.data());
+  return true;
 }
 
 void Conv1DOverPrefix::backward(std::span<const double> grad_out,

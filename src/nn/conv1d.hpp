@@ -34,7 +34,7 @@ class Conv1DOverPrefix final : public Layer {
   void forward(std::span<const double> in, std::span<double> out) override;
   void backward(std::span<const double> grad_out,
                 std::span<double> grad_in) override;
-  /// Fused batch convolution: filter taps stay in registers across rows.
+  /// Batch convolution, filter-major like forward(): SIMD across positions.
   void forward_batch(std::span<const double> in, std::span<double> out,
                      std::size_t batch) override;
   /// The same convolution with the ReLU folded into its output stores.
@@ -63,14 +63,11 @@ class Conv1DOverPrefix final : public Layer {
   // params_ layout: filter weights (filters x kernel) row-major, then one
   // bias per filter.
   std::size_t bias_offset() const noexcept { return filters_ * kernel_; }
-  void run_batch(std::span<const double> in, std::span<double> out,
-                 std::size_t batch, bool relu);
 
   std::size_t input_, prefix_, filters_, kernel_;
   std::vector<double> params_;
   std::vector<double> grads_;
   std::vector<double> cached_input_;
-  std::vector<double> batch_wt_;   // forward_batch scratch (transposed taps)
   std::vector<double> batch_gt_;   // backward_batch scratch (pos-major grads)
   std::vector<double> batch_wgt_;  // backward_batch scratch (transposed wg)
 };

@@ -1,5 +1,6 @@
 #include "sim/billing.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace minicost::sim {
@@ -12,7 +13,10 @@ BillingReport::BillingReport(std::size_t files, std::size_t days)
 
 void BillingReport::charge(trace::FileId file, std::size_t day,
                            const CostBreakdown& cost) {
-  ExactBreakdown& exact = per_day_exact_.at(day);
+  // StorageSimulator::advance, the only caller, rejects a day past the
+  // horizon and a plan whose width is not the file count before charging.
+  assert(day < days() && file < file_count());
+  ExactBreakdown& exact = per_day_exact_[day];
   exact.storage.add(cost.storage);
   exact.read.add(cost.read);
   exact.write.add(cost.write);
@@ -20,13 +24,14 @@ void BillingReport::charge(trace::FileId file, std::size_t day,
   // A file's charges always arrive in day order from exactly one simulator
   // run, so this fold's order is fixed (see the header comment).
   // lint-ast: allow(billing-exact-sum) -- per-file folds are day-ordered within one run
-  per_file_total_.at(file) += cost.total();
+  per_file_total_[file] += cost.total();
   stale_ = true;
 }
 
 void BillingReport::count_change(std::size_t day) {
+  assert(day < days());
   ++tier_changes_;
-  ++per_day_changes_.at(day);
+  ++per_day_changes_[day];
 }
 
 void BillingReport::refresh() const {

@@ -27,10 +27,11 @@ class BillingReport {
   BillingReport() = default;
   BillingReport(std::size_t files, std::size_t days);
 
-  /// Records one file-day charge.
+  /// Records one file-day charge. `file` and `day` must be in range; only
+  /// an assert checks them (StorageSimulator::advance validates first).
   void charge(trace::FileId file, std::size_t day, const CostBreakdown& cost);
 
-  /// Records a tier change event for statistics.
+  /// Records a tier change event for statistics; `day` must be in range.
   void count_change(std::size_t day);
 
   std::size_t days() const noexcept { return per_day_exact_.size(); }

@@ -66,9 +66,10 @@ void StorageSimulator::advance(const DayPlan& plan) {
     for (std::size_t i = 0; i < n; ++i) price_file(i);
   }
 
-  // Phase 2 — accumulate in file order on one thread: the exact floating-
-  // point reduction order of the serial path, so bills stay byte-identical
-  // regardless of pool size.
+  // Phase 2 — hand the priced file-days to the report, on one thread. The
+  // report's per-day sums are exact (stats::ExactSum), so their value does
+  // not depend on order; this loop is serial only because nobody has
+  // parallelized it yet, not to fix a reduction order.
   for (std::size_t i = 0; i < n; ++i) {
     if (day_changed_[i]) report_.count_change(day_);
     report_.charge(static_cast<trace::FileId>(i), day_, day_costs_[i]);

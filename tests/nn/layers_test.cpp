@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/conv1d.hpp"
@@ -257,6 +259,84 @@ TEST(Conv1DTest, ForwardBatchReluMatchesForwardThenRelu) {
       for (std::size_t o = 0; o < out_w; ++o)
         EXPECT_EQ(bits(fused[b * out_w + o]), bits(expected[o]))
             << "filters=" << filters << " row " << b << " out " << o;
+    }
+  }
+}
+
+TEST(Conv1DTest, ForwardBatchSweepMatchesForwardBitForBit) {
+  // Generated 0-ULP sweep of the filter-major kernel: every prefix 1..40
+  // with every kernel 1..min(prefix, 6), so the position count crosses the
+  // 8-lane tile (1, 7, 8, 9, 11, 16, 17, 37, ...), against filter counts on
+  // both sides of the 4-filter block and of the deployed 32. Aux width
+  // and batch cycle together through all nine (aux, batch) pairs every nine
+  // geometries. Rows rotate through five kinds: random, all -0.0, all +0.0,
+  // random with a NaN, and random with +inf and -inf. Filter 0 (taps made
+  // positive, bias -0.0) is exactly -0.0 on the all -0.0 row. A sentinel
+  // after each output buffer catches a tail store past the last row.
+  constexpr std::size_t kSentinel = 8;
+  const double sentinel = std::bit_cast<double>(0x7FF8DEADBEEF0001ULL);
+  const std::size_t auxes[] = {0, 1, 14};
+  const std::size_t batches[] = {1, 3, 256};
+  std::size_t config = 0;
+  for (std::size_t prefix = 1; prefix <= 40; ++prefix) {
+    for (std::size_t kernel = 1; kernel <= std::min<std::size_t>(prefix, 6);
+         ++kernel) {
+      for (const std::size_t filters :
+           {1u, 2u, 3u, 4u, 5u, 7u, 32u, 33u, 128u}) {
+        const std::size_t aux = auxes[config % 3];
+        const std::size_t batch = batches[config / 3 % 3];
+        ++config;
+        util::Rng rng(config);
+        Conv1DOverPrefix layer(prefix + aux, prefix, filters, kernel, rng);
+        auto params = layer.parameters();
+        for (std::size_t k = 0; k < kernel; ++k)
+          params[k] = std::abs(params[k]);
+        params[filters * kernel] = -0.0;
+        const std::size_t in_w = layer.input_size();
+        const std::size_t out_w = layer.output_size();
+        const auto pick = [&rng](std::size_t n) {
+          return static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+        };
+        std::vector<double> in(batch * in_w);
+        for (std::size_t b = 0; b < batch; ++b) {
+          double* row = in.data() + b * in_w;
+          const std::size_t kind = (b + config) % 5;
+          for (std::size_t i = 0; i < in_w; ++i)
+            row[i] = kind == 1 ? -0.0 : kind == 2 ? 0.0 : rng.normal(0.0, 2.0);
+          if (kind == 3) row[pick(prefix)] = std::nan("");
+          if (kind == 4) {
+            row[pick(prefix)] = std::numeric_limits<double>::infinity();
+            row[pick(in_w)] = -std::numeric_limits<double>::infinity();
+          }
+        }
+        std::vector<double> plain(batch * out_w + kSentinel, sentinel);
+        std::vector<double> fused(batch * out_w + kSentinel, sentinel);
+        layer.forward_batch(in, std::span(plain).first(batch * out_w), batch);
+        ASSERT_TRUE(layer.forward_batch_relu(
+            in, std::span(fused).first(batch * out_w), batch));
+        Relu relu(out_w);
+        std::vector<double> expected(out_w), expected_relu(out_w);
+        std::size_t mismatches = 0;
+        for (std::size_t b = 0; b < batch; ++b) {
+          layer.forward(std::span<const double>(in.data() + b * in_w, in_w),
+                        expected);
+          relu.forward(expected, expected_relu);
+          for (std::size_t o = 0; o < out_w; ++o) {
+            if (bits(plain[b * out_w + o]) != bits(expected[o]) ||
+                bits(fused[b * out_w + o]) != bits(expected_relu[o]))
+              ++mismatches;
+          }
+        }
+        for (std::size_t i = batch * out_w; i < plain.size(); ++i) {
+          if (bits(plain[i]) != bits(sentinel) ||
+              bits(fused[i]) != bits(sentinel))
+            ++mismatches;
+        }
+        ASSERT_EQ(mismatches, 0u)
+            << "prefix=" << prefix << " kernel=" << kernel
+            << " filters=" << filters << " aux=" << aux << " batch=" << batch;
+      }
     }
   }
 }
