@@ -1,10 +1,14 @@
 #include "rl/a3c.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -44,6 +48,86 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
   }
   return std::make_unique<nn::Sgd>(config.learning_rate, config.momentum);
 }
+
+// act_rows' chunk: it bounds the widest scratch buffer (chunk × conv width
+// doubles), is the dedup scope (only rows within one chunk are compared),
+// and is the unit of pool work. Fixed, so decisions and the work split never
+// depend on the pool size.
+constexpr std::size_t kActChunk = 256;
+constexpr std::size_t kDedupSlotBits = 9;  // 2 × kActChunk slots
+static_assert(std::size_t{1} << kDedupSlotBits == 2 * kActChunk);
+
+// Hashes a row's bytes with four independent multiply-xor lanes over its
+// 64-bit words, so the multiply chain is a quarter of the row long, then
+// folds the lanes and mixes the result's high bits down.
+std::uint64_t row_hash(const double* row, std::size_t width) noexcept {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const auto word = [row](std::size_t i) {
+    return std::bit_cast<std::uint64_t>(row[i]);
+  };
+  std::uint64_t h0 = 1, h1 = 2, h2 = 3, h3 = 4;
+  std::size_t i = 0;
+  for (; i + 4 <= width; i += 4) {
+    h0 = (h0 ^ word(i)) * kMul;
+    h1 = (h1 ^ word(i + 1)) * kMul;
+    h2 = (h2 ^ word(i + 2)) * kMul;
+    h3 = (h3 ^ word(i + 3)) * kMul;
+  }
+  for (; i < width; ++i) h0 = (h0 ^ word(i)) * kMul;
+  std::uint64_t h =
+      h0 ^ std::rotl(h1, 16) ^ std::rotl(h2, 32) ^ std::rotl(h3, 48);
+  h ^= h >> 29;
+  return h * kMul;
+}
+
+// One chunk's distinct rows: first[d] is the chunk row where distinct row d
+// first occurs (in increasing order), of_row[r] the distinct row that chunk
+// row r repeats byte for byte.
+struct ChunkDedup {
+  std::size_t distinct = 0;
+  std::array<std::uint16_t, kActChunk> first{};
+  std::array<std::uint16_t, kActChunk> of_row{};
+};
+
+// Finds the distinct rows among `count` (<= kActChunk) rows of `width`
+// doubles, comparing bytes: -0.0 and +0.0 differ, as do NaN payloads. An
+// open-addressing table of 2 × kActChunk slots on the stack; every hash hit
+// is confirmed by memcmp of the whole row.
+void dedup_rows(const double* rows, std::size_t count, std::size_t width,
+                ChunkDedup& out) noexcept {
+  // slot_of[s] is 1 + the distinct row in slot s, or 0 if s is empty.
+  std::array<std::uint16_t, 2 * kActChunk> slot_of{};
+  std::array<std::uint64_t, kActChunk> hash_of{};
+  const std::size_t row_bytes = width * sizeof(double);
+  std::size_t distinct = 0;
+  for (std::size_t r = 0; r < count; ++r) {
+    const double* row = rows + r * width;
+    const std::uint64_t h = row_hash(row, width);
+    for (std::size_t s = h >> (64 - kDedupSlotBits);;
+         s = (s + 1) % slot_of.size()) {
+      const std::size_t d = slot_of[s];
+      if (d == 0) {
+        slot_of[s] = static_cast<std::uint16_t>(distinct + 1);
+        hash_of[distinct] = h;
+        out.first[distinct] = static_cast<std::uint16_t>(r);
+        out.of_row[r] = static_cast<std::uint16_t>(distinct++);
+        break;
+      }
+      if (hash_of[d - 1] == h &&
+          std::memcmp(row, rows + out.first[d - 1] * width, row_bytes) == 0) {
+        out.of_row[r] = static_cast<std::uint16_t>(d - 1);
+        break;
+      }
+    }
+  }
+  out.distinct = distinct;
+}
+
+// A chunk runner's buffers: `rows` for ChunkRows to encode into, `distinct`
+// for the gathered distinct rows.
+struct ChunkScratch {
+  std::vector<double> rows, distinct;
+};
 
 }  // namespace
 
@@ -543,51 +627,70 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
   const std::uint64_t act_stream =
       kActStreamBase + env_steps_.load(std::memory_order_relaxed);
 
-  // Chunk size bounds the widest intermediate buffer (chunk × conv width)
-  // and is the unit of work sharded across the pool. Fixed, so decisions
-  // never depend on the pool size. 256 keeps the transposed dense input
-  // (hidden-layer in × chunk doubles) resident in L2.
-  constexpr std::size_t kChunk = 256;
+  const std::size_t width = featurizer_.feature_count();
   const std::size_t out_width = actor.output_size();
-  const std::size_t chunk_count = (count + kChunk - 1) / kChunk;
+  const std::size_t chunk_count = (count + kActChunk - 1) / kActChunk;
+  std::vector<std::size_t> forwarded(chunk_count);
 
-  const auto run_chunk = [&](nn::Network& net, std::vector<double>& buffer,
+  // Forwards each distinct row of the chunk once and copies its action to
+  // the rows that repeat it. Exact: every batch row's output is
+  // bit-identical to forward() whatever shares its batch (the Layer
+  // contract), and sampled mode draws every row from the same forked stream,
+  // so byte-identical rows always decide identically.
+  const auto run_chunk = [&](nn::Network& net, ChunkScratch& scratch,
                              std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t rows = std::min(count - lo, kChunk);
-    std::vector<double> pi =
-        net.forward_batch(chunk_rows(lo, rows, buffer), rows);
-    nn::softmax_rows(pi, rows, pi);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double* row = pi.data() + r * out_width;
+    const std::size_t lo = c * kActChunk;
+    const std::size_t rows = std::min(count - lo, kActChunk);
+    std::span<const double> in = chunk_rows(lo, rows, scratch.rows);
+    ChunkDedup dedup;
+    dedup_rows(in.data(), rows, width, dedup);
+    const std::size_t distinct = dedup.distinct;
+    if (distinct < rows) {
+      scratch.distinct.resize(distinct * width);
+      for (std::size_t d = 0; d < distinct; ++d)
+        std::copy_n(in.data() + dedup.first[d] * width, width,
+                    scratch.distinct.data() + d * width);
+      in = scratch.distinct;
+    }
+    std::vector<double> pi = net.forward_batch(in, distinct);
+    nn::softmax_rows(pi, distinct, pi);
+    std::array<Action, kActChunk> chosen{};
+    for (std::size_t d = 0; d < distinct; ++d) {
+      const double* row = pi.data() + d * out_width;
       if (greedy) {
-        actions[lo + r] = nn::argmax(std::span<const double>(row, out_width));
+        chosen[d] = nn::argmax(std::span<const double>(row, out_width));
       } else {
-        // Mirror act(): every decision draws from the same forked stream, so
-        // identical rows yield identical actions.
+        // Mirror act(): every decision draws from the same forked stream.
         util::Rng rng = seed_rng_.fork(act_stream);
         if (rng.bernoulli(config_.epsilon)) {
-          actions[lo + r] =
+          chosen[d] =
               static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
         } else {
-          actions[lo + r] =
+          chosen[d] =
               rng.weighted_index(std::vector<double>(row, row + out_width));
         }
       }
     }
+    for (std::size_t r = 0; r < rows; ++r)
+      actions[lo + r] = chosen[dedup.of_row[r]];
+    forwarded[c] = distinct;
   };
   if (pool && pool->size() > 1 && chunk_count > 1) {
     // forward_batch state is per-thread: clone the snapshot per chunk.
     pool->parallel_for(0, chunk_count, [&](std::size_t c) {
       nn::Network net = actor;
-      std::vector<double> buffer;
-      run_chunk(net, buffer, c);
+      ChunkScratch scratch;
+      run_chunk(net, scratch, c);
     });
   } else {
-    // Serial: one network and one scratch buffer serve every chunk.
-    std::vector<double> buffer;
-    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, buffer, c);
+    // Serial: one network and one scratch serve every chunk.
+    ChunkScratch scratch;
+    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, scratch, c);
   }
+  MC_OBS_COUNT("rl.a3c.act.rows", count);
+  MC_OBS_COUNT("rl.a3c.act.forward_rows",
+               std::accumulate(forwarded.begin(), forwarded.end(),
+                               std::size_t{0}));
   return actions;
 }
 

@@ -141,7 +141,8 @@ class A3CAgent {
   /// Batched deployment path: actions[i] is the tier decision for files[i]
   /// on `day` given it currently sits in current_tiers[i]. Featurizes the
   /// whole span and runs fused batch forwards (one kernel per layer and
-  /// chunk) instead of one matrix-vector pass per file; chunks shard across
+  /// chunk, over the chunk's distinct rows only) instead of one
+  /// matrix-vector pass per file; chunks shard across
   /// `pool` (nullptr = run on the calling thread). Bit-identical to calling
   /// act() per file, for any pool size. Requires day >= history_len and
   /// files.size() == current_tiers.size(). Thread-safe: works on a
@@ -224,7 +225,9 @@ class A3CAgent {
       std::size_t lo, std::size_t rows, std::vector<double>& buffer)>;
 
   /// The body of act_batch and act_features_batch: snapshots the actor,
-  /// then per fixed-size chunk forwards chunk_rows' rows and picks actions.
+  /// then per fixed-size chunk forwards each distinct row of chunk_rows'
+  /// rows once (rows compared by bytes), picks its action and copies it to
+  /// the rows that repeat it.
   std::vector<Action> act_rows(std::size_t count, bool greedy,
                                util::ThreadPool* pool,
                                const ChunkRows& chunk_rows);

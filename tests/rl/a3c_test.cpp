@@ -3,16 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
 #include "rl/stream.hpp"
 #include "trace/synthetic.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minicost::rl {
@@ -32,6 +38,35 @@ A3CConfig tiny_config() {
   config.hidden = 8;
   config.workers = 1;
   return config;
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& c : obs::Registry::global().counters())
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+// `count` rows of `width` random features, distinct with overwhelming
+// probability; wide enough a range that an untrained actor's argmax varies.
+std::vector<double> random_rows(std::size_t count, std::size_t width,
+                                std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> rows(count * width);
+  for (double& value : rows) value = rng.uniform(-4.0, 4.0);
+  return rows;
+}
+
+// The rows source[0], source[1], ... of `palette`, densely packed.
+std::vector<double> gather_rows(const std::vector<double>& palette,
+                                const std::vector<std::size_t>& source,
+                                std::size_t width) {
+  std::vector<double> rows;
+  rows.reserve(source.size() * width);
+  for (const std::size_t s : source) {
+    const auto row = palette.begin() + static_cast<std::ptrdiff_t>(s * width);
+    rows.insert(rows.end(), row, row + static_cast<std::ptrdiff_t>(width));
+  }
+  return rows;
 }
 
 TEST(A3CAgentTest, ConstructionValidatesConfig) {
@@ -226,6 +261,123 @@ TEST(A3CAgentTest, ActFeaturesBatchValidatesRowBufferWidth) {
   const std::vector<double> rows(width * 2 + 1);  // not a whole row count
   EXPECT_THROW(agent.act_features_batch(rows, 2, true),
                std::invalid_argument);
+}
+
+// act_features_batch forwards each distinct row of a 256-row chunk once and
+// copies its decision to the rows that repeat it. Whatever the duplicate
+// pattern, batch size or pool size, every row must still decide exactly as
+// the scalar act() does on that row alone.
+TEST(A3CAgentTest, ActFeaturesBatchMatchesScalarActUnderEveryDuplicatePattern) {
+  A3CAgent agent(tiny_config(), 31);
+  const std::size_t width = agent.featurizer().feature_count();
+  constexpr std::size_t kChunk = 256;  // act_rows' dedup scope
+  const std::size_t max_batch = 700;
+  const std::vector<double> palette = random_rows(max_batch + 1, width, 77);
+  const std::size_t special = max_batch;  // a row no other pattern uses
+  util::ThreadPool one(1), four(4);
+
+  struct Pattern {
+    std::string name;
+    std::function<std::size_t(std::size_t)> source;  // row -> palette row
+  };
+  const std::vector<Pattern> patterns = {
+      {"all-identical", [](std::size_t) { return std::size_t{0}; }},
+      {"all-distinct", [](std::size_t i) { return i; }},
+      {"every-2nd", [](std::size_t i) { return i % 2 == 0 ? i / 2 : i; }},
+      {"every-7th", [](std::size_t i) { return i % 7 == 0 ? i / 7 : i; }},
+      {"period-3", [](std::size_t i) { return i % 3; }},
+      {"period-chunk", [](std::size_t i) { return i % kChunk; }},
+      {"straddles-boundary",
+       [special](std::size_t i) {
+         return i + 3 >= kChunk && i < kChunk + 3 ? special : i;
+       }},
+  };
+  bool saw_two_actions = false;
+  for (const std::size_t batch :
+       {std::size_t{1}, std::size_t{255}, std::size_t{256}, std::size_t{257},
+        max_batch}) {
+    for (const Pattern& pattern : patterns) {
+      std::vector<std::size_t> source(batch);
+      for (std::size_t i = 0; i < batch; ++i) source[i] = pattern.source(i);
+      const std::vector<double> rows = gather_rows(palette, source, width);
+      for (const bool greedy : {true, false}) {
+        SCOPED_TRACE(pattern.name + " batch=" + std::to_string(batch) +
+                     " greedy=" + std::to_string(greedy));
+        std::vector<Action> expected(batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+          expected[i] = agent.act(
+              std::span<const double>(rows).subspan(i * width, width), greedy);
+          saw_two_actions |= expected[i] != expected[0];
+        }
+        for (util::ThreadPool* pool : {&one, &four}) {
+          const auto actions =
+              agent.act_features_batch(rows, batch, greedy, pool);
+          ASSERT_EQ(actions.size(), batch);
+          for (std::size_t i = 0; i < batch; ++i)
+            ASSERT_EQ(actions[i], expected[i])
+                << "row " << i << " pool=" << pool->size();
+        }
+      }
+    }
+  }
+  // Otherwise a wrong scatter could pass unnoticed.
+  EXPECT_TRUE(saw_two_actions);
+}
+
+// Rows are deduplicated by bytes, not by value: rows that differ only in the
+// sign of a zero, or only in one NaN payload bit, are forwarded apart.
+TEST(A3CAgentTest, ActFeaturesBatchForwardsSignedZerosAndNanPayloadsApart) {
+  A3CAgent agent(tiny_config(), 33);
+  const std::size_t width = agent.featurizer().feature_count();
+  const std::vector<double> base = random_rows(1, width, 5);
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7FF8000000000000});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0x7FF8000000000001});
+  const std::vector<std::pair<double, double>> pairs = {{0.0, -0.0},
+                                                        {nan_a, nan_b}};
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  for (const auto& [a, b] : pairs) {
+    // a, b, a, b: two distinct rows, each repeated once.
+    std::vector<double> rows;
+    for (const double value : {a, b, a, b}) {
+      rows.insert(rows.end(), base.begin(), base.end());
+      rows[rows.size() - width] = value;
+    }
+    for (const bool greedy : {true, false}) {
+      const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
+      const auto actions = agent.act_features_batch(rows, 4, greedy);
+      EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, 2u);
+      for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(actions[i],
+                  agent.act(std::span<const double>(rows).subspan(
+                                i * width, width),
+                            greedy))
+            << "row " << i;
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST(A3CAgentTest, ActCountsRowsAndForwardedRowsOncePerCall) {
+  A3CAgent agent(tiny_config(), 35);
+  const std::size_t width = agent.featurizer().feature_count();
+  const std::vector<double> palette = random_rows(3, width, 9);
+  std::vector<std::size_t> source(300);
+  for (std::size_t i = 0; i < source.size(); ++i) source[i] = i % 3;
+  const std::vector<double> rows = gather_rows(palette, source, width);
+  util::ThreadPool pool(4);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const std::uint64_t rows_before = counter_value("rl.a3c.act.rows");
+    const std::uint64_t forward_before =
+        counter_value("rl.a3c.act.forward_rows");
+    agent.act_features_batch(rows, 300, true, p);
+    EXPECT_EQ(counter_value("rl.a3c.act.rows") - rows_before, 300u);
+    // 3 distinct rows in each of the two chunks (256 + 44 rows).
+    EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - forward_before, 6u);
+  }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(A3CAgentTest, ActBatchValidatesWidths) {
