@@ -23,7 +23,7 @@ void BillingReport::charge(trace::FileId file, std::size_t day,
   exact.change.add(cost.change);
   // A file's charges always arrive in day order from exactly one simulator
   // run, so this fold's order is fixed (see the header comment).
-  // lint-ast: allow(billing-exact-sum) -- per-file folds are day-ordered within one run
+  // lint-contract: allow(billing-exact-sum) -- per-file folds are day-ordered within one run
   per_file_total_[file] += cost.total();
   stale_ = true;
 }
@@ -64,7 +64,7 @@ double BillingReport::cumulative_through(std::size_t d) const {
     throw std::out_of_range("BillingReport::cumulative_through");
   refresh();
   double total = 0.0;
-  // lint-ast: allow(billing-exact-sum) -- ascending-day fold of rounded per-day values
+  // lint-contract: allow(billing-exact-sum) -- ascending-day fold of rounded per-day values
   for (std::size_t i = 0; i <= d; ++i) total += per_day_[i].total();
   return total;
 }
@@ -87,7 +87,7 @@ void BillingReport::merge_shard(const BillingReport& other,
     per_day_changes_[d] += other.per_day_changes_[d];
   }
   for (std::size_t f = 0; f < other.per_file_total_.size(); ++f)
-    // lint-ast: allow(billing-exact-sum) -- shards own disjoint file ranges, one addend per file
+    // lint-contract: allow(billing-exact-sum) -- shards own disjoint file ranges, one addend per file
     per_file_total_[file_offset + f] += other.per_file_total_[f];
   tier_changes_ += other.tier_changes_;
   stale_ = true;

@@ -23,10 +23,10 @@ struct CostBreakdown {
   // day-indexed values in ascending day order, so the fold order is fixed
   // and plain double accumulation is exact-contract safe (DESIGN.md §9).
   CostBreakdown& operator+=(const CostBreakdown& other) noexcept {
-    storage += other.storage;  // lint-ast: allow(billing-exact-sum) -- fixed day-order fold
-    read += other.read;        // lint-ast: allow(billing-exact-sum) -- fixed day-order fold
-    write += other.write;      // lint-ast: allow(billing-exact-sum) -- fixed day-order fold
-    change += other.change;    // lint-ast: allow(billing-exact-sum) -- fixed day-order fold
+    storage += other.storage;  // lint-contract: allow(billing-exact-sum) -- fixed day-order fold
+    read += other.read;        // lint-contract: allow(billing-exact-sum) -- fixed day-order fold
+    write += other.write;      // lint-contract: allow(billing-exact-sum) -- fixed day-order fold
+    change += other.change;    // lint-contract: allow(billing-exact-sum) -- fixed day-order fold
     return *this;
   }
   friend CostBreakdown operator+(CostBreakdown a, const CostBreakdown& b) noexcept {

@@ -153,7 +153,7 @@ RequestTrace PagecountsEzReader::build_trace(double mean_size_mb,
   // Identical deterministic protocol to PagecountsAggregator::build_trace.
   std::vector<const std::pair<const std::string, std::vector<double>>*> entries;
   entries.reserve(daily_views_.size());
-  // lint-ast: allow(unordered-iteration) -- gathered pointers are sorted by key below
+  // lint-contract: allow(unordered-iteration) -- gathered pointers are sorted by key below
   for (const auto& entry : daily_views_) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
@@ -217,7 +217,7 @@ RequestTrace PagecountsAggregator::build_trace(double mean_size_mb,
   // Sort titles for a deterministic file order independent of hash layout.
   std::vector<const std::pair<const std::string, std::vector<double>>*> entries;
   entries.reserve(daily_views_.size());
-  // lint-ast: allow(unordered-iteration) -- gathered pointers are sorted by key below
+  // lint-contract: allow(unordered-iteration) -- gathered pointers are sorted by key below
   for (const auto& entry : daily_views_) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });

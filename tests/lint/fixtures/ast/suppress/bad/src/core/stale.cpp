@@ -2,13 +2,13 @@
 // reasonless, and unknown rule id.
 namespace mini {
 
-// lint-ast: allow(rng-flow) -- stale: the engine construction moved away
+// lint-contract: allow(rng-flow) -- stale: the engine construction moved away
 int nothing_here() { return 7; }
 
-// lint-ast: allow(billing-exact-sum)
+// lint-contract: allow(billing-exact-sum)
 double reasonless(double x) { return x; }
 
-// lint-ast: allow(no-such-rule) -- typo in the rule id
+// lint-contract: allow(no-such-rule) -- typo in the rule id
 int typod() { return 0; }
 
 }  // namespace mini

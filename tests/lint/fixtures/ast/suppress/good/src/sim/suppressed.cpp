@@ -5,7 +5,7 @@ namespace mini {
 class StorageSimulator {
  public:
   void advance(double v) {
-    // lint-ast: allow(billing-exact-sum) -- fixture: fixed fold order
+    // lint-contract: allow(billing-exact-sum) -- fixture: fixed fold order
     scratch_ += v;
   }
 
