@@ -31,23 +31,14 @@
 #include "common.hpp"
 #include "core/greedy.hpp"
 #include "core/plan_driver.hpp"
+#include "sim/billing.hpp"
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 
-namespace {
-
 using namespace minicost;
-
-bool same_bill(const sim::BillingReport& a, const sim::BillingReport& b) {
-  return a.per_file_totals() == b.per_file_totals() &&
-         a.tier_changes() == b.tier_changes() &&
-         a.grand_total().total() == b.grand_total().total();
-}
-
-}  // namespace
 
 int main() {
   const std::size_t days = 62;
@@ -91,7 +82,7 @@ int main() {
   driver.mark_dirty(shard_files * (serial.shard_count / 2), 1);
   const core::PlanDriverRun replan = driver.replan();
 
-  bool identical = same_bill(serial.report, replan.report);
+  bool identical = sim::bitwise_equal(serial.report, replan.report);
 
   // Monolithic cross-check (loads the full trace into memory — skip at 1M).
   if (files <= 100'000) {
@@ -101,8 +92,9 @@ int main() {
     mono.initial_tiers = core::static_initial_tiers(tr, prices, mono.start_day);
     core::GreedyPolicy fresh;
     identical = identical &&
-                same_bill(core::run_policy(tr, prices, fresh, mono).report,
-                          serial.report);
+                sim::bitwise_equal(
+                    core::run_policy(tr, prices, fresh, mono).report,
+                    serial.report);
   }
 
   const double incremental_speedup = serial.wall_seconds / replan.wall_seconds;

@@ -6,6 +6,7 @@
 // Run:  ./pricing_explorer [--preset azure|s3|gcs] [--size-mb 100]
 
 #include <iostream>
+#include <stdexcept>
 
 #include "pricing/catalog.hpp"
 #include "sim/cost_model.hpp"
@@ -20,13 +21,16 @@ int main(int argc, char** argv) {
   cli.add_flag("size-mb", "100", "file size for the cost curves (MB)");
   if (!cli.parse(argc, argv)) return 1;
 
-  const std::string preset = cli.str("preset");
-  const pricing::PricingPolicy policy =
-      preset == "s3"    ? pricing::PricingPolicy::s3_like()
-      : preset == "gcs" ? pricing::PricingPolicy::gcs_like()
-                        : pricing::PricingPolicy::azure_2020();
+  pricing::PricingPolicy policy;
+  double gb = 0.0;
+  try {
+    policy = pricing::PricingPolicy::preset(cli.str("preset"));
+    gb = cli.real("size-mb") / 1024.0;
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "pricing_explorer: " << error.what() << "\n";
+    return 1;
+  }
   policy.check_tier_monotonicity();
-  const double gb = cli.real("size-mb") / 1024.0;
 
   std::cout << "pricing policy: " << policy.name() << "\n\n";
   util::Table sheet({"tier", "storage $/GB-mo", "read $/10k ops",

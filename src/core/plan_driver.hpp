@@ -1,6 +1,7 @@
 #pragma once
 // The planning driver: the reusable shard scheduler behind `minicost plan`
-// (including --serve), `tracepack eval`, and bench/micro_plan_pipeline.
+// over a .mct store (including --compare and --serve) and
+// bench/micro_plan_pipeline.
 //
 // A PlanDriver partitions a mapped .mct store into contiguous file shards
 // and plans them one after another through the unchanged run_policy

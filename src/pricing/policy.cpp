@@ -103,6 +103,14 @@ PricingPolicy PricingPolicy::gcs_like() {
   return PricingPolicy("gcs-like", tiers, /*tier_change_per_gb=*/0.0005);
 }
 
+PricingPolicy PricingPolicy::preset(std::string_view name) {
+  if (name == "azure") return azure_2020();
+  if (name == "s3") return s3_like();
+  if (name == "gcs") return gcs_like();
+  throw std::invalid_argument("unknown price preset '" + std::string(name) +
+                              "' (expected azure | s3 | gcs)");
+}
+
 PricingPolicy with_op_price_multiplier(const PricingPolicy& base,
                                        double factor) {
   if (factor <= 0.0)

@@ -16,6 +16,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 
 #include "pricing/tier.hpp"
 
@@ -82,6 +83,10 @@ class PricingPolicy {
 
   /// Google Cloud Storage-like preset (Standard / Nearline / Coldline).
   static PricingPolicy gcs_like();
+
+  /// The preset named `azure`, `s3` or `gcs` (the command-line spellings).
+  /// Throws std::invalid_argument naming the valid list for any other name.
+  static PricingPolicy preset(std::string_view name);
 
   /// All tiers priced identically — makes tiering decisions irrelevant;
   /// useful in tests as a control.

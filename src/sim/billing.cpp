@@ -1,6 +1,8 @@
 #include "sim/billing.hpp"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 
 namespace minicost::sim {
@@ -91,6 +93,32 @@ void BillingReport::merge_shard(const BillingReport& other,
     per_file_total_[file_offset + f] += other.per_file_total_[f];
   tier_changes_ += other.tier_changes_;
   stale_ = true;
+}
+
+namespace {
+
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+bool bitwise_equal(const CostBreakdown& a, const CostBreakdown& b) noexcept {
+  return same_bits(a.storage, b.storage) && same_bits(a.read, b.read) &&
+         same_bits(a.write, b.write) && same_bits(a.change, b.change);
+}
+
+bool bitwise_equal(const BillingReport& a, const BillingReport& b) {
+  if (a.days() != b.days() || a.file_count() != b.file_count() ||
+      a.tier_changes() != b.tier_changes())
+    return false;
+  for (std::size_t d = 0; d < a.days(); ++d)
+    if (!bitwise_equal(a.day(d), b.day(d)) ||
+        a.tier_changes_on(d) != b.tier_changes_on(d))
+      return false;
+  for (std::size_t f = 0; f < a.file_count(); ++f)
+    if (!same_bits(a.file_total(f), b.file_total(f))) return false;
+  return bitwise_equal(a.grand_total(), b.grand_total());
 }
 
 }  // namespace minicost::sim

@@ -77,4 +77,14 @@ class BillingReport {
   mutable bool stale_ = false;
 };
 
+/// True when every component of `a` and `b` has the same bits: -0.0 and
+/// +0.0 differ, and so do two values one ulp apart.
+bool bitwise_equal(const CostBreakdown& a, const CostBreakdown& b) noexcept;
+
+/// The one definition of a byte-identical bill: equal days and file counts,
+/// and bitwise-equal per-day Cs/Cr/Cw/Cc sums, per-day tier-change counts,
+/// per-file totals and grand total. The CLI's --compare and --replan checks
+/// and the bench self-checks all use this.
+bool bitwise_equal(const BillingReport& a, const BillingReport& b);
+
 }  // namespace minicost::sim

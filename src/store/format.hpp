@@ -39,7 +39,7 @@
 // verified on every decode. Opening a file verifies the header and all
 // *metadata* sections (in v2: also the ext and the chunk table); the
 // frequency section's CRC — a full scan of what can be many GB — is checked
-// by TraceReader::verify_checksums() (`tracepack verify`), so a plain open
+// by TraceReader::verify_checksums() (`minicost verify`), so a plain open
 // never pages in the bulk data. See DESIGN.md §9/§13 for the full field
 // tables and the versioning/compat rules.
 

@@ -6,7 +6,7 @@
 // truncated files, foreign magic/endianness, versions from the future, and
 // bit flips with a message naming what failed. The multi-GB frequency
 // section is deliberately NOT paged in by open(); verify_checksums() (the
-// `tracepack verify` path) does that full scan on demand.
+// `minicost verify` path) does that full scan on demand.
 //
 // Per-file series come back as std::span<const double> straight into the
 // mapping — 64-byte aligned, so the PR 1 SIMD kernels can consume them in

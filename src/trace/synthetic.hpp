@@ -90,8 +90,8 @@ RequestTrace generate_synthetic(const SyntheticConfig& config);
 /// Generates only files [first, first + count) of the trace that
 /// generate_synthetic(config) would produce — bit-identical records, because
 /// every file draws from its own forked RNG stream. This is what lets
-/// tools/tracepack stream a trace far larger than RAM into a .mct container
-/// chunk by chunk. Co-request groups are whole-trace constructs and are not
+/// `minicost generate --out x.mct` stream a trace far larger than RAM into
+/// a .mct container chunk by chunk. Co-request groups are whole-trace constructs and are not
 /// produced here; use generate_synthetic for traces that fit in memory, or
 /// pack without groups. Throws std::invalid_argument on malformed configs
 /// and std::out_of_range when the range exceeds config.file_count.

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -36,7 +37,8 @@ bool Cli::parse(int argc, const char* const* argv) {
     }
     auto it = flags_.find(name);
     if (it == flags_.end()) {
-      std::cerr << program_ << ": unknown flag --" << name << "\n" << usage();
+      std::cerr << program_ << ": unknown flag --" << name
+                << " (see --help)\n";
       return false;
     }
     if (!has_value) {
@@ -53,6 +55,16 @@ bool Cli::parse(int argc, const char* const* argv) {
   return true;
 }
 
+std::string Cli::usage() const {
+  std::ostringstream out;
+  out << program_ << " — " << description_ << "\n\nFlags:\n";
+  for (const auto& [name, flag] : flags_) {
+    out << "  --" << name << " (default: " << flag.default_value << ")\n      "
+        << flag.help << "\n";
+  }
+  return out.str();
+}
+
 const Cli::Flag& Cli::find(const std::string& name) const {
   auto it = flags_.find(name);
   if (it == flags_.end())
@@ -65,27 +77,58 @@ std::string Cli::str(const std::string& name) const {
   return flag.value.value_or(flag.default_value);
 }
 
+bool Cli::given(const std::string& name) const {
+  return find(name).value.has_value();
+}
+
+namespace {
+
+/// One-line error for a flag value that does not parse as `expected`.
+std::invalid_argument bad_value(const std::string& name,
+                                const std::string& value,
+                                const char* expected) {
+  return std::invalid_argument("--" + name + " expects " + expected +
+                               ", got '" + value + "'");
+}
+
+/// Parses the whole of `text` as a T; false on leftovers or overflow.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 std::int64_t Cli::integer(const std::string& name) const {
-  return std::strtoll(str(name).c_str(), nullptr, 10);
+  const std::string v = str(name);
+  std::int64_t out = 0;
+  if (!parse_whole(v, out)) throw bad_value(name, v, "an integer");
+  return out;
+}
+
+std::size_t Cli::size(const std::string& name) const {
+  const std::string v = str(name);
+  std::int64_t out = 0;
+  if (!parse_whole(v, out) || out < 0)
+    throw bad_value(name, v, "a non-negative integer");
+  return static_cast<std::size_t>(out);
 }
 
 double Cli::real(const std::string& name) const {
-  return std::strtod(str(name).c_str(), nullptr);
+  const std::string v = str(name);
+  double out = 0.0;
+  if (!parse_whole(v, out) || !std::isfinite(out))
+    throw bad_value(name, v, "a finite number");
+  return out;
 }
 
 bool Cli::boolean(const std::string& name) const {
   const std::string v = str(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
-}
-
-std::string Cli::usage() const {
-  std::ostringstream out;
-  out << program_ << " — " << description_ << "\n\nFlags:\n";
-  for (const auto& [name, flag] : flags_) {
-    out << "  --" << name << " (default: " << flag.default_value << ")\n      "
-        << flag.help << "\n";
-  }
-  return out.str();
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw bad_value(name, v, "true | false");
 }
 
 }  // namespace minicost::util

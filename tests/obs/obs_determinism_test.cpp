@@ -30,9 +30,9 @@ trace::RequestTrace small_trace() {
   return trace::generate_synthetic(config);
 }
 
-// The byte-identity idiom used across the repo (tracepack --compare):
-// memcmp of the grand total, equal tier-change counts, equal per-file
-// totals.
+// This test's own byte-identity oracle: memcmp of the grand total, equal
+// tier-change counts, equal per-file totals. It stays independent of
+// sim::bitwise_equal, the definition `minicost plan --compare` uses.
 void expect_identical(const sim::BillingReport& a, const sim::BillingReport& b,
                       std::size_t file_count) {
   const auto& total_a = a.grand_total();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace minicost::pricing {
 namespace {
 
@@ -18,6 +21,23 @@ TEST(PricingPolicyTest, PresetsSatisfyTierMonotonicity) {
   EXPECT_NO_THROW(PricingPolicy::azure_2020().check_tier_monotonicity());
   EXPECT_NO_THROW(PricingPolicy::s3_like().check_tier_monotonicity());
   EXPECT_NO_THROW(PricingPolicy::gcs_like().check_tier_monotonicity());
+}
+
+TEST(PricingPolicyTest, PresetLooksUpCommandLineNames) {
+  EXPECT_EQ(PricingPolicy::preset("azure").name(), "azure-2020");
+  EXPECT_EQ(PricingPolicy::preset("s3").name(), "s3-like");
+  EXPECT_EQ(PricingPolicy::preset("gcs").name(), "gcs-like");
+  for (const char* bad : {"nosuch", "", "Azure", "azure-2020"}) {
+    try {
+      PricingPolicy::preset(bad);
+      ADD_FAILURE() << "preset '" << bad << "' did not throw";
+    } catch (const std::invalid_argument& error) {
+      // The message names the valid list, so one stderr line is enough.
+      EXPECT_NE(std::string(error.what()).find("azure | s3 | gcs"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(PricingPolicyTest, FlatPresetViolatesMonotonicity) {

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""End-to-end smoke of the `minicost` command-line tool.
+
+Runs the built binary in a temporary directory on a ~2k-file trace: every
+command, the byte-exact format round trips, the plan modes that check their
+own bills (--compare, --replan, a scripted --serve session), and the
+malformed inputs that must fail with exit 1 and exactly one stderr line.
+
+    python3 tests/tools/cli_test.py path/to/minicost
+
+ctest runs it as `cli_smoke`.
+"""
+
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+from pathlib import Path
+
+BINARY = None  # set from argv in __main__
+FILES = "2000"
+DAYS = "31"
+
+
+class CliSmokeTest(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        cls._tmp = tempfile.TemporaryDirectory()
+        cls.dir = Path(cls._tmp.name)
+        cls.env = dict(os.environ, MINICOST_OUT=str(cls.dir / "reports"))
+        for out in ("t.csv", "t.mct"):
+            cls.invoke_ok("generate", "--files", FILES, "--days", DAYS,
+                          "--out", out)
+        cls.invoke_ok("generate", "--files", FILES, "--days", DAYS,
+                      "--out", "d.mct", "--codec", "delta",
+                      "--integral-counts", "true")
+
+    @classmethod
+    def tearDownClass(cls):
+        cls._tmp.cleanup()
+
+    @classmethod
+    def invoke(cls, *args, stdin=None):
+        return subprocess.run([BINARY, *args], cwd=cls.dir, env=cls.env,
+                              input=stdin, capture_output=True, text=True,
+                              timeout=60)
+
+    @classmethod
+    def invoke_ok(cls, *args, stdin=None):
+        result = cls.invoke(*args, stdin=stdin)
+        if result.returncode != 0:
+            raise AssertionError(f"minicost {' '.join(args)} exited "
+                                 f"{result.returncode}: {result.stderr}")
+        return result.stdout
+
+    def read(self, name):
+        return (self.dir / name).read_bytes()
+
+    def report(self):
+        path = self.dir / "reports" / "minicost_plan.json"
+        return json.loads(path.read_text())
+
+    def total(self, stdout):
+        lines = [l for l in stdout.splitlines() if l.startswith("total ")]
+        self.assertEqual(len(lines), 1, stdout)
+        return lines[0].split()[1]
+
+    def test_info_and_verify(self):
+        info = self.invoke_ok("info", "d.mct")
+        self.assertIn("delta", info)
+        self.assertRegex(info, r"compression ratio\s+[0-9.]+x")
+        self.assertIn("v1/raw", self.invoke_ok("info", "t.mct"))
+        for store in ("t.mct", "d.mct"):
+            self.assertIn("all checksums match",
+                          self.invoke_ok("verify", store))
+
+    def test_convert_round_trips_are_byte_exact(self):
+        # csv -> mct -> csv keeps the co-request groups and every byte.
+        for codec in ("v1", "raw", "delta"):
+            self.invoke_ok("convert", "t.csv", "--out", f"c_{codec}.mct",
+                           "--codec", codec)
+            self.invoke_ok("convert", f"c_{codec}.mct",
+                           "--out", f"c_{codec}.csv")
+            self.assertEqual(self.read(f"c_{codec}.csv"), self.read("t.csv"),
+                             codec)
+        # mct -> csv -> mct rebuilds the streamed store exactly.
+        self.invoke_ok("convert", "t.mct", "--out", "s.csv")
+        self.invoke_ok("convert", "s.csv", "--out", "s.mct")
+        self.assertEqual(self.read("s.mct"), self.read("t.mct"))
+        self.assertIn("co-request groups",
+                      self.invoke_ok("analyze", "c_delta.mct"))
+
+    def test_csv_and_store_plans_bill_alike_with_one_metric_set(self):
+        self.invoke_ok("convert", "t.csv", "--out", "g.mct")
+        csv_out = self.invoke_ok("plan", "t.csv", "--policy", "greedy")
+        csv_metrics = self.report()["metrics"]
+        mct_out = self.invoke_ok("plan", "g.mct", "--policy", "greedy",
+                                 "--shard-files", "512")
+        mct_metrics = self.report()["metrics"]
+        self.assertEqual(self.total(csv_out), self.total(mct_out))
+        self.assertEqual(csv_metrics["total_cost"], mct_metrics["total_cost"])
+        self.assertEqual(sorted(csv_metrics), sorted(mct_metrics))
+
+    def test_plan_compare_is_byte_identical(self):
+        for store in ("t.mct", "d.mct"):
+            out = self.invoke_ok("plan", store, "--policy", "greedy",
+                                 "--shard-files", "512", "--compare")
+            self.assertIn("monolithic comparison: byte-identical", out)
+            self.assertEqual(self.report()["metrics"]["bills_identical"], 1)
+
+    def test_plan_replan_is_byte_identical(self):
+        out = self.invoke_ok("plan", "t.mct", "--policy", "greedy",
+                             "--shard-files", "512", "--replan", "0:600")
+        self.assertIn("replan bill vs full plan: byte-identical", out)
+
+    def test_scripted_serve_session(self):
+        out = self.invoke_ok("plan", "t.mct", "--serve",
+                             "--policy", "greedy,hot", "--shard-files", "512",
+                             stdin="plan\ntouch 0 600\nreplan\npolicy nosuch\n"
+                                   "policy hot\nplan\nsweep\nquit\n")
+        body = "\n".join(l for l in out.splitlines()
+                         if l.startswith(("event,", "plan,", "replan,", "sweep,")))
+        rows = list(csv.DictReader(io.StringIO(body)))
+        plan, replan = rows[0], rows[1]
+        self.assertEqual((plan["event"], replan["event"]), ("plan", "replan"))
+        self.assertEqual(plan["total_cost"], replan["total_cost"])
+        self.assertEqual(plan["tier_changes"], replan["tier_changes"])
+        self.assertLess(int(replan["replanned"]), int(plan["replanned"]))
+        self.assertIn("error,unknown policy 'nosuch'", out)
+        self.assertEqual(rows[2]["policy"], "Hot")
+        self.assertEqual([r["event"] for r in rows[3:]], ["sweep", "sweep"])
+
+    def test_malformed_inputs_fail_with_one_stderr_line(self):
+        cases = [
+            ("plan", "t.mct", "--preset", "nosuch"),
+            ("plan", "t.mct", "--shard-files", "12abc"),
+            ("plan", "t.mct", "--shard-files", "abc"),
+            ("plan", "t.mct", "--policy", "greedy", "--compare", "maybe"),
+            ("generate", "--files", "-1", "--out", "never.mct"),
+            ("plan", "t.csv", "--serve"),
+            ("plan", "t.csv", "--replan", "0:10"),
+            ("plan", "t.mct", "--policy", "nosuch"),
+            ("plan", "t.mct", "--serve", "--replan", "0:10"),
+            ("plan", "t.mct", "--bogus"),
+            ("generate", "--out", "never.csv", "--codec", "delta"),
+            ("crossover", "--size-mb", "100x"),
+        ]
+        for args in cases:
+            with self.subTest(args=" ".join(args)):
+                result = self.invoke(*args)
+                self.assertEqual(result.returncode, 1, result.stdout)
+                self.assertEqual(len(result.stderr.splitlines()), 1,
+                                 result.stderr)
+                self.assertEqual(result.stdout, "")
+        self.assertFalse((self.dir / "never.mct").exists())
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit("usage: cli_test.py path/to/minicost [unittest args]")
+    BINARY = str(Path(sys.argv.pop(1)).resolve())
+    unittest.main()

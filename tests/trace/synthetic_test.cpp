@@ -182,7 +182,7 @@ TEST(SyntheticTest, ChunkedGenerationMatchesWholeTrace) {
   const RequestTrace whole = generate_synthetic(config);
 
   // Any chunking reproduces the same files bit for bit — the property the
-  // out-of-core packer (tools/tracepack generate) relies on.
+  // streamed store writer (`minicost generate --out x.mct`) relies on.
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{50}}) {
     for (std::size_t first = 0; first < config.file_count; first += chunk) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace minicost::util {
 namespace {
 
@@ -90,6 +93,79 @@ TEST(CliTest, BooleanAcceptsCommonSpellings) {
     ASSERT_TRUE(cli.parse(2, argv));
     EXPECT_TRUE(cli.boolean("verbose")) << value;
   }
+}
+
+/// Parses one `--flag=value` argument into a fresh make_cli().
+Cli parsed(const std::string& arg) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", arg.c_str()};
+  EXPECT_TRUE(cli.parse(2, argv));
+  return cli;
+}
+
+/// Expects `read` to throw std::invalid_argument whose message names both
+/// the flag and the offending value.
+template <typename Read>
+void expect_rejected(Read read, const std::string& flag,
+                     const std::string& value) {
+  try {
+    read();
+    ADD_FAILURE() << "--" << flag << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + value + "'"), std::string::npos) << what;
+  }
+}
+
+TEST(CliTest, IntegerRejectsTrailingAndNonNumericText) {
+  for (const char* value : {"12abc", "abc", "", "1.5", " 7", "99999999999999999999"}) {
+    const Cli cli = parsed(std::string("--files=") + value);
+    expect_rejected([&] { return cli.integer("files"); }, "files", value);
+  }
+  EXPECT_EQ(parsed("--files=-3").integer("files"), -3);
+}
+
+TEST(CliTest, SizeRejectsNegativeValues) {
+  EXPECT_EQ(parsed("--files=0").size("files"), 0u);
+  EXPECT_EQ(parsed("--files=4096").size("files"), 4096u);
+  for (const char* value : {"-1", "-0x1", "12abc", "abc"}) {
+    const Cli cli = parsed(std::string("--files=") + value);
+    expect_rejected([&] { return cli.size("files"); }, "files", value);
+  }
+}
+
+TEST(CliTest, SpaceFormNegativeValueIsAValue) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--files", "-1"};
+  ASSERT_TRUE(cli.parse(3, argv));
+  EXPECT_EQ(cli.integer("files"), -1);
+  expect_rejected([&] { return cli.size("files"); }, "files", "-1");
+}
+
+TEST(CliTest, RealRejectsTrailingTextAndNonFinite) {
+  EXPECT_DOUBLE_EQ(parsed("--rate=1e-3").real("rate"), 1e-3);
+  for (const char* value : {"0.5x", "abc", "", "nan", "inf"}) {
+    const Cli cli = parsed(std::string("--rate=") + value);
+    expect_rejected([&] { return cli.real("rate"); }, "rate", value);
+  }
+}
+
+TEST(CliTest, BooleanAcceptsFalseSpellingsAndRejectsOtherWords) {
+  for (const char* value : {"false", "0", "no", "off"})
+    EXPECT_FALSE(parsed(std::string("--verbose=") + value).boolean("verbose"))
+        << value;
+  for (const char* value : {"maybe", "TRUE", "2", ""}) {
+    const Cli cli = parsed(std::string("--verbose=") + value);
+    expect_rejected([&] { return cli.boolean("verbose"); }, "verbose", value);
+  }
+}
+
+TEST(CliTest, GivenTracksTheCommandLineNotTheValue) {
+  const Cli cli = parsed("--files=100");
+  EXPECT_TRUE(cli.given("files"));  // set, even though to the default
+  EXPECT_FALSE(cli.given("rate"));
+  EXPECT_THROW(cli.given("nope"), std::invalid_argument);
 }
 
 TEST(CliTest, UsageMentionsEveryFlag) {
