@@ -35,6 +35,51 @@ void BM_NN_Forward(benchmark::State& state) {
 }
 BENCHMARK(BM_NN_Forward)->Arg(8)->Arg(32)->Arg(128);
 
+// The trainer's per-step forward: one row through forward_batch on warm
+// weights (the Dense layers' transposes already built), as each A3C rollout
+// step runs it via Network::forward_train_row. Compare with BM_NN_Forward.
+void BM_NN_ForwardRow(benchmark::State& state) {
+  nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
+  const std::vector<double> input = make_input();
+  net.forward_batch(input, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.forward_batch(input, 1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NN_ForwardRow)->Arg(8)->Arg(32)->Arg(128);
+
+// What a parameter load adds to the next forward_batch: the Dense 366 -> 32
+// behind the deployed conv rebuilds its transposed weights. Each iteration
+// takes a writable parameters() span, which marks the transpose stale, then
+// forwards one row, so the time is one rebuild plus one row;
+// BM_NN_DenseForwardRow is the row alone.
+void run_dense_row(benchmark::State& state, bool stale) {
+  util::Rng rng(1);
+  nn::Dense dense(366, 32, rng);
+  std::vector<double> input(dense.input_size());
+  for (double& x : input) x = rng.uniform(0.0, 1.0);
+  std::vector<double> output(dense.output_size());
+  dense.forward_batch(input, output, 1);
+  for (auto _ : state) {
+    if (stale) benchmark::DoNotOptimize(dense.parameters().data());
+    dense.forward_batch(input, output, 1);
+    benchmark::DoNotOptimize(output.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_NN_DenseTranspose(benchmark::State& state) {
+  run_dense_row(state, /*stale=*/true);
+}
+BENCHMARK(BM_NN_DenseTranspose);
+
+void BM_NN_DenseForwardRow(benchmark::State& state) {
+  run_dense_row(state, /*stale=*/false);
+}
+BENCHMARK(BM_NN_DenseForwardRow);
+
 // The inference path the planner runs: one 256-row chunk (A3CAgent's
 // act_rows chunk size) through Network::forward_batch.
 void BM_NN_ForwardBatch(benchmark::State& state) {

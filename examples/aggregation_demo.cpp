@@ -12,6 +12,7 @@
 // Figure 13 gap appears. Pass --op-mult 1 to see the honest no-benefit case.
 
 #include <iostream>
+#include <stdexcept>
 
 #include "core/aggregation.hpp"
 #include "core/optimal.hpp"
@@ -31,18 +32,23 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   trace::SyntheticConfig workload;
-  workload.file_count = static_cast<std::size_t>(cli.integer("files"));
-  workload.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   workload.grouped_file_fraction = 0.4;
+  core::AggregationConfig config;
+  pricing::PricingPolicy prices;
+  try {
+    workload.file_count = cli.size("files");
+    workload.seed = cli.size("seed");
+    config.top_psi = cli.size("psi");
+    prices = pricing::with_op_price_multiplier(
+        pricing::PricingPolicy::azure_2020(), cli.real("op-mult"));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "aggregation_demo: " << error.what() << "\n";
+    return 1;
+  }
   const trace::RequestTrace tr = trace::generate_synthetic(workload);
 
-  const pricing::PricingPolicy prices = pricing::with_op_price_multiplier(
-      pricing::PricingPolicy::azure_2020(), cli.real("op-mult"));
   std::cout << "pricing: " << prices.name() << "\n"
             << "co-request groups in workload: " << tr.groups().size() << "\n\n";
-
-  core::AggregationConfig config;
-  config.top_psi = static_cast<std::size_t>(cli.integer("psi"));
 
   // Algorithm 2: evaluate Ω for every group, select top-Ψ profitable ones.
   const auto evaluations = core::evaluate_groups(tr, prices, config, 0);

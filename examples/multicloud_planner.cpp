@@ -7,6 +7,7 @@
 // Run:  ./multicloud_planner [--files 800] [--transfer 0.02]
 
 #include <iostream>
+#include <stdexcept>
 
 #include "core/multicloud.hpp"
 #include "stats/descriptive.hpp"
@@ -24,8 +25,15 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   trace::SyntheticConfig workload;
-  workload.file_count = static_cast<std::size_t>(cli.integer("files"));
-  workload.seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  core::MultiCloudConfig config;
+  try {
+    workload.file_count = cli.size("files");
+    workload.seed = cli.size("seed");
+    config.cross_dc_transfer_per_gb = cli.real("transfer");
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "multicloud_planner: " << error.what() << "\n";
+    return 1;
+  }
   // A read-heavy (CDN-like) application: with the default write rates the
   // per-write replica costs dominate dead files' bills and a single
   // access-cheap region wins everywhere, which makes a boring demo.
@@ -33,8 +41,6 @@ int main(int argc, char** argv) {
   workload.base_write_rate = 0.005;
   const trace::RequestTrace tr = trace::generate_synthetic(workload);
 
-  core::MultiCloudConfig config;
-  config.cross_dc_transfer_per_gb = cli.real("transfer");
   const core::MultiCloudPlanner planner(
       pricing::PriceCatalog::default_catalog(), config);
 

@@ -9,6 +9,7 @@
 // Run:  ./quickstart [--files 1500] [--episodes 20000] [--seed 42]
 
 #include <iostream>
+#include <stdexcept>
 
 #include "core/minicost_system.hpp"
 #include "trace/synthetic.hpp"
@@ -24,10 +25,18 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "42", "experiment seed");
   if (!cli.parse(argc, argv)) return 1;
 
-  // 1. Workload.
   trace::SyntheticConfig workload;
-  workload.file_count = static_cast<std::size_t>(cli.integer("files"));
-  workload.seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  core::MiniCostConfig config;
+  try {
+    workload.file_count = cli.size("files");
+    workload.seed = cli.size("seed");
+    config.train_episodes = cli.size("episodes");
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "quickstart: " << error.what() << "\n";
+    return 1;
+  }
+
+  // 1. Workload.
   const trace::RequestTrace full_trace = trace::generate_synthetic(workload);
   std::cout << "workload: " << full_trace.file_count() << " files, "
             << full_trace.days() << " days, "
@@ -38,8 +47,6 @@ int main(int argc, char** argv) {
   const auto [train, test] = full_trace.split(0.8, workload.seed);
 
   // 3. MiniCost system (Azure-like prices, paper-default agent).
-  core::MiniCostConfig config;
-  config.train_episodes = static_cast<std::size_t>(cli.integer("episodes"));
   config.seed = workload.seed;
   core::MiniCostSystem system(config);
 

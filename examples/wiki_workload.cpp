@@ -11,6 +11,7 @@
 // Run:  ./wiki_workload [--files 3000] [--pagecounts /path/to/dumps]
 
 #include <iostream>
+#include <stdexcept>
 
 #include "core/optimal.hpp"
 #include "core/planner.hpp"
@@ -32,14 +33,22 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "42", "experiment seed");
   if (!cli.parse(argc, argv)) return 1;
 
-  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  std::uint64_t seed = 0;
+  std::size_t files = 0;
+  try {
+    seed = cli.size("seed");
+    files = cli.size("files");
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "wiki_workload: " << error.what() << "\n";
+    return 1;
+  }
   trace::RequestTrace tr;
   if (const std::string dir = cli.str("pagecounts"); !dir.empty()) {
     std::cout << "parsing pagecounts dumps from " << dir << "...\n";
     tr = trace::load_pagecounts_directory(dir, 62, "en", 100.0, 0.02, seed);
   } else {
     trace::SyntheticConfig config;
-    config.file_count = static_cast<std::size_t>(cli.integer("files"));
+    config.file_count = files;
     config.seed = seed;
     tr = trace::generate_synthetic(config);
   }

@@ -226,21 +226,26 @@ void Dense::run_batch(std::span<const double> in, std::span<double> out,
   assert(in.size() == batch * in_ && out.size() == batch * out_);
   // The scalar dot product is a serial FP-add chain the compiler may not
   // reassociate, so the batch kernel vectorizes across output neurons
-  // instead. That needs the weights transposed (amortized over the whole
-  // batch; the activations stay row-major, untouched). Blocked so both the
+  // instead. That needs the weights transposed, built once per parameter
+  // change (parameters() marks it stale) rather than once per call: the
+  // trainer forwards one row per rollout step, and at the trunk geometry
+  // the transpose costs about five times that row. Blocked so both the
   // read and the write stay within a kB x kB tile — the naive loop strides
   // one full row per element on the store side and runs ~3x slower at the
   // trunk geometry. Copies only, nothing rounds.
-  batch_wt_.resize(in_ * out_);
-  constexpr std::size_t kB = 16;
-  for (std::size_t o0 = 0; o0 < out_; o0 += kB) {
-    const std::size_t oend = std::min(out_, o0 + kB);
-    for (std::size_t i0 = 0; i0 < in_; i0 += kB) {
-      const std::size_t iend = std::min(in_, i0 + kB);
-      for (std::size_t o = o0; o < oend; ++o)
-        for (std::size_t i = i0; i < iend; ++i)
-          batch_wt_[i * out_ + o] = params_[o * in_ + i];
+  if (!wt_fresh_) {
+    batch_wt_.resize(in_ * out_);
+    constexpr std::size_t kB = 16;
+    for (std::size_t o0 = 0; o0 < out_; o0 += kB) {
+      const std::size_t oend = std::min(out_, o0 + kB);
+      for (std::size_t i0 = 0; i0 < in_; i0 += kB) {
+        const std::size_t iend = std::min(in_, i0 + kB);
+        for (std::size_t o = o0; o < oend; ++o)
+          for (std::size_t i = i0; i < iend; ++i)
+            batch_wt_[i * out_ + o] = params_[o * in_ + i];
+      }
     }
+    wt_fresh_ = true;
   }
   gemm_wt_row_major(batch_wt_.data(), params_.data() + bias_offset(),
                     in.data(), in_, out_, batch, relu, out.data());

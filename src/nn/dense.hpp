@@ -31,7 +31,13 @@ class Dense final : public Layer {
                       std::span<const double> grad_out,
                       std::span<double> grad_in, std::size_t batch) override;
 
-  std::span<double> parameters() noexcept override { return params_; }
+  /// The only write path to the weights, so it marks the forward_batch
+  /// transpose stale. Write through the span before the next forward_batch
+  /// call; a span held across one must be fetched again to write.
+  std::span<double> parameters() noexcept override {
+    wt_fresh_ = false;
+    return params_;
+  }
   std::span<const double> parameters() const noexcept override { return params_; }
   std::span<double> gradients() noexcept override { return grads_; }
 
@@ -49,7 +55,10 @@ class Dense final : public Layer {
   std::vector<double> params_;
   std::vector<double> grads_;
   std::vector<double> cached_input_;
-  std::vector<double> batch_wt_;  // forward_batch scratch (transposed W)
+  // forward_batch's transposed W, rebuilt only after parameters() hands
+  // out a writable span; copies and clones carry it along with params_.
+  std::vector<double> batch_wt_;
+  bool wt_fresh_ = false;
 };
 
 }  // namespace minicost::nn

@@ -6,14 +6,16 @@
 // Design notes:
 //  * Single-sample forward()/backward() are the reference path: every
 //    batched pass is defined as bit-identical to a loop of them.
-//  * Batched inference via forward_batch(): the deployed daily planning
+//  * Batched forward via forward_batch(): the deployed daily planning
 //    loop pushes every file's state through the network at once, one fused
-//    pass per layer instead of B single-sample calls. forward_batch() must
-//    produce rows bit-identical to forward() and never feeds backward().
+//    pass per layer instead of B single-sample calls, and the A3C rollout
+//    runs its one-row form each step. forward_batch() must produce rows
+//    bit-identical to forward(); it never feeds the scalar backward().
 //  * Batched training via backward_batch(): the A3C update phase runs one
 //    pass per layer over a whole episode's rows, given the input rows each
-//    layer consumed on the way forward (Network::forward_batch_train keeps
-//    them), with gradients bit-identical to per-row backward() calls.
+//    layer consumed on the way forward (Network::forward_batch_train and
+//    Network::forward_train_row keep them), with gradients bit-identical to
+//    per-row backward() calls.
 //  * A layer owns its parameters and their gradient accumulators; backward()
 //    ACCUMULATES into the gradients (callers zero them per update step).
 //  * Layers cache their last input, so a Network instance is not
@@ -104,7 +106,11 @@ class Layer {
   }
 
   /// Flat views over parameters and their gradient accumulators; empty for
-  /// parameterless layers.
+  /// parameterless layers. The non-const parameters() is the only write
+  /// path: a layer may keep data derived from its parameters for
+  /// forward_batch() (Dense's transposed weights) and mark it stale there,
+  /// so take a fresh span to write after any forward_batch() call. Reads
+  /// should use the const overload, which keeps that data.
   virtual std::span<double> parameters() noexcept = 0;
   virtual std::span<const double> parameters() const noexcept = 0;
   virtual std::span<double> gradients() noexcept = 0;

@@ -1,6 +1,7 @@
 #include "nn/network.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "nn/activation.hpp"
 #include "nn/conv1d.hpp"
@@ -124,23 +125,32 @@ void Network::begin_train_batch() {
   train_batch_ = 0;
 }
 
-void Network::append_train_row(std::span<const double> input) {
-  if (layers_.empty() || activations_.size() != layers_.size())
-    throw std::logic_error("Network::append_train_row: no preceding forward");
+std::span<const double> Network::forward_train_row(
+    std::span<const double> input) {
+  if (layers_.empty())
+    throw std::logic_error("Network::forward_train_row: empty network");
   if (input.size() != input_size())
     throw std::invalid_argument(
-        "Network::append_train_row: input size mismatch");
+        "Network::forward_train_row: input size mismatch");
   if (train_acts_.size() != layers_.size() + 1)
     throw std::logic_error(
-        "Network::append_train_row: begin_train_batch not called");
-  // forward() left each layer's output in activations_; those rows are the
-  // per-layer inputs backward_batch() consumes (shifted by one: layer i
-  // reads train_acts_[i]).
+        "Network::forward_train_row: begin_train_batch not called");
+  // Each layer runs its one-row forward_batch (bit-identical to forward()
+  // by the Layer contract) straight into the tail of the next stash entry,
+  // which is that layer's output and the next layer's input. Unfused, like
+  // forward_batch_train: backward_batch() needs the pre-activation rows.
   train_acts_[0].insert(train_acts_[0].end(), input.begin(), input.end());
-  for (std::size_t i = 0; i < layers_.size(); ++i)
-    train_acts_[i + 1].insert(train_acts_[i + 1].end(),
-                              activations_[i].begin(), activations_[i].end());
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const std::size_t in_w = layers_[i]->input_size();
+    const std::size_t out_w = layers_[i]->output_size();
+    const std::span<const double> in(train_acts_[i]);
+    std::vector<double>& out = train_acts_[i + 1];
+    out.resize(out.size() + out_w);
+    layers_[i]->forward_batch(in.last(in_w), std::span<double>(out).last(out_w),
+                              1);
+  }
   ++train_batch_;
+  return std::span<const double>(train_acts_.back()).last(output_size());
 }
 
 std::vector<double> Network::backward_batch(std::span<const double> grad_output,
@@ -172,7 +182,8 @@ std::vector<double> Network::backward_batch(std::span<const double> grad_output,
 
 std::size_t Network::parameter_count() const noexcept {
   std::size_t count = 0;
-  for (const auto& layer : layers_) count += layer->parameters().size();
+  for (const auto& layer : layers_)
+    count += std::as_const(*layer).parameters().size();
   return count;
 }
 
@@ -180,7 +191,7 @@ std::vector<double> Network::snapshot_parameters() const {
   std::vector<double> flat;
   flat.reserve(parameter_count());
   for (const auto& layer : layers_) {
-    const auto params = layer->parameters();
+    const auto params = std::as_const(*layer).parameters();
     flat.insert(flat.end(), params.begin(), params.end());
   }
   return flat;

@@ -52,19 +52,22 @@ class Network {
   std::vector<double> forward_batch_train(std::span<const double> input,
                                           std::size_t batch);
 
-  /// Alternative way to arm backward_batch(): instead of one
-  /// forward_batch_train() call, stash rows one at a time as scalar
-  /// forward() computes them. begin_train_batch() clears the stash;
-  /// append_train_row() must directly follow a forward() on `input` and
-  /// copies that pass's per-layer activations into the batch (bit-identical
-  /// to what forward_batch_train() would compute, since batch rows match
-  /// forward() rows by contract). Lets a rollout loop that already forwards
-  /// each state feed the update phase without a second forward pass.
+  /// Row-at-a-time way to arm backward_batch(), for a rollout loop that
+  /// chooses each step's input from the previous step's output.
+  /// begin_train_batch() clears the stash (keeping its capacity);
+  /// forward_train_row() appends `input` to it, runs every layer's one-row
+  /// forward_batch() straight into the stash, and returns the output row —
+  /// so after B calls the stash is what forward_batch_train() would hold
+  /// for those B rows, and every returned row is bit-identical to forward()
+  /// on its input. The returned span is valid until the next call that
+  /// changes the stash. Throws std::invalid_argument on an input size
+  /// mismatch and std::logic_error without begin_train_batch(). Not
+  /// thread-safe; clone per thread.
   void begin_train_batch();
-  void append_train_row(std::span<const double> input);
+  std::span<const double> forward_train_row(std::span<const double> input);
 
-  /// Batched backward after forward_batch_train() (or a
-  /// begin/append_train_row() sequence): `grad_output` holds `batch` rows
+  /// Batched backward after forward_batch_train() (or a begin_train_batch()
+  /// + forward_train_row() sequence): `grad_output` holds `batch` rows
   /// of dL/d(output). Accumulates parameter gradients bit-identical to
   /// running forward() + backward() per row in ascending row order
   /// (DESIGN.md §7) and returns the dL/d(input) rows. Throws

@@ -1,5 +1,6 @@
 #include "pricing/policy.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace minicost::pricing {
@@ -11,15 +12,20 @@ PricingPolicy::PricingPolicy(std::string name,
       tiers_(tiers),
       tier_change_per_gb_(tier_change_per_gb),
       days_per_month_(days_per_month) {
-  if (days_per_month <= 0.0)
-    throw std::invalid_argument("PricingPolicy: days_per_month must be > 0");
-  if (tier_change_per_gb < 0.0)
-    throw std::invalid_argument("PricingPolicy: negative tier change price");
+  // Written so NaN fails too: every comparison with NaN is false.
+  const auto is_price = [](double x) { return x >= 0.0 && std::isfinite(x); };
+  if (!(days_per_month > 0.0 && std::isfinite(days_per_month)))
+    throw std::invalid_argument(
+        "PricingPolicy: days_per_month must be finite and > 0");
+  if (!is_price(tier_change_per_gb))
+    throw std::invalid_argument(
+        "PricingPolicy: tier change price must be finite and >= 0");
   for (const TierPrice& p : tiers_) {
-    if (p.storage_gb_month < 0.0 || p.read_per_10k_ops < 0.0 ||
-        p.write_per_10k_ops < 0.0 || p.read_per_gb < 0.0 ||
-        p.write_per_gb < 0.0)
-      throw std::invalid_argument("PricingPolicy: negative unit price");
+    if (!is_price(p.storage_gb_month) || !is_price(p.read_per_10k_ops) ||
+        !is_price(p.write_per_10k_ops) || !is_price(p.read_per_gb) ||
+        !is_price(p.write_per_gb))
+      throw std::invalid_argument(
+          "PricingPolicy: unit prices must be finite and >= 0");
   }
 }
 

@@ -34,8 +34,8 @@ struct TierPrice {
 class PricingPolicy {
  public:
   PricingPolicy() = default;
-  /// Throws std::invalid_argument if any price is negative or
-  /// days_per_month is not positive.
+  /// Throws std::invalid_argument if any price is negative, NaN or
+  /// infinite, or days_per_month is not finite and positive.
   PricingPolicy(std::string name, std::array<TierPrice, kTierCount> tiers,
                 double tier_change_per_gb, double days_per_month = 30.0);
 

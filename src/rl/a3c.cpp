@@ -242,13 +242,13 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     Action held_action = 0;
     const double hold_stop_p =
         config_.epsilon_hold_mean > 0.0 ? 1.0 / config_.epsilon_hold_mean : 1.0;
-    // Stash each rollout forward's per-layer activations so the update
-    // phase can run backward_batch directly — the rollout IS the actor's
-    // forward pass (weights are frozen within an episode).
+    // Each step forwards its state through the actor's one-row batch
+    // kernels straight into the training stash, so the update phase can run
+    // backward_batch directly — the rollout IS the actor's forward pass
+    // (weights are frozen within an episode).
     actor.begin_train_batch();
     while (!done) {
-      const std::vector<double> logits = actor.forward(state);
-      actor.append_train_row(state);
+      const std::span<const double> logits = actor.forward_train_row(state);
       rollout_logits.insert(rollout_logits.end(), logits.begin(), logits.end());
       const std::vector<double> pi = nn::softmax(logits);
       Action action;
@@ -334,7 +334,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
 
     // Actor pass: ascends log π(a|s)·A + β·H(π), averaged over the episode.
     // No forward here at all: the rollout stashed each step's per-layer
-    // activations (begin_train_batch/append_train_row above), which is
+    // activations (begin_train_batch/forward_train_row above), which is
     // exactly the state backward_batch consumes, and its cached logits are
     // the ones the loss reads (same weights, same input).
     std::vector<double> probs(n * kActionCount);

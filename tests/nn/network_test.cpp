@@ -7,9 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
+#include <utility>
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
+#include "nn/serialize.hpp"
 
 namespace minicost::nn {
 namespace {
@@ -326,8 +329,9 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
   // Full conv trunk (the actor/critic architecture). The batched pass must
   // accumulate exactly the gradients of per-row forward()+backward() calls
   // in ascending row order, 0 ULP, and return identical input-grad rows.
-  // So must the trainer's rollout-stash arming: per-row forward() +
-  // append_train_row(), then backward_batch without input grads.
+  // So must the trainer's rollout-stash arming: per-row forward_train_row()
+  // (each returned row equal to forward()), then backward_batch without
+  // input grads.
   for (const std::size_t batch : {1u, 2u, 14u, 64u}) {
     util::Rng rng_a(23), rng_b(23), rng_c(23);
     Network batched = build_trunk(14, 12, 16, 4, 16, 3, rng_a);
@@ -343,11 +347,13 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
     const auto grad_in_batched = batched.backward_batch(grad_rows, batch);
     const auto grads_batched = batched.collect_gradients(/*zero_after=*/true);
 
-    std::vector<double> grad_in_scalar;
+    std::vector<double> grad_in_scalar, out_scalar;
     const std::size_t in_w = scalar.input_size();
     const std::size_t out_w = scalar.output_size();
     for (std::size_t b = 0; b < batch; ++b) {
-      scalar.forward(std::span<const double>(input.data() + b * in_w, in_w));
+      const auto row_out = scalar.forward(
+          std::span<const double>(input.data() + b * in_w, in_w));
+      out_scalar.insert(out_scalar.end(), row_out.begin(), row_out.end());
       const auto row_grad_in = scalar.backward(std::span<const double>(
           grad_rows.data() + b * out_w, out_w));
       grad_in_scalar.insert(grad_in_scalar.end(), row_grad_in.begin(),
@@ -357,9 +363,12 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
 
     stashed.begin_train_batch();
     for (std::size_t b = 0; b < batch; ++b) {
-      const std::span<const double> row(input.data() + b * in_w, in_w);
-      stashed.forward(row);
-      stashed.append_train_row(row);
+      const auto row_out = stashed.forward_train_row(
+          std::span<const double>(input.data() + b * in_w, in_w));
+      ASSERT_EQ(row_out.size(), out_w);
+      for (std::size_t o = 0; o < out_w; ++o)
+        EXPECT_EQ(row_out[o], out_scalar[b * out_w + o])
+            << "batch=" << batch << " row " << b << " out " << o;
     }
     EXPECT_TRUE(stashed
                     .backward_batch(grad_rows, batch,
@@ -418,6 +427,102 @@ TEST(NetworkTest, BackwardBatchRequiresMatchingForward) {
   std::vector<double> input(3 * net.input_size(), 0.5);
   net.forward_batch_train(input, 3);
   EXPECT_THROW(net.backward_batch(grad_rows, 2), std::logic_error);
+}
+
+TEST(NetworkTest, ForwardTrainRowRequiresStashAndInputWidth) {
+  util::Rng rng(28);
+  Network net = tiny_net(rng);
+  std::vector<double> row(net.input_size(), 0.5);
+  EXPECT_THROW(net.forward_train_row(row), std::logic_error);
+  net.begin_train_batch();
+  std::vector<double> wide(net.input_size() + 1, 0.5);
+  EXPECT_THROW(net.forward_train_row(wide), std::invalid_argument);
+  EXPECT_EQ(net.forward_train_row(row).size(), net.output_size());
+  // One stashed row arms a one-row backward_batch, and nothing else.
+  std::vector<double> grad_rows(2 * net.output_size(), 1.0);
+  EXPECT_THROW(net.backward_batch(grad_rows, 2), std::logic_error);
+  EXPECT_EQ(net.backward_batch(std::span<const double>(grad_rows).first(
+                                   net.output_size()),
+                               1)
+                .size(),
+            net.input_size());
+}
+
+TEST(NetworkTest, ForwardBatchSeesEveryParameterWrite) {
+  // Dense keeps its transposed weights for forward_batch() between
+  // parameter writes. After each write path — writes through parameters(),
+  // load_parameters, apply_delta, load_network, and a copy or clone of a
+  // layer whose transpose is current, written afterwards — the next
+  // forward_batch() must run on the new weights: bit-identical to
+  // forward(), which reads them directly. Each check is preceded by a
+  // forward_batch() that builds the transpose for the old weights.
+  const auto layer_mismatches = [](Layer& layer,
+                                   const std::vector<double>& rows,
+                                   std::size_t batch) {
+    const std::size_t in_w = layer.input_size();
+    const std::size_t out_w = layer.output_size();
+    std::vector<double> batched(batch * out_w), expected(out_w);
+    layer.forward_batch(rows, batched, batch);
+    std::size_t mismatches = 0;
+    for (std::size_t b = 0; b < batch; ++b) {
+      layer.forward(std::span<const double>(rows.data() + b * in_w, in_w),
+                    expected);
+      for (std::size_t o = 0; o < out_w; ++o)
+        if (std::bit_cast<std::uint64_t>(batched[b * out_w + o]) !=
+            std::bit_cast<std::uint64_t>(expected[o]))
+          ++mismatches;
+    }
+    return mismatches;
+  };
+  const std::pair<std::size_t, std::size_t> widths[] = {{366, 32}, {65, 33}};
+  for (const auto& [in, out] : widths) {
+    SCOPED_TRACE("dense " + std::to_string(in) + " " + std::to_string(out));
+    util::Rng rng(40 + in);
+    const std::size_t batch = 5;
+    std::vector<double> rows(batch * in);
+    for (double& v : rows) v = rng.uniform(-1.0, 1.0);
+
+    Dense layer(in, out, rng);
+    EXPECT_EQ(layer_mismatches(layer, rows, batch), 0u);
+    for (double& w : layer.parameters()) w = w * 0.5 + 0.125;
+    EXPECT_EQ(layer_mismatches(layer, rows, batch), 0u) << "parameters()";
+
+    Dense copy(layer);
+    const std::unique_ptr<Layer> clone = layer.clone();
+    for (double& w : copy.parameters()) w = -w;
+    for (double& w : clone->parameters()) w += 0.25;
+    EXPECT_EQ(layer_mismatches(copy, rows, batch), 0u) << "copy";
+    EXPECT_EQ(layer_mismatches(*clone, rows, batch), 0u) << "clone()";
+    EXPECT_EQ(layer_mismatches(layer, rows, batch), 0u) << "copied-from";
+
+    // Network paths, through the fused Dense+Relu store as the trunk runs.
+    const auto dense_relu = [&rng, in = in, out = out] {
+      Network net;
+      net.add(std::make_unique<Dense>(in, out, rng));
+      net.add(std::make_unique<Relu>(out));
+      return net;
+    };
+    Network net = dense_relu();
+    const auto net_mismatches = [&] {
+      return mismatches_vs_forward(net, rows, net.forward_batch(rows, batch),
+                                   batch);
+    };
+    EXPECT_EQ(net_mismatches(), 0u);
+    std::vector<double> flat = net.snapshot_parameters();
+    for (double& w : flat) w = w * 0.5 - 0.125;
+    net.load_parameters(flat);
+    EXPECT_EQ(net_mismatches(), 0u) << "load_parameters";
+    net.apply_delta(flat, -1.5);
+    EXPECT_EQ(net_mismatches(), 0u) << "apply_delta";
+    std::stringstream saved;
+    save_network(dense_relu(), saved);
+    net = load_network(saved);
+    EXPECT_EQ(net_mismatches(), 0u) << "load_network";
+    Network net_copy = net;
+    net_copy.apply_delta(flat, 0.75);
+    std::swap(net, net_copy);
+    EXPECT_EQ(net_mismatches(), 0u) << "Network copy";
+  }
 }
 
 TEST(BuildTrunkTest, MatchesPaperArchitectureShapes) {

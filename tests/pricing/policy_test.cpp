@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -104,6 +106,34 @@ TEST(PricingPolicyTest, ConstructorRejectsBadDaysPerMonth) {
   std::array<TierPrice, kTierCount> tiers{};
   EXPECT_THROW(PricingPolicy("bad", tiers, 0.0, 0.0), std::invalid_argument);
   EXPECT_THROW(PricingPolicy("bad", tiers, -0.1), std::invalid_argument);
+}
+
+TEST(PricingPolicyTest, ConstructorRejectsNonFiniteValues) {
+  // `< 0.0` is false for NaN, so each field is probed with NaN and both
+  // infinities, in every tier.
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  double TierPrice::*const fields[] = {
+      &TierPrice::storage_gb_month, &TierPrice::read_per_10k_ops,
+      &TierPrice::write_per_10k_ops, &TierPrice::read_per_gb,
+      &TierPrice::write_per_gb};
+  const std::array<TierPrice, kTierCount> zero{};
+  EXPECT_NO_THROW(PricingPolicy("free", zero, 0.0));
+  for (const double value : bad) {
+    for (std::size_t t = 0; t < kTierCount; ++t) {
+      for (double TierPrice::*field : fields) {
+        std::array<TierPrice, kTierCount> tiers{};
+        tiers[t].*field = value;
+        EXPECT_THROW(PricingPolicy("bad", tiers, 0.0), std::invalid_argument)
+            << "tier " << t << " value " << value;
+      }
+    }
+    EXPECT_THROW(PricingPolicy("bad", zero, value), std::invalid_argument)
+        << "tier change " << value;
+    EXPECT_THROW(PricingPolicy("bad", zero, 0.0, value), std::invalid_argument)
+        << "days_per_month " << value;
+  }
 }
 
 TEST(PricingPolicyTest, OpMultiplierScalesOnlyOperationPrices) {

@@ -8,7 +8,13 @@ malformed inputs that must fail with exit 1 and exactly one stderr line.
 
     python3 tests/tools/cli_test.py path/to/minicost
 
-ctest runs it as `cli_smoke`.
+ctest runs it as `cli_smoke`. Each `--example path/to/binary` after the
+minicost path adds an example program to ExampleFlagsTest, which checks
+that malformed flags fail it the same way; ctest runs that class alone as
+`example_flags_smoke`:
+
+    python3 tests/tools/cli_test.py path/to/minicost \
+        --example path/to/quickstart ExampleFlagsTest
 """
 
 import csv
@@ -22,6 +28,7 @@ import unittest
 from pathlib import Path
 
 BINARY = None  # set from argv in __main__
+EXAMPLES = []  # the --example paths from argv
 FILES = "2000"
 DAYS = "31"
 
@@ -159,8 +166,32 @@ class CliSmokeTest(unittest.TestCase):
         self.assertFalse((self.dir / "never.mct").exists())
 
 
+class ExampleFlagsTest(unittest.TestCase):
+    """Malformed flag values end an example with exit 1 and one stderr line
+    (not std::terminate), before it does any work."""
+
+    def test_malformed_flags_fail_with_one_stderr_line(self):
+        if not EXAMPLES:
+            self.skipTest("no --example binaries given")
+        for example in EXAMPLES:
+            for args in (("--seed", "12abc"), ("--files", "-1")):
+                with self.subTest(example=Path(example).name,
+                                  args=" ".join(args)):
+                    result = subprocess.run([example, *args],
+                                            capture_output=True, text=True,
+                                            timeout=60)
+                    self.assertEqual(result.returncode, 1, result.stdout)
+                    self.assertEqual(len(result.stderr.splitlines()), 1,
+                                     result.stderr)
+                    self.assertEqual(result.stdout, "")
+
+
 if __name__ == "__main__":
     if len(sys.argv) < 2:
-        sys.exit("usage: cli_test.py path/to/minicost [unittest args]")
+        sys.exit("usage: cli_test.py path/to/minicost "
+                 "[--example path/to/binary ...] [unittest args]")
     BINARY = str(Path(sys.argv.pop(1)).resolve())
+    while len(sys.argv) > 2 and sys.argv[1] == "--example":
+        EXAMPLES.append(str(Path(sys.argv[2]).resolve()))
+        del sys.argv[1:3]
     unittest.main()
