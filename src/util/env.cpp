@@ -13,15 +13,6 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback) noexcept {
   return end == value ? fallback : parsed;
 }
 
-double env_double(const std::string& name, double fallback) noexcept {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv; nothing calls setenv
-  const char* value = std::getenv(name.c_str());
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return end == value ? fallback : parsed;
-}
-
 std::string env_str(const std::string& name, const std::string& fallback) {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only getenv; nothing calls setenv
   const char* value = std::getenv(name.c_str());

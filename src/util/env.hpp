@@ -11,9 +11,6 @@ namespace minicost::util {
 /// Returns the integer value of `name`, or `fallback` if unset/unparseable.
 std::int64_t env_int(const std::string& name, std::int64_t fallback) noexcept;
 
-/// Returns the double value of `name`, or `fallback` if unset/unparseable.
-double env_double(const std::string& name, double fallback) noexcept;
-
 /// Returns the string value of `name`, or `fallback` if unset.
 std::string env_str(const std::string& name, const std::string& fallback);
 

@@ -6,15 +6,18 @@
 // for MiniCost, optimal_sequence for Optimal).
 #include <gtest/gtest.h>
 
+#include "evaluation.hpp"
+
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/forecast_policy.hpp"
 #include "core/greedy.hpp"
-#include "core/minicost_system.hpp"
 #include "core/optimal.hpp"
 #include "core/planner.hpp"
 #include "core/rl_policy.hpp"
@@ -193,44 +196,39 @@ TEST(BatchScalarEquivalenceTest, RlPolicyGreedyAndSampled) {
   }
 }
 
-// The headline reproducibility contract: the full evaluation fan-out —
-// concurrent policy runs, batched NN planning, parallel billing — produces
-// the same report bit for bit whether the pool has one thread or many.
+// The headline reproducibility contract: the paper's evaluation — the five
+// policies over a trained agent plus MiniCost on the aggregated workload
+// ("MiniCost w/E"), the runs fanned out on the pool concurrently, each with
+// batched NN planning and parallel billing inside — produces the same bills
+// bit for bit whether the pool has one thread or many.
 TEST(DeterminismTest, EvaluateIsPoolSizeIndependent) {
-  trace::SyntheticConfig tc;
-  tc.file_count = 80;
-  tc.days = 62;
-  tc.seed = 47;
-  const trace::RequestTrace tr = trace::generate_synthetic(tc);
+  const trace::RequestTrace tr = evaluation::make_trace();
+  ASSERT_FALSE(tr.groups().empty());  // the w/E run needs co-request groups
+  rl::A3CAgent agent(evaluation::agent_config(), evaluation::kSeed);
+  evaluation::train(agent, tr);
 
   util::ThreadPool one(1), many(4);
-  core::EvaluationReport reports[2];
+  std::map<std::string, evaluation::Outcome> outcomes[2];
   util::ThreadPool* pools[2] = {&one, &many};
-  for (int run = 0; run < 2; ++run) {
-    core::MiniCostConfig config;
-    config.agent.filters = 8;
-    config.agent.hidden = 8;
-    config.agent.workers = 1;
-    config.seed = 51;
-    config.aggregation = core::AggregationConfig{};
-    config.pool = pools[run];
-    core::MiniCostSystem system(config);
-    reports[run] = system.evaluate(tr, 27, 62);
-  }
+  for (int run = 0; run < 2; ++run)
+    outcomes[run] = evaluation::run_policies(
+        tr, agent, evaluation::kStart, evaluation::kDays, *pools[run]);
+  EXPECT_EQ(outcomes[0].size(), 6u);
 
-  ASSERT_EQ(reports[0].outcomes.size(), reports[1].outcomes.size());
-  for (const auto& [name, outcome] : reports[0].outcomes) {
-    ASSERT_TRUE(reports[1].outcomes.count(name)) << name;
-    const core::PolicyOutcome& other = reports[1].outcomes.at(name);
-    EXPECT_EQ(outcome.total_cost, other.total_cost) << name;  // bitwise
+  ASSERT_EQ(outcomes[0].size(), outcomes[1].size());
+  for (const auto& [name, outcome] : outcomes[0]) {
+    ASSERT_TRUE(outcomes[1].count(name)) << name;
+    const evaluation::Outcome& other = outcomes[1].at(name);
+    const sim::BillingReport& a = outcome.result.report;
+    const sim::BillingReport& b = other.result.report;
+    EXPECT_EQ(a.grand_total().total(), b.grand_total().total())  // bitwise
+        << name;
     EXPECT_EQ(outcome.optimal_action_rate, other.optimal_action_rate) << name;
     EXPECT_EQ(outcome.result.plan, other.result.plan) << name;
     // Full cost tables, byte for byte: the Cs/Cr/Cw/Cc decomposition of the
     // grand total, every per-file total, and every per-day breakdown. Any
     // drift here means a parallel reduction picked up a pool-size-dependent
     // FP order.
-    const sim::BillingReport& a = outcome.result.report;
-    const sim::BillingReport& b = other.result.report;
     EXPECT_EQ(a.grand_total().storage, b.grand_total().storage) << name;
     EXPECT_EQ(a.grand_total().read, b.grand_total().read) << name;
     EXPECT_EQ(a.grand_total().write, b.grand_total().write) << name;

@@ -1,86 +1,52 @@
-// End-to-end pipeline: generate -> train -> plan -> bill, exercising the
-// MiniCostSystem facade exactly as the examples do, at tiny scale.
+// End-to-end pipeline: generate -> train -> plan -> bill, the paper's
+// evaluation protocol run through run_policy at tiny scale.
 #include <gtest/gtest.h>
 
-#include "core/minicost_system.hpp"
-#include "trace/synthetic.hpp"
+#include <stdexcept>
 
-namespace minicost::core {
+#include "evaluation.hpp"
+
+namespace minicost {
 namespace {
 
-MiniCostConfig tiny_system_config() {
-  MiniCostConfig config;
-  config.agent.filters = 8;
-  config.agent.hidden = 8;
-  config.agent.workers = 1;
-  config.train_episodes = 400;
-  config.seed = 51;
-  config.aggregation = AggregationConfig{};
-  return config;
-}
-
-trace::RequestTrace tiny_trace() {
-  trace::SyntheticConfig config;
-  config.file_count = 80;
-  config.days = 62;
-  config.seed = 47;
-  return trace::generate_synthetic(config);
-}
-
 TEST(PipelineTest, TrainEvaluateProducesAllPolicies) {
-  MiniCostSystem system(tiny_system_config());
-  const trace::RequestTrace tr = tiny_trace();
-  const auto [train, test] = tr.split(0.8, 51);
+  const trace::RequestTrace tr = evaluation::make_trace();
+  ASSERT_FALSE(tr.groups().empty());  // the w/E run needs co-request groups
+  rl::A3CAgent agent(evaluation::agent_config(), evaluation::kSeed);
+  evaluation::train(agent, tr);
+  EXPECT_GT(agent.trained_episodes(), 0u);
 
-  system.train(train);
-  EXPECT_GT(system.agent().trained_episodes(), 0u);
-
-  EvaluationReport report = system.evaluate(test, 27, 62);
-  ASSERT_TRUE(report.outcomes.count("Hot"));
-  ASSERT_TRUE(report.outcomes.count("Cold"));
-  ASSERT_TRUE(report.outcomes.count("Greedy"));
-  ASSERT_TRUE(report.outcomes.count("MiniCost"));
-  ASSERT_TRUE(report.outcomes.count("Optimal"));
-  if (!test.groups().empty())
-    EXPECT_TRUE(report.outcomes.count("MiniCost w/E"));
+  util::ThreadPool pool(2);
+  const auto outcomes = evaluation::run_policies(
+      tr, agent, evaluation::kStart, evaluation::kDays, pool);
+  for (const char* name :
+       {"Optimal", "Hot", "Cold", "Greedy", "MiniCost", "MiniCost w/E"})
+    EXPECT_TRUE(outcomes.count(name)) << name;
 
   // Optimal is the lower bound; its agreement with itself is 1.
-  const double optimal = report.outcomes.at("Optimal").total_cost;
-  EXPECT_DOUBLE_EQ(report.outcomes.at("Optimal").optimal_action_rate, 1.0);
-  for (const auto& [name, outcome] : report.outcomes) {
-    if (name == "MiniCost w/E") continue;  // different workload width
-    EXPECT_GE(outcome.total_cost, optimal - 1e-9) << name;
-    EXPECT_GE(outcome.optimal_action_rate, 0.0);
-    EXPECT_LE(outcome.optimal_action_rate, 1.0);
+  const double optimal =
+      outcomes.at("Optimal").result.report.grand_total().total();
+  EXPECT_EQ(outcomes.at("Optimal").optimal_action_rate, 1.0);
+  for (const auto& [name, outcome] : outcomes) {
+    EXPECT_GE(outcome.optimal_action_rate, 0.0) << name;
+    EXPECT_LE(outcome.optimal_action_rate, 1.0) << name;
+    if (name == "MiniCost w/E") continue;  // a different workload
+    EXPECT_GE(outcome.result.report.grand_total().total(), optimal - 1e-9)
+        << name;
   }
 }
 
 TEST(PipelineTest, EvaluateRejectsBadWindow) {
-  MiniCostSystem system(tiny_system_config());
-  const trace::RequestTrace tr = tiny_trace();
-  EXPECT_THROW(system.evaluate(tr, 0, 10), std::invalid_argument);
-  EXPECT_THROW(system.evaluate(tr, 30, 20), std::invalid_argument);
-}
-
-TEST(PipelineTest, PlanDayRespectsHistoryWarmup) {
-  MiniCostSystem system(tiny_system_config());
-  const trace::RequestTrace tr = tiny_trace();
-  std::vector<pricing::StorageTier> current(tr.file_count(),
-                                            pricing::StorageTier::kCool);
-  // Before enough history, the plan keeps current tiers.
-  const sim::DayPlan early = system.plan_day(tr, 3, current);
-  EXPECT_EQ(early, current);
-  // After warmup the plan is a full-width decision vector.
-  const sim::DayPlan later = system.plan_day(tr, 30, current);
-  EXPECT_EQ(later.size(), tr.file_count());
-}
-
-TEST(PipelineTest, PlanDayRejectsWidthMismatch) {
-  MiniCostSystem system(tiny_system_config());
-  const trace::RequestTrace tr = tiny_trace();
-  std::vector<pricing::StorageTier> wrong(3, pricing::StorageTier::kHot);
-  EXPECT_THROW(system.plan_day(tr, 30, wrong), std::invalid_argument);
+  const trace::RequestTrace tr = evaluation::make_trace();
+  rl::A3CAgent agent(evaluation::agent_config(), evaluation::kSeed);
+  util::ThreadPool pool(2);
+  // No observation days for the initial placement.
+  EXPECT_THROW(evaluation::run_policies(tr, agent, 0, 10, pool),
+               std::invalid_argument);
+  // The window ends before it starts.
+  EXPECT_THROW(evaluation::run_policies(tr, agent, 30, 20, pool),
+               std::invalid_argument);
 }
 
 }  // namespace
-}  // namespace minicost::core
+}  // namespace minicost

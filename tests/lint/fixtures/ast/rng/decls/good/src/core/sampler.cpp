@@ -2,6 +2,8 @@
 // parameter and return types of declarations, which construct nothing.
 #include <random>
 
+#include "util/rng.hpp"
+
 namespace mini {
 
 std::mt19937 make_engine(unsigned long long seed);

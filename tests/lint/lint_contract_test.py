@@ -174,6 +174,7 @@ class LintContractTest(unittest.TestCase):
                    "  void operator delete(void* p);\n"
                    "  int renew_count = 0;\n"
                    "};\n")
+        self.write("src/core/y.cpp", '#include "core/x.hpp"\n')
         self.assertEqual(self.lint(), [])
 
     def test_make_unique_is_clean(self):
@@ -431,6 +432,24 @@ class LockRuleTest(unittest.TestCase):
 
     def test_good_fixture_clean(self):
         self.assertEqual(run_fixture("lock/good"), [])
+
+
+class OrphanHeaderRuleTest(unittest.TestCase):
+    def test_bad_fixture_fails_with_rule_id(self):
+        # Included only by its own .cpp and by tests/, which do not count.
+        findings = run_fixture("orphan/bad")
+        self.assertEqual([(f.path, f.rule) for f in findings],
+                         [("src/nn/check.hpp", "orphan-header")])
+
+    def test_good_fixture_clean(self):
+        # perfbench/ includers count; includes resolve against the
+        # includer's directory too.
+        self.assertEqual(run_fixture("orphan/good"), [])
+
+    def test_only_named_headers_are_judged(self):
+        root = FIXTURES / "orphan" / "bad"
+        self.assertEqual(
+            lint_contract.run(root, [root / "src" / "nn" / "check.cpp"]), [])
 
 
 class SuppressionTest(unittest.TestCase):

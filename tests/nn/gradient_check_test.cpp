@@ -1,4 +1,4 @@
-#include "nn/gradient_check.hpp"
+#include "gradient_check.hpp"
 
 #include <gtest/gtest.h>
 

@@ -141,6 +141,14 @@ class CliSmokeTest(unittest.TestCase):
         self.assertEqual(rows[2]["policy"], "Hot")
         self.assertEqual([r["event"] for r in rows[3:]], ["sweep", "sweep"])
 
+    def test_crossover_prints_break_even_sheet_and_curves(self):
+        # 0 MB is a valid size: only the size-dependent charges vanish.
+        out = self.invoke_ok("crossover", "--preset", "s3", "--size-mb", "0")
+        self.assertIn("@ 0 MB:", out)
+        for section in ("cool vs archive", "storage $/GB-mo", "tier change:",
+                        "daily cost for a 0 MB file:", "best tier"):
+            self.assertIn(section, out)
+
     def test_malformed_inputs_fail_with_one_stderr_line(self):
         cases = [
             ("plan", "t.mct", "--preset", "nosuch"),
@@ -155,6 +163,7 @@ class CliSmokeTest(unittest.TestCase):
             ("plan", "t.mct", "--bogus"),
             ("generate", "--out", "never.csv", "--codec", "delta"),
             ("crossover", "--size-mb", "100x"),
+            ("crossover", "--size-mb", "-100"),
         ]
         for args in cases:
             with self.subTest(args=" ".join(args)):

@@ -62,6 +62,11 @@ Semantic rules — need types, the call graph or the build graph:
                        pool executes queued tasks from inside blocking waits
                        — re-entering it with a mutex held is a lock-inversion
                        deadlock waiting for load (DESIGN.md §8).
+  orphan-header        a src/ header that nothing outside tests/ includes
+                       except its own .cpp. The include graph is read from
+                       src/ tools/ bench/ examples/ fuzz/ perfbench/; a
+                       header only tests use belongs in tests/, so the
+                       library does not keep code the system never runs.
 
 Frontend: the rules run on a "semantic facts" model (declared types, alias
 tables, call edges, lock-held regions) that a bundled micro-frontend
@@ -87,6 +92,7 @@ Exit status: 0 clean, 1 findings, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import posixpath
 import re
 import sys
 from dataclasses import dataclass, field
@@ -102,6 +108,7 @@ RULE_IDS = (
     "rng-flow",
     "unordered-iteration",
     "lock-pool-callback",
+    "orphan-header",
 )
 
 SUPPRESS_RE = re.compile(
@@ -110,6 +117,8 @@ SUPPRESS_RE = re.compile(
 )
 
 SOURCE_DIRS = ("src", "tools", "bench", "examples", "fuzz")
+# Where orphan-header looks for includers: the lint walk plus perfbench/.
+INCLUDER_DIRS = SOURCE_DIRS + ("perfbench",)
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 
 RNG_ENGINE_TYPES = {
@@ -128,6 +137,7 @@ FUTURE_BLOCKERS = {"get", "wait", "wait_for", "wait_until"}
 RNG_EXEMPT_RE = re.compile(r"(^|/)src/util/rng\.(cpp|hpp)$")
 BILLING_DIR_RE = re.compile(r"(^|/)src/(sim|stats)/")
 OPENMP_RE = re.compile(r"#\s*pragma\s+omp\b")
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.M)
 TARGET_CLONES_MACRO = "MINICOST_TARGET_CLONES"
 
 IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
@@ -1246,6 +1256,32 @@ def rule_ffp_contract(root: Path) -> list[Finding]:
         src.read_text(encoding="utf-8", errors="replace")]
 
 
+def rule_orphan_header(root: Path, rels: list[str]) -> list[Finding]:
+    """src/ headers in `rels` whose only includer (tests/ aside) is their
+    own .cpp. An include resolves against src/ and the includer's dir."""
+    includers: dict[str, set[str]] = {}
+    for top in INCLUDER_DIRS:
+        if not (root / top).is_dir():
+            continue
+        for path in (root / top).rglob("*"):
+            if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for inc in INCLUDE_RE.findall(text):
+                for target in ("src/" + inc,
+                               posixpath.join(posixpath.dirname(rel), inc)):
+                    includers.setdefault(posixpath.normpath(target),
+                                         set()).add(rel)
+    return [Finding(
+        rel, 1, "orphan-header",
+        "nothing outside tests/ includes this header except its own .cpp; "
+        "move it into tests/ or delete it")
+        for rel in rels
+        if rel.startswith("src/") and rel.endswith(".hpp")
+        and not includers.get(rel, set()) - {rel[:-len(".hpp")] + ".cpp"}]
+
+
 # --------------------------------------------------------------------------
 # Semantic rules.
 # --------------------------------------------------------------------------
@@ -1542,6 +1578,7 @@ def run(root: Path, paths: list[Path] | None = None) -> list[Finding]:
     raw.extend(rule_billing_exact_sum(index))
     raw.extend(rule_unordered_iteration(index, core_link_closure(root)))
     raw.extend(rule_lock_pool_callback(index))
+    raw.extend(rule_orphan_header(root, rels))
     findings.extend(apply_suppressions(raw))
     # Only unsuppressed constructions taint their callers: an allow() with a
     # written reason vouches for the whole flow below it.

@@ -7,7 +7,7 @@
 //   minicost verify    <trace.mct>
 //   minicost analyze   <trace.csv|trace.mct>
 //   minicost plan      <trace.csv|trace.mct> --policy optimal|greedy|hot|cold|mpc|rl
-//   minicost crossover [--preset azure|s3|gcs]
+//   minicost crossover [--preset azure|s3|gcs] [--size-mb 100]
 //
 // Trace paths pick their format by extension: `.mct` is the store of
 // store/format.hpp, anything else the CSV of trace/trace_io.hpp. A .mct is
@@ -731,13 +731,19 @@ int cmd_plan(int argc, const char* const* argv) {
 }
 
 int cmd_crossover(int argc, const char* const* argv) {
-  util::Cli cli("minicost crossover", "tier break-even request rates");
+  util::Cli cli("minicost crossover",
+                "tier break-even request rates, price sheet and daily cost "
+                "curves");
   cli.add_flag("preset", "azure", "price preset: azure | s3 | gcs");
   cli.add_flag("size-mb", "100", "file size, MB");
   if (!cli.parse(argc, argv)) return 1;
   const pricing::PricingPolicy prices =
       pricing::PricingPolicy::preset(cli.str("preset"));
+  const std::string size_mb = cli.str("size-mb");
   const double gb = cli.real("size-mb") / 1024.0;
+  if (gb < 0.0)
+    throw std::invalid_argument("--size-mb expects a size >= 0, got '" +
+                                size_mb + "'");
   util::Table table({"boundary", "reads/day"});
   using pricing::StorageTier;
   for (const auto& [label, from, to] :
@@ -747,8 +753,42 @@ int cmd_crossover(int argc, const char* const* argv) {
     table.add_row({label, util::format_double(sim::tier_crossover_reads(
                                                   prices, from, to, gb, 0.02),
                                               3)});
-  std::cout << prices.name() << " @ " << cli.str("size-mb") << " MB:\n"
-            << table.to_string();
+  std::cout << prices.name() << " @ " << size_mb << " MB:\n"
+            << table.to_string() << "\n";
+
+  util::Table sheet({"tier", "storage $/GB-mo", "read $/10k ops",
+                     "write $/10k ops", "read $/GB", "write $/GB"});
+  for (const StorageTier t : pricing::all_tiers()) {
+    const pricing::TierPrice& p = prices.tier(t);
+    sheet.add_row({std::string(pricing::tier_name(t)),
+                   util::format_double(p.storage_gb_month, 5),
+                   util::format_double(p.read_per_10k_ops, 4),
+                   util::format_double(p.write_per_10k_ops, 4),
+                   util::format_double(p.read_per_gb, 4),
+                   util::format_double(p.write_per_gb, 4)});
+  }
+  std::cout << sheet.to_string() << "\ntier change: "
+            << util::format_double(prices.tier_change_per_gb(), 5)
+            << " $/GB\n\n";
+
+  // Daily cost of one file per tier as its read rate grows, writes at 2%
+  // of reads plus a floor.
+  util::Table curves({"reads/day", "hot $/day", "cool $/day", "archive $/day",
+                      "best tier"});
+  for (const double reads : {0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
+                             50.0, 200.0, 1000.0}) {
+    const double writes = 0.02 * reads + 0.05;
+    std::vector<std::string> row{util::format_double(reads, 2)};
+    for (const StorageTier t : pricing::all_tiers())
+      row.push_back(util::format_double(
+          sim::file_day_cost_no_change(prices, t, reads, writes, gb).total(),
+          7));
+    row.push_back(std::string(pricing::tier_name(
+        sim::best_static_tier(prices, reads, writes, gb))));
+    curves.add_row(std::move(row));
+  }
+  std::cout << "daily cost for a " << size_mb << " MB file:\n"
+            << curves.to_string();
   return 0;
 }
 
@@ -767,7 +807,7 @@ constexpr Command kCommands[] = {
     {"analyze", cmd_analyze, "variability analysis of a trace (paper Fig. 2)"},
     {"plan", cmd_plan, "bill tiering policies over a trace"},
     {"crossover", cmd_crossover,
-     "tier break-even request rates for a price preset"},
+     "tier break-even rates, price sheet and cost curves for a preset"},
 };
 
 void usage() {
