@@ -6,6 +6,7 @@
 #include "nn/conv1d.hpp"
 #include "nn/dense.hpp"
 #include "nn/network.hpp"
+#include "nn/ops.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
@@ -130,6 +131,108 @@ void BM_NN_DenseForwardBatchRelu(benchmark::State& state) {
   run_layer_relu(state, dense);
 }
 BENCHMARK(BM_NN_DenseForwardBatchRelu);
+
+// The A3C update's backward pass: one default episode (14 rows) through
+// Network::backward_batch on the trunk after forward_batch_train. The
+// second argument is want_input_grads; the trainer passes 0, so the bottom
+// conv skips dL/d(input). Gradients keep accumulating across iterations,
+// as they would across an episode's layers.
+void BM_NN_BackwardBatch(benchmark::State& state) {
+  constexpr std::size_t kRows = 14;
+  nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
+  const bool want_input_grads = state.range(1) != 0;
+  util::Rng rng(4);
+  std::vector<double> input(kRows * net.input_size());
+  for (double& x : input) x = rng.uniform(0.0, 1.0);
+  std::vector<double> grad(kRows * net.output_size());
+  for (double& g : grad) g = rng.uniform(-0.1, 0.1);
+  net.forward_batch_train(input, kRows);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.backward_batch(grad, kRows, want_input_grads));
+  }
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRows),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_NN_BackwardBatch)
+    ->Args({8, 0})->Args({8, 1})
+    ->Args({32, 0})->Args({32, 1})
+    ->Args({128, 0})->Args({128, 1});
+
+// The deployed trunk's two heavy layers in the update, on 14 rows as the
+// trainer runs them: the Dense 366 -> 32 with input gradients (its ReLU and
+// the conv below consume them) and the conv 28/14/32/4 without (it is the
+// bottom layer). Together they are nearly all of BM_NN_BackwardBatch/32/0.
+void run_layer_backward(benchmark::State& state, nn::Layer& layer,
+                        bool want_input_grads) {
+  constexpr std::size_t kRows = 14;
+  util::Rng rng(5);
+  std::vector<double> input(kRows * layer.input_size());
+  for (double& x : input) x = rng.uniform(0.0, 1.0);
+  std::vector<double> grad(kRows * layer.output_size());
+  for (double& g : grad) g = rng.uniform(-0.1, 0.1);
+  std::vector<double> grad_in(want_input_grads ? kRows * layer.input_size() : 0);
+  for (auto _ : state) {
+    layer.backward_batch(input, grad, grad_in, kRows);
+    benchmark::DoNotOptimize(grad_in.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kRows),
+      benchmark::Counter::kIsRate);
+}
+
+void BM_NN_DenseBackwardBatch(benchmark::State& state) {
+  util::Rng rng(1);
+  nn::Dense dense(366, 32, rng);
+  run_layer_backward(state, dense, /*want_input_grads=*/true);
+}
+BENCHMARK(BM_NN_DenseBackwardBatch);
+
+void BM_NN_ConvBackwardBatch(benchmark::State& state) {
+  util::Rng rng(1);
+  nn::Conv1DOverPrefix conv(28, 14, 32, 4, rng);
+  run_layer_backward(state, conv, /*want_input_grads=*/false);
+}
+BENCHMARK(BM_NN_ConvBackwardBatch);
+
+// The end of an A3C update: the actor's and critic's gradients (width 32,
+// 14 rows accumulated) moved into the caller's flat buffers with their sums
+// of squares, the accumulators zeroed, and both vectors clipped to the
+// default global norm, as A3CAgent::run_episode does per episode. Each
+// iteration first re-runs the two backward passes (untimed) so the
+// gradients are nonzero.
+void BM_NN_CollectClip(benchmark::State& state) {
+  constexpr std::size_t kRows = 14;
+  constexpr double kClipNorm = 5.0;
+  util::Rng rng(6);
+  nn::Network actor = nn::build_trunk(14, 14, 32, 4, 32, 3, rng);
+  nn::Network critic = nn::build_trunk(14, 14, 32, 4, 32, 1, rng);
+  std::vector<double> input(kRows * actor.input_size());
+  for (double& x : input) x = rng.uniform(0.0, 1.0);
+  std::vector<double> actor_grad(kRows * actor.output_size());
+  std::vector<double> critic_grad(kRows * critic.output_size());
+  for (double& g : actor_grad) g = rng.uniform(-0.1, 0.1);
+  for (double& g : critic_grad) g = rng.uniform(-0.1, 0.1);
+  actor.forward_batch_train(input, kRows);
+  critic.forward_batch_train(input, kRows);
+  std::vector<double> actor_flat(actor.parameter_count());
+  std::vector<double> critic_flat(critic.parameter_count());
+  for (auto _ : state) {
+    state.PauseTiming();
+    actor.backward_batch(actor_grad, kRows, /*want_input_grads=*/false);
+    critic.backward_batch(critic_grad, kRows, /*want_input_grads=*/false);
+    state.ResumeTiming();
+    const auto [actor_sq, critic_sq] =
+        nn::Network::collect_gradients(actor, actor_flat, critic, critic_flat);
+    nn::clip_by_norm_squared(actor_flat, actor_sq, kClipNorm);
+    nn::clip_by_norm_squared(critic_flat, critic_sq, kClipNorm);
+    benchmark::DoNotOptimize(actor_flat.data());
+    benchmark::DoNotOptimize(critic_flat.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_NN_CollectClip);
 
 void BM_NN_ForwardBackward(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));

@@ -79,86 +79,106 @@ MINICOST_TARGET_CLONES void conv_forward(
   }
 }
 
+// Tap-gradient tiles of the batched backward: a vector spans 4
+// consecutive taps of one filter, so both its x window
+// (x_b[p + k0 .. p + k0 + 4)) and its accumulator (wg[f][k0 .. k0 + 4),
+// the f-major tap layout) are unit-stride. memcpy loads and stores: rows
+// carry no alignment beyond double's.
+typedef double Taps4 __attribute__((vector_size(4 * sizeof(double))));
+
+// Tap grads wg[f][k0 .. k0 + |V|) of kF filters from f0 and, when `bg` is
+// not null, their bias grads: every (row b, position p) in ascending order
+// adds g_b[f][p] * x_b[p + k] to each tap and g_b[f][p] to the bias — the
+// scalar backward()'s sequence for each of those accumulators. The kF
+// filters' accumulators are independent, so their chains run side by side
+// and each x window loaded feeds all kF filters. The bias sums run
+// unconditionally (a branch in the inner loop costs more than the adds)
+// and are stored only for the tile that owns them.
+template <class V, std::size_t kF>
+[[gnu::always_inline]] inline void conv_param_tile(
+    const double* g, const double* x, std::size_t input, std::size_t pos,
+    std::size_t kernel, std::size_t out_width, std::size_t batch,
+    std::size_t f0, std::size_t k0, double* wg, double* bg) {
+  V acc[kF];
+  double bias[kF];
+  for (std::size_t j = 0; j < kF; ++j) {
+    std::memcpy(&acc[j], wg + (f0 + j) * kernel + k0, sizeof(V));
+    bias[j] = bg != nullptr ? bg[f0 + j] : 0.0;
+  }
+  for (std::size_t b = 0; b < batch; ++b) {
+    const double* gb = g + b * out_width + f0 * pos;
+    const double* xb = x + b * input + k0;
+    for (std::size_t p = 0; p < pos; ++p) {
+      V xv;
+      std::memcpy(&xv, xb + p, sizeof(V));
+      for (std::size_t j = 0; j < kF; ++j) {
+        const double gfp = gb[j * pos + p];
+        acc[j] += gfp * xv;
+        bias[j] += gfp;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < kF; ++j) {
+    std::memcpy(wg + (f0 + j) * kernel + k0, &acc[j], sizeof(V));
+    if (bg != nullptr) bg[f0 + j] = bias[j];
+  }
+}
+
+// All taps of kF filters from f0: tiles of 4 taps, then single taps; the
+// bias rides along with the first tile.
+template <std::size_t kF>
+[[gnu::always_inline]] inline void conv_param_grads(
+    const double* g, const double* x, std::size_t input, std::size_t pos,
+    std::size_t kernel, std::size_t out_width, std::size_t batch,
+    std::size_t f0, double* wg, double* bg) {
+  std::size_t k0 = 0;
+  for (; k0 + 4 <= kernel; k0 += 4)
+    conv_param_tile<Taps4, kF>(g, x, input, pos, kernel, out_width, batch, f0,
+                               k0, wg, k0 == 0 ? bg : nullptr);
+  for (; k0 < kernel; ++k0)
+    conv_param_tile<double, kF>(g, x, input, pos, kernel, out_width, batch,
+                                f0, k0, wg, k0 == 0 ? bg : nullptr);
+}
+
 // Batched backward over the convolution block. Scalar backward() walks
 // (filter f, position p) with p inner, so every parameter accumulator sees
 // its contributions in lexicographic (row, position) order; this kernel
 // preserves exactly that order per accumulator and vectorizes only across
 // independent accumulators (DESIGN.md §7):
-//  * bias grads   — SIMD across filters; (b, p) ascend inside. Needs the
-//    incoming grads position-major (`gt`, batch x pos x filters) so the
-//    filter dimension is unit-stride — a transpose the caller does with
-//    copies, never arithmetic;
-//  * tap grads    — per tap k, SIMD across filters into the transposed
-//    accumulator `wgt` (kernel x filters); (b, p) ascend inside, each
-//    contribution the same single g*x multiply-add as the scalar pass;
-//  * input grads  — per row, from the ORIGINAL f-major grad rows `g`:
-//    filters ascend and taps DESCEND, which makes each input element j
-//    receive its window's contributions at ascending positions p = j - k,
-//    the scalar order; SIMD is across j (independent elements), and the
-//    conv region is zeroed first exactly like the scalar pass.
+//  * tap grads    — SIMD across the taps of one filter, register-blocked
+//    over kF filters (conv_param_tile); (b, p) ascend inside;
+//  * bias grads   — one scalar chain per filter in the same loop, fed by
+//    the g values the taps already loaded;
+//  * input grads  — per row, filters ascend and taps DESCEND, which makes
+//    each input element j receive its window's contributions at ascending
+//    positions p = j - k, the scalar order; SIMD is across j (independent
+//    elements), and the conv region is zeroed first exactly like the
+//    scalar pass.
+// Every family reads g in its own f-major layout and writes the f-major tap
+// grads in place: no transposed copies. Vectorizing across filters instead
+// would need g position-major, a batch-sized transpose per call that cost
+// more than the arithmetic, and its one chain per (tap, filter tile) of
+// batch * pos adds left the loop bound by add latency.
 // `gx` may be null when the caller has no consumer for dL/d(in) (the conv
 // is the bottom layer); the whole input-gradient family is skipped then.
-// Unlike the other batch kernels this one is NOT target_clones'd: the conv
-// trip counts (pos ~ prefix - kernel + 1, kernel ~ 4) are too short for
-// wide vectors, and measured at the trunk geometry the avx512 clone runs
-// 2x slower and the avx2 clone 3.5x slower than what plain -O3 emits here.
-// FP contraction is off for this translation unit, so it still rounds
-// identically to the scalar pass.
-void conv_backward(
-    const double* w, const double* gt, const double* g, const double* x,
-    std::size_t input, std::size_t prefix, std::size_t filters,
-    std::size_t kernel, std::size_t out_width, std::size_t batch, double* wgt,
-    double* bg, double* gx) {
-  constexpr std::size_t kTile = 16;
+// FP contraction is off for this translation unit, so it rounds
+// identically to the scalar pass on every dispatch lane.
+MINICOST_TARGET_CLONES void conv_backward(
+    const double* w, const double* g, const double* x, std::size_t input,
+    std::size_t prefix, std::size_t filters, std::size_t kernel,
+    std::size_t out_width, std::size_t batch, double* wg, double* bg,
+    double* gx) {
+  constexpr std::size_t kF = 8;
   const std::size_t pos = prefix - kernel + 1;
   std::size_t f0 = 0;
-  for (; f0 + kTile <= filters; f0 += kTile) {
-    double acc[kTile];
-    for (std::size_t j = 0; j < kTile; ++j) acc[j] = bg[f0 + j];
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* gtb = gt + b * pos * filters;
-      for (std::size_t p = 0; p < pos; ++p) {
-        const double* gp = gtb + p * filters + f0;
-        for (std::size_t j = 0; j < kTile; ++j) acc[j] += gp[j];
-      }
-    }
-    for (std::size_t j = 0; j < kTile; ++j) bg[f0 + j] = acc[j];
-  }
-  for (; f0 < filters; ++f0) {
-    double sum = bg[f0];
-    for (std::size_t b = 0; b < batch; ++b)
-      for (std::size_t p = 0; p < pos; ++p)
-        sum += gt[b * pos * filters + p * filters + f0];
-    bg[f0] = sum;
-  }
-  for (std::size_t k = 0; k < kernel; ++k) {
-    double* wgk = wgt + k * filters;
-    std::size_t f1 = 0;
-    for (; f1 + kTile <= filters; f1 += kTile) {
-      double acc[kTile];
-      for (std::size_t j = 0; j < kTile; ++j) acc[j] = wgk[f1 + j];
-      for (std::size_t b = 0; b < batch; ++b) {
-        const double* gtb = gt + b * pos * filters;
-        const double* xb = x + b * input;
-        for (std::size_t p = 0; p < pos; ++p) {
-          const double xk = xb[p + k];
-          const double* gp = gtb + p * filters + f1;
-          for (std::size_t j = 0; j < kTile; ++j) acc[j] += gp[j] * xk;
-        }
-      }
-      for (std::size_t j = 0; j < kTile; ++j) wgk[f1 + j] = acc[j];
-    }
-    for (; f1 < filters; ++f1) {
-      double sum = wgk[f1];
-      for (std::size_t b = 0; b < batch; ++b) {
-        const double* xb = x + b * input;
-        for (std::size_t p = 0; p < pos; ++p)
-          sum += gt[b * pos * filters + p * filters + f1] * xb[p + k];
-      }
-      wgk[f1] = sum;
-    }
-  }
+  for (; f0 + kF <= filters; f0 += kF)
+    conv_param_grads<kF>(g, x, input, pos, kernel, out_width, batch, f0, wg,
+                         bg);
+  for (; f0 < filters; ++f0)
+    conv_param_grads<1>(g, x, input, pos, kernel, out_width, batch, f0, wg,
+                        bg);
   if (gx == nullptr) return;
+  constexpr std::size_t kTile = 16;
   for (std::size_t b = 0; b < batch; ++b) {
     const double* gb = g + b * out_width;
     double* gxb = gx + b * input;
@@ -272,32 +292,10 @@ void Conv1DOverPrefix::backward_batch(std::span<const double> in,
          (grad_in.empty() || grad_in.size() == batch * input_));
   const std::size_t pos = positions();
   const std::size_t out_width = output_size();
-  // Transpose each row's conv block to position-major (pos x filters) so
-  // the kernel's bias/tap accumulations are unit-stride across filters.
-  // Copies only — no arithmetic, so nothing rounds. p outer / f inner makes
-  // the writes unit-stride (the strided side reads, which prefetches
-  // better than strided stores).
-  batch_gt_.resize(batch * pos * filters_);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const double* gb = grad_out.data() + b * out_width;
-    double* gtb = batch_gt_.data() + b * pos * filters_;
-    for (std::size_t p = 0; p < pos; ++p)
-      for (std::size_t f = 0; f < filters_; ++f)
-        gtb[p * filters_ + f] = gb[f * pos + p];
-  }
-  // Tap gradients accumulate in a transposed scratch (kernel x filters) so
-  // the kernel can vectorize across filters; exact copy round-trip.
-  batch_wgt_.resize(kernel_ * filters_);
-  for (std::size_t f = 0; f < filters_; ++f)
-    for (std::size_t k = 0; k < kernel_; ++k)
-      batch_wgt_[k * filters_ + f] = grads_[f * kernel_ + k];
-  conv_backward(params_.data(), batch_gt_.data(), grad_out.data(), in.data(),
-                input_, prefix_, filters_, kernel_, out_width, batch,
-                batch_wgt_.data(), grads_.data() + bias_offset(),
+  conv_backward(params_.data(), grad_out.data(), in.data(), input_, prefix_,
+                filters_, kernel_, out_width, batch, grads_.data(),
+                grads_.data() + bias_offset(),
                 grad_in.empty() ? nullptr : grad_in.data());
-  for (std::size_t f = 0; f < filters_; ++f)
-    for (std::size_t k = 0; k < kernel_; ++k)
-      grads_[f * kernel_ + k] = batch_wgt_[k * filters_ + f];
   if (grad_in.empty()) return;
   // Aux features pass their gradient straight through, as in backward().
   for (std::size_t b = 0; b < batch; ++b) {

@@ -68,8 +68,6 @@ class Conv1DOverPrefix final : public Layer {
   std::vector<double> params_;
   std::vector<double> grads_;
   std::vector<double> cached_input_;
-  std::vector<double> batch_gt_;   // backward_batch scratch (pos-major grads)
-  std::vector<double> batch_wgt_;  // backward_batch scratch (transposed wg)
 };
 
 }  // namespace minicost::nn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "nn/kernel_dispatch.hpp"
 
@@ -99,27 +100,130 @@ MINICOST_TARGET_CLONES void gemm_wt_row_major(const double* wt,
   }
 }
 
+// wt = W^T for W row-major out x in. The input loop is outermost, so each
+// transposed row is written with unit-stride vector stores while the reads
+// stride down a column of W. Copies only, nothing rounds.
+MINICOST_TARGET_CLONES void transpose_weights(const double* w, std::size_t in,
+                                              std::size_t out, double* wt) {
+  for (std::size_t i = 0; i < in; ++i)
+    for (std::size_t o = 0; o < out; ++o) wt[i * out + o] = w[o * in + i];
+}
+
+// GNU vector tiles for the batched backward: one vector per 8, 4 or 2
+// doubles, plus plain double for the last odd input, so every input column
+// runs vectorized. The widest type is one AVX-512 register; the AVX2 and
+// baseline clones split it into halves or quarters. Loads and stores go
+// through memcpy (the rows carry no alignment beyond double's).
+typedef double V8 __attribute__((vector_size(8 * sizeof(double))));
+typedef double V4 __attribute__((vector_size(4 * sizeof(double))));
+typedef double V2 __attribute__((vector_size(2 * sizeof(double))));
+
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof(V));
+}
+
+template <class V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+// Weight grads of kO outputs from o0 over the inputs [i0, i0 + kQ * |V|):
+// wg[o][i] += g_b[o] * x_b[i] for rows b ascending, the scalar order of
+// every element. The kO x kQ accumulators are independent, so they keep
+// kO * kQ add chains in flight, and each x vector loaded feeds kO outputs.
+template <class V, std::size_t kQ, std::size_t kO>
+[[gnu::always_inline]] inline void weight_grad_tile(
+    const double* x, const double* g, std::size_t in, std::size_t out,
+    std::size_t batch, std::size_t i0, std::size_t o0, double* wg) {
+  constexpr std::size_t kW = sizeof(V) / sizeof(double);
+  V acc[kO][kQ];
+  for (std::size_t r = 0; r < kO; ++r)
+    for (std::size_t q = 0; q < kQ; ++q)
+      load(acc[r][q], wg + (o0 + r) * in + i0 + q * kW);
+  for (std::size_t b = 0; b < batch; ++b) {
+    V xv[kQ];
+    for (std::size_t q = 0; q < kQ; ++q)
+      load(xv[q], x + b * in + i0 + q * kW);
+    for (std::size_t r = 0; r < kO; ++r) {
+      const double gbo = g[b * out + o0 + r];
+      for (std::size_t q = 0; q < kQ; ++q) acc[r][q] += gbo * xv[q];
+    }
+  }
+  for (std::size_t r = 0; r < kO; ++r)
+    for (std::size_t q = 0; q < kQ; ++q)
+      store(wg + (o0 + r) * in + i0 + q * kW, acc[r][q]);
+}
+
+// Input grads of kR rows from b0 over the same input columns: each starts
+// at 0.0 and adds g_b[o] * w[o][i] for outputs o ascending, like the scalar
+// pass. Each w vector loaded feeds kR rows.
+template <class V, std::size_t kQ, std::size_t kR>
+[[gnu::always_inline]] inline void input_grad_tile(
+    const double* w, const double* g, std::size_t in, std::size_t out,
+    std::size_t i0, std::size_t b0, double* gx) {
+  constexpr std::size_t kW = sizeof(V) / sizeof(double);
+  V acc[kR][kQ];
+  for (std::size_t r = 0; r < kR; ++r)
+    for (std::size_t q = 0; q < kQ; ++q) acc[r][q] = V{};
+  for (std::size_t o = 0; o < out; ++o) {
+    V wv[kQ];
+    for (std::size_t q = 0; q < kQ; ++q)
+      load(wv[q], w + o * in + i0 + q * kW);
+    for (std::size_t r = 0; r < kR; ++r) {
+      const double gbo = g[(b0 + r) * out + o];
+      for (std::size_t q = 0; q < kQ; ++q) acc[r][q] += gbo * wv[q];
+    }
+  }
+  for (std::size_t r = 0; r < kR; ++r)
+    for (std::size_t q = 0; q < kQ; ++q)
+      store(gx + (b0 + r) * in + i0 + q * kW, acc[r][q]);
+}
+
+// Both gradient families over one column tile, in register blocks of four
+// outputs (weight grads) and four rows (input grads); outputs and rows past
+// the last block of four run one at a time.
+template <class V, std::size_t kQ>
+[[gnu::always_inline]] inline void backward_columns(
+    const double* w, const double* x, const double* g, std::size_t in,
+    std::size_t out, std::size_t batch, std::size_t i0, double* wg,
+    double* gx) {
+  constexpr std::size_t kBlock = 4;
+  std::size_t o = 0;
+  for (; o + kBlock <= out; o += kBlock)
+    weight_grad_tile<V, kQ, kBlock>(x, g, in, out, batch, i0, o, wg);
+  for (; o < out; ++o) weight_grad_tile<V, kQ, 1>(x, g, in, out, batch, i0, o, wg);
+  if (gx == nullptr) return;
+  std::size_t b = 0;
+  for (; b + kBlock <= batch; b += kBlock)
+    input_grad_tile<V, kQ, kBlock>(w, g, in, out, i0, b, gx);
+  for (; b < batch; ++b) input_grad_tile<V, kQ, 1>(w, g, in, out, i0, b, gx);
+}
+
 // Batched backward. The scalar backward() touches three accumulator
 // families; each is vectorized here only across *independent* accumulators
 // while its own floating-point sequence stays exactly that of `batch`
 // sequential backward() calls (row 0 first):
 //  * bias grads   — SIMD across outputs o; rows b ascend inside the tile;
-//  * weight grads — per output o, SIMD across inputs i; rows b ascend
-//    inside (each wg[o][i] sees g_b * x_b[i] in row order);
-//  * input grads  — per row, SIMD across inputs i; outputs o ascend from
-//    0.0, the order the scalar pass accumulates grad_in.
-// No transposes are needed: g is out-major per row and x/gx are in-major,
-// so every inner loop is already unit-stride in its SIMD dimension. In the
-// weight/input families the i-tile loop sits OUTSIDE the o / b loop: the
-// active x and w slices (batch x kTile, out x kTile) then stay
-// cache-resident across every output / row instead of re-streaming the
-// whole matrix from L2 once per output (~25% faster at the trunk geometry,
-// 2x at batch 64). The interchange only reorders work across independent
-// accumulators — each accumulator's own b- or o-ascending FP sequence is
-// untouched. gx may be null when the caller has no consumer for dL/d(in)
-// (bottom layer); parameter gradients are identical either way. FP
-// contraction is off for this translation unit, so each multiply-then-add
-// rounds like the scalar code and all dispatch lanes agree bit-for-bit.
+//  * weight grads — SIMD across inputs i, register-blocked over four
+//    outputs; rows b ascend inside (each wg[o][i] sees g_b * x_b[i] in row
+//    order);
+//  * input grads  — SIMD across inputs i, register-blocked over four rows;
+//    outputs o ascend from 0.0, the order the scalar pass accumulates
+//    grad_in.
+// Blocking runs across outputs and rows, never within one accumulator: a
+// block of four turns the one chain per vector that a single output or row
+// gives into four, which hides the add latency that bounds the unblocked
+// loop, and shares each x or w load between them. No transposes are
+// needed: g is out-major per row and x/gx/w are in-major, so every vector
+// is unit-stride. Input columns go in tiles of 32, then tiles of 8, then
+// at most one each of 4, 2 and 1 (366 = 11 x 32 + 8 + 4 + 2); the
+// column-tile loop sits outside the output and row loops, so the active x
+// and w slices stay in L1 across them. gx may be null when the caller has
+// no consumer for dL/d(in) (bottom layer); parameter gradients are
+// identical either way. FP contraction is off for this translation unit,
+// so each multiply-then-add rounds like the scalar code and all dispatch
+// lanes agree bit-for-bit.
 MINICOST_TARGET_CLONES void dense_backward(const double* w, const double* x,
                                            const double* g, std::size_t in,
                                            std::size_t out, std::size_t batch,
@@ -141,51 +245,19 @@ MINICOST_TARGET_CLONES void dense_backward(const double* w, const double* x,
     bg[o0] = sum;
   }
   std::size_t i0 = 0;
-  for (; i0 + kTile <= in; i0 += kTile) {
-    for (std::size_t o = 0; o < out; ++o) {
-      double* wgo = wg + o * in;
-      double acc[kTile];
-      for (std::size_t j = 0; j < kTile; ++j) acc[j] = wgo[i0 + j];
-      for (std::size_t b = 0; b < batch; ++b) {
-        const double gbo = g[b * out + o];
-        const double* xb = x + b * in + i0;
-        for (std::size_t j = 0; j < kTile; ++j) acc[j] += gbo * xb[j];
-      }
-      for (std::size_t j = 0; j < kTile; ++j) wgo[i0 + j] = acc[j];
-    }
+  for (; i0 + kTile <= in; i0 += kTile)
+    backward_columns<V8, 4>(w, x, g, in, out, batch, i0, wg, gx);
+  for (; i0 + 8 <= in; i0 += 8)
+    backward_columns<V8, 1>(w, x, g, in, out, batch, i0, wg, gx);
+  if (i0 + 4 <= in) {
+    backward_columns<V4, 1>(w, x, g, in, out, batch, i0, wg, gx);
+    i0 += 4;
   }
-  for (; i0 < in; ++i0) {
-    for (std::size_t o = 0; o < out; ++o) {
-      double sum = wg[o * in + i0];
-      for (std::size_t b = 0; b < batch; ++b)
-        sum += g[b * out + o] * x[b * in + i0];
-      wg[o * in + i0] = sum;
-    }
+  if (i0 + 2 <= in) {
+    backward_columns<V2, 1>(w, x, g, in, out, batch, i0, wg, gx);
+    i0 += 2;
   }
-  if (gx == nullptr) return;
-  i0 = 0;
-  for (; i0 + kTile <= in; i0 += kTile) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* gb = g + b * out;
-      double* gxb = gx + b * in;
-      double acc[kTile];
-      for (std::size_t j = 0; j < kTile; ++j) acc[j] = 0.0;
-      for (std::size_t o = 0; o < out; ++o) {
-        const double go = gb[o];
-        const double* wo = w + o * in + i0;
-        for (std::size_t j = 0; j < kTile; ++j) acc[j] += go * wo[j];
-      }
-      for (std::size_t j = 0; j < kTile; ++j) gxb[i0 + j] = acc[j];
-    }
-  }
-  for (; i0 < in; ++i0) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const double* gb = g + b * out;
-      double sum = 0.0;
-      for (std::size_t o = 0; o < out; ++o) sum += gb[o] * w[o * in + i0];
-      gx[b * in + i0] = sum;
-    }
-  }
+  if (i0 < in) backward_columns<double, 1>(w, x, g, in, out, batch, i0, wg, gx);
 }
 
 }  // namespace
@@ -228,26 +300,15 @@ void Dense::run_batch(std::span<const double> in, std::span<double> out,
   // reassociate, so the batch kernel vectorizes across output neurons
   // instead. That needs the weights transposed, built once per parameter
   // change (parameters() marks it stale) rather than once per call: the
-  // trainer forwards one row per rollout step, and at the trunk geometry
-  // the transpose costs about five times that row. Blocked so both the
-  // read and the write stay within a kB x kB tile — the naive loop strides
-  // one full row per element on the store side and runs ~3x slower at the
-  // trunk geometry. Copies only, nothing rounds.
+  // trainer forwards one row per rollout step, and every parameter sync
+  // makes the next forward rebuild it.
   if (!wt_fresh_) {
-    batch_wt_.resize(in_ * out_);
-    constexpr std::size_t kB = 16;
-    for (std::size_t o0 = 0; o0 < out_; o0 += kB) {
-      const std::size_t oend = std::min(out_, o0 + kB);
-      for (std::size_t i0 = 0; i0 < in_; i0 += kB) {
-        const std::size_t iend = std::min(in_, i0 + kB);
-        for (std::size_t o = o0; o < oend; ++o)
-          for (std::size_t i = i0; i < iend; ++i)
-            batch_wt_[i * out_ + o] = params_[o * in_ + i];
-      }
-    }
+    if (batch_wt_ == nullptr || batch_wt_.use_count() > 1)
+      batch_wt_ = std::make_shared<std::vector<double>>(in_ * out_);
+    transpose_weights(params_.data(), in_, out_, batch_wt_->data());
     wt_fresh_ = true;
   }
-  gemm_wt_row_major(batch_wt_.data(), params_.data() + bias_offset(),
+  gemm_wt_row_major(batch_wt_->data(), params_.data() + bias_offset(),
                     in.data(), in_, out_, batch, relu, out.data());
 }
 

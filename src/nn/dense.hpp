@@ -1,6 +1,7 @@
 #pragma once
 // Fully connected layer: out = W in + b.
 
+#include <memory>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -56,8 +57,13 @@ class Dense final : public Layer {
   std::vector<double> grads_;
   std::vector<double> cached_input_;
   // forward_batch's transposed W, rebuilt only after parameters() hands
-  // out a writable span; copies and clones carry it along with params_.
-  std::vector<double> batch_wt_;
+  // out a writable span. Copies and clones share it (read-only) until one
+  // of them rebuilds: a rebuild writes in place only while no other layer
+  // holds the buffer, and otherwise gives this layer a buffer of its own.
+  // The holder count is exact at a rebuild, since a layer is never copied
+  // while its owner writes it (a Dense is not thread-safe; clone per
+  // thread), so a pooled fan-out shares one transpose across its clones.
+  std::shared_ptr<std::vector<double>> batch_wt_;
   bool wt_fresh_ = false;
 };
 

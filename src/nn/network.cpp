@@ -1,5 +1,6 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -200,25 +201,125 @@ std::vector<double> Network::snapshot_parameters() const {
 void Network::load_parameters(std::span<const double> flat) {
   if (flat.size() != parameter_count())
     throw std::invalid_argument("Network::load_parameters: size mismatch");
-  std::size_t offset = 0;
+  const double* src = flat.data();
   for (auto& layer : layers_) {
-    auto params = layer->parameters();
-    for (std::size_t i = 0; i < params.size(); ++i) params[i] = flat[offset + i];
-    offset += params.size();
+    const auto params = layer->parameters();
+    std::copy_n(src, params.size(), params.data());
+    src += params.size();
   }
 }
 
-std::vector<double> Network::collect_gradients(bool zero_after) {
-  std::vector<double> flat;
-  flat.reserve(parameter_count());
-  for (auto& layer : layers_) {
-    auto grads = layer->gradients();
-    flat.insert(flat.end(), grads.begin(), grads.end());
-    if (zero_after) {
-      for (double& g : grads) g = 0.0;
+namespace {
+
+// A network's gradient accumulators in flat (snapshot) order, handed out a
+// run at a time; a run never crosses a layer boundary.
+class GradientRuns {
+ public:
+  explicit GradientRuns(std::vector<std::unique_ptr<Layer>>& layers)
+      : layers_(layers) {}
+
+  /// The current layer's accumulators not yet consumed; empty at the end.
+  std::span<double> next() {
+    for (; layer_ < layers_.size(); ++layer_, used_ = 0) {
+      const auto grads = layers_[layer_]->gradients();
+      if (used_ < grads.size()) return grads.subspan(used_);
     }
+    return {};
   }
-  return flat;
+  void consume(std::size_t n) noexcept { used_ += n; }
+
+ private:
+  std::vector<std::unique_ptr<Layer>>& layers_;
+  std::size_t layer_ = 0;
+  std::size_t used_ = 0;
+};
+
+// Moves `run` to `out`, zeroes it, and returns the serial sum of squares
+// continued from `sum_sq`. Out of line and by value so the accumulator
+// lives in a register: in the caller it is live across the virtual
+// gradients() calls, and GCC then keeps it in memory inside the loop too,
+// adding a store-forward to every link of the chain.
+[[gnu::noinline]] double move_run(std::span<double> run, double* out,
+                                  double sum_sq) noexcept {
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    const double g = run[i];
+    out[i] = g;
+    run[i] = 0.0;
+    sum_sq += g * g;
+  }
+  return sum_sq;
+}
+
+// move_run over two equally long runs at once: both chains advance one
+// element per iteration, each in its own ascending order.
+[[gnu::noinline]] void move_run_pair(std::span<double> run_a, double* out_a,
+                                     std::span<double> run_b, double* out_b,
+                                     std::array<double, 2>& sums) noexcept {
+  double sum_a = sums[0], sum_b = sums[1];
+  for (std::size_t i = 0; i < run_a.size(); ++i) {
+    const double ga = run_a[i];
+    const double gb = run_b[i];
+    out_a[i] = ga;
+    out_b[i] = gb;
+    run_a[i] = 0.0;
+    run_b[i] = 0.0;
+    sum_a += ga * ga;
+    sum_b += gb * gb;
+  }
+  sums = {sum_a, sum_b};
+}
+
+}  // namespace
+
+double Network::collect_gradients(std::span<double> out) {
+  if (out.size() != parameter_count())
+    throw std::invalid_argument("Network::collect_gradients: size mismatch");
+  GradientRuns runs(layers_);
+  double* dst = out.data();
+  double sum_sq = 0.0;
+  for (auto run = runs.next(); !run.empty(); run = runs.next()) {
+    sum_sq = move_run(run, dst, sum_sq);
+    runs.consume(run.size());
+    dst += run.size();
+  }
+  return sum_sq;
+}
+
+std::array<double, 2> Network::collect_gradients(Network& first,
+                                                 std::span<double> first_out,
+                                                 Network& second,
+                                                 std::span<double> second_out) {
+  if (first_out.size() != first.parameter_count() ||
+      second_out.size() != second.parameter_count())
+    throw std::invalid_argument("Network::collect_gradients: size mismatch");
+  GradientRuns runs_a(first.layers_), runs_b(second.layers_);
+  double* dst_a = first_out.data();
+  double* dst_b = second_out.data();
+  std::array<double, 2> sums{};
+  for (;;) {
+    const auto run_a = runs_a.next();
+    const auto run_b = runs_b.next();
+    if (run_a.empty() && run_b.empty()) break;
+    if (run_b.empty()) {  // the second network is done
+      sums[0] = move_run(run_a, dst_a, sums[0]);
+      runs_a.consume(run_a.size());
+      dst_a += run_a.size();
+      continue;
+    }
+    if (run_a.empty()) {  // the first network is done
+      sums[1] = move_run(run_b, dst_b, sums[1]);
+      runs_b.consume(run_b.size());
+      dst_b += run_b.size();
+      continue;
+    }
+    const std::size_t n = std::min(run_a.size(), run_b.size());
+    move_run_pair(run_a.first(n), dst_a, run_b.first(n), dst_b, sums);
+    runs_a.consume(n);
+    runs_b.consume(n);
+    dst_a += n;
+    dst_b += n;
+  }
+  return sums;
 }
 
 void Network::apply_delta(std::span<const double> delta, double scale) {

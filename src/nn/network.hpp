@@ -2,6 +2,7 @@
 // Sequential network container plus the builders for the paper's actor and
 // critic architectures.
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -87,9 +88,22 @@ class Network {
   std::vector<double> snapshot_parameters() const;
   void load_parameters(std::span<const double> flat);
 
-  /// Copies all accumulated gradients into one flat vector (matching the
-  /// snapshot layout), optionally zeroing the accumulators.
-  std::vector<double> collect_gradients(bool zero_after);
+  /// Moves all accumulated gradients into `out` (the snapshot layout,
+  /// parameter_count() long; throws std::invalid_argument otherwise) and
+  /// zeroes the accumulators, ready for the next update. Returns the sum of
+  /// squares of `out`, accumulated in ascending order in the same pass —
+  /// bit-identical to the one clip_by_global_norm() computes over `out`.
+  double collect_gradients(std::span<double> out);
+
+  /// collect_gradients() on two networks in one loop, e.g. an actor and
+  /// its critic. Each sum-of-squares chain keeps its own ascending order,
+  /// so both results are bit-identical to two separate calls; running the
+  /// two serial chains side by side hides each one's add latency behind
+  /// the other's. Returns {first's sum of squares, second's}.
+  static std::array<double, 2> collect_gradients(Network& first,
+                                                 std::span<double> first_out,
+                                                 Network& second,
+                                                 std::span<double> second_out);
 
   /// Adds `delta[i] * scale` to parameter i (flat layout).
   void apply_delta(std::span<const double> delta, double scale);

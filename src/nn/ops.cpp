@@ -70,15 +70,28 @@ void clip_inplace(std::span<double> values, double limit) noexcept {
   for (double& value : values) value = std::clamp(value, -limit, limit);
 }
 
-double l2_norm(std::span<const double> values) noexcept {
+namespace {
+
+double sum_of_squares(std::span<const double> values) noexcept {
   double sum = 0.0;
   for (double value : values) sum += value * value;
-  return std::sqrt(sum);
+  return sum;
+}
+
+}  // namespace
+
+double l2_norm(std::span<const double> values) noexcept {
+  return std::sqrt(sum_of_squares(values));
 }
 
 void clip_by_global_norm(std::span<double> values, double max_norm) noexcept {
+  clip_by_norm_squared(values, sum_of_squares(values), max_norm);
+}
+
+void clip_by_norm_squared(std::span<double> values, double sum_sq,
+                          double max_norm) noexcept {
   if (max_norm <= 0.0) return;
-  const double norm = l2_norm(values);
+  const double norm = std::sqrt(sum_sq);
   if (norm <= max_norm || norm == 0.0) return;
   const double scale = max_norm / norm;
   for (double& value : values) value *= scale;

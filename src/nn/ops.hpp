@@ -34,6 +34,14 @@ double l2_norm(std::span<const double> values) noexcept;
 /// norm clipping). No-op if already within bounds or max_norm <= 0.
 void clip_by_global_norm(std::span<double> values, double max_norm) noexcept;
 
+/// clip_by_global_norm() given the sum of squares of `values` (as
+/// Network::collect_gradients returns it), so the clip does not walk
+/// `values` a second time to compute it. Bit-identical to the two-argument
+/// form when `sum_sq` is the ascending-order sum of squares it would
+/// compute.
+void clip_by_norm_squared(std::span<double> values, double sum_sq,
+                          double max_norm) noexcept;
+
 /// Fused A3C actor loss gradient over `rows` probability rows (the
 /// softmax_rows output of the episode's logit block). For row r with
 /// probabilities p and chosen action c = chosen[r]:

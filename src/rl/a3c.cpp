@@ -133,11 +133,28 @@ struct ChunkScratch {
 
 /// Per-worker training state. The local nets' initial parameters never
 /// matter (the first sync overwrites them), so they are built from a
-/// throwaway fork of the init stream.
+/// throwaway fork of the init stream. The episode buffers keep their
+/// capacity from one episode to the next, so a worker allocates them once
+/// per round.
 struct A3CAgent::WorkerCtx {
+  struct Step {
+    Action action = 0;
+    double reward = 0.0;
+  };
+
   TieringEnv env;
   nn::Network actor, critic;
   std::vector<double> actor_stage, critic_stage;
+  // Episode buffers, T rows each: the rollout's actions and rewards, its
+  // states (T x feature_count) and logits (T x kActionCount), and the
+  // update's returns, advantages, loss gradients and probabilities.
+  std::vector<Step> steps;
+  std::vector<double> states, rollout_logits;
+  std::vector<double> returns, advantages, centered, grad_v;
+  std::vector<double> probs, grad_logits;
+  std::vector<std::size_t> chosen;
+  // The flat gradients sent to the parameter server.
+  std::vector<double> actor_grads, critic_grads;
 
   WorkerCtx(A3CAgent& agent, const trace::RequestTrace& trace,
             const pricing::PricingPolicy& policy)
@@ -147,6 +164,8 @@ struct A3CAgent::WorkerCtx {
     critic = make_critic(agent.config_, agent.featurizer_, scratch);
     actor_stage.resize(agent.server_->actor_size());
     critic_stage.resize(agent.server_->critic_size());
+    actor_grads.resize(agent.server_->actor_size());
+    critic_grads.resize(agent.server_->critic_size());
   }
 };
 
@@ -206,26 +225,21 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     actor.load_parameters(ctx.actor_stage);
     critic.load_parameters(ctx.critic_stage);
   }
-  actor.zero_gradients();
-  critic.zero_gradients();
+  // Every gradient accumulator is 0.0 here: construction zeroes them, and
+  // each episode's collect_gradients leaves them zeroed.
 
-  struct Step {
-    Action action = 0;
-    double reward = 0.0;
-  };
-  std::vector<Step> steps;
-  steps.reserve(config_.episode_len);
+  std::vector<WorkerCtx::Step>& steps = ctx.steps;
+  steps.clear();
   // Episode states, stored as one flat T x feature_count row-major block so
   // the update phase can run a single forward_batch/backward_batch per
   // network over the whole episode.
-  const std::size_t width = featurizer_.feature_count();
-  std::vector<double> states;
-  states.reserve(config_.episode_len * width);
+  std::vector<double>& states = ctx.states;
+  states.clear();
   // Rollout logits, cached per step (T x kActionCount, row-major). Weights
   // are frozen within an episode, so the update phase reuses these instead
   // of re-forwarding the actor.
-  std::vector<double> rollout_logits;
-  rollout_logits.reserve(config_.episode_len * kActionCount);
+  std::vector<double>& rollout_logits = ctx.rollout_logits;
+  rollout_logits.clear();
 
   EpisodeOutcome outcome;
   const pricing::StorageTier start_tier =
@@ -273,19 +287,19 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     }
   }
 
+  const std::size_t n = steps.size();
   // n-step returns over the whole episode (terminal bootstrap = 0: the
   // episode window ends the billing period).
+  std::vector<double>& returns = ctx.returns;
+  returns.resize(n);
   double ret = 0.0;
-  std::vector<double> returns(steps.size());
-  for (std::size_t i = steps.size(); i-- > 0;) {
+  for (std::size_t i = n; i-- > 0;) {
     ret = steps[i].reward + config_.gamma * ret;
     returns[i] = ret;
   }
 
-  std::vector<double> actor_grads, critic_grads;
   {
     MC_OBS_SCOPE("rl.a3c.grad");
-    const std::size_t n = steps.size();
 
     // Critic pass: one batched forward over the T stored states feeds both
     // the advantage and the value-regression gradient (the critic descends
@@ -300,16 +314,17 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     // relative signal between actions, which is what the policy gradient
     // needs.
     const double inv_n = 1.0 / static_cast<double>(n);
-    std::vector<double> advantages(n);
+    std::vector<double>& advantages = ctx.advantages;
+    advantages.resize(n);
     double advantage_mean = 0.0;
     const std::vector<double> values = critic.forward_batch_train(states, n);
     for (std::size_t i = 0; i < n; ++i) {
       advantages[i] = returns[i] - values[i];
       advantage_mean += advantages[i];
     }
-    std::vector<double> grad_v(n);
-    nn::mse_grad_rows(values, returns, inv_n, grad_v);
-    critic.backward_batch(grad_v, n, /*want_input_grads=*/false);
+    ctx.grad_v.resize(n);
+    nn::mse_grad_rows(values, returns, inv_n, ctx.grad_v);
+    critic.backward_batch(ctx.grad_v, n, /*want_input_grads=*/false);
     advantage_mean /= static_cast<double>(n);
 
     // Entropy weight with linear warmup (see A3CConfig), measured from the
@@ -337,23 +352,27 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     // activations (begin_train_batch/forward_train_row above), which is
     // exactly the state backward_batch consumes, and its cached logits are
     // the ones the loss reads (same weights, same input).
-    std::vector<double> probs(n * kActionCount);
-    nn::softmax_rows(rollout_logits, n, probs);
-    std::vector<double> centered(n);
-    std::vector<std::size_t> chosen(n);
+    ctx.probs.resize(n * kActionCount);
+    nn::softmax_rows(rollout_logits, n, ctx.probs);
+    ctx.centered.resize(n);
+    ctx.chosen.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      centered[i] = advantages[i] - advantage_mean;
-      chosen[i] = steps[i].action;
+      ctx.centered[i] = advantages[i] - advantage_mean;
+      ctx.chosen[i] = steps[i].action;
     }
-    std::vector<double> grad_logits(n * kActionCount);
-    nn::policy_entropy_grad_rows(probs, n, chosen, centered, beta, inv_n,
-                                 grad_logits);
-    actor.backward_batch(grad_logits, n, /*want_input_grads=*/false);
+    ctx.grad_logits.resize(n * kActionCount);
+    nn::policy_entropy_grad_rows(ctx.probs, n, ctx.chosen, ctx.centered, beta,
+                                 inv_n, ctx.grad_logits);
+    actor.backward_batch(ctx.grad_logits, n, /*want_input_grads=*/false);
 
-    actor_grads = actor.collect_gradients(/*zero_after=*/true);
-    critic_grads = critic.collect_gradients(/*zero_after=*/true);
-    nn::clip_by_global_norm(actor_grads, config_.grad_clip_norm);
-    nn::clip_by_global_norm(critic_grads, config_.grad_clip_norm);
+    // One pass per network moves the gradients out, zeroes the
+    // accumulators for the next episode and sums the squares the clip
+    // needs, with the actor's and critic's serial sum chains interleaved.
+    const auto [actor_sq, critic_sq] = nn::Network::collect_gradients(
+        actor, ctx.actor_grads, critic, ctx.critic_grads);
+    nn::clip_by_norm_squared(ctx.actor_grads, actor_sq, config_.grad_clip_norm);
+    nn::clip_by_norm_squared(ctx.critic_grads, critic_sq,
+                             config_.grad_clip_norm);
   }
 
   {
@@ -361,7 +380,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     // Wavefront apply: in-place SIMD optimizer steps, admitted in episode
     // order (admission wait lands in the rl.a3c.opt_step.lock_wait_ns
     // counter).
-    server_->apply(round_episode, actor_grads, critic_grads);
+    server_->apply(round_episode, ctx.actor_grads, ctx.critic_grads);
   }
   return outcome;
 }
@@ -676,7 +695,12 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
     forwarded[c] = distinct;
   };
   if (pool && pool->size() > 1 && chunk_count > 1) {
-    // forward_batch state is per-thread: clone the snapshot per chunk.
+    // forward_batch state is per-thread: clone the snapshot per chunk. A
+    // zero-row forward first builds the snapshot's Dense transposes (the
+    // refresh above left them stale), which the clones then share instead
+    // of each rebuilding its own — one transpose per call, as on the serial
+    // path.
+    actor.forward_batch({}, 0);
     pool->parallel_for(0, chunk_count, [&](std::size_t c) {
       nn::Network net = actor;
       ChunkScratch scratch;

@@ -60,8 +60,9 @@ void DqnAgent::learn_minibatch() {
     grad[t.action] = 2.0 * (q[t.action] - target_value) * inv_batch;
     online_.backward(grad);
   }
-  std::vector<double> grads = online_.collect_gradients(/*zero_after=*/true);
-  nn::clip_by_global_norm(grads, config_.grad_clip_norm);
+  std::vector<double> grads(online_.parameter_count());
+  const double grads_sq = online_.collect_gradients(grads);
+  nn::clip_by_norm_squared(grads, grads_sq, config_.grad_clip_norm);
   std::vector<double> params = online_.snapshot_parameters();
   optimizer_.step(params, grads);
   online_.load_parameters(params);

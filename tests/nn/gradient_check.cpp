@@ -16,7 +16,8 @@ GradientCheckResult check_gradients(
   net.zero_gradients();
   const std::vector<double> output = net.forward(input);
   net.backward(loss_grad(output));
-  const std::vector<double> analytic = net.collect_gradients(/*zero_after=*/true);
+  std::vector<double> analytic(net.parameter_count());
+  net.collect_gradients(analytic);
 
   std::vector<double> params = net.snapshot_parameters();
   const std::size_t n = params.size();
@@ -62,7 +63,8 @@ GradientCheckResult check_gradients_batch(
               grad_rows.begin() + static_cast<std::ptrdiff_t>(b * out_width));
   }
   net.backward_batch(grad_rows, batch);
-  const std::vector<double> analytic = net.collect_gradients(/*zero_after=*/true);
+  std::vector<double> analytic(net.parameter_count());
+  net.collect_gradients(analytic);
 
   std::vector<double> params = net.snapshot_parameters();
   const std::size_t n = params.size();

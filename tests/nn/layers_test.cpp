@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -363,85 +366,168 @@ TEST(Conv1DTest, SpecDescribesGeometry) {
   EXPECT_EQ(Conv1DOverPrefix(26, 14, 32, 4, rng).spec(), "conv1d 26 14 32 4");
 }
 
+// The bit-identity contract's notion of equal: the same bits, or NaN on
+// both sides. A NaN's payload and sign are the one thing the contract
+// cannot pin: where two different NaNs meet in one add, the one that
+// propagates depends on the operand order, and the compiler may commute
+// the operands of a commutative operation in either path.
+bool same_value(double a, double b) {
+  return bits(a) == bits(b) || (std::isnan(a) && std::isnan(b));
+}
+
+// Plants IEEE special values in rows 0..3 of a batch of gradient rows (as
+// far as the batch reaches): -0.0 and +0.0 in row 0, +inf in row 1, NaN in
+// row 2 and -inf in row 3, each at a different output where there are
+// enough, so signed zeros, infinities and NaNs flow through every
+// accumulator family while most accumulators stay finite.
+void plant_specials(std::vector<double>& grad_out, std::size_t batch,
+                    std::size_t out_w) {
+  const auto at = [&](std::size_t row, std::size_t o) -> double& {
+    return grad_out[row * out_w + o % out_w];
+  };
+  at(0, 0) = -0.0;
+  at(0, 1) = 0.0;
+  if (batch > 1) at(1, 1) = std::numeric_limits<double>::infinity();
+  if (batch > 2) at(2, out_w - 1) = std::numeric_limits<double>::quiet_NaN();
+  if (batch > 3) at(3, out_w / 2) = -std::numeric_limits<double>::infinity();
+}
+
 // Reference semantics for backward_batch: `batch` sequential scalar
-// forward()+backward() calls in ascending row order. Runs both paths on
-// layers with identical parameters and identically pre-seeded gradient
-// accumulators (so accumulate-don't-overwrite is pinned too) and demands
-// 0-ULP equality of every parameter gradient and every input-gradient row
-// (EXPECT_EQ on doubles, per DESIGN.md §7).
-void ExpectBackwardBatchBitIdentical(Layer& batched, Layer& scalar,
-                                     std::size_t batch, std::uint64_t seed) {
-  const std::size_t in_w = batched.input_size();
-  const std::size_t out_w = batched.output_size();
+// forward()+backward() calls in ascending row order. Runs three clones of
+// `proto` — batched with input grads, batched without (the bottom-layer
+// form the trainer runs), and the scalar reference — from identically
+// pre-seeded gradient accumulators (so accumulate-don't-overwrite is pinned
+// too), and demands same_value() for every parameter gradient and every
+// input-gradient element. The input-gradient buffer is followed by an
+// 8-double sentinel that the batched pass must leave untouched. With
+// `specials`, plant_specials() seeds the gradient rows and row 0's first
+// input is -0.0.
+void ExpectBackwardBatchBitIdentical(const Layer& proto, std::size_t batch,
+                                     std::uint64_t seed, bool specials) {
+  const std::unique_ptr<Layer> batched = proto.clone();
+  const std::unique_ptr<Layer> bottom = proto.clone();
+  const std::unique_ptr<Layer> scalar = proto.clone();
+  const std::size_t in_w = proto.input_size();
+  const std::size_t out_w = proto.output_size();
+  SCOPED_TRACE(proto.spec() + " batch=" + std::to_string(batch) +
+               (specials ? " specials" : ""));
   util::Rng data(seed);
   std::vector<double> in(batch * in_w), grad_out(batch * out_w);
   for (double& v : in) v = data.normal(0.0, 1.5);
   for (double& v : grad_out) v = data.uniform(-2.0, 2.0);
+  if (specials) {
+    plant_specials(grad_out, batch, out_w);
+    in[0] = -0.0;
+  }
   {
-    auto ga = batched.gradients();
-    auto gb = scalar.gradients();
-    ASSERT_EQ(ga.size(), gb.size());
+    auto ga = batched->gradients();
+    auto gb = bottom->gradients();
+    auto gc = scalar->gradients();
     for (std::size_t i = 0; i < ga.size(); ++i) {
       const double g0 = data.uniform(-0.5, 0.5);
       ga[i] = g0;
       gb[i] = g0;
+      gc[i] = g0;
     }
   }
-  std::vector<double> grad_in_batched(batch * in_w);
-  batched.backward_batch(in, grad_out, grad_in_batched, batch);
+  constexpr std::size_t kSentinel = 8;
+  constexpr double kSentinelValue = -1234.5;
+  std::vector<double> grad_in_batched(batch * in_w + kSentinel, kSentinelValue);
+  batched->backward_batch(
+      in, grad_out,
+      std::span<double>(grad_in_batched).first(batch * in_w), batch);
+  bottom->backward_batch(in, grad_out, {}, batch);
+  std::size_t mismatches = 0;
   std::vector<double> out_scratch(out_w), grad_in_row(in_w);
   for (std::size_t b = 0; b < batch; ++b) {
-    scalar.forward(std::span<const double>(in.data() + b * in_w, in_w),
-                   out_scratch);
-    scalar.backward(std::span<const double>(grad_out.data() + b * out_w, out_w),
-                    grad_in_row);
-    for (std::size_t i = 0; i < in_w; ++i)
-      EXPECT_EQ(grad_in_batched[b * in_w + i], grad_in_row[i])
-          << "batch " << batch << " row " << b << " input " << i;
+    scalar->forward(std::span<const double>(in.data() + b * in_w, in_w),
+                    out_scratch);
+    scalar->backward(std::span<const double>(grad_out.data() + b * out_w, out_w),
+                     grad_in_row);
+    for (std::size_t i = 0; i < in_w; ++i) {
+      if (same_value(grad_in_batched[b * in_w + i], grad_in_row[i])) continue;
+      if (++mismatches <= 3)
+        ADD_FAILURE() << "row " << b << " input " << i << ": "
+                      << grad_in_batched[b * in_w + i] << " vs "
+                      << grad_in_row[i];
+    }
   }
-  auto ga = batched.gradients();
-  auto gb = scalar.gradients();
-  for (std::size_t i = 0; i < ga.size(); ++i)
-    EXPECT_EQ(ga[i], gb[i]) << "batch " << batch << " grad " << i;
+  for (std::size_t i = batch * in_w; i < grad_in_batched.size(); ++i)
+    EXPECT_EQ(bits(grad_in_batched[i]), bits(kSentinelValue))
+        << "sentinel " << i - batch * in_w << " overwritten";
+  const auto want = scalar->gradients();
+  const auto got = batched->gradients();
+  const auto got_bottom = bottom->gradients();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!same_value(got[i], want[i]) && ++mismatches <= 6)
+      ADD_FAILURE() << "grad " << i << ": " << got[i] << " vs " << want[i];
+    if (!same_value(got_bottom[i], want[i]) && ++mismatches <= 6)
+      ADD_FAILURE() << "grad " << i << " without input grads: "
+                    << got_bottom[i] << " vs " << want[i];
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
+constexpr std::size_t kSweepBatches[] = {1, 2, 3, 4, 5, 13, 14, 15, 64};
+
 TEST(DenseTest, BackwardBatchBitIdenticalToSequentialScalar) {
-  // 70x37 exercises the 32-wide register tiles plus both tail loops.
-  for (const std::size_t batch : {1, 2, 14, 64}) {
-    util::Rng rng_a(20), rng_b(20);
-    Dense batched(70, 37, rng_a);
-    Dense scalar(70, 37, rng_b);
-    ExpectBackwardBatchBitIdentical(batched, scalar, batch, 100 + batch);
+  // Every input width class the kernel tiles differently — below, at and
+  // just past one and two 32-wide tiles, and the trunk's 366 = 11 x 32 +
+  // 8 + 4 + 2 — by output counts below, at and past the 4-output register
+  // block and the 32-wide bias tile, by batches below, at and past the
+  // 4-row block, including the trainer's 14 rows.
+  std::uint64_t seed = 1000;
+  for (const std::size_t in : {1, 3, 8, 31, 32, 33, 63, 64, 65, 366}) {
+    for (const std::size_t out : {1, 3, 4, 5, 31, 32, 33}) {
+      util::Rng rng(in * 100 + out);
+      const Dense proto(in, out, rng);
+      for (const std::size_t batch : kSweepBatches) {
+        for (const bool specials : {false, true})
+          ExpectBackwardBatchBitIdentical(proto, batch, ++seed, specials);
+      }
+    }
   }
 }
 
 TEST(Conv1DTest, BackwardBatchBitIdenticalToSequentialScalar) {
-  // 37 filters exercise the 16-wide tiles plus tails; 12 aux features pin
-  // the passthrough-gradient rows.
-  for (const std::size_t batch : {1, 2, 14, 64}) {
-    util::Rng rng_a(21), rng_b(21);
-    Conv1DOverPrefix batched(26, 14, 37, 4, rng_a);
-    Conv1DOverPrefix scalar(26, 14, 37, 4, rng_b);
-    ExpectBackwardBatchBitIdentical(batched, scalar, batch, 200 + batch);
+  // The deployed trunk's conv (28 inputs, 14-day prefix, 32 filters of 4
+  // taps) and geometries that reach every tile: kernels 1..7 and 9 (single
+  // taps, one or two 4-tap tiles, and both), filter counts below, at and
+  // past the 8-filter register block, and aux features whose gradients
+  // pass straight through.
+  struct Geometry {
+    std::size_t input, prefix, filters, kernel;
+  };
+  const Geometry geometries[] = {
+      {28, 14, 32, 4}, {26, 14, 37, 4}, {14, 14, 1, 1}, {20, 14, 9, 5},
+      {17, 9, 8, 2},   {30, 16, 16, 7}, {24, 12, 7, 6}, {11, 10, 3, 3},
+      {30, 16, 5, 9},
+  };
+  std::uint64_t seed = 2000;
+  for (const Geometry& g : geometries) {
+    util::Rng rng(g.input * 1000 + g.filters * 10 + g.kernel);
+    const Conv1DOverPrefix proto(g.input, g.prefix, g.filters, g.kernel, rng);
+    for (const std::size_t batch : kSweepBatches) {
+      for (const bool specials : {false, true})
+        ExpectBackwardBatchBitIdentical(proto, batch, ++seed, specials);
+    }
   }
 }
 
 TEST(Conv1DTest, BackwardBatchBitIdenticalSmallGeometry) {
   for (const std::size_t batch : {1, 2, 14, 64}) {
-    util::Rng rng_a(22), rng_b(22);
-    Conv1DOverPrefix batched(8, 6, 2, 3, rng_a);
-    Conv1DOverPrefix scalar(8, 6, 2, 3, rng_b);
-    ExpectBackwardBatchBitIdentical(batched, scalar, batch, 300 + batch);
+    util::Rng rng(22);
+    const Conv1DOverPrefix proto(8, 6, 2, 3, rng);
+    ExpectBackwardBatchBitIdentical(proto, batch, 300 + batch,
+                                    /*specials=*/false);
   }
 }
 
 TEST(ActivationTest, BackwardBatchBitIdenticalToSequentialScalar) {
-  Relu relu(5);
-  Relu relu_ref(5);
-  ExpectBackwardBatchBitIdentical(relu, relu_ref, 14, 400);
-  Tanh tanh_layer(5);
-  Tanh tanh_ref(5);
-  ExpectBackwardBatchBitIdentical(tanh_layer, tanh_ref, 14, 401);
+  for (const bool specials : {false, true}) {
+    ExpectBackwardBatchBitIdentical(Relu(5), 14, 400, specials);
+    ExpectBackwardBatchBitIdentical(Tanh(5), 14, 401, specials);
+  }
 }
 
 }  // namespace

@@ -12,10 +12,18 @@
 
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
+#include "nn/ops.hpp"
 #include "nn/serialize.hpp"
 
 namespace minicost::nn {
 namespace {
+
+// The accumulated gradients as a flat vector; zeroes the accumulators.
+std::vector<double> take_gradients(Network& net) {
+  std::vector<double> grads(net.parameter_count());
+  net.collect_gradients(grads);
+  return grads;
+}
 
 Network tiny_net(util::Rng& rng) {
   Network net;
@@ -159,13 +167,98 @@ TEST(NetworkTest, CollectGradientsZeroAfterFlagWorks) {
   Network net = tiny_net(rng);
   net.forward(std::vector<double>{1.0, 1.0, 1.0});
   net.backward(std::vector<double>{1.0, 1.0});
-  const auto grads = net.collect_gradients(/*zero_after=*/true);
+  const auto grads = take_gradients(net);
   EXPECT_EQ(grads.size(), net.parameter_count());
   double nonzero = 0.0;
   for (double g : grads) nonzero += std::abs(g);
   EXPECT_GT(nonzero, 0.0);
-  const auto after = net.collect_gradients(false);
+  const auto after = take_gradients(net);
   for (double g : after) EXPECT_DOUBLE_EQ(g, 0.0);
+}
+
+// Accumulates one batched backward pass of random rows into `net`.
+void accumulate_random_gradients(Network& net, std::uint64_t seed) {
+  util::Rng data(seed);
+  const std::size_t batch = 5;
+  std::vector<double> input(batch * net.input_size());
+  std::vector<double> grad_rows(batch * net.output_size());
+  for (double& v : input) v = data.normal(0.0, 1.0);
+  for (double& v : grad_rows) v = data.uniform(-3.0, 3.0);
+  net.forward_batch_train(input, batch);
+  net.backward_batch(grad_rows, batch);
+}
+
+TEST(NetworkTest, CollectGradientsReturnsTheClipsSumOfSquares) {
+  // The pass that moves the gradients out also sums their squares in
+  // ascending order: the same bits l2_norm squares, so the clip given that
+  // sum writes exactly what clip_by_global_norm writes. The pair form runs
+  // two such chains in one loop over networks of different shapes (an
+  // actor-critic pair, and an MLP against a conv trunk with more layers)
+  // and must match two separate collects bit for bit.
+  util::Rng rng(31);
+  const Network actor_proto = build_trunk(14, 12, 16, 4, 16, 3, rng);
+  const Network critic_proto = build_trunk(14, 12, 16, 4, 16, 1, rng);
+  const Network mlp_proto = build_mlp({26, 7, 5, 1}, rng);
+  const std::pair<const Network*, const Network*> pairs[] = {
+      {&actor_proto, &critic_proto},
+      {&mlp_proto, &actor_proto},
+      {&actor_proto, &mlp_proto},
+  };
+  std::uint64_t seed = 40;
+  for (const auto& [first_proto, second_proto] : pairs) {
+    Network first = *first_proto, second = *second_proto;
+    Network first_ref = *first_proto, second_ref = *second_proto;
+    for (Network* net : {&first, &first_ref}) accumulate_random_gradients(*net, seed);
+    for (Network* net : {&second, &second_ref})
+      accumulate_random_gradients(*net, seed + 1);
+    seed += 2;
+
+    std::vector<double> first_out(first.parameter_count());
+    std::vector<double> second_out(second.parameter_count());
+    const auto sums =
+        Network::collect_gradients(first, first_out, second, second_out);
+    std::vector<double> first_want(first_ref.parameter_count());
+    std::vector<double> second_want(second_ref.parameter_count());
+    const double first_sum = first_ref.collect_gradients(first_want);
+    const double second_sum = second_ref.collect_gradients(second_want);
+
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sums[0]),
+              std::bit_cast<std::uint64_t>(first_sum));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sums[1]),
+              std::bit_cast<std::uint64_t>(second_sum));
+    EXPECT_EQ(first_out, first_want);
+    EXPECT_EQ(second_out, second_want);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(std::sqrt(first_sum)),
+              std::bit_cast<std::uint64_t>(l2_norm(first_want)));
+    for (Network* net : {&first, &second}) {
+      for (const double g : take_gradients(*net)) EXPECT_EQ(g, 0.0);
+    }
+
+    for (const double max_norm : {0.5, 1e9}) {
+      std::vector<double> clipped = first_want;
+      std::vector<double> reference = first_want;
+      clip_by_norm_squared(clipped, first_sum, max_norm);
+      clip_by_global_norm(reference, max_norm);
+      ASSERT_EQ(clipped.size(), reference.size());
+      for (std::size_t i = 0; i < clipped.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(clipped[i]),
+                  std::bit_cast<std::uint64_t>(reference[i]))
+            << "max_norm " << max_norm << " element " << i;
+    }
+  }
+}
+
+TEST(NetworkTest, CollectGradientsRejectsWrongBufferSize) {
+  util::Rng rng(32);
+  Network a = tiny_net(rng);
+  Network b = tiny_net(rng);
+  std::vector<double> short_buf(a.parameter_count() - 1);
+  std::vector<double> right(a.parameter_count());
+  EXPECT_THROW(a.collect_gradients(short_buf), std::invalid_argument);
+  EXPECT_THROW(Network::collect_gradients(a, right, b, short_buf),
+               std::invalid_argument);
+  EXPECT_THROW(Network::collect_gradients(a, short_buf, b, right),
+               std::invalid_argument);
 }
 
 TEST(NetworkTest, ApplyDeltaShiftsParameters) {
@@ -345,7 +438,7 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
 
     batched.forward_batch_train(input, batch);
     const auto grad_in_batched = batched.backward_batch(grad_rows, batch);
-    const auto grads_batched = batched.collect_gradients(/*zero_after=*/true);
+    const auto grads_batched = take_gradients(batched);
 
     std::vector<double> grad_in_scalar, out_scalar;
     const std::size_t in_w = scalar.input_size();
@@ -359,7 +452,7 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
       grad_in_scalar.insert(grad_in_scalar.end(), row_grad_in.begin(),
                             row_grad_in.end());
     }
-    const auto grads_scalar = scalar.collect_gradients(/*zero_after=*/true);
+    const auto grads_scalar = take_gradients(scalar);
 
     stashed.begin_train_batch();
     for (std::size_t b = 0; b < batch; ++b) {
@@ -374,7 +467,7 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
                     .backward_batch(grad_rows, batch,
                                     /*want_input_grads=*/false)
                     .empty());
-    const auto grads_stashed = stashed.collect_gradients(/*zero_after=*/true);
+    const auto grads_stashed = take_gradients(stashed);
 
     ASSERT_EQ(grads_batched.size(), grads_scalar.size());
     ASSERT_EQ(grads_stashed.size(), grads_scalar.size());
@@ -413,8 +506,8 @@ TEST(NetworkTest, BackwardBatchAccumulatesAcrossCalls) {
           grad_rows.data() + b * scalar.output_size(), scalar.output_size()));
     }
   }
-  const auto got = batched.collect_gradients(/*zero_after=*/true);
-  const auto want = scalar.collect_gradients(/*zero_after=*/true);
+  const auto got = take_gradients(batched);
+  const auto want = take_gradients(scalar);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }

@@ -10,11 +10,13 @@
 #include <functional>
 #include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <unistd.h>
 
+#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "rl/stream.hpp"
 #include "trace/synthetic.hpp"
@@ -431,6 +433,62 @@ TEST(A3CAgentTest, MultiWorkerTrainingIsRunToRunDeterministic) {
     const std::string second = train_and_serialize(config, 23, 150, "r2");
     ASSERT_FALSE(first.empty());
     EXPECT_EQ(first, second) << "workers=" << workers;
+  }
+}
+
+// FNV-1a over the bit patterns of every parameter in a saved checkpoint
+// (actor then critic), so one 64-bit word pins the trained agent exactly.
+std::uint64_t checkpoint_digest(const std::string& bytes) {
+  std::istringstream in(bytes);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (int net = 0; net < 2; ++net) {
+    const nn::Network loaded = nn::load_network(in);
+    for (std::size_t l = 0; l < loaded.layer_count(); ++l)
+      for (const double p : loaded.layer(l).parameters())
+        h = (h ^ std::bit_cast<std::uint64_t>(p)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(A3CAgentTest, TrainedParametersMatchPinnedDigest) {
+  // The trainer's kernels may be reblocked, fused or reordered across
+  // independent accumulators, but never within one (DESIGN.md §7), so the
+  // trained parameters must stay bit-for-bit what they were when these
+  // digests were recorded — at every worker window and with every optimizer.
+  struct Case {
+    std::size_t workers;
+    OptimizerKind optimizer;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, OptimizerKind::kSgdMomentum, 0x548c977d40721b60ULL},
+      {1, OptimizerKind::kRmsProp, 0xa281a5a13cb638c5ULL},
+      {1, OptimizerKind::kAdam, 0x9bfb210a327591ebULL},
+      {2, OptimizerKind::kSgdMomentum, 0x1f32fd6cbd472635ULL},
+      {2, OptimizerKind::kRmsProp, 0x6caf770b4633c0c6ULL},
+      {2, OptimizerKind::kAdam, 0xa8e9b7a14b19fa9dULL},
+  };
+  const trace::RequestTrace trace = small_trace(200);
+  for (const Case& c : cases) {
+    A3CConfig config = tiny_config();
+    config.workers = c.workers;
+    config.optimizer = c.optimizer;
+    A3CAgent agent(config, 29);
+    TrainOptions options;
+    options.episodes = 300;
+    options.report_every = 300;
+    agent.train(trace, pricing::PricingPolicy::azure_2020(), options);
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("minicost_digest_" + std::to_string(::getpid()) + ".txt");
+    agent.save(path);
+    std::ifstream file(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    EXPECT_EQ(checkpoint_digest(bytes), c.digest)
+        << "workers=" << c.workers
+        << " optimizer=" << static_cast<int>(c.optimizer) << " digest=0x"
+        << std::hex << checkpoint_digest(bytes);
   }
 }
 
