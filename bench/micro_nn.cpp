@@ -26,19 +26,10 @@ std::vector<double> make_input() {
   return input;
 }
 
-void BM_NN_Forward(benchmark::State& state) {
-  nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
-  const std::vector<double> input = make_input();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(input));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NN_Forward)->Arg(8)->Arg(32)->Arg(128);
-
-// The trainer's per-step forward: one row through forward_batch on warm
-// weights (the Dense layers' transposes already built), as each A3C rollout
-// step runs it via Network::forward_train_row. Compare with BM_NN_Forward.
+// One row through forward_batch on warm weights (the Dense layers'
+// transposes already built): each A3C rollout step runs it via
+// Network::forward_train_row, and policy_probabilities(), value() and
+// DQN's act and q_values call it directly.
 void BM_NN_ForwardRow(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
   const std::vector<double> input = make_input();
@@ -133,14 +124,12 @@ void BM_NN_DenseForwardBatchRelu(benchmark::State& state) {
 BENCHMARK(BM_NN_DenseForwardBatchRelu);
 
 // The A3C update's backward pass: one default episode (14 rows) through
-// Network::backward_batch on the trunk after forward_batch_train. The
-// second argument is want_input_grads; the trainer passes 0, so the bottom
-// conv skips dL/d(input). Gradients keep accumulating across iterations,
-// as they would across an episode's layers.
+// Network::backward_batch on the trunk after forward_batch_train; the bottom
+// conv computes no dL/d(input). Gradients keep accumulating across
+// iterations.
 void BM_NN_BackwardBatch(benchmark::State& state) {
   constexpr std::size_t kRows = 14;
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
-  const bool want_input_grads = state.range(1) != 0;
   util::Rng rng(4);
   std::vector<double> input(kRows * net.input_size());
   for (double& x : input) x = rng.uniform(0.0, 1.0);
@@ -148,30 +137,28 @@ void BM_NN_BackwardBatch(benchmark::State& state) {
   for (double& g : grad) g = rng.uniform(-0.1, 0.1);
   net.forward_batch_train(input, kRows);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.backward_batch(grad, kRows, want_input_grads));
+    net.backward_batch(grad, kRows);
+    benchmark::ClobberMemory();
   }
   state.counters["rows_per_s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * kRows),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_NN_BackwardBatch)
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({32, 0})->Args({32, 1})
-    ->Args({128, 0})->Args({128, 1});
+BENCHMARK(BM_NN_BackwardBatch)->Arg(8)->Arg(32)->Arg(128);
 
 // The deployed trunk's two heavy layers in the update, on 14 rows as the
 // trainer runs them: the Dense 366 -> 32 with input gradients (its ReLU and
 // the conv below consume them) and the conv 28/14/32/4 without (it is the
-// bottom layer). Together they are nearly all of BM_NN_BackwardBatch/32/0.
+// bottom layer). Together they are nearly all of BM_NN_BackwardBatch/32.
 void run_layer_backward(benchmark::State& state, nn::Layer& layer,
-                        bool want_input_grads) {
+                        bool input_grads) {
   constexpr std::size_t kRows = 14;
   util::Rng rng(5);
   std::vector<double> input(kRows * layer.input_size());
   for (double& x : input) x = rng.uniform(0.0, 1.0);
   std::vector<double> grad(kRows * layer.output_size());
   for (double& g : grad) g = rng.uniform(-0.1, 0.1);
-  std::vector<double> grad_in(want_input_grads ? kRows * layer.input_size() : 0);
+  std::vector<double> grad_in(input_grads ? kRows * layer.input_size() : 0);
   for (auto _ : state) {
     layer.backward_batch(input, grad, grad_in, kRows);
     benchmark::DoNotOptimize(grad_in.data());
@@ -185,14 +172,14 @@ void run_layer_backward(benchmark::State& state, nn::Layer& layer,
 void BM_NN_DenseBackwardBatch(benchmark::State& state) {
   util::Rng rng(1);
   nn::Dense dense(366, 32, rng);
-  run_layer_backward(state, dense, /*want_input_grads=*/true);
+  run_layer_backward(state, dense, /*input_grads=*/true);
 }
 BENCHMARK(BM_NN_DenseBackwardBatch);
 
 void BM_NN_ConvBackwardBatch(benchmark::State& state) {
   util::Rng rng(1);
   nn::Conv1DOverPrefix conv(28, 14, 32, 4, rng);
-  run_layer_backward(state, conv, /*want_input_grads=*/false);
+  run_layer_backward(state, conv, /*input_grads=*/false);
 }
 BENCHMARK(BM_NN_ConvBackwardBatch);
 
@@ -220,8 +207,8 @@ void BM_NN_CollectClip(benchmark::State& state) {
   std::vector<double> critic_flat(critic.parameter_count());
   for (auto _ : state) {
     state.PauseTiming();
-    actor.backward_batch(actor_grad, kRows, /*want_input_grads=*/false);
-    critic.backward_batch(critic_grad, kRows, /*want_input_grads=*/false);
+    actor.backward_batch(actor_grad, kRows);
+    critic.backward_batch(critic_grad, kRows);
     state.ResumeTiming();
     const auto [actor_sq, critic_sq] =
         nn::Network::collect_gradients(actor, actor_flat, critic, critic_flat);
@@ -233,18 +220,6 @@ void BM_NN_CollectClip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NN_CollectClip);
-
-void BM_NN_ForwardBackward(benchmark::State& state) {
-  nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
-  const std::vector<double> input = make_input();
-  const std::vector<double> grad{1.0, -0.5, 0.25};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward(input));
-    benchmark::DoNotOptimize(net.backward(grad));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NN_ForwardBackward)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_NN_SnapshotLoad(benchmark::State& state) {
   nn::Network net = make_net(32);

@@ -1,7 +1,6 @@
 #include "nn/activation.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "nn/kernel_dispatch.hpp"
 
@@ -10,7 +9,7 @@ namespace {
 
 // Batch-sized ReLU loops, runtime-dispatched like the dense/conv kernels.
 // The select is branch-free and elementwise (no accumulation), so every
-// lane choice is trivially bit-identical to the scalar pass — the clones
+// lane choice is trivially bit-identical to the reference — the clones
 // exist purely because GCC's generic tuning emits scalar cmov sequences
 // for these loops (~5x slower at trunk widths) while the per-ISA clones
 // get masked vector moves.
@@ -26,20 +25,6 @@ MINICOST_TARGET_CLONES void relu_backward_kernel(const double* in,
 }
 
 }  // namespace
-
-void Relu::forward(std::span<const double> in, std::span<double> out) {
-  assert(in.size() == size_ && out.size() == size_);
-  cached_input_.assign(in.begin(), in.end());
-  for (std::size_t i = 0; i < size_; ++i) out[i] = in[i] > 0.0 ? in[i] : 0.0;
-}
-
-void Relu::backward(std::span<const double> grad_out,
-                    std::span<double> grad_in) {
-  assert(grad_out.size() == size_ && grad_in.size() == size_);
-  assert(cached_input_.size() == size_ && "backward without forward");
-  for (std::size_t i = 0; i < size_; ++i)
-    grad_in[i] = cached_input_[i] > 0.0 ? grad_out[i] : 0.0;
-}
 
 void Relu::forward_batch(std::span<const double> in, std::span<double> out,
                          std::size_t batch) {
@@ -62,51 +47,5 @@ std::unique_ptr<Layer> Relu::clone() const {
 }
 
 std::string Relu::spec() const { return "relu " + std::to_string(size_); }
-
-void Tanh::forward(std::span<const double> in, std::span<double> out) {
-  assert(in.size() == size_ && out.size() == size_);
-  cached_output_.resize(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out[i] = std::tanh(in[i]);
-    cached_output_[i] = out[i];
-  }
-}
-
-void Tanh::backward(std::span<const double> grad_out,
-                    std::span<double> grad_in) {
-  assert(grad_out.size() == size_ && grad_in.size() == size_);
-  assert(cached_output_.size() == size_ && "backward without forward");
-  for (std::size_t i = 0; i < size_; ++i)
-    grad_in[i] = grad_out[i] * (1.0 - cached_output_[i] * cached_output_[i]);
-}
-
-void Tanh::forward_batch(std::span<const double> in, std::span<double> out,
-                         std::size_t batch) {
-  assert(in.size() == batch * size_ && out.size() == batch * size_);
-  const std::size_t n = batch * size_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(in[i]);
-}
-
-void Tanh::backward_batch(std::span<const double> in,
-                          std::span<const double> grad_out,
-                          std::span<double> grad_in, std::size_t batch) {
-  assert(in.size() == batch * size_ && grad_out.size() == batch * size_ &&
-         (grad_in.empty() || grad_in.size() == batch * size_));
-  if (grad_in.empty()) return;  // parameterless: nothing else to compute
-  // Recomputes tanh from the stored pre-activation rows — the same
-  // std::tanh value forward() cached, so grad_out * (1 - t*t) matches the
-  // scalar backward() bit-for-bit.
-  const std::size_t n = batch * size_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = std::tanh(in[i]);
-    grad_in[i] = grad_out[i] * (1.0 - t * t);
-  }
-}
-
-std::unique_ptr<Layer> Tanh::clone() const {
-  return std::make_unique<Tanh>(size_);
-}
-
-std::string Tanh::spec() const { return "tanh " + std::to_string(size_); }
 
 }  // namespace minicost::nn

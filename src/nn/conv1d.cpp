@@ -12,11 +12,11 @@
 namespace minicost::nn {
 namespace {
 
-// Forward kernel of forward_batch and forward_batch_relu, in forward()'s
-// loop order: filters outer, kF in flight, each filter's positions in
-// kLanes-wide tiles. A tile holds only independent outputs, each still
-// summing bias, then taps in order, so rows are bit-identical to forward()
-// on every ISA (FP contraction is off here). Each filter's outputs are one
+// Forward kernel of forward_batch and forward_batch_relu: filters outer,
+// kF in flight, each filter's positions in kLanes-wide tiles. A tile holds
+// only independent outputs, each still summing bias, then taps in order
+// (the reference order, DESIGN.md §7), so rows are the same bits on every
+// ISA (FP contraction is off here). Each filter's outputs are one
 // unit-stride run; when kLanes does not divide pos, the last tile starts at
 // pos - kLanes and recomputes identical values, so no store leaves the conv
 // block. `xw` is the row's prefix, zero-padded so whole tiles can load.
@@ -89,9 +89,9 @@ typedef double Taps4 __attribute__((vector_size(4 * sizeof(double))));
 // Tap grads wg[f][k0 .. k0 + |V|) of kF filters from f0 and, when `bg` is
 // not null, their bias grads: every (row b, position p) in ascending order
 // adds g_b[f][p] * x_b[p + k] to each tap and g_b[f][p] to the bias — the
-// scalar backward()'s sequence for each of those accumulators. The kF
-// filters' accumulators are independent, so their chains run side by side
-// and each x window loaded feeds all kF filters. The bias sums run
+// reference sequence for each of those accumulators. The kF filters'
+// accumulators are independent, so their chains run side by side and each
+// x window loaded feeds all kF filters. The bias sums run
 // unconditionally (a branch in the inner loop costs more than the adds)
 // and are stored only for the tile that owns them.
 template <class V, std::size_t kF>
@@ -140,34 +140,24 @@ template <std::size_t kF>
                                 f0, k0, wg, k0 == 0 ? bg : nullptr);
 }
 
-// Batched backward over the convolution block. Scalar backward() walks
-// (filter f, position p) with p inner, so every parameter accumulator sees
-// its contributions in lexicographic (row, position) order; this kernel
-// preserves exactly that order per accumulator and vectorizes only across
-// independent accumulators (DESIGN.md §7):
+// Batched backward over the convolution block: every parameter
+// accumulator sees its contributions in lexicographic (row, position)
+// order, the reference order (DESIGN.md §7), and SIMD runs only across
+// independent accumulators:
 //  * tap grads    — SIMD across the taps of one filter, register-blocked
 //    over kF filters (conv_param_tile); (b, p) ascend inside;
 //  * bias grads   — one scalar chain per filter in the same loop, fed by
-//    the g values the taps already loaded;
-//  * input grads  — per row, filters ascend and taps DESCEND, which makes
-//    each input element j receive its window's contributions at ascending
-//    positions p = j - k, the scalar order; SIMD is across j (independent
-//    elements), and the conv region is zeroed first exactly like the
-//    scalar pass.
-// Every family reads g in its own f-major layout and writes the f-major tap
-// grads in place: no transposed copies. Vectorizing across filters instead
-// would need g position-major, a batch-sized transpose per call that cost
-// more than the arithmetic, and its one chain per (tap, filter tile) of
-// batch * pos adds left the loop bound by add latency.
-// `gx` may be null when the caller has no consumer for dL/d(in) (the conv
-// is the bottom layer); the whole input-gradient family is skipped then.
-// FP contraction is off for this translation unit, so it rounds
-// identically to the scalar pass on every dispatch lane.
+//    the g values the taps already loaded.
+// Both read g in its own f-major layout and write the f-major tap grads in
+// place: no transposed copies. Vectorizing across filters instead would
+// need g position-major, a batch-sized transpose per call that cost more
+// than the arithmetic, and its one chain per (tap, filter tile) of
+// batch * pos adds left the loop bound by add latency. FP contraction is
+// off for this translation unit, so every dispatch lane rounds alike.
 MINICOST_TARGET_CLONES void conv_backward(
-    const double* w, const double* g, const double* x, std::size_t input,
-    std::size_t prefix, std::size_t filters, std::size_t kernel,
-    std::size_t out_width, std::size_t batch, double* wg, double* bg,
-    double* gx) {
+    const double* g, const double* x, std::size_t input, std::size_t prefix,
+    std::size_t filters, std::size_t kernel, std::size_t out_width,
+    std::size_t batch, double* wg, double* bg) {
   constexpr std::size_t kF = 8;
   const std::size_t pos = prefix - kernel + 1;
   std::size_t f0 = 0;
@@ -177,27 +167,6 @@ MINICOST_TARGET_CLONES void conv_backward(
   for (; f0 < filters; ++f0)
     conv_param_grads<1>(g, x, input, pos, kernel, out_width, batch, f0, wg,
                         bg);
-  if (gx == nullptr) return;
-  constexpr std::size_t kTile = 16;
-  for (std::size_t b = 0; b < batch; ++b) {
-    const double* gb = g + b * out_width;
-    double* gxb = gx + b * input;
-    for (std::size_t i = 0; i < prefix; ++i) gxb[i] = 0.0;
-    for (std::size_t f = 0; f < filters; ++f) {
-      const double* gf = gb + f * pos;
-      const double* wf = w + f * kernel;
-      for (std::size_t k = kernel; k-- > 0;) {
-        const double wk = wf[k];
-        double* dst = gxb + k;
-        std::size_t p0 = 0;
-        for (; p0 + kTile <= pos; p0 += kTile) {
-          for (std::size_t j = 0; j < kTile; ++j)
-            dst[p0 + j] += gf[p0 + j] * wk;
-        }
-        for (; p0 < pos; ++p0) dst[p0] += gf[p0] * wk;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -222,25 +191,6 @@ Conv1DOverPrefix::Conv1DOverPrefix(std::size_t input_size,
     params_[i] = rng.uniform(-bound, bound);
 }
 
-void Conv1DOverPrefix::forward(std::span<const double> in,
-                               std::span<double> out) {
-  assert(in.size() == input_ && out.size() == output_size());
-  cached_input_.assign(in.begin(), in.end());
-  const std::size_t pos = positions();
-  const double* bias = params_.data() + bias_offset();
-  for (std::size_t f = 0; f < filters_; ++f) {
-    const double* w = params_.data() + f * kernel_;
-    for (std::size_t x = 0; x < pos; ++x) {
-      double sum = bias[f];
-      for (std::size_t k = 0; k < kernel_; ++k) sum += w[k] * in[x + k];
-      out[f * pos + x] = sum;
-    }
-  }
-  // Aux features pass through after the convolution block.
-  for (std::size_t a = 0; a < aux(); ++a)
-    out[filters_ * pos + a] = in[prefix_ + a];
-}
-
 void Conv1DOverPrefix::forward_batch(std::span<const double> in,
                                      std::span<double> out,
                                      std::size_t batch) {
@@ -260,56 +210,23 @@ bool Conv1DOverPrefix::forward_batch_relu(std::span<const double> in,
   return true;
 }
 
-void Conv1DOverPrefix::backward(std::span<const double> grad_out,
-                                std::span<double> grad_in) {
-  assert(grad_out.size() == output_size() && grad_in.size() == input_);
-  assert(cached_input_.size() == input_ && "backward without forward");
-  const std::size_t pos = positions();
-  for (std::size_t i = 0; i < input_; ++i) grad_in[i] = 0.0;
-  double* bias_grad = grads_.data() + bias_offset();
-  for (std::size_t f = 0; f < filters_; ++f) {
-    const double* w = params_.data() + f * kernel_;
-    double* wg = grads_.data() + f * kernel_;
-    for (std::size_t x = 0; x < pos; ++x) {
-      const double g = grad_out[f * pos + x];
-      bias_grad[f] += g;
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        wg[k] += g * cached_input_[x + k];
-        grad_in[x + k] += g * w[k];
-      }
-    }
-  }
-  for (std::size_t a = 0; a < aux(); ++a)
-    grad_in[prefix_ + a] = grad_out[filters_ * pos + a];
-}
-
 void Conv1DOverPrefix::backward_batch(std::span<const double> in,
                                       std::span<const double> grad_out,
                                       std::span<double> grad_in,
                                       std::size_t batch) {
+  if (!grad_in.empty())
+    throw std::logic_error(
+        "Conv1DOverPrefix::backward_batch: the conv is the input layer and "
+        "has no input gradients");
   assert(in.size() == batch * input_ &&
-         grad_out.size() == batch * output_size() &&
-         (grad_in.empty() || grad_in.size() == batch * input_));
-  const std::size_t pos = positions();
-  const std::size_t out_width = output_size();
-  conv_backward(params_.data(), grad_out.data(), in.data(), input_, prefix_,
-                filters_, kernel_, out_width, batch, grads_.data(),
-                grads_.data() + bias_offset(),
-                grad_in.empty() ? nullptr : grad_in.data());
-  if (grad_in.empty()) return;
-  // Aux features pass their gradient straight through, as in backward().
-  for (std::size_t b = 0; b < batch; ++b) {
-    const double* gb = grad_out.data() + b * out_width;
-    double* gxb = grad_in.data() + b * input_;
-    for (std::size_t a = 0; a < aux(); ++a)
-      gxb[prefix_ + a] = gb[filters_ * pos + a];
-  }
+         grad_out.size() == batch * output_size());
+  conv_backward(grad_out.data(), in.data(), input_, prefix_, filters_, kernel_,
+                output_size(), batch, grads_.data(),
+                grads_.data() + bias_offset());
 }
 
 std::unique_ptr<Layer> Conv1DOverPrefix::clone() const {
-  auto copy = std::make_unique<Conv1DOverPrefix>(*this);
-  copy->cached_input_.clear();
-  return copy;
+  return std::make_unique<Conv1DOverPrefix>(*this);
 }
 
 std::string Conv1DOverPrefix::spec() const {

@@ -31,18 +31,17 @@ class Conv1DOverPrefix final : public Layer {
     return filters_ * positions() + aux();
   }
 
-  void forward(std::span<const double> in, std::span<double> out) override;
-  void backward(std::span<const double> grad_out,
-                std::span<double> grad_in) override;
-  /// Batch convolution, filter-major like forward(): SIMD across positions.
+  /// Filter-major convolution: SIMD across positions.
   void forward_batch(std::span<const double> in, std::span<double> out,
                      std::size_t batch) override;
   /// The same convolution with the ReLU folded into its output stores.
   bool forward_batch_relu(std::span<const double> in, std::span<double> out,
                           std::size_t batch) override;
-  /// Fused batched backward: bias, tap, and input gradients in one pass,
-  /// SIMD across independent accumulators only — bit-identical to per-row
-  /// backward() calls in ascending row order (DESIGN.md §7).
+  /// Fused batched backward: bias and tap gradients in one pass, SIMD
+  /// across independent accumulators only, each taking rows in ascending
+  /// order (DESIGN.md §7). The conv over the input prefix is the bottom
+  /// layer by construction, so it computes no dL/d(in): a non-empty
+  /// `grad_in` throws std::logic_error.
   void backward_batch(std::span<const double> in,
                       std::span<const double> grad_out,
                       std::span<double> grad_in, std::size_t batch) override;
@@ -67,7 +66,6 @@ class Conv1DOverPrefix final : public Layer {
   std::size_t input_, prefix_, filters_, kernel_;
   std::vector<double> params_;
   std::vector<double> grads_;
-  std::vector<double> cached_input_;
 };
 
 }  // namespace minicost::nn

@@ -18,7 +18,7 @@ namespace {
 // of memory); each weight vector loaded feeds all kRows rows. Outputs past
 // the last full tile are scalar per element, rows still side by side. With
 // `relu`, the last slice stores the Relu layer's select (x > 0.0 ? x : 0.0),
-// so NaN and -0.0 map to +0.0 exactly as Relu::forward() maps them.
+// so NaN and -0.0 map to +0.0 exactly as the Relu layer maps them.
 template <std::size_t kRows>
 [[gnu::always_inline]] inline void dense_rows(
     const double* wt, const double* bias, const double* x, std::size_t in,
@@ -64,8 +64,8 @@ template <std::size_t kRows>
 // weight matrix (in x out). Only independent output elements are computed
 // side by side — output neurons (the unit-stride SIMD dimension) and rows —
 // while each element still accumulates bias first and inputs 0..in-1 in
-// ascending order, exactly like the scalar forward(). Rows are therefore
-// bit-identical to per-row forward() calls on every ISA (FP contraction is
+// ascending order, the reference order (DESIGN.md §7). Rows are therefore
+// the same bits at every batch size and on every ISA (FP contraction is
 // off for this translation unit). Row-major in and out; no strided stores.
 // Blocking, outermost first:
 //  * inputs in kIBlk slices with the batch loop inside, so the active wt
@@ -129,7 +129,7 @@ template <class V>
 }
 
 // Weight grads of kO outputs from o0 over the inputs [i0, i0 + kQ * |V|):
-// wg[o][i] += g_b[o] * x_b[i] for rows b ascending, the scalar order of
+// wg[o][i] += g_b[o] * x_b[i] for rows b ascending, the reference order of
 // every element. The kO x kQ accumulators are independent, so they keep
 // kO * kQ add chains in flight, and each x vector loaded feeds kO outputs.
 template <class V, std::size_t kQ, std::size_t kO>
@@ -156,8 +156,8 @@ template <class V, std::size_t kQ, std::size_t kO>
 }
 
 // Input grads of kR rows from b0 over the same input columns: each starts
-// at 0.0 and adds g_b[o] * w[o][i] for outputs o ascending, like the scalar
-// pass. Each w vector loaded feeds kR rows.
+// at 0.0 and adds g_b[o] * w[o][i] for outputs o ascending, the reference
+// order. Each w vector loaded feeds kR rows.
 template <class V, std::size_t kQ, std::size_t kR>
 [[gnu::always_inline]] inline void input_grad_tile(
     const double* w, const double* g, std::size_t in, std::size_t out,
@@ -200,17 +200,15 @@ template <class V, std::size_t kQ>
   for (; b < batch; ++b) input_grad_tile<V, kQ, 1>(w, g, in, out, i0, b, gx);
 }
 
-// Batched backward. The scalar backward() touches three accumulator
-// families; each is vectorized here only across *independent* accumulators
-// while its own floating-point sequence stays exactly that of `batch`
-// sequential backward() calls (row 0 first):
+// Batched backward over three accumulator families; each is vectorized
+// only across *independent* accumulators while its own floating-point
+// sequence stays the reference order (DESIGN.md §7), rows ascending:
 //  * bias grads   — SIMD across outputs o; rows b ascend inside the tile;
 //  * weight grads — SIMD across inputs i, register-blocked over four
 //    outputs; rows b ascend inside (each wg[o][i] sees g_b * x_b[i] in row
 //    order);
 //  * input grads  — SIMD across inputs i, register-blocked over four rows;
-//    outputs o ascend from 0.0, the order the scalar pass accumulates
-//    grad_in.
+//    outputs o ascend from 0.0.
 // Blocking runs across outputs and rows, never within one accumulator: a
 // block of four turns the one chain per vector that a single output or row
 // gives into four, which hides the add latency that bounds the unblocked
@@ -222,8 +220,8 @@ template <class V, std::size_t kQ>
 // and w slices stay in L1 across them. gx may be null when the caller has
 // no consumer for dL/d(in) (bottom layer); parameter gradients are
 // identical either way. FP contraction is off for this translation unit,
-// so each multiply-then-add rounds like the scalar code and all dispatch
-// lanes agree bit-for-bit.
+// so each multiply-then-add rounds twice, like the reference, and all
+// dispatch lanes agree bit-for-bit.
 MINICOST_TARGET_CLONES void dense_backward(const double* w, const double* x,
                                            const double* g, std::size_t in,
                                            std::size_t out, std::size_t batch,
@@ -270,18 +268,6 @@ Dense::Dense(std::size_t in, std::size_t out, util::Rng& rng)
   // biases start at zero (the tail of params_ is already zero-initialized)
 }
 
-void Dense::forward(std::span<const double> in, std::span<double> out) {
-  assert(in.size() == in_ && out.size() == out_);
-  cached_input_.assign(in.begin(), in.end());
-  const double* bias = params_.data() + bias_offset();
-  for (std::size_t o = 0; o < out_; ++o) {
-    const double* row = params_.data() + o * in_;
-    double sum = bias[o];
-    for (std::size_t i = 0; i < in_; ++i) sum += row[i] * in[i];
-    out[o] = sum;
-  }
-}
-
 void Dense::forward_batch(std::span<const double> in, std::span<double> out,
                           std::size_t batch) {
   run_batch(in, out, batch, /*relu=*/false);
@@ -296,7 +282,7 @@ bool Dense::forward_batch_relu(std::span<const double> in,
 void Dense::run_batch(std::span<const double> in, std::span<double> out,
                       std::size_t batch, bool relu) {
   assert(in.size() == batch * in_ && out.size() == batch * out_);
-  // The scalar dot product is a serial FP-add chain the compiler may not
+  // Each dot product is a serial FP-add chain the compiler may not
   // reassociate, so the batch kernel vectorizes across output neurons
   // instead. That needs the weights transposed, built once per parameter
   // change (parameters() marks it stale) rather than once per call: the
@@ -312,24 +298,6 @@ void Dense::run_batch(std::span<const double> in, std::span<double> out,
                     in.data(), in_, out_, batch, relu, out.data());
 }
 
-void Dense::backward(std::span<const double> grad_out,
-                     std::span<double> grad_in) {
-  assert(grad_out.size() == out_ && grad_in.size() == in_);
-  assert(cached_input_.size() == in_ && "backward without forward");
-  double* bias_grad = grads_.data() + bias_offset();
-  for (std::size_t i = 0; i < in_; ++i) grad_in[i] = 0.0;
-  for (std::size_t o = 0; o < out_; ++o) {
-    const double g = grad_out[o];
-    bias_grad[o] += g;
-    double* weight_grad_row = grads_.data() + o * in_;
-    const double* weight_row = params_.data() + o * in_;
-    for (std::size_t i = 0; i < in_; ++i) {
-      weight_grad_row[i] += g * cached_input_[i];
-      grad_in[i] += g * weight_row[i];
-    }
-  }
-}
-
 void Dense::backward_batch(std::span<const double> in,
                            std::span<const double> grad_out,
                            std::span<double> grad_in, std::size_t batch) {
@@ -341,9 +309,7 @@ void Dense::backward_batch(std::span<const double> in,
 }
 
 std::unique_ptr<Layer> Dense::clone() const {
-  auto copy = std::make_unique<Dense>(*this);
-  copy->cached_input_.clear();
-  return copy;
+  return std::make_unique<Dense>(*this);
 }
 
 std::string Dense::spec() const {

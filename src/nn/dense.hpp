@@ -16,9 +16,6 @@ class Dense final : public Layer {
   std::size_t input_size() const noexcept override { return in_; }
   std::size_t output_size() const noexcept override { return out_; }
 
-  void forward(std::span<const double> in, std::span<double> out) override;
-  void backward(std::span<const double> grad_out,
-                std::span<double> grad_in) override;
   /// One GEMM over the whole batch (weight rows stay hot across rows).
   void forward_batch(std::span<const double> in, std::span<double> out,
                      std::size_t batch) override;
@@ -26,8 +23,8 @@ class Dense final : public Layer {
   bool forward_batch_relu(std::span<const double> in, std::span<double> out,
                           std::size_t batch) override;
   /// Fused batched backward: bias, weight, and input gradients in one pass,
-  /// SIMD across independent accumulators only — bit-identical to per-row
-  /// backward() calls in ascending row order (DESIGN.md §7).
+  /// SIMD across independent accumulators only, each taking rows in
+  /// ascending order (DESIGN.md §7).
   void backward_batch(std::span<const double> in,
                       std::span<const double> grad_out,
                       std::span<double> grad_in, std::size_t batch) override;
@@ -47,7 +44,6 @@ class Dense final : public Layer {
 
  private:
   // params_ layout: W row-major (out x in), then b (out).
-  double weight(std::size_t o, std::size_t i) const { return params_[o * in_ + i]; }
   std::size_t bias_offset() const noexcept { return out_ * in_; }
   void run_batch(std::span<const double> in, std::span<double> out,
                  std::size_t batch, bool relu);
@@ -55,7 +51,6 @@ class Dense final : public Layer {
   std::size_t in_, out_;
   std::vector<double> params_;
   std::vector<double> grads_;
-  std::vector<double> cached_input_;
   // forward_batch's transposed W, rebuilt only after parameters() hands
   // out a writable span. Copies and clones share it (read-only) until one
   // of them rebuilds: a rebuild writes in place only while no other layer

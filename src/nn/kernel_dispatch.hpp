@@ -6,8 +6,8 @@
 //
 // Determinism note: the dispatched kernels are compiled with FP contraction
 // off (see src/nn/CMakeLists.txt), so every lane performs the same
-// multiply-then-add sequence as the scalar forward() path — results are
-// bit-identical across ISAs and to the unvectorized fallback.
+// multiply-then-add sequence as the scalar reference math (DESIGN.md §7) —
+// results are bit-identical across ISAs and to the unvectorized fallback.
 
 // ThreadSanitizer cannot run ifunc resolvers (they execute before the TSAN
 // runtime initializes — load-time segfault), so dispatch is disabled under

@@ -38,21 +38,6 @@ std::size_t Network::output_size() const noexcept {
   return layers_.empty() ? 0 : layers_.back()->output_size();
 }
 
-std::vector<double> Network::forward(std::span<const double> input) {
-  if (layers_.empty())
-    return std::vector<double>(input.begin(), input.end());
-  if (input.size() != input_size())
-    throw std::invalid_argument("Network::forward: input size mismatch");
-  activations_.resize(layers_.size());
-  std::span<const double> current = input;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    activations_[i].resize(layers_[i]->output_size());
-    layers_[i]->forward(current, activations_[i]);
-    current = activations_[i];
-  }
-  return activations_.back();
-}
-
 std::vector<double> Network::forward_batch(std::span<const double> input,
                                            std::size_t batch) {
   if (layers_.empty())
@@ -84,21 +69,6 @@ std::vector<double> Network::forward_batch(std::span<const double> input,
   return std::vector<double>(current.begin(), current.end());
 }
 
-std::vector<double> Network::backward(std::span<const double> grad_output) {
-  if (layers_.empty())
-    return std::vector<double>(grad_output.begin(), grad_output.end());
-  if (grad_output.size() != output_size())
-    throw std::invalid_argument("Network::backward: gradient size mismatch");
-  std::vector<double> grad(grad_output.begin(), grad_output.end());
-  std::vector<double> grad_in;
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    grad_in.resize(layers_[i]->input_size());
-    layers_[i]->backward(grad, grad_in);
-    grad = grad_in;
-  }
-  return grad;
-}
-
 std::vector<double> Network::forward_batch_train(std::span<const double> input,
                                                  std::size_t batch) {
   if (layers_.empty())
@@ -107,9 +77,9 @@ std::vector<double> Network::forward_batch_train(std::span<const double> input,
     throw std::invalid_argument(
         "Network::forward_batch_train: input size mismatch");
   // Unlike the inference ping-pong, every layer's input batch is kept: it
-  // is exactly the state backward_batch() needs (layers receive their rows
-  // explicitly instead of relying on single-sample caches). Buffers persist
-  // across calls, so steady-state training does not reallocate.
+  // is exactly the state backward_batch() needs (layers keep no forward
+  // state of their own). Buffers persist across calls, so steady-state
+  // training does not reallocate.
   train_acts_.resize(layers_.size() + 1);
   train_acts_[0].assign(input.begin(), input.end());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
@@ -136,10 +106,10 @@ std::span<const double> Network::forward_train_row(
   if (train_acts_.size() != layers_.size() + 1)
     throw std::logic_error(
         "Network::forward_train_row: begin_train_batch not called");
-  // Each layer runs its one-row forward_batch (bit-identical to forward()
-  // by the Layer contract) straight into the tail of the next stash entry,
-  // which is that layer's output and the next layer's input. Unfused, like
-  // forward_batch_train: backward_batch() needs the pre-activation rows.
+  // Each layer runs its one-row forward_batch straight into the tail of the
+  // next stash entry, which is that layer's output and the next layer's
+  // input. Unfused, like forward_batch_train: backward_batch() needs the
+  // pre-activation rows.
   train_acts_[0].insert(train_acts_[0].end(), input.begin(), input.end());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const std::size_t in_w = layers_[i]->input_size();
@@ -154,11 +124,9 @@ std::span<const double> Network::forward_train_row(
   return std::span<const double>(train_acts_.back()).last(output_size());
 }
 
-std::vector<double> Network::backward_batch(std::span<const double> grad_output,
-                                            std::size_t batch,
-                                            bool want_input_grads) {
-  if (layers_.empty())
-    return std::vector<double>(grad_output.begin(), grad_output.end());
+void Network::backward_batch(std::span<const double> grad_output,
+                             std::size_t batch) {
+  if (layers_.empty()) return;
   if (batch == 0 || batch != train_batch_ ||
       train_acts_.size() != layers_.size() + 1)
     throw std::logic_error(
@@ -167,18 +135,14 @@ std::vector<double> Network::backward_batch(std::span<const double> grad_output,
     throw std::invalid_argument(
         "Network::backward_batch: gradient size mismatch");
   grad_back_.assign(grad_output.begin(), grad_output.end());
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    if (i == 0 && !want_input_grads) {
-      // The bottom layer's dL/d(in) has no consumer; an empty span tells
-      // the layer to skip it (parameter gradients are unaffected).
-      layers_[0]->backward_batch(train_acts_[0], grad_back_, {}, batch);
-      return {};
-    }
+  for (std::size_t i = layers_.size(); i-- > 1;) {
     grad_front_.resize(batch * layers_[i]->input_size());
     layers_[i]->backward_batch(train_acts_[i], grad_back_, grad_front_, batch);
     std::swap(grad_front_, grad_back_);
   }
-  return std::vector<double>(grad_back_.begin(), grad_back_.end());
+  // The bottom layer's dL/d(in) has no consumer; an empty span tells the
+  // layer to skip it.
+  layers_[0]->backward_batch(train_acts_[0], grad_back_, {}, batch);
 }
 
 std::size_t Network::parameter_count() const noexcept {
@@ -322,24 +286,6 @@ std::array<double, 2> Network::collect_gradients(Network& first,
   return sums;
 }
 
-void Network::apply_delta(std::span<const double> delta, double scale) {
-  if (delta.size() != parameter_count())
-    throw std::invalid_argument("Network::apply_delta: size mismatch");
-  std::size_t offset = 0;
-  for (auto& layer : layers_) {
-    auto params = layer->parameters();
-    for (std::size_t i = 0; i < params.size(); ++i)
-      params[i] += delta[offset + i] * scale;
-    offset += params.size();
-  }
-}
-
-void Network::zero_gradients() noexcept {
-  for (auto& layer : layers_) {
-    for (double& g : layer->gradients()) g = 0.0;
-  }
-}
-
 Network build_trunk(std::size_t history_len, std::size_t aux_features,
                     std::size_t filters, std::size_t kernel, std::size_t hidden,
                     std::size_t outputs, util::Rng& rng) {
@@ -353,17 +299,6 @@ Network build_trunk(std::size_t history_len, std::size_t aux_features,
   net.add(std::make_unique<Dense>(conv_out, hidden, rng));
   net.add(std::make_unique<Relu>(hidden));
   net.add(std::make_unique<Dense>(hidden, outputs, rng));
-  return net;
-}
-
-Network build_mlp(const std::vector<std::size_t>& sizes, util::Rng& rng) {
-  if (sizes.size() < 2)
-    throw std::invalid_argument("build_mlp: need at least input and output");
-  Network net;
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    net.add(std::make_unique<Dense>(sizes[i], sizes[i + 1], rng));
-    if (i + 2 < sizes.size()) net.add(std::make_unique<Relu>(sizes[i + 1]));
-  }
   return net;
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// Sequential network container plus the builders for the paper's actor and
+// Sequential network container plus the builder for the paper's actor and
 // critic architectures.
 
 #include <array>
@@ -27,27 +27,17 @@ class Network {
   std::size_t layer_count() const noexcept { return layers_.size(); }
   const Layer& layer(std::size_t i) const { return *layers_.at(i); }
 
-  /// Forward pass; returns the output activations. Caches intermediate
-  /// activations for backward(). Not thread-safe; clone per thread.
-  std::vector<double> forward(std::span<const double> input);
-
-  /// Inference-only batched forward: `input` is `batch` rows of
-  /// input_size() (row-major); returns `batch` rows of output_size(). Runs
-  /// one fused kernel per layer instead of `batch` forward() calls, and a
-  /// Relu directly after a layer with a fused store (Layer::
-  /// forward_batch_relu) inside that layer's kernel; every output row is
-  /// bit-identical to forward() on the matching input row.
-  /// Invalidates forward() state, so backward() must not follow it. Not
-  /// thread-safe; clone per thread.
+  /// Inference forward: `input` is `batch` rows of input_size()
+  /// (row-major); returns `batch` rows of output_size(). Runs one kernel
+  /// per layer, and a Relu directly after a layer with a fused store
+  /// (Layer::forward_batch_relu) inside that layer's kernel. Each output
+  /// row depends on its input row alone (DESIGN.md §7), so one row
+  /// (batch = 1) is the single-state forward. Throws std::invalid_argument
+  /// on an input size mismatch. Not thread-safe; clone per thread.
   std::vector<double> forward_batch(std::span<const double> input,
                                     std::size_t batch);
 
-  /// Backpropagates dL/d(output), accumulating parameter gradients in every
-  /// layer; returns dL/d(input). Must follow a forward() call.
-  std::vector<double> backward(std::span<const double> grad_output);
-
-  /// Training-mode batched forward: same rows as forward_batch() (each
-  /// bit-identical to forward() on the matching input row), but retains
+  /// Training-mode forward: the same rows as forward_batch(), but retains
   /// every layer's input batch so backward_batch() can follow. Not
   /// thread-safe; clone per thread.
   std::vector<double> forward_batch_train(std::span<const double> input,
@@ -59,8 +49,8 @@ class Network {
   /// forward_train_row() appends `input` to it, runs every layer's one-row
   /// forward_batch() straight into the stash, and returns the output row —
   /// so after B calls the stash is what forward_batch_train() would hold
-  /// for those B rows, and every returned row is bit-identical to forward()
-  /// on its input. The returned span is valid until the next call that
+  /// for those B rows, and every returned row is the forward_batch() row
+  /// of its input. The returned span is valid until the next call that
   /// changes the stash. Throws std::invalid_argument on an input size
   /// mismatch and std::logic_error without begin_train_batch(). Not
   /// thread-safe; clone per thread.
@@ -69,16 +59,11 @@ class Network {
 
   /// Batched backward after forward_batch_train() (or a begin_train_batch()
   /// + forward_train_row() sequence): `grad_output` holds `batch` rows
-  /// of dL/d(output). Accumulates parameter gradients bit-identical to
-  /// running forward() + backward() per row in ascending row order
-  /// (DESIGN.md §7) and returns the dL/d(input) rows. Throws
-  /// std::logic_error without a matching forward pass. When the caller has
-  /// no use for dL/d(input) — gradient descent stops at the bottom layer —
-  /// pass want_input_grads = false: the bottom layer skips that computation
-  /// and an empty vector is returned (parameter gradients are identical).
-  std::vector<double> backward_batch(std::span<const double> grad_output,
-                                     std::size_t batch,
-                                     bool want_input_grads = true);
+  /// of dL/d(output). Accumulates every layer's parameter gradients, each
+  /// accumulator taking rows in ascending order (DESIGN.md §7). Gradient
+  /// descent stops at the bottom layer, so no dL/d(input) is computed.
+  /// Throws std::logic_error without a matching forward pass.
+  void backward_batch(std::span<const double> grad_output, std::size_t batch);
 
   /// Total number of trainable parameters.
   std::size_t parameter_count() const noexcept;
@@ -105,14 +90,8 @@ class Network {
                                                  Network& second,
                                                  std::span<double> second_out);
 
-  /// Adds `delta[i] * scale` to parameter i (flat layout).
-  void apply_delta(std::span<const double> delta, double scale);
-
-  void zero_gradients() noexcept;
-
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
-  std::vector<std::vector<double>> activations_;          // forward scratch
   std::vector<double> batch_front_, batch_back_;          // forward_batch scratch
   std::vector<std::vector<double>> train_acts_;           // per-layer input batches
   std::size_t train_batch_ = 0;                           // rows in train_acts_
@@ -128,8 +107,5 @@ class Network {
 Network build_trunk(std::size_t history_len, std::size_t aux_features,
                     std::size_t filters, std::size_t kernel, std::size_t hidden,
                     std::size_t outputs, util::Rng& rng);
-
-/// Plain MLP: sizes = {in, h1, ..., out} with ReLU between layers.
-Network build_mlp(const std::vector<std::size_t>& sizes, util::Rng& rng);
 
 }  // namespace minicost::nn

@@ -40,12 +40,6 @@ std::unique_ptr<Layer> layer_from_spec(const std::string& spec) {
     if (!in) throw std::runtime_error("load_network: bad relu spec: " + spec);
     return std::make_unique<Relu>(size);
   }
-  if (kind == "tanh") {
-    std::size_t size = 0;
-    in >> size;
-    if (!in) throw std::runtime_error("load_network: bad tanh spec: " + spec);
-    return std::make_unique<Tanh>(size);
-  }
   throw std::runtime_error("load_network: unknown layer kind: " + kind);
 }
 

@@ -324,7 +324,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     }
     ctx.grad_v.resize(n);
     nn::mse_grad_rows(values, returns, inv_n, ctx.grad_v);
-    critic.backward_batch(ctx.grad_v, n, /*want_input_grads=*/false);
+    critic.backward_batch(ctx.grad_v, n);
     advantage_mean /= static_cast<double>(n);
 
     // Entropy weight with linear warmup (see A3CConfig), measured from the
@@ -363,7 +363,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     ctx.grad_logits.resize(n * kActionCount);
     nn::policy_entropy_grad_rows(ctx.probs, n, ctx.chosen, ctx.centered, beta,
                                  inv_n, ctx.grad_logits);
-    actor.backward_batch(ctx.grad_logits, n, /*want_input_grads=*/false);
+    actor.backward_batch(ctx.grad_logits, n);
 
     // One pass per network moves the gradients out, zeroes the
     // accumulators for the next episode and sums the squares the clip
@@ -652,10 +652,10 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
   std::vector<std::size_t> forwarded(chunk_count);
 
   // Forwards each distinct row of the chunk once and copies its action to
-  // the rows that repeat it. Exact: every batch row's output is
-  // bit-identical to forward() whatever shares its batch (the Layer
-  // contract), and sampled mode draws every row from the same forked stream,
-  // so byte-identical rows always decide identically.
+  // the rows that repeat it. Exact: every batch row's output depends on
+  // its own bytes alone, whatever shares its batch (the Layer contract),
+  // and sampled mode draws every row from the same forked stream, so
+  // byte-identical rows always decide identically.
   const auto run_chunk = [&](nn::Network& net, ChunkScratch& scratch,
                              std::size_t c) {
     const std::size_t lo = c * kActChunk;
@@ -722,13 +722,13 @@ std::vector<double> A3CAgent::policy_probabilities(
     std::span<const double> features) {
   util::MutexLock lock(param_mutex_);
   refresh_networks_locked();
-  return nn::softmax(actor_.forward(features));
+  return nn::softmax(actor_.forward_batch(features, 1));
 }
 
 double A3CAgent::value(std::span<const double> features) {
   util::MutexLock lock(param_mutex_);
   refresh_networks_locked();
-  return critic_.forward(features)[0];
+  return critic_.forward_batch(features, 1)[0];
 }
 
 void A3CAgent::save(const std::filesystem::path& path) const {

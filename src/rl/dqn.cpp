@@ -41,25 +41,54 @@ void DqnAgent::remember(Transition transition) {
 
 void DqnAgent::learn_minibatch() {
   if (replay_.size() < std::max(config_.min_replay, config_.batch_size)) return;
-  online_.zero_gradients();
-  const double inv_batch = 1.0 / static_cast<double>(config_.batch_size);
-  for (std::size_t b = 0; b < config_.batch_size; ++b) {
-    const Transition& t = replay_[static_cast<std::size_t>(rng_.uniform_int(
+  const std::size_t batch = config_.batch_size;
+  const std::size_t width = online_.input_size();
+  std::vector<const Transition*> picked(batch);
+  for (const Transition*& t : picked)
+    t = &replay_[static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(replay_.size()) - 1))];
-    // Double DQN target: online net picks the argmax, target net scores it.
+
+  // Double DQN target: the online net picks the argmax, the target net
+  // scores it; terminal transitions bootstrap 0. The non-terminal next
+  // states go through each net as one batch.
+  std::vector<double> next_rows;
+  for (const Transition* t : picked)
+    next_rows.insert(next_rows.end(), t->next_state.begin(),
+                     t->next_state.end());
+  const std::size_t next_count = next_rows.size() / width;
+  std::vector<double> online_next, target_next;
+  if (next_count > 0) {
+    online_next = online_.forward_batch(next_rows, next_count);
+    target_next = target_.forward_batch(next_rows, next_count);
+  }
+
+  // One training pass over the B states; only the taken action's output
+  // carries gradient. Parameters do not change inside a minibatch, and
+  // backward_batch takes rows in ascending order, so the update is the one
+  // B sequential per-transition steps would accumulate.
+  std::vector<double> states;
+  states.reserve(batch * width);
+  for (const Transition* t : picked)
+    states.insert(states.end(), t->state.begin(), t->state.end());
+  const std::vector<double> q = online_.forward_batch_train(states, batch);
+  std::vector<double> grad(batch * kActionCount, 0.0);
+  const double inv_batch = 1.0 / static_cast<double>(batch);
+  std::size_t next = 0;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const Transition& t = *picked[b];
     double bootstrap = 0.0;
     if (!t.next_state.empty()) {
-      const std::vector<double> online_next = online_.forward(t.next_state);
-      const std::size_t best = nn::argmax(online_next);
-      bootstrap = target_.forward(t.next_state)[best];
+      const std::size_t row = next++ * kActionCount;
+      const std::size_t best = nn::argmax(
+          std::span<const double>(online_next).subspan(row, kActionCount));
+      bootstrap = target_next[row + best];
     }
     const double target_value = t.reward + config_.gamma * bootstrap;
-
-    const std::vector<double> q = online_.forward(t.state);
-    std::vector<double> grad(kActionCount, 0.0);
-    grad[t.action] = 2.0 * (q[t.action] - target_value) * inv_batch;
-    online_.backward(grad);
+    const std::size_t at = b * kActionCount + t.action;
+    grad[at] = 2.0 * (q[at] - target_value) * inv_batch;
   }
+  online_.backward_batch(grad, batch);
+
   std::vector<double> grads(online_.parameter_count());
   const double grads_sq = online_.collect_gradients(grads);
   nn::clip_by_norm_squared(grads, grads_sq, config_.grad_clip_norm);
@@ -121,7 +150,7 @@ void DqnAgent::train(const trace::RequestTrace& trace,
         action = held;
       } else {
         exploring = false;
-        action = nn::argmax(online_.forward(state));
+        action = nn::argmax(online_.forward_batch(state, 1));
       }
       StepResult step = env.step(action);
       done = step.done;
@@ -133,7 +162,7 @@ void DqnAgent::train(const trace::RequestTrace& trace,
 }
 
 Action DqnAgent::act(std::span<const double> features) {
-  return nn::argmax(online_.forward(features));
+  return nn::argmax(online_.forward_batch(features, 1));
 }
 
 Action DqnAgent::act(const trace::FileRecord& file, std::size_t day,
@@ -142,7 +171,7 @@ Action DqnAgent::act(const trace::FileRecord& file, std::size_t day,
 }
 
 std::vector<double> DqnAgent::q_values(std::span<const double> features) {
-  return online_.forward(features);
+  return online_.forward_batch(features, 1);
 }
 
 }  // namespace minicost::rl

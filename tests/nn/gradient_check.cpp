@@ -6,45 +6,6 @@
 namespace minicost::nn {
 
 GradientCheckResult check_gradients(
-    Network& net, std::span<const double> input,
-    const std::function<double(std::span<const double>)>& loss,
-    const std::function<std::vector<double>(std::span<const double>)>& loss_grad,
-    double epsilon, std::size_t max_params) {
-  GradientCheckResult result;
-
-  // Analytic gradients.
-  net.zero_gradients();
-  const std::vector<double> output = net.forward(input);
-  net.backward(loss_grad(output));
-  std::vector<double> analytic(net.parameter_count());
-  net.collect_gradients(analytic);
-
-  std::vector<double> params = net.snapshot_parameters();
-  const std::size_t n = params.size();
-  const std::size_t stride = std::max<std::size_t>(1, n / std::max<std::size_t>(1, max_params));
-
-  for (std::size_t i = 0; i < n; i += stride) {
-    const double saved = params[i];
-    params[i] = saved + epsilon;
-    net.load_parameters(params);
-    const double plus = loss(net.forward(input));
-    params[i] = saved - epsilon;
-    net.load_parameters(params);
-    const double minus = loss(net.forward(input));
-    params[i] = saved;
-
-    const double numeric = (plus - minus) / (2.0 * epsilon);
-    const double abs_error = std::abs(numeric - analytic[i]);
-    const double denom = std::max({std::abs(numeric), std::abs(analytic[i]), 1e-8});
-    result.max_abs_error = std::max(result.max_abs_error, abs_error);
-    result.max_rel_error = std::max(result.max_rel_error, abs_error / denom);
-    ++result.checked;
-  }
-  net.load_parameters(params);
-  return result;
-}
-
-GradientCheckResult check_gradients_batch(
     Network& net, std::span<const double> inputs, std::size_t batch,
     const std::function<double(std::span<const double>)>& loss,
     const std::function<std::vector<double>(std::span<const double>)>& loss_grad,
@@ -52,8 +13,10 @@ GradientCheckResult check_gradients_batch(
   GradientCheckResult result;
   const std::size_t out_width = net.output_size();
 
-  // Analytic gradients via the batched training path under test.
-  net.zero_gradients();
+  // Analytic gradients via the training path under test, from zeroed
+  // accumulators.
+  std::vector<double> analytic(net.parameter_count());
+  net.collect_gradients(analytic);
   const std::vector<double> output = net.forward_batch_train(inputs, batch);
   std::vector<double> grad_rows(batch * out_width);
   for (std::size_t b = 0; b < batch; ++b) {
@@ -63,7 +26,6 @@ GradientCheckResult check_gradients_batch(
               grad_rows.begin() + static_cast<std::ptrdiff_t>(b * out_width));
   }
   net.backward_batch(grad_rows, batch);
-  std::vector<double> analytic(net.parameter_count());
   net.collect_gradients(analytic);
 
   std::vector<double> params = net.snapshot_parameters();

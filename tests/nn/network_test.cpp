@@ -14,6 +14,7 @@
 #include "nn/dense.hpp"
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
+#include "reference.hpp"
 
 namespace minicost::nn {
 namespace {
@@ -88,17 +89,18 @@ std::vector<double> edge_rows(std::size_t width, std::size_t batch,
   return rows;
 }
 
-// Number of elements of `batched` whose bits differ from forward() on the
-// matching row of `input` (a sign of zero counts).
-std::size_t mismatches_vs_forward(Network& net, const std::vector<double>& input,
+// Number of elements of `batched` whose bits differ from the reference
+// forward on the matching row of `input` (a sign of zero counts).
+std::size_t mismatches_vs_forward(const Network& net,
+                                  const std::vector<double>& input,
                                   const std::vector<double>& batched,
                                   std::size_t batch) {
   const std::size_t in_w = net.input_size();
   const std::size_t out_w = net.output_size();
   std::size_t mismatches = 0;
   for (std::size_t b = 0; b < batch; ++b) {
-    const auto expected =
-        net.forward(std::span<const double>(input.data() + b * in_w, in_w));
+    const auto expected = reference::forward(
+        net, std::span<const double>(input.data() + b * in_w, in_w));
     for (std::size_t o = 0; o < out_w; ++o)
       if (std::bit_cast<std::uint64_t>(batched[b * out_w + o]) !=
           std::bit_cast<std::uint64_t>(expected[o]))
@@ -125,21 +127,23 @@ TEST(NetworkTest, AddRejectsShapeMismatch) {
 }
 
 TEST(NetworkTest, ForwardValidatesInputSize) {
+  // The one-row forward that policy_probabilities(), value() and DQN run.
   util::Rng rng(3);
   Network net = tiny_net(rng);
-  EXPECT_THROW(net.forward(std::vector<double>{1.0}), std::invalid_argument);
+  EXPECT_THROW(net.forward_batch(std::vector<double>{1.0}, 1),
+               std::invalid_argument);
 }
 
 TEST(NetworkTest, SnapshotLoadRoundTrip) {
   util::Rng rng(4);
   Network net = tiny_net(rng);
   const std::vector<double> input{0.5, -0.2, 1.0};
-  const auto before = net.forward(input);
+  const auto before = net.forward_batch(input, 1);
   const auto params = net.snapshot_parameters();
 
   Network other = tiny_net(rng);  // different random weights
   other.load_parameters(params);
-  const auto after = other.forward(input);
+  const auto after = other.forward_batch(input, 1);
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_DOUBLE_EQ(before[i], after[i]);
@@ -165,8 +169,8 @@ TEST(NetworkTest, CopyIsDeep) {
 TEST(NetworkTest, CollectGradientsZeroAfterFlagWorks) {
   util::Rng rng(7);
   Network net = tiny_net(rng);
-  net.forward(std::vector<double>{1.0, 1.0, 1.0});
-  net.backward(std::vector<double>{1.0, 1.0});
+  net.forward_batch_train(std::vector<double>{1.0, 1.0, 1.0}, 1);
+  net.backward_batch(std::vector<double>{1.0, 1.0}, 1);
   const auto grads = take_gradients(net);
   EXPECT_EQ(grads.size(), net.parameter_count());
   double nonzero = 0.0;
@@ -198,7 +202,12 @@ TEST(NetworkTest, CollectGradientsReturnsTheClipsSumOfSquares) {
   util::Rng rng(31);
   const Network actor_proto = build_trunk(14, 12, 16, 4, 16, 3, rng);
   const Network critic_proto = build_trunk(14, 12, 16, 4, 16, 1, rng);
-  const Network mlp_proto = build_mlp({26, 7, 5, 1}, rng);
+  Network mlp_proto;
+  mlp_proto.add(std::make_unique<Dense>(26, 7, rng));
+  mlp_proto.add(std::make_unique<Relu>(7));
+  mlp_proto.add(std::make_unique<Dense>(7, 5, rng));
+  mlp_proto.add(std::make_unique<Relu>(5));
+  mlp_proto.add(std::make_unique<Dense>(5, 1, rng));
   const std::pair<const Network*, const Network*> pairs[] = {
       {&actor_proto, &critic_proto},
       {&mlp_proto, &actor_proto},
@@ -261,25 +270,6 @@ TEST(NetworkTest, CollectGradientsRejectsWrongBufferSize) {
                std::invalid_argument);
 }
 
-TEST(NetworkTest, ApplyDeltaShiftsParameters) {
-  util::Rng rng(8);
-  Network net = tiny_net(rng);
-  const auto before = net.snapshot_parameters();
-  std::vector<double> delta(before.size(), 1.0);
-  net.apply_delta(delta, 0.5);
-  const auto after = net.snapshot_parameters();
-  for (std::size_t i = 0; i < before.size(); ++i)
-    EXPECT_NEAR(after[i], before[i] + 0.5, 1e-15);
-}
-
-TEST(NetworkTest, BackwardReturnsInputGradient) {
-  util::Rng rng(9);
-  Network net = tiny_net(rng);
-  net.forward(std::vector<double>{0.1, 0.2, 0.3});
-  const auto grad_in = net.backward(std::vector<double>{1.0, 0.0});
-  EXPECT_EQ(grad_in.size(), 3u);
-}
-
 TEST(NetworkTest, ForwardBatchMatchesPerRowForwardExactly) {
   util::Rng rng(13);
   Network net = tiny_net(rng);
@@ -291,13 +281,11 @@ TEST(NetworkTest, ForwardBatchMatchesPerRowForwardExactly) {
     const auto batched = net.forward_batch(input, batch);
     ASSERT_EQ(batched.size(), batch * net.output_size());
     for (std::size_t b = 0; b < batch; ++b) {
-      const std::vector<double> row(
-          input.begin() + static_cast<std::ptrdiff_t>(b * net.input_size()),
-          input.begin() +
-              static_cast<std::ptrdiff_t>((b + 1) * net.input_size()));
-      const auto expected = net.forward(row);
+      const auto expected = reference::forward(
+          net, std::span<const double>(input.data() + b * net.input_size(),
+                                       net.input_size()));
       for (std::size_t o = 0; o < expected.size(); ++o) {
-        // 0 ULP: the batch kernel keeps the scalar accumulation order.
+        // 0 ULP: the batch kernel keeps the reference accumulation order.
         EXPECT_EQ(batched[b * net.output_size() + o], expected[o])
             << "batch=" << batch << " row=" << b << " out=" << o;
       }
@@ -313,14 +301,7 @@ TEST(NetworkTest, ForwardBatchMatchesPerRowThroughConvTrunk) {
   std::vector<double> input(batch * net.input_size());
   for (double& v : input) v = data.uniform(-1.0, 1.0);
   const auto batched = net.forward_batch(input, batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::vector<double> row(
-        input.begin() + static_cast<std::ptrdiff_t>(b * net.input_size()),
-        input.begin() + static_cast<std::ptrdiff_t>((b + 1) * net.input_size()));
-    const auto expected = net.forward(row);
-    for (std::size_t o = 0; o < expected.size(); ++o)
-      EXPECT_EQ(batched[b * net.output_size() + o], expected[o]);
-  }
+  EXPECT_EQ(mismatches_vs_forward(net, input, batched, batch), 0u);
 
   // The deployed geometry on edge rows, through the fused-ReLU stores.
   Network deployed = deployed_trunk();
@@ -398,14 +379,7 @@ TEST(NetworkTest, ForwardBatchTrainMatchesPerRowForwardExactly) {
   for (double& v : input) v = data.uniform(-1.0, 1.0);
   const auto batched = net.forward_batch_train(input, batch);
   ASSERT_EQ(batched.size(), batch * net.output_size());
-  for (std::size_t b = 0; b < batch; ++b) {
-    const std::vector<double> row(
-        input.begin() + static_cast<std::ptrdiff_t>(b * net.input_size()),
-        input.begin() + static_cast<std::ptrdiff_t>((b + 1) * net.input_size()));
-    const auto expected = net.forward(row);
-    for (std::size_t o = 0; o < expected.size(); ++o)
-      EXPECT_EQ(batched[b * net.output_size() + o], expected[o]);
-  }
+  EXPECT_EQ(mismatches_vs_forward(net, input, batched, batch), 0u);
 
   // The deployed geometry on edge rows; the training path never fuses.
   Network deployed = deployed_trunk();
@@ -420,16 +394,14 @@ TEST(NetworkTest, ForwardBatchTrainMatchesPerRowForwardExactly) {
 
 TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
   // Full conv trunk (the actor/critic architecture). The batched pass must
-  // accumulate exactly the gradients of per-row forward()+backward() calls
-  // in ascending row order, 0 ULP, and return identical input-grad rows.
-  // So must the trainer's rollout-stash arming: per-row forward_train_row()
-  // (each returned row equal to forward()), then backward_batch without
-  // input grads.
+  // accumulate exactly the gradients of the reference forward + backward
+  // per row in ascending row order, 0 ULP. So must the trainer's
+  // rollout-stash arming: per-row forward_train_row() (each returned row
+  // equal to the reference forward), then backward_batch.
   for (const std::size_t batch : {1u, 2u, 14u, 64u}) {
-    util::Rng rng_a(23), rng_b(23), rng_c(23);
+    util::Rng rng_a(23), rng_b(23);
     Network batched = build_trunk(14, 12, 16, 4, 16, 3, rng_a);
-    Network scalar = build_trunk(14, 12, 16, 4, 16, 3, rng_b);
-    Network stashed = build_trunk(14, 12, 16, 4, 16, 3, rng_c);
+    Network stashed = build_trunk(14, 12, 16, 4, 16, 3, rng_b);
     util::Rng data(500 + batch);
     std::vector<double> input(batch * batched.input_size());
     std::vector<double> grad_rows(batch * batched.output_size());
@@ -437,77 +409,66 @@ TEST(NetworkTest, BackwardBatchBitIdenticalToSequentialScalar) {
     for (double& v : grad_rows) v = data.uniform(-1.0, 1.0);
 
     batched.forward_batch_train(input, batch);
-    const auto grad_in_batched = batched.backward_batch(grad_rows, batch);
+    batched.backward_batch(grad_rows, batch);
     const auto grads_batched = take_gradients(batched);
 
-    std::vector<double> grad_in_scalar, out_scalar;
-    const std::size_t in_w = scalar.input_size();
-    const std::size_t out_w = scalar.output_size();
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row_out = scalar.forward(
-          std::span<const double>(input.data() + b * in_w, in_w));
-      out_scalar.insert(out_scalar.end(), row_out.begin(), row_out.end());
-      const auto row_grad_in = scalar.backward(std::span<const double>(
-          grad_rows.data() + b * out_w, out_w));
-      grad_in_scalar.insert(grad_in_scalar.end(), row_grad_in.begin(),
-                            row_grad_in.end());
-    }
-    const auto grads_scalar = take_gradients(scalar);
+    const std::size_t in_w = batched.input_size();
+    const std::size_t out_w = batched.output_size();
+    std::vector<double> grads_reference(batched.parameter_count(), 0.0);
+    for (std::size_t b = 0; b < batch; ++b)
+      reference::backward(
+          batched, std::span<const double>(input.data() + b * in_w, in_w),
+          std::span<const double>(grad_rows.data() + b * out_w, out_w),
+          grads_reference);
 
     stashed.begin_train_batch();
     for (std::size_t b = 0; b < batch; ++b) {
-      const auto row_out = stashed.forward_train_row(
-          std::span<const double>(input.data() + b * in_w, in_w));
+      const std::span<const double> row(input.data() + b * in_w, in_w);
+      const auto row_out = stashed.forward_train_row(row);
+      const auto expected = reference::forward(stashed, row);
       ASSERT_EQ(row_out.size(), out_w);
       for (std::size_t o = 0; o < out_w; ++o)
-        EXPECT_EQ(row_out[o], out_scalar[b * out_w + o])
+        EXPECT_EQ(row_out[o], expected[o])
             << "batch=" << batch << " row " << b << " out " << o;
     }
-    EXPECT_TRUE(stashed
-                    .backward_batch(grad_rows, batch,
-                                    /*want_input_grads=*/false)
-                    .empty());
+    stashed.backward_batch(grad_rows, batch);
     const auto grads_stashed = take_gradients(stashed);
 
-    ASSERT_EQ(grads_batched.size(), grads_scalar.size());
-    ASSERT_EQ(grads_stashed.size(), grads_scalar.size());
+    ASSERT_EQ(grads_batched.size(), grads_reference.size());
+    ASSERT_EQ(grads_stashed.size(), grads_reference.size());
     for (std::size_t i = 0; i < grads_batched.size(); ++i) {
-      EXPECT_EQ(grads_batched[i], grads_scalar[i])
+      EXPECT_EQ(grads_batched[i], grads_reference[i])
           << "batch=" << batch << " grad " << i;
-      EXPECT_EQ(grads_stashed[i], grads_scalar[i])
+      EXPECT_EQ(grads_stashed[i], grads_reference[i])
           << "batch=" << batch << " stashed grad " << i;
     }
-    ASSERT_EQ(grad_in_batched.size(), grad_in_scalar.size());
-    for (std::size_t i = 0; i < grad_in_batched.size(); ++i)
-      EXPECT_EQ(grad_in_batched[i], grad_in_scalar[i])
-          << "batch=" << batch << " grad_in " << i;
   }
 }
 
 TEST(NetworkTest, BackwardBatchAccumulatesAcrossCalls) {
-  // Two batched passes must accumulate exactly like four sequential scalar
-  // forward()+backward() rounds (accumulators are never reset in between).
-  util::Rng rng_a(24), rng_b(24);
-  Network batched = tiny_net(rng_a);
-  Network scalar = tiny_net(rng_b);
+  // Two batched passes must accumulate exactly like four sequential
+  // reference forward + backward rounds (accumulators are never reset in
+  // between).
+  util::Rng rng(24);
+  Network batched = tiny_net(rng);
   const std::size_t batch = 2;
   util::Rng data(25);
   std::vector<double> input(batch * batched.input_size());
   std::vector<double> grad_rows(batch * batched.output_size(), 1.0);
   for (double& v : input) v = data.normal(0.0, 1.0);
 
+  std::vector<double> want(batched.parameter_count(), 0.0);
+  const std::size_t in_w = batched.input_size();
+  const std::size_t out_w = batched.output_size();
   for (int pass = 0; pass < 2; ++pass) {
     batched.forward_batch_train(input, batch);
     batched.backward_batch(grad_rows, batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-      scalar.forward(std::span<const double>(
-          input.data() + b * scalar.input_size(), scalar.input_size()));
-      scalar.backward(std::span<const double>(
-          grad_rows.data() + b * scalar.output_size(), scalar.output_size()));
-    }
+    for (std::size_t b = 0; b < batch; ++b)
+      reference::backward(
+          batched, std::span<const double>(input.data() + b * in_w, in_w),
+          std::span<const double>(grad_rows.data() + b * out_w, out_w), want);
   }
   const auto got = take_gradients(batched);
-  const auto want = take_gradients(scalar);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }
@@ -534,32 +495,29 @@ TEST(NetworkTest, ForwardTrainRowRequiresStashAndInputWidth) {
   // One stashed row arms a one-row backward_batch, and nothing else.
   std::vector<double> grad_rows(2 * net.output_size(), 1.0);
   EXPECT_THROW(net.backward_batch(grad_rows, 2), std::logic_error);
-  EXPECT_EQ(net.backward_batch(std::span<const double>(grad_rows).first(
-                                   net.output_size()),
-                               1)
-                .size(),
-            net.input_size());
+  EXPECT_NO_THROW(net.backward_batch(
+      std::span<const double>(grad_rows).first(net.output_size()), 1));
 }
 
 TEST(NetworkTest, ForwardBatchSeesEveryParameterWrite) {
   // Dense keeps its transposed weights for forward_batch() between
   // parameter writes. After each write path — writes through parameters(),
-  // load_parameters, apply_delta, load_network, and a copy or clone of a
-  // layer whose transpose is current, written afterwards — the next
-  // forward_batch() must run on the new weights: bit-identical to
-  // forward(), which reads them directly. Each check is preceded by a
-  // forward_batch() that builds the transpose for the old weights.
+  // load_parameters, load_network, and a copy or clone of a layer whose
+  // transpose is current, written afterwards — the next forward_batch()
+  // must run on the new weights: bit-identical to the reference, which
+  // reads them directly. Each check is preceded by a forward_batch() that
+  // builds the transpose for the old weights.
   const auto layer_mismatches = [](Layer& layer,
                                    const std::vector<double>& rows,
                                    std::size_t batch) {
     const std::size_t in_w = layer.input_size();
     const std::size_t out_w = layer.output_size();
-    std::vector<double> batched(batch * out_w), expected(out_w);
+    std::vector<double> batched(batch * out_w);
     layer.forward_batch(rows, batched, batch);
     std::size_t mismatches = 0;
     for (std::size_t b = 0; b < batch; ++b) {
-      layer.forward(std::span<const double>(rows.data() + b * in_w, in_w),
-                    expected);
+      const auto expected = reference::forward(
+          layer, std::span<const double>(rows.data() + b * in_w, in_w));
       for (std::size_t o = 0; o < out_w; ++o)
         if (std::bit_cast<std::uint64_t>(batched[b * out_w + o]) !=
             std::bit_cast<std::uint64_t>(expected[o]))
@@ -605,14 +563,13 @@ TEST(NetworkTest, ForwardBatchSeesEveryParameterWrite) {
     for (double& w : flat) w = w * 0.5 - 0.125;
     net.load_parameters(flat);
     EXPECT_EQ(net_mismatches(), 0u) << "load_parameters";
-    net.apply_delta(flat, -1.5);
-    EXPECT_EQ(net_mismatches(), 0u) << "apply_delta";
     std::stringstream saved;
     save_network(dense_relu(), saved);
     net = load_network(saved);
     EXPECT_EQ(net_mismatches(), 0u) << "load_network";
     Network net_copy = net;
-    net_copy.apply_delta(flat, 0.75);
+    for (double& w : flat) w = -w;
+    net_copy.load_parameters(flat);
     std::swap(net, net_copy);
     EXPECT_EQ(net_mismatches(), 0u) << "Network copy";
   }
@@ -625,21 +582,8 @@ TEST(BuildTrunkTest, MatchesPaperArchitectureShapes) {
   Network net = build_trunk(14, 12, 128, 4, 128, 3, rng);
   EXPECT_EQ(net.input_size(), 26u);
   EXPECT_EQ(net.output_size(), 3u);
-  const auto out = net.forward(std::vector<double>(26, 0.1));
+  const auto out = net.forward_batch(std::vector<double>(26, 0.1), 1);
   EXPECT_EQ(out.size(), 3u);
-}
-
-TEST(BuildMlpTest, BuildsRequestedShape) {
-  util::Rng rng(11);
-  Network net = build_mlp({4, 8, 2}, rng);
-  EXPECT_EQ(net.input_size(), 4u);
-  EXPECT_EQ(net.output_size(), 2u);
-  EXPECT_EQ(net.layer_count(), 3u);  // dense, relu, dense
-}
-
-TEST(BuildMlpTest, RejectsDegenerateSpec) {
-  util::Rng rng(12);
-  EXPECT_THROW(build_mlp({4}, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "stats/descriptive.hpp"
 #include "trace/synthetic.hpp"
 
@@ -97,6 +100,29 @@ TEST(DqnTest, DeterministicForSameSeed) {
         agent.featurizer().encode(tr.file(0), 20, pricing::StorageTier::kHot));
   }
   EXPECT_EQ(q[0], q[1]);
+}
+
+TEST(DqnAgentTest, TrainedQValuesMatchPinnedDigest) {
+  // The Q-network's kernels may be reblocked or batched, but never reorder
+  // one accumulator's additions (DESIGN.md §7), so the trained network must
+  // answer bit-for-bit what it did when this digest was recorded. 150
+  // episodes of up to 14 steps start updates after the 64-transition warm-up,
+  // sync the target network three times (every 500 gradient steps) and
+  // replay terminal transitions (empty next_state, zero bootstrap).
+  const trace::RequestTrace tr = small_trace(200);
+  DqnAgent agent(tiny_config(), 31);
+  agent.train(tr, pricing::PricingPolicy::azure_2020(), /*episodes=*/150);
+  ASSERT_GE(agent.gradient_steps(), 3 * DqnConfig{}.target_sync_every);
+  // FNV-1a over the bits of Q(s, ·) at 200 fixed states: every file, a
+  // spread of days, every current tier.
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (trace::FileId i = 0; i < tr.file_count(); ++i) {
+    const auto tier = pricing::tier_from_index(i % 3);
+    for (const double q : agent.q_values(
+             agent.featurizer().encode(tr.file(i), 20 + i % 40, tier)))
+      h = (h ^ std::bit_cast<std::uint64_t>(q)) * 0x100000001B3ULL;
+  }
+  EXPECT_EQ(h, 0x59669da557117ae3ULL) << "digest=0x" << std::hex << h;
 }
 
 }  // namespace

@@ -24,8 +24,8 @@ Token rules — wrong wherever they appear:
                        and `operator new`/`operator delete` are not flagged.
   ffp-contract-guard   every src/nn kernel file using MINICOST_TARGET_CLONES
                        must carry -ffp-contract=off in src/nn/CMakeLists.txt
-                       (a fused multiply-add would break the bit-identical
-                       batch == scalar guarantee).
+                       (a fused multiply-add would break the kernels'
+                       bit-identity with the scalar reference math).
 
 Semantic rules — need types, the call graph or the build graph:
 
@@ -1250,7 +1250,7 @@ def rule_ffp_contract(root: Path) -> list[Finding]:
         src.relative_to(root).as_posix(), 1, "ffp-contract-guard",
         f"{src.name} uses {TARGET_CLONES_MACRO} but is not compiled with "
         "-ffp-contract=off in src/nn/CMakeLists.txt; FMA fusion would break "
-        "batch==scalar bit-identity")
+        "bit-identity with the reference math")
         for src in sorted(nn_dir.glob("*.cpp"))
         if src.name not in guarded and TARGET_CLONES_MACRO in
         src.read_text(encoding="utf-8", errors="replace")]
