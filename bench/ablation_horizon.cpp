@@ -16,14 +16,12 @@ int main() {
   std::cout << "ablation_horizon: look-ahead depth (gamma) vs greedy\n";
 
   trace::SyntheticConfig workload;
-  workload.file_count =
-      static_cast<std::size_t>(util::env_int("MINICOST_ABL_FILES", 600));
+  workload.file_count = util::env_size("MINICOST_ABL_FILES", 600);
   workload.seed = util::bench_seed();
   const trace::RequestTrace tr = trace::generate_synthetic(workload);
   const pricing::PricingPolicy prices = benchx::standard_pricing();
   const benchx::RlEval eval(tr, prices);
-  const auto episodes =
-      static_cast<std::size_t>(util::env_int("MINICOST_ABL_EPISODES", 35000));
+  const auto episodes = util::env_size("MINICOST_ABL_EPISODES", 35000);
 
   util::Table table({"policy / gamma", "eval cost", "vs optimal"});
 

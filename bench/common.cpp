@@ -15,7 +15,7 @@ namespace minicost::benchx {
 
 Workload standard_workload(double grouped_fraction) {
   trace::SyntheticConfig config;
-  config.file_count = static_cast<std::size_t>(util::bench_scale(6000));
+  config.file_count = util::bench_scale(6000);
   config.seed = util::bench_seed();
   config.grouped_file_fraction = grouped_fraction;
   Workload workload;
@@ -47,7 +47,7 @@ std::unique_ptr<rl::A3CAgent> shared_agent(const Workload& workload,
                                            const pricing::PricingPolicy* pricing,
                                            const std::string& tag) {
   if (episodes == 0)
-    episodes = static_cast<std::size_t>(util::env_int("MINICOST_EPISODES", 120000));
+    episodes = util::env_size("MINICOST_EPISODES", 120000);
   const pricing::PricingPolicy prices =
       pricing != nullptr ? *pricing : standard_pricing();
 
@@ -111,10 +111,10 @@ void expectation(const std::string& text) {
 }
 
 SweepPool::SweepPool() {
-  const long knob = util::env_int("MINICOST_SWEEP_POOL", 0);
+  const std::size_t knob = util::env_size("MINICOST_SWEEP_POOL", 0);
   if (knob == 1) return;  // serial reference path
   if (knob > 1) {
-    owned_ = std::make_unique<util::ThreadPool>(static_cast<std::size_t>(knob));
+    owned_ = std::make_unique<util::ThreadPool>(knob);
     pool_ = owned_.get();
     return;
   }

@@ -22,8 +22,7 @@ int main() {
   std::cout << "fig09: steps to convergence vs learning rate (Figure 9)\n";
 
   trace::SyntheticConfig workload;
-  workload.file_count =
-      static_cast<std::size_t>(util::env_int("MINICOST_FIG9_FILES", 500));
+  workload.file_count = util::env_size("MINICOST_FIG9_FILES", 500);
   workload.seed = util::bench_seed();
   const trace::RequestTrace tr = trace::generate_synthetic(workload);
   const pricing::PricingPolicy prices = benchx::standard_pricing();
@@ -33,8 +32,7 @@ int main() {
   const std::vector<double> rates =
       rmsprop ? std::vector<double>{1e-4, 4e-4, 1e-3, 2e-3, 2.8e-3, 4e-3, 5.5e-3}
               : std::vector<double>{1e-4, 3e-4, 1e-3, 3e-3, 6e-3, 1.5e-2, 4e-2};
-  const auto max_episodes =
-      static_cast<std::size_t>(util::env_int("MINICOST_FIG9_EPISODES", 30000));
+  const auto max_episodes = util::env_size("MINICOST_FIG9_EPISODES", 30000);
   const std::size_t eval_every = std::max<std::size_t>(1, max_episodes / 30);
   // Converged = within 5% of the best rate any configuration reaches. A
   // first pass measures the ceiling; using a fixed fraction keeps the

@@ -17,16 +17,14 @@ int main() {
                "(Figure 10)\n";
 
   trace::SyntheticConfig workload;
-  workload.file_count =
-      static_cast<std::size_t>(util::env_int("MINICOST_FIG10_FILES", 500));
+  workload.file_count = util::env_size("MINICOST_FIG10_FILES", 500);
   workload.seed = util::bench_seed();
   const trace::RequestTrace tr = trace::generate_synthetic(workload);
   const pricing::PricingPolicy prices = benchx::standard_pricing();
   const benchx::RlEval eval(tr, prices);
 
   const std::vector<double> epsilons{0.001, 0.01, 0.1};
-  const auto max_episodes = static_cast<std::size_t>(
-      util::env_int("MINICOST_FIG10_EPISODES", 36000));
+  const auto max_episodes = util::env_size("MINICOST_FIG10_EPISODES", 36000);
   const std::size_t points = 10;
 
   struct Curve {

@@ -18,18 +18,15 @@ int main() {
   std::cout << "fig11: optimal action rate vs network width (Figure 11)\n";
 
   trace::SyntheticConfig workload;
-  workload.file_count =
-      static_cast<std::size_t>(util::env_int("MINICOST_FIG11_FILES", 400));
+  workload.file_count = util::env_size("MINICOST_FIG11_FILES", 400);
   workload.seed = util::bench_seed();
   const trace::RequestTrace tr = trace::generate_synthetic(workload);
   const pricing::PricingPolicy prices = benchx::standard_pricing();
   const benchx::RlEval eval(tr, prices);
 
   const std::vector<std::size_t> widths{4, 16, 32, 64, 128};
-  const auto runs =
-      static_cast<std::size_t>(util::env_int("MINICOST_FIG11_RUNS", 2));
-  const auto episodes = static_cast<std::size_t>(
-      util::env_int("MINICOST_FIG11_EPISODES", 15000));
+  const auto runs = util::env_size("MINICOST_FIG11_RUNS", 2);
+  const auto episodes = util::env_size("MINICOST_FIG11_EPISODES", 15000);
   std::cout << "(paper repeats 10x; default here is " << runs
             << " runs — raise MINICOST_FIG11_RUNS to match)\n";
 

@@ -34,8 +34,7 @@ void run_variant(const trace::RequestTrace& eval_trace, rl::A3CAgent& agent,
   const std::size_t start = benchx::eval_start(eval_trace);
 
   core::AggregationConfig agg_config;
-  agg_config.top_psi =
-      static_cast<std::size_t>(util::env_int("MINICOST_FIG13_PSI", 64));
+  agg_config.top_psi = util::env_size("MINICOST_FIG13_PSI", 64);
   const auto evaluations =
       core::evaluate_groups(eval_trace, prices, agg_config, start);
   std::size_t selected = 0;
@@ -110,8 +109,7 @@ int main() {
   {
     const pricing::PricingPolicy op_heavy =
         pricing::with_op_price_multiplier(benchx::standard_pricing(), 500.0);
-    const auto episodes = static_cast<std::size_t>(
-        util::env_int("MINICOST_FIG13_EPISODES", 40000));
+    const auto episodes = util::env_size("MINICOST_FIG13_EPISODES", 40000);
     auto agent = benchx::shared_agent(workload, episodes, &op_heavy, "opx500");
     run_variant(eval_trace, *agent, op_heavy, "op_heavy");
   }

@@ -54,7 +54,7 @@ Measurement measure(core::TieringPolicy& policy, const core::PlanContext& contex
 }  // namespace
 
 int main() {
-  const auto files = static_cast<std::size_t>(util::bench_scale(50000));
+  const auto files = util::bench_scale(50000);
   const std::size_t days = 30;
   const std::size_t day = 20;  // past the 14-day feature warmup
 

@@ -42,7 +42,7 @@ using namespace minicost;
 
 int main() {
   const std::size_t days = 62;
-  const auto files = static_cast<std::size_t>(util::bench_scale(100'000));
+  const auto files = util::bench_scale(100'000);
   const std::size_t shard_files =
       std::max<std::size_t>(4096, files / 16);
 

@@ -1,7 +1,8 @@
 // Featurization latency: encoding one file's state, the per-file half of a
-// MiniCost decision; and the other half batched, A3CAgent::act_features_batch
-// over 10k encoded states on one thread. Every policy's full daily
-// decide_day pass is in fig12_overhead.
+// MiniCost decision; and whole batched decisions on one thread over 10k
+// files: A3CAgent::act_batch from the files' raw states, and
+// A3CAgent::act_features_batch from already-encoded states. Every policy's
+// full daily decide_day pass is in fig12_overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -43,30 +44,61 @@ void BM_Decide_FeaturizeOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_Decide_FeaturizeOnly);
 
-// act_features_batch on 10k rows, serial, with the default (untrained)
-// agent. `distinct`: uniform random rows, none repeated, so the chunk-local
-// dedup finds nothing to save and only its hashing shows. `trace`: one day
-// of a 10k-file synthetic trace with whole request counts, as a real trace
-// has, every file in Hot, encoded as the planner would; so states repeat
-// about as often as in a real plan.
+// Batched decisions over 10k files, serial, with the default (untrained)
+// agent, every file in Hot. `trace`: one day of a synthetic trace with
+// whole request counts, as a real trace has, so states repeat about as
+// often as in a real plan. `distinct`: the same trace with fractional
+// counts, so every state is distinct and the dedup finds nothing to save:
+// only its hashing shows.
 enum class ActInput { kDistinct, kTrace };
 
-std::vector<double> act_input(ActInput input, const rl::Featurizer& featurizer,
-                              std::size_t rows) {
+constexpr std::size_t kActFiles = 10'000;
+
+trace::RequestTrace act_trace(ActInput input) {
+  trace::SyntheticConfig config;
+  config.file_count = kActFiles;
+  config.integral_counts = input == ActInput::kTrace;
+  config.seed = util::bench_seed();
+  return trace::generate_synthetic(config);
+}
+
+void set_rows_per_s(benchmark::State& state) {
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kActFiles),
+      benchmark::Counter::kIsRate);
+}
+
+// act_batch: files to actions, featurizing only the distinct states.
+void BM_RL_ActBatch(benchmark::State& state, ActInput input) {
+  rl::A3CAgent agent(rl::A3CConfig{}, 7);
+  const trace::RequestTrace trace = act_trace(input);
+  const std::size_t day = benchx::eval_start(trace);
+  const std::vector<pricing::StorageTier> tiers(kActFiles,
+                                                pricing::StorageTier::kHot);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agent.act_batch(trace.files(), day, tiers));
+  }
+  set_rows_per_s(state);
+}
+BENCHMARK_CAPTURE(BM_RL_ActBatch, distinct, ActInput::kDistinct)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RL_ActBatch, trace, ActInput::kTrace)
+    ->Unit(benchmark::kMillisecond);
+
+// act_features_batch on the same day's rows, encoded as the planner would.
+// `distinct` here is uniform random rows, none repeated.
+std::vector<double> encoded_rows(ActInput input,
+                                 const rl::Featurizer& featurizer) {
   const std::size_t width = featurizer.feature_count();
-  std::vector<double> out(rows * width);
+  std::vector<double> out(kActFiles * width);
   if (input == ActInput::kDistinct) {
     util::Rng rng(3);
     for (double& x : out) x = rng.uniform(0.0, 1.0);
     return out;
   }
-  trace::SyntheticConfig config;
-  config.file_count = rows;
-  config.integral_counts = true;
-  config.seed = util::bench_seed();
-  const trace::RequestTrace trace = trace::generate_synthetic(config);
+  const trace::RequestTrace trace = act_trace(input);
   const std::size_t day = benchx::eval_start(trace);
-  for (std::size_t i = 0; i < rows; ++i)
+  for (std::size_t i = 0; i < kActFiles; ++i)
     featurizer.encode_into(trace.file(static_cast<trace::FileId>(i)), day,
                            pricing::StorageTier::kHot,
                            std::span<double>(out).subspan(i * width, width));
@@ -74,15 +106,12 @@ std::vector<double> act_input(ActInput input, const rl::Featurizer& featurizer,
 }
 
 void BM_RL_ActFeaturesBatch(benchmark::State& state, ActInput input) {
-  constexpr std::size_t kRows = 10'000;
   rl::A3CAgent agent(rl::A3CConfig{}, 7);
-  const std::vector<double> rows = act_input(input, agent.featurizer(), kRows);
+  const std::vector<double> rows = encoded_rows(input, agent.featurizer());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.act_features_batch(rows, kRows));
+    benchmark::DoNotOptimize(agent.act_features_batch(rows, kActFiles));
   }
-  state.counters["rows_per_s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * kRows),
-      benchmark::Counter::kIsRate);
+  set_rows_per_s(state);
 }
 BENCHMARK_CAPTURE(BM_RL_ActFeaturesBatch, distinct, ActInput::kDistinct)
     ->Unit(benchmark::kMillisecond);

@@ -283,7 +283,7 @@ std::vector<CodecRow> run_codecs(std::size_t files, std::size_t days,
 int main() {
   const std::size_t days = 62;
   std::vector<std::size_t> sizes{10'000, 100'000};
-  const auto scale = static_cast<std::size_t>(util::bench_scale(0));
+  const auto scale = util::bench_scale(0);
   if (scale > sizes.back()) sizes.push_back(scale);  // e.g. the 1M run
 
   const std::filesystem::path dir = benchx::bench_out();

@@ -92,7 +92,7 @@ double scaling_eps_per_sec(std::size_t workers,
 }  // namespace
 
 int main() {
-  const auto files = static_cast<std::size_t>(util::bench_scale(2000));
+  const auto files = util::bench_scale(2000);
   const std::size_t episodes = 1500;
 
   trace::SyntheticConfig trace_config;
@@ -113,8 +113,8 @@ int main() {
   // Worker-scaling sweep: the same workload trained end to end at each
   // worker count. Counts beyond the hardware thread count still run (the
   // wavefront schedule tolerates oversubscription) but carry no gate.
-  const auto scaling_episodes = static_cast<std::size_t>(
-      util::env_int("MINICOST_TRAIN_SCALING_EPISODES", 1500));
+  const auto scaling_episodes =
+      util::env_size("MINICOST_TRAIN_SCALING_EPISODES", 1500);
   const std::size_t hardware_threads = std::thread::hardware_concurrency();
   const std::vector<std::size_t> worker_counts{1, 2, 4, 8, 16};
   std::vector<double> worker_eps;

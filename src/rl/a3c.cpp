@@ -49,84 +49,109 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
   return std::make_unique<nn::Sgd>(config.learning_rate, config.momentum);
 }
 
-// act_rows' chunk: it bounds the widest scratch buffer (chunk × conv width
-// doubles), is the dedup scope (only rows within one chunk are compared),
-// and is the unit of pool work. Fixed, so decisions and the work split never
-// depend on the pool size.
-constexpr std::size_t kActChunk = 256;
-constexpr std::size_t kDedupSlotBits = 9;  // 2 × kActChunk slots
-static_assert(std::size_t{1} << kDedupSlotBits == 2 * kActChunk);
+// act_rows' forward sub-batch: at most this many distinct rows go through
+// one forward, which bounds the widest scratch buffer (sub-batch × conv
+// width doubles).
+constexpr std::size_t kForwardRows = 256;
+// act_rows hashes, forwards and copies its rows in chunks of this many, one
+// pool task each, so each task reads its files in row order.
+constexpr std::size_t kRowChunk = 512;
+// act_rows dedups in one hash partition per kPartitionRows rows (at most
+// kMaxPartitions), one pool task each. Like the chunks, a function of the
+// row count alone, so neither the decisions nor the work split depend on
+// the pool size.
+constexpr std::size_t kPartitionRows = 512;
+constexpr std::size_t kMaxPartitions = 64;
 
-// Hashes a row's bytes with four independent multiply-xor lanes over its
-// 64-bit words, so the multiply chain is a quarter of the row long, then
-// folds the lanes and mixes the result's high bits down.
-std::uint64_t row_hash(const double* row, std::size_t width) noexcept {
-  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
-  const auto word = [row](std::size_t i) {
-    return std::bit_cast<std::uint64_t>(row[i]);
-  };
+constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ULL;
+
+std::uint64_t bits(double x) noexcept {
+  return std::bit_cast<std::uint64_t>(x);
+}
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) noexcept {
+  return (h ^ word) * kHashMul;
+}
+
+// Hashes `width` doubles' bytes with four independent multiply-xor lanes,
+// so the multiply chain is a quarter of the row long, then folds the lanes.
+std::uint64_t hash_words(const double* row, std::size_t width) noexcept {
   std::uint64_t h0 = 1, h1 = 2, h2 = 3, h3 = 4;
   std::size_t i = 0;
   for (; i + 4 <= width; i += 4) {
-    h0 = (h0 ^ word(i)) * kMul;
-    h1 = (h1 ^ word(i + 1)) * kMul;
-    h2 = (h2 ^ word(i + 2)) * kMul;
-    h3 = (h3 ^ word(i + 3)) * kMul;
+    h0 = mix(h0, bits(row[i]));
+    h1 = mix(h1, bits(row[i + 1]));
+    h2 = mix(h2, bits(row[i + 2]));
+    h3 = mix(h3, bits(row[i + 3]));
   }
-  for (; i < width; ++i) h0 = (h0 ^ word(i)) * kMul;
-  std::uint64_t h =
-      h0 ^ std::rotl(h1, 16) ^ std::rotl(h2, 32) ^ std::rotl(h3, 48);
-  h ^= h >> 29;
-  return h * kMul;
+  for (; i < width; ++i) h0 = mix(h0, bits(row[i]));
+  return h0 ^ std::rotl(h1, 16) ^ std::rotl(h2, 32) ^ std::rotl(h3, 48);
 }
 
-// One chunk's distinct rows: first[d] is the chunk row where distinct row d
-// first occurs (in increasing order), of_row[r] the distinct row that chunk
-// row r repeats byte for byte.
-struct ChunkDedup {
-  std::size_t distinct = 0;
-  std::array<std::uint16_t, kActChunk> first{};
-  std::array<std::uint16_t, kActChunk> of_row{};
+// murmur3's 64-bit finalizer: every output bit depends on every input bit,
+// so act_rows can take the partition from the high bits and the table slot
+// from the low bits.
+std::uint64_t finish(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  return h ^ (h >> 33);
+}
+
+// act_batch's rows: each file's raw state on `day` and its current tier,
+// the whole input of Featurizer::encode_into besides the day. States are
+// compared by bytes (-0.0 and +0.0 differ, as do NaN payloads), and only
+// the distinct ones are encoded.
+struct FileStates {
+  const Featurizer& featurizer;
+  std::span<const trace::FileRecord> files;
+  std::size_t day;
+  std::span<const pricing::StorageTier> tiers;
+
+  std::uint64_t hash(std::size_t r) const {
+    const Featurizer::RawState s = featurizer.raw_state(files[r], day);
+    std::uint64_t h = hash_words(s.reads.data(), s.reads.size());
+    h = mix(h, bits(s.writes));
+    h = mix(h, bits(s.size_gb));
+    return finish(mix(h, pricing::tier_index(tiers[r])));
+  }
+  bool same(std::size_t a, std::size_t b) const {
+    const Featurizer::RawState x = featurizer.raw_state(files[a], day);
+    const Featurizer::RawState y = featurizer.raw_state(files[b], day);
+    return tiers[a] == tiers[b] && bits(x.writes) == bits(y.writes) &&
+           bits(x.size_gb) == bits(y.size_gb) &&
+           std::memcmp(x.reads.data(), y.reads.data(),
+                       x.reads.size_bytes()) == 0;
+  }
+  void encode(std::size_t r, std::span<double> out) const {
+    featurizer.encode_into(files[r], day, tiers[r], out);
+  }
 };
 
-// Finds the distinct rows among `count` (<= kActChunk) rows of `width`
-// doubles, comparing bytes: -0.0 and +0.0 differ, as do NaN payloads. An
-// open-addressing table of 2 × kActChunk slots on the stack; every hash hit
-// is confirmed by memcmp of the whole row.
-void dedup_rows(const double* rows, std::size_t count, std::size_t width,
-                ChunkDedup& out) noexcept {
-  // slot_of[s] is 1 + the distinct row in slot s, or 0 if s is empty.
-  std::array<std::uint16_t, 2 * kActChunk> slot_of{};
-  std::array<std::uint64_t, kActChunk> hash_of{};
-  const std::size_t row_bytes = width * sizeof(double);
-  std::size_t distinct = 0;
-  for (std::size_t r = 0; r < count; ++r) {
-    const double* row = rows + r * width;
-    const std::uint64_t h = row_hash(row, width);
-    for (std::size_t s = h >> (64 - kDedupSlotBits);;
-         s = (s + 1) % slot_of.size()) {
-      const std::size_t d = slot_of[s];
-      if (d == 0) {
-        slot_of[s] = static_cast<std::uint16_t>(distinct + 1);
-        hash_of[distinct] = h;
-        out.first[distinct] = static_cast<std::uint16_t>(r);
-        out.of_row[r] = static_cast<std::uint16_t>(distinct++);
-        break;
-      }
-      if (hash_of[d - 1] == h &&
-          std::memcmp(row, rows + out.first[d - 1] * width, row_bytes) == 0) {
-        out.of_row[r] = static_cast<std::uint16_t>(d - 1);
-        break;
-      }
-    }
-  }
-  out.distinct = distinct;
-}
+// act_features_batch's rows: pre-encoded, `width` doubles each, compared by
+// bytes.
+struct FeatureRows {
+  const double* rows;
+  std::size_t width;
 
-// A chunk runner's buffers: `rows` for ChunkRows to encode into, `distinct`
-// for the gathered distinct rows.
-struct ChunkScratch {
-  std::vector<double> rows, distinct;
+  const double* row(std::size_t r) const noexcept { return rows + r * width; }
+  std::uint64_t hash(std::size_t r) const noexcept {
+    return finish(hash_words(row(r), width));
+  }
+  bool same(std::size_t a, std::size_t b) const noexcept {
+    return std::memcmp(row(a), row(b), width * sizeof(double)) == 0;
+  }
+  void encode(std::size_t r, std::span<double> out) const noexcept {
+    std::copy_n(row(r), width, out.data());
+  }
+};
+
+// One task's buffers, reused from task to task on the serial path.
+struct ActScratch {
+  std::vector<std::size_t> slots;  // dedup table: 1 + a first row, or 0
+  std::vector<std::size_t> rows;   // a chunk's first occurrences
+  std::vector<double> batch;       // one sub-batch of encoded rows
 };
 
 }  // namespace
@@ -592,46 +617,10 @@ Action A3CAgent::act(const trace::FileRecord& file, std::size_t day,
   return act(featurizer_.encode(file, day, current_tier), greedy);
 }
 
-std::vector<Action> A3CAgent::act_batch(
-    std::span<const trace::FileRecord> files, std::size_t day,
-    std::span<const pricing::StorageTier> current_tiers, bool greedy,
-    util::ThreadPool* pool) {
-  if (files.size() != current_tiers.size())
-    throw std::invalid_argument("A3CAgent::act_batch: span width mismatch");
-  MC_OBS_SCOPE("rl.a3c.act_batch");
-  MC_OBS_COUNT("rl.a3c.act_batch.files", files.size());
-  const std::size_t width = featurizer_.feature_count();
-  return act_rows(
-      files.size(), greedy, pool,
-      [&](std::size_t lo, std::size_t rows, std::vector<double>& buffer) {
-        buffer.resize(rows * width);
-        const std::span<double> rows_span(buffer);
-        for (std::size_t r = 0; r < rows; ++r)
-          featurizer_.encode_into(files[lo + r], day, current_tiers[lo + r],
-                                  rows_span.subspan(r * width, width));
-        return std::span<const double>(buffer);
-      });
-}
-
-std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
-                                                 std::size_t count, bool greedy,
-                                                 util::ThreadPool* pool) {
-  const std::size_t width = featurizer_.feature_count();
-  if (rows.size() != count * width)
-    throw std::invalid_argument(
-        "A3CAgent::act_features_batch: rows span width mismatch");
-  MC_OBS_SCOPE("rl.a3c.act_features_batch");
-  MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
-  return act_rows(
-      count, greedy, pool,
-      [&](std::size_t lo, std::size_t n_rows, std::vector<double>&) {
-        return rows.subspan(lo * width, n_rows * width);
-      });
-}
-
+template <class Rows>
 std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
                                        util::ThreadPool* pool,
-                                       const ChunkRows& chunk_rows) {
+                                       const Rows& source) {
   std::vector<Action> actions(count);
   if (count == 0) return actions;
 
@@ -648,74 +637,171 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
 
   const std::size_t width = featurizer_.feature_count();
   const std::size_t out_width = actor.output_size();
-  const std::size_t chunk_count = (count + kActChunk - 1) / kActChunk;
-  std::vector<std::size_t> forwarded(chunk_count);
+  const std::size_t chunks = (count + kRowChunk - 1) / kRowChunk;
+  const std::size_t parts = std::clamp<std::size_t>(
+      (count + kPartitionRows - 1) / kPartitionRows, 1, kMaxPartitions);
+  const auto partition_of = [parts](std::uint64_t h) {
+    return static_cast<std::size_t>(((h >> 32) * parts) >> 32);
+  };
 
-  // Forwards each distinct row of the chunk once and copies its action to
-  // the rows that repeat it. Exact: every batch row's output depends on
-  // its own bytes alone, whatever shares its batch (the Layer contract),
-  // and sampled mode draws every row from the same forked stream, so
-  // byte-identical rows always decide identically.
-  const auto run_chunk = [&](nn::Network& net, ChunkScratch& scratch,
-                             std::size_t c) {
-    const std::size_t lo = c * kActChunk;
-    const std::size_t rows = std::min(count - lo, kActChunk);
-    std::span<const double> in = chunk_rows(lo, rows, scratch.rows);
-    ChunkDedup dedup;
-    dedup_rows(in.data(), rows, width, dedup);
-    const std::size_t distinct = dedup.distinct;
-    if (distinct < rows) {
-      scratch.distinct.resize(distinct * width);
-      for (std::size_t d = 0; d < distinct; ++d)
-        std::copy_n(in.data() + dedup.first[d] * width, width,
-                    scratch.distinct.data() + d * width);
-      in = scratch.distinct;
+  // Pass 1, per chunk: validate and hash every row, then order the chunk's
+  // rows by partition. Chunk c's rows of partition p are
+  // order[c * kRowChunk + bounds[c][p], c * kRowChunk + bounds[c][p + 1]),
+  // ascending.
+  std::vector<std::uint64_t> hashes(count);
+  std::vector<std::size_t> order(count);
+  std::vector<std::size_t> bounds(chunks * (parts + 1));
+  const auto hash_chunk = [&](std::size_t c) {
+    const std::size_t lo = c * kRowChunk;
+    const std::size_t hi = std::min(count, lo + kRowChunk);
+    std::size_t* bound = bounds.data() + c * (parts + 1);
+    for (std::size_t r = lo; r < hi; ++r) {
+      hashes[r] = source.hash(r);
+      ++bound[partition_of(hashes[r]) + 1];
     }
-    std::vector<double> pi = net.forward_batch(in, distinct);
-    nn::softmax_rows(pi, distinct, pi);
-    std::array<Action, kActChunk> chosen{};
-    for (std::size_t d = 0; d < distinct; ++d) {
-      const double* row = pi.data() + d * out_width;
-      if (greedy) {
-        chosen[d] = nn::argmax(std::span<const double>(row, out_width));
-      } else {
-        // Mirror act(): every decision draws from the same forked stream.
-        util::Rng rng = seed_rng_.fork(act_stream);
-        if (rng.bernoulli(config_.epsilon)) {
-          chosen[d] =
-              static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
-        } else {
-          chosen[d] =
-              rng.weighted_index(std::vector<double>(row, row + out_width));
+    std::array<std::size_t, kMaxPartitions> next{};
+    for (std::size_t p = 0; p < parts; ++p) {
+      bound[p + 1] += bound[p];
+      next[p] = lo + bound[p];
+    }
+    for (std::size_t r = lo; r < hi; ++r)
+      order[next[partition_of(hashes[r])]++] = r;
+  };
+
+  // Pass 2, per partition: first[r] = the first row whose bytes equal row
+  // r's. An open-addressing table over the partition's rows in ascending
+  // order; every hash hit is confirmed by comparing the rows' bytes.
+  std::vector<std::size_t> first(count);
+  const auto dedup_partition = [&](ActScratch& s, std::size_t p) {
+    std::size_t rows = 0;
+    for (std::size_t c = 0; c < chunks; ++c)
+      rows += bounds[c * (parts + 1) + p + 1] - bounds[c * (parts + 1) + p];
+    const std::size_t mask = std::bit_ceil(2 * rows) - 1;
+    s.slots.assign(mask + 1, 0);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t* bound = bounds.data() + c * (parts + 1);
+      for (std::size_t i = bound[p]; i < bound[p + 1]; ++i) {
+        const std::size_t r = order[c * kRowChunk + i];
+        const std::uint64_t h = hashes[r];
+        for (std::size_t slot = h & mask;; slot = (slot + 1) & mask) {
+          const std::size_t f = s.slots[slot];
+          if (f == 0) {
+            s.slots[slot] = r + 1;
+            first[r] = r;
+            break;
+          }
+          if (hashes[f - 1] == h && source.same(r, f - 1)) {
+            first[r] = f - 1;
+            break;
+          }
         }
       }
     }
-    for (std::size_t r = 0; r < rows; ++r)
-      actions[lo + r] = chosen[dedup.of_row[r]];
-    forwarded[c] = distinct;
   };
-  if (pool && pool->size() > 1 && chunk_count > 1) {
+
+  // Pass 3, per chunk: encode and forward the chunk's first occurrences, in
+  // row order and sub-batches of kForwardRows, and pick each one's action.
+  std::vector<std::size_t> forwarded(chunks);
+  const auto decide_chunk = [&](nn::Network& net, ActScratch& s,
+                                std::size_t c) {
+    const std::size_t hi = std::min(count, (c + 1) * kRowChunk);
+    s.rows.clear();
+    for (std::size_t r = c * kRowChunk; r < hi; ++r)
+      if (first[r] == r) s.rows.push_back(r);
+    for (std::size_t lo = 0; lo < s.rows.size(); lo += kForwardRows) {
+      const std::size_t rows = std::min(kForwardRows, s.rows.size() - lo);
+      s.batch.resize(rows * width);
+      const std::span<double> batch(s.batch);
+      for (std::size_t d = 0; d < rows; ++d)
+        source.encode(s.rows[lo + d], batch.subspan(d * width, width));
+      std::vector<double> pi = net.forward_batch(s.batch, rows);
+      nn::softmax_rows(pi, rows, pi);
+      for (std::size_t d = 0; d < rows; ++d) {
+        const double* row = pi.data() + d * out_width;
+        Action& chosen = actions[s.rows[lo + d]];
+        if (greedy) {
+          chosen = nn::argmax(std::span<const double>(row, out_width));
+        } else {
+          // Mirror act(): every decision draws from the same forked stream.
+          util::Rng rng = seed_rng_.fork(act_stream);
+          if (rng.bernoulli(config_.epsilon)) {
+            chosen = static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
+          } else {
+            chosen =
+                rng.weighted_index(std::vector<double>(row, row + out_width));
+          }
+        }
+      }
+    }
+    forwarded[c] = s.rows.size();
+  };
+
+  // Pass 4, per chunk: every repeat takes its first occurrence's action.
+  // Exact: equal keys encode to equal rows, every batch row's output
+  // depends on its own bytes alone, whatever shares its batch (the Layer
+  // contract), and sampled mode draws every row from the same forked
+  // stream, so byte-identical rows always decide identically.
+  const auto copy_chunk = [&](std::size_t c) {
+    const std::size_t hi = std::min(count, (c + 1) * kRowChunk);
+    for (std::size_t r = c * kRowChunk; r < hi; ++r)
+      if (first[r] != r) actions[r] = actions[first[r]];
+  };
+
+  if (pool && pool->size() > 1 && chunks > 1) {
+    pool->parallel_for(0, chunks, hash_chunk);
+    pool->parallel_for(0, parts, [&](std::size_t p) {
+      ActScratch scratch;
+      dedup_partition(scratch, p);
+    });
     // forward_batch state is per-thread: clone the snapshot per chunk. A
     // zero-row forward first builds the snapshot's Dense transposes (the
     // refresh above left them stale), which the clones then share instead
     // of each rebuilding its own — one transpose per call, as on the serial
     // path.
     actor.forward_batch({}, 0);
-    pool->parallel_for(0, chunk_count, [&](std::size_t c) {
+    pool->parallel_for(0, chunks, [&](std::size_t c) {
       nn::Network net = actor;
-      ChunkScratch scratch;
-      run_chunk(net, scratch, c);
+      ActScratch scratch;
+      decide_chunk(net, scratch, c);
     });
+    pool->parallel_for(0, chunks, copy_chunk);
   } else {
-    // Serial: one network and one scratch serve every chunk.
-    ChunkScratch scratch;
-    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, scratch, c);
+    // Serial: one network and one scratch serve every task.
+    ActScratch scratch;
+    for (std::size_t c = 0; c < chunks; ++c) hash_chunk(c);
+    for (std::size_t p = 0; p < parts; ++p) dedup_partition(scratch, p);
+    for (std::size_t c = 0; c < chunks; ++c) decide_chunk(actor, scratch, c);
+    for (std::size_t c = 0; c < chunks; ++c) copy_chunk(c);
   }
   MC_OBS_COUNT("rl.a3c.act.rows", count);
   MC_OBS_COUNT("rl.a3c.act.forward_rows",
                std::accumulate(forwarded.begin(), forwarded.end(),
                                std::size_t{0}));
   return actions;
+}
+
+std::vector<Action> A3CAgent::act_batch(
+    std::span<const trace::FileRecord> files, std::size_t day,
+    std::span<const pricing::StorageTier> current_tiers, bool greedy,
+    util::ThreadPool* pool) {
+  if (files.size() != current_tiers.size())
+    throw std::invalid_argument("A3CAgent::act_batch: span width mismatch");
+  MC_OBS_SCOPE("rl.a3c.act_batch");
+  MC_OBS_COUNT("rl.a3c.act_batch.files", files.size());
+  return act_rows(files.size(), greedy, pool,
+                  FileStates{featurizer_, files, day, current_tiers});
+}
+
+std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
+                                                 std::size_t count, bool greedy,
+                                                 util::ThreadPool* pool) {
+  const std::size_t width = featurizer_.feature_count();
+  if (rows.size() != count * width)
+    throw std::invalid_argument(
+        "A3CAgent::act_features_batch: rows span width mismatch");
+  MC_OBS_SCOPE("rl.a3c.act_features_batch");
+  MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
+  return act_rows(count, greedy, pool, FeatureRows{rows.data(), width});
 }
 
 std::vector<double> A3CAgent::policy_probabilities(

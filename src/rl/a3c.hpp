@@ -139,14 +139,16 @@ class A3CAgent {
              pricing::StorageTier current_tier, bool greedy = true);
 
   /// Batched deployment path: actions[i] is the tier decision for files[i]
-  /// on `day` given it currently sits in current_tiers[i]. Featurizes the
-  /// whole span and runs fused batch forwards (one kernel per layer and
-  /// chunk, over the chunk's distinct rows only) instead of one
-  /// matrix-vector pass per file; chunks shard across
-  /// `pool` (nullptr = run on the calling thread). Bit-identical to calling
-  /// act() per file, for any pool size. Requires day >= history_len and
-  /// files.size() == current_tiers.size(). Thread-safe: works on a
-  /// parameter snapshot taken under the lock.
+  /// on `day` given it currently sits in current_tiers[i]. Files whose raw
+  /// states (Featurizer::RawState) and tiers match byte for byte share one
+  /// decision: each distinct state is featurized and forwarded once per
+  /// call, in fused batch forwards (one kernel per layer and sub-batch)
+  /// that shard across `pool` (nullptr = run on the calling thread).
+  /// Bit-identical to calling act() per file, for any pool size. Requires
+  /// day >= history_len and files.size() == current_tiers.size(); every
+  /// file is validated, so one whose history is too short throws
+  /// std::out_of_range. Thread-safe: works on a parameter snapshot taken
+  /// under the lock.
   std::vector<Action> act_batch(std::span<const trace::FileRecord> files,
                                 std::size_t day,
                                 std::span<const pricing::StorageTier> current_tiers,
@@ -155,9 +157,10 @@ class A3CAgent {
 
   /// act_batch over pre-encoded feature rows: `rows` holds `count` rows of
   /// featurizer().feature_count() doubles each, densely packed; actions[i]
-  /// decides row i. For callers that featurize on their own. Bit-identical
-  /// to act_batch on the files that would encode to these rows, for any
-  /// pool size. Thread-safe.
+  /// decides row i. For callers that featurize on their own. Each distinct
+  /// row (compared by bytes) is forwarded once per call. Bit-identical to
+  /// act_batch on the files that would encode to these rows, for any pool
+  /// size. Thread-safe.
   std::vector<Action> act_features_batch(std::span<const double> rows,
                                          std::size_t count, bool greedy = true,
                                          util::ThreadPool* pool = nullptr);
@@ -218,19 +221,16 @@ class A3CAgent {
   /// of the networks (act/value/save paths).
   void refresh_networks_locked() MC_REQUIRES(param_mutex_);
 
-  /// Yields the feature rows [lo, lo + rows) of a batch: encoded into
-  /// `buffer` (scratch owned by the chunk's runner, so never n × width) or
-  /// viewed in place.
-  using ChunkRows = std::function<std::span<const double>(
-      std::size_t lo, std::size_t rows, std::vector<double>& buffer)>;
-
-  /// The body of act_batch and act_features_batch: snapshots the actor,
-  /// then per fixed-size chunk forwards each distinct row of chunk_rows'
-  /// rows once (rows compared by bytes), picks its action and copies it to
-  /// the rows that repeat it.
+  /// The body of act_batch and act_features_batch over `count` rows of
+  /// `source` (a3c.cpp's FileStates or FeatureRows: hash(r) validates and
+  /// hashes row r, same(a, b) compares two rows' bytes, encode(r, out)
+  /// writes row r's features). Snapshots the actor, validates and hashes
+  /// every row, finds each row's first occurrence per hash partition, then
+  /// encodes and forwards each first occurrence once, picks its action and
+  /// copies it to the rows that repeat it (DESIGN.md §7, item 5).
+  template <class Rows>
   std::vector<Action> act_rows(std::size_t count, bool greedy,
-                               util::ThreadPool* pool,
-                               const ChunkRows& chunk_rows);
+                               util::ThreadPool* pool, const Rows& source);
 
   A3CConfig config_;
   Featurizer featurizer_;

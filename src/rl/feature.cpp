@@ -37,24 +37,32 @@ void Featurizer::encode_into(const trace::FileRecord& file, std::size_t day,
   encode_into(file, day, current_tier, std::span<double>(out));
 }
 
+Featurizer::RawState Featurizer::raw_state(const trace::FileRecord& file,
+                                           std::size_t day) const {
+  const std::size_t h = config_.history_len;
+  if (day < h || day > file.reads.size() || day > file.writes.size())
+    throw std::out_of_range("Featurizer::encode: day outside usable range");
+  return {std::span<const double>(file.reads).subspan(day - h, h),
+          file.writes[day - 1], file.size_gb};
+}
+
 void Featurizer::encode_into(const trace::FileRecord& file, std::size_t day,
                              pricing::StorageTier current_tier,
                              std::span<double> out) const {
-  const std::size_t h = config_.history_len;
-  if (day < h || day > file.reads.size())
-    throw std::out_of_range("Featurizer::encode: day outside usable range");
+  const RawState state = raw_state(file, day);
   if (out.size() != feature_count())
     throw std::invalid_argument("Featurizer::encode_into: bad row width");
+  const std::size_t h = config_.history_len;
   const double inv_scale = 1.0 / config_.log_scale;
 
   // Read history, oldest first so the conv kernel sees time order.
   for (std::size_t i = 0; i < h; ++i)
-    out[i] = std::log1p(file.reads[day - h + i]) * inv_scale;
+    out[i] = std::log1p(state.reads[i]) * inv_scale;
 
   std::size_t k = h;
   // Most recent write frequency (yesterday's, the newest observed).
-  out[k++] = std::log1p(file.writes[day - 1]) * inv_scale;
-  out[k++] = std::log1p(file.size_gb);
+  out[k++] = std::log1p(state.writes) * inv_scale;
+  out[k++] = std::log1p(state.size_gb);
   for (pricing::StorageTier t : pricing::all_tiers())
     out[k++] = t == current_tier ? 1.0 : 0.0;
   if (config_.include_day_of_week) {
@@ -63,8 +71,8 @@ void Featurizer::encode_into(const trace::FileRecord& file, std::size_t day,
   if (config_.include_summary) {
     const std::size_t week = std::min<std::size_t>(7, h);
     double mean7 = 0.0, mean14 = 0.0;
-    for (std::size_t i = 0; i < week; ++i) mean7 += file.reads[day - week + i];
-    for (std::size_t i = 0; i < h; ++i) mean14 += file.reads[day - h + i];
+    for (std::size_t i = 0; i < week; ++i) mean7 += state.reads[h - week + i];
+    for (std::size_t i = 0; i < h; ++i) mean14 += state.reads[i];
     mean7 /= static_cast<double>(week);
     mean14 /= static_cast<double>(h);
     out[k++] = std::log1p(mean7) * inv_scale;

@@ -40,6 +40,22 @@ class Featurizer {
   /// Aux features after the history prefix (write, size, tier, [dow]).
   std::size_t aux_count() const noexcept;
 
+  /// The part of `file` that encode_into reads on decision day `day`: the
+  /// read history [day - history_len, day), yesterday's writes and the
+  /// size. The encoded row is a pure function of this state, the current
+  /// tier and the day, so files whose states match byte for byte (with the
+  /// same tier, on the same day) encode to the same bytes.
+  struct RawState {
+    std::span<const double> reads;  ///< history_len days, oldest first
+    double writes = 0.0;
+    double size_gb = 0.0;
+  };
+
+  /// `file`'s RawState on `day`. Requires history_len <= day <=
+  /// reads.size() and day <= writes.size(); throws std::out_of_range
+  /// otherwise.
+  RawState raw_state(const trace::FileRecord& file, std::size_t day) const;
+
   /// Encodes the state of `file` on day `day` (the decision day: the
   /// history covers days [day - history_len, day)). Requires
   /// day >= history_len; throws std::out_of_range otherwise.

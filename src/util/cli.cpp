@@ -1,10 +1,11 @@
 #include "util/cli.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace minicost::util {
 
@@ -89,14 +90,6 @@ std::invalid_argument bad_value(const std::string& name,
                                 const char* expected) {
   return std::invalid_argument("--" + name + " expects " + expected +
                                ", got '" + value + "'");
-}
-
-/// Parses the whole of `text` as a T; false on leftovers or overflow.
-template <typename T>
-bool parse_whole(const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace

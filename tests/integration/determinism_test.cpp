@@ -9,11 +9,14 @@
 #include "evaluation.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/forecast_policy.hpp"
@@ -21,6 +24,7 @@
 #include "core/optimal.hpp"
 #include "core/planner.hpp"
 #include "core/rl_policy.hpp"
+#include "obs/metrics.hpp"
 #include "rl/a3c.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -296,6 +300,84 @@ TEST(DeterminismTest, ActBatchIsIdenticalUnderContendedPool) {
 
     EXPECT_EQ(serial, contended) << "greedy=" << greedy;
   }
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& c : obs::Registry::global().counters())
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+// The number of distinct (raw state, tier) keys among `files` on `day`:
+// what act_batch must forward, counted here by brute force.
+std::size_t distinct_states(const rl::Featurizer& featurizer,
+                            const std::vector<trace::FileRecord>& files,
+                            std::size_t day,
+                            const std::vector<pricing::StorageTier>& tiers) {
+  std::set<std::vector<std::uint64_t>> keys;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const rl::Featurizer::RawState s = featurizer.raw_state(files[i], day);
+    std::vector<std::uint64_t> key;
+    for (const double r : s.reads)
+      key.push_back(std::bit_cast<std::uint64_t>(r));
+    key.push_back(std::bit_cast<std::uint64_t>(s.writes));
+    key.push_back(std::bit_cast<std::uint64_t>(s.size_gb));
+    key.push_back(pricing::tier_index(tiers[i]));
+    keys.insert(std::move(key));
+  }
+  return keys.size();
+}
+
+// A multi-day act_batch plan over a trace with whole request counts (so
+// states repeat, within and across act_rows' chunks and partitions) is the
+// same at every pool size, and each day forwards exactly its distinct raw
+// states, whatever the pool size.
+TEST(DeterminismTest, ActBatchForwardsEachDistinctStateOnceAtEveryPoolSize) {
+  trace::SyntheticConfig tc = trace_config();
+  tc.file_count = 2500;
+  tc.integral_counts = true;
+  const trace::RequestTrace tr = trace::generate_synthetic(tc);
+  rl::A3CConfig config;
+  config.filters = 8;
+  config.hidden = 8;
+  config.workers = 1;
+  rl::A3CAgent agent(config, 79);
+  const std::size_t first_day = agent.featurizer().history_len();
+
+  util::ThreadPool one(1), four(4);
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  for (const bool greedy : {true, false}) {
+    std::vector<std::vector<rl::Action>> plans;
+    for (util::ThreadPool* pool :
+         {static_cast<util::ThreadPool*>(nullptr), &one, &four}) {
+      SCOPED_TRACE("greedy=" + std::to_string(greedy) + " pool=" +
+                   std::to_string(pool ? pool->size() : 0));
+      std::vector<pricing::StorageTier> tiers(tr.file_count(),
+                                              pricing::StorageTier::kHot);
+      std::vector<rl::Action> plan;
+      std::size_t forwarded = 0;
+      for (std::size_t day = first_day; day < first_day + 6; ++day) {
+        const std::size_t expected =
+            distinct_states(agent.featurizer(), tr.files(), day, tiers);
+        const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
+        const std::vector<rl::Action> actions =
+            agent.act_batch(tr.files(), day, tiers, greedy, pool);
+        EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, expected)
+            << "day " << day;
+        forwarded += expected;
+        plan.insert(plan.end(), actions.begin(), actions.end());
+        for (std::size_t i = 0; i < actions.size(); ++i)
+          tiers[i] = pricing::tier_from_index(actions[i]);
+      }
+      // Otherwise the trace would not exercise the dedup at all.
+      EXPECT_LT(forwarded, plan.size() / 2);
+      plans.push_back(std::move(plan));
+    }
+    EXPECT_EQ(plans[0], plans[1]) << "greedy=" << greedy;
+    EXPECT_EQ(plans[0], plans[2]) << "greedy=" << greedy;
+  }
+  obs::set_enabled(was_enabled);
 }
 
 }  // namespace

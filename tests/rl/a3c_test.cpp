@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -265,14 +266,14 @@ TEST(A3CAgentTest, ActFeaturesBatchValidatesRowBufferWidth) {
                std::invalid_argument);
 }
 
-// act_features_batch forwards each distinct row of a 256-row chunk once and
+// act_features_batch forwards each distinct row of the call once and
 // copies its decision to the rows that repeat it. Whatever the duplicate
 // pattern, batch size or pool size, every row must still decide exactly as
 // the scalar act() does on that row alone.
 TEST(A3CAgentTest, ActFeaturesBatchMatchesScalarActUnderEveryDuplicatePattern) {
   A3CAgent agent(tiny_config(), 31);
   const std::size_t width = agent.featurizer().feature_count();
-  constexpr std::size_t kChunk = 256;  // act_rows' dedup scope
+  constexpr std::size_t kChunk = 256;  // act_rows' forward sub-batch
   const std::size_t max_batch = 700;
   const std::vector<double> palette = random_rows(max_batch + 1, width, 77);
   const std::size_t special = max_batch;  // a row no other pattern uses
@@ -376,10 +377,145 @@ TEST(A3CAgentTest, ActCountsRowsAndForwardedRowsOncePerCall) {
         counter_value("rl.a3c.act.forward_rows");
     agent.act_features_batch(rows, 300, true, p);
     EXPECT_EQ(counter_value("rl.a3c.act.rows") - rows_before, 300u);
-    // 3 distinct rows in each of the two chunks (256 + 44 rows).
-    EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - forward_before, 6u);
+    // The dedup spans the whole call: 3 distinct rows, whatever the pool.
+    EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - forward_before, 3u);
   }
   obs::set_enabled(was_enabled);
+}
+
+// act_batch dedups on the files' raw states before featurizing: files
+// whose read window, yesterday's writes, size and tier match byte for byte
+// share one forward, whatever their names or their days outside the window;
+// a state that differs in any byte is forwarded on its own.
+TEST(A3CAgentTest, ActBatchSharesOneForwardPerRawState) {
+  A3CAgent agent(tiny_config(), 37);
+  const trace::RequestTrace trace = small_trace();
+  constexpr std::size_t kDay = 20;
+  const std::size_t h = agent.featurizer().history_len();
+  const trace::FileRecord base = trace.file(4);
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7FF8000000000000});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0x7FF8000000000001});
+  const pricing::StorageTier cool = pricing::StorageTier::kCool;
+  const pricing::StorageTier hot = pricing::StorageTier::kHot;
+
+  struct Case {
+    std::string name;
+    trace::FileRecord a, b;
+    pricing::StorageTier tier_a, tier_b;
+    std::uint64_t forwards;
+  };
+  trace::FileRecord renamed = base;
+  renamed.name = "another-name";
+  renamed.reads[kDay - h - 1] += 7.0;  // outside the window
+  renamed.reads[kDay] += 7.0;          // the decision day itself
+  renamed.writes[kDay - 2] += 3.0;     // only yesterday's writes count
+  trace::FileRecord positive_zero = base, negative_zero = base;
+  positive_zero.reads[kDay - 3] = 0.0;
+  negative_zero.reads[kDay - 3] = -0.0;
+  trace::FileRecord payload_a = base, payload_b = base;
+  payload_a.size_gb = nan_a;
+  payload_b.size_gb = nan_b;
+  const std::vector<Case> cases = {
+      {"equal state, other name and days", base, renamed, cool, cool, 1},
+      {"signed zero in reads", positive_zero, negative_zero, cool, cool, 2},
+      {"NaN payload in size_gb", payload_a, payload_b, cool, cool, 2},
+      {"tier only", base, base, cool, hot, 2},
+  };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  for (const Case& c : cases) {
+    // a, b, a, b: each state repeated once.
+    const std::vector<trace::FileRecord> files = {c.a, c.b, c.a, c.b};
+    const std::vector<pricing::StorageTier> tiers = {c.tier_a, c.tier_b,
+                                                     c.tier_a, c.tier_b};
+    for (const bool greedy : {true, false}) {
+      SCOPED_TRACE(c.name + " greedy=" + std::to_string(greedy));
+      const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
+      const auto actions = agent.act_batch(files, kDay, tiers, greedy);
+      EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, c.forwards);
+      for (std::size_t i = 0; i < files.size(); ++i)
+        EXPECT_EQ(actions[i], agent.act(files[i], kDay, tiers[i], greedy))
+            << "file " << i;
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+// Every file is validated, not only the first of each raw state: a file
+// whose history ends before the decision day throws even when the days it
+// does have repeat an earlier file's state.
+TEST(A3CAgentTest, ActBatchValidatesEveryFileNotOnlyTheDistinctOnes) {
+  A3CAgent agent(tiny_config(), 39);
+  const trace::RequestTrace trace = small_trace();
+  constexpr std::size_t kDay = 20;
+  const std::vector<pricing::StorageTier> tiers(3, pricing::StorageTier::kHot);
+  util::ThreadPool pool(4);
+  for (const bool short_reads : {true, false}) {
+    std::vector<trace::FileRecord> files(3, trace.file(2));
+    // Shrunk in place, so the series keeps its capacity and its old values
+    // past the end: a dedup that read the state without the bounds check
+    // would take this file for a repeat of the first two.
+    (short_reads ? files[2].reads : files[2].writes).resize(kDay - 1);
+    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool})
+      EXPECT_THROW(agent.act_batch(files, kDay, tiers, true, p),
+                   std::out_of_range)
+          << "short_reads=" << short_reads;
+  }
+}
+
+// Duplicated files that straddle act_rows' 512-row chunks and its hash
+// partitions decide exactly as act() does on each file alone, greedy and
+// sampled, serial and pooled.
+TEST(A3CAgentTest, ActBatchDuplicatesAcrossChunksDecideAsScalarAct) {
+  A3CAgent agent(tiny_config(), 41);
+  const trace::RequestTrace trace = small_trace(64);
+  constexpr std::size_t kDay = 23;
+  constexpr std::size_t kFiles = 2600;  // six chunks, six partitions
+  util::ThreadPool one(1), four(4);
+  const std::vector<std::pair<std::string,
+                              std::function<std::size_t(std::size_t)>>>
+      patterns = {
+          {"period-7", [](std::size_t i) { return i % 7; }},
+          {"period-64", [](std::size_t i) { return i % 64; }},
+          {"runs-of-600", [](std::size_t i) { return (i / 600) % 64; }},
+          {"straddles-1024",
+           [](std::size_t i) {
+             return i + 5 >= 1024 && i < 1024 + 5 ? std::size_t{63} : i % 5;
+           }},
+      };
+  std::vector<pricing::StorageTier> tiers(kFiles);
+  for (std::size_t i = 0; i < kFiles; ++i)
+    tiers[i] = pricing::tier_from_index((i / 3) % pricing::kTierCount);
+  // Rates and sizes spread over decades, so the untrained actor's decisions
+  // vary from file to file.
+  std::vector<trace::FileRecord> palette = trace.files();
+  for (std::size_t k = 0; k < palette.size(); ++k) {
+    const double scale = std::pow(4.0, static_cast<double>(k % 9));
+    for (double& r : palette[k].reads) r *= scale;
+    palette[k].size_gb *= scale;
+  }
+  bool saw_two_actions = false;
+  for (const auto& [name, source] : patterns) {
+    std::vector<trace::FileRecord> files;
+    files.reserve(kFiles);
+    for (std::size_t i = 0; i < kFiles; ++i)
+      files.push_back(palette[source(i)]);
+    for (const bool greedy : {true, false}) {
+      SCOPED_TRACE(name + " greedy=" + std::to_string(greedy));
+      std::vector<Action> expected(kFiles);
+      for (std::size_t i = 0; i < kFiles; ++i) {
+        expected[i] = agent.act(files[i], kDay, tiers[i], greedy);
+        saw_two_actions |= expected[i] != expected[0];
+      }
+      for (util::ThreadPool* pool :
+           {static_cast<util::ThreadPool*>(nullptr), &one, &four}) {
+        const auto actions = agent.act_batch(files, kDay, tiers, greedy, pool);
+        ASSERT_EQ(actions, expected)
+            << "pool=" << (pool ? pool->size() : std::size_t{0});
+      }
+    }
+  }
+  EXPECT_TRUE(saw_two_actions);
 }
 
 TEST(A3CAgentTest, ActBatchValidatesWidths) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace minicost::util {
 namespace {
@@ -21,10 +24,58 @@ TEST(EnvTest, ParsesSetValues) {
   ::unsetenv("MINICOST_TEST_VAR");
 }
 
-TEST(EnvTest, UnparseableFallsBack) {
-  ::setenv("MINICOST_TEST_VAR", "not-a-number", 1);
-  EXPECT_EQ(env_int("MINICOST_TEST_VAR", 9), 9);
+// The error for `value` in MINICOST_TEST_VAR, read by `read`; empty when
+// it does not throw.
+template <typename Read>
+std::string error_for(const char* value, Read read) {
+  ::setenv("MINICOST_TEST_VAR", value, 1);
+  std::string message;
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
   ::unsetenv("MINICOST_TEST_VAR");
+  return message;
+}
+
+TEST(EnvTest, UnparseableThrows) {
+  const auto read_int = [] { return env_int("MINICOST_TEST_VAR", 9); };
+  for (const char* value :
+       {"not-a-number", "12abc", "12 ", " 12", "-", "+", "1.5", "0x10",
+        "9223372036854775808", "-9223372036854775809"}) {
+    EXPECT_EQ(error_for(value, read_int),
+              std::string("MINICOST_TEST_VAR expects an integer, got '") +
+                  value + "'")
+        << value;
+  }
+}
+
+TEST(EnvTest, ParsesTheWholeInt64Range) {
+  ::setenv("MINICOST_TEST_VAR", "-9223372036854775808", 1);
+  EXPECT_EQ(env_int("MINICOST_TEST_VAR", 9), INT64_MIN);
+  ::setenv("MINICOST_TEST_VAR", "9223372036854775807", 1);
+  EXPECT_EQ(env_int("MINICOST_TEST_VAR", 9), INT64_MAX);
+  ::setenv("MINICOST_TEST_VAR", "-3", 1);
+  EXPECT_EQ(env_int("MINICOST_TEST_VAR", 9), -3);
+  ::unsetenv("MINICOST_TEST_VAR");
+}
+
+TEST(EnvTest, SizeRejectsNegativesAndGarbage) {
+  const auto read_size = [] { return env_size("MINICOST_TEST_VAR", 9); };
+  for (const char* value : {"-1", "-0x1", "12abc", "abc", "-"}) {
+    EXPECT_EQ(error_for(value, read_size),
+              std::string("MINICOST_TEST_VAR expects a non-negative integer, "
+                          "got '") +
+                  value + "'")
+        << value;
+  }
+  ::setenv("MINICOST_TEST_VAR", "0", 1);
+  EXPECT_EQ(env_size("MINICOST_TEST_VAR", 9), 0u);
+  ::setenv("MINICOST_TEST_VAR", "4096", 1);
+  EXPECT_EQ(env_size("MINICOST_TEST_VAR", 9), 4096u);
+  ::unsetenv("MINICOST_TEST_VAR");
+  EXPECT_EQ(env_size("MINICOST_TEST_VAR", 9), 9u);
 }
 
 TEST(EnvTest, EmptyStringFallsBack) {
@@ -44,6 +95,15 @@ TEST(EnvTest, BenchScaleReadsEnv) {
 TEST(EnvTest, BenchSeedDefaultsTo42) {
   ::unsetenv("MINICOST_SEED");
   EXPECT_EQ(bench_seed(), 42u);
+}
+
+TEST(EnvTest, BenchScaleAndSeedRejectNegatives) {
+  ::setenv("MINICOST_SCALE", "-5", 1);
+  EXPECT_THROW(bench_scale(4000), std::invalid_argument);
+  ::unsetenv("MINICOST_SCALE");
+  ::setenv("MINICOST_SEED", "-1", 1);
+  EXPECT_THROW(bench_seed(), std::invalid_argument);
+  ::unsetenv("MINICOST_SEED");
 }
 
 }  // namespace
