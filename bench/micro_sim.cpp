@@ -1,11 +1,15 @@
 // Microbenchmarks for the cost simulator: per-file-day cost evaluation, a
-// full daily billing pass, and the per-file optimal DP.
+// full daily billing pass and a whole-horizon bill (each on a 1- and a
+// 4-thread pool), and the per-file optimal DP. The trace is as wide as
+// perfbench's plan-minicost fleet (10k files), where a day's bill spans
+// enough 512-file chunks for the pool to pay.
 
 #include <benchmark/benchmark.h>
 
 #include "core/optimal.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -14,7 +18,7 @@ using namespace minicost;
 const trace::RequestTrace& bench_trace() {
   static const trace::RequestTrace tr = [] {
     trace::SyntheticConfig config;
-    config.file_count = 2000;
+    config.file_count = 10000;
     config.seed = 42;
     return trace::generate_synthetic(config);
   }();
@@ -34,33 +38,52 @@ void BM_Sim_FileDayCost(benchmark::State& state) {
 }
 BENCHMARK(BM_Sim_FileDayCost);
 
+/// The pool a billing benchmark runs on: state.range(0) threads, one pool
+/// per size for the whole binary.
+util::ThreadPool& billing_pool(const benchmark::State& state) {
+  static util::ThreadPool one(1), four(4);
+  return state.range(0) == 1 ? one : four;
+}
+
 void BM_Sim_DailyBillingPass(benchmark::State& state) {
   const trace::RequestTrace& tr = bench_trace();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   const sim::DayPlan plan(tr.file_count(), pricing::StorageTier::kHot);
+  sim::SimulatorOptions options;
+  options.pool = &billing_pool(state);
   for (auto _ : state) {
-    sim::StorageSimulator simulator(tr, azure);
+    sim::StorageSimulator simulator(tr, azure, options);
     simulator.advance(plan);
     benchmark::DoNotOptimize(simulator.report().grand_total().total());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(tr.file_count()));
 }
-BENCHMARK(BM_Sim_DailyBillingPass)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sim_DailyBillingPass)
+    ->ArgName("pool")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Sim_FullHorizonBilling(benchmark::State& state) {
   const trace::RequestTrace& tr = bench_trace();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   const sim::HorizonPlan plan(
       tr.days(), sim::DayPlan(tr.file_count(), pricing::StorageTier::kCool));
+  sim::SimulatorOptions options;
+  options.pool = &billing_pool(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::simulate(tr, azure, plan).grand_total().total());
+        sim::simulate(tr, azure, plan, options).grand_total().total());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(tr.file_count() * tr.days()));
 }
-BENCHMARK(BM_Sim_FullHorizonBilling)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sim_FullHorizonBilling)
+    ->ArgName("pool")
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Sim_PerFileOptimalDp(benchmark::State& state) {
   const trace::RequestTrace& tr = bench_trace();

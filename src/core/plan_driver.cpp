@@ -83,14 +83,14 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto [first, count] = shards_[s];
     if (!replan_shard[s]) {
-      MC_OBS_SCOPE("core.shard_eval.merge");
+      MC_OBS_SCOPE("core.merge");
       run.report.merge_shard(cache_[s].report, first);
       MC_OBS_COUNT("core.plan_driver.shards_spliced", 1);
       continue;
     }
 
     trace::RequestTrace shard_trace = [&] {
-      MC_OBS_SCOPE("core.shard_eval.materialize");
+      MC_OBS_SCOPE("store.materialize");
       return reader_.materialize_shard(first, count);
     }();
 
@@ -117,7 +117,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     }
 
     {
-      MC_OBS_SCOPE("core.shard_eval.merge");
+      MC_OBS_SCOPE("core.merge");
       run.report.merge_shard(shard_result.report, first);
     }
     run.decision_seconds += shard_result.decision_seconds;

@@ -1,6 +1,7 @@
 #include "core/planner.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "sim/cost_model.hpp"
@@ -45,33 +46,34 @@ PlanResult run_policy(const trace::RequestTrace& trace,
   MC_OBS_COUNT("core.run_policy.files", n);
   MC_OBS_COUNT("core.run_policy.days", window);
 
-  std::vector<pricing::StorageTier> current = initial;
-  {
-    MC_OBS_SCOPE("core.run_policy.decide");
-    for (std::size_t day = options.start_day; day < end_day; ++day) {
-      util::Stopwatch watch;
-      sim::DayPlan day_plan(n);
-      // The whole day goes through the batch API; policies fan the per-file
-      // work out over context.pool (see TieringPolicy::decide_day).
-      policy.decide_day(context, day, current, day_plan);
-      current = day_plan;
-      result.day_seconds.push_back(watch.seconds());
-      result.decision_seconds += result.day_seconds.back();
-      result.plan.push_back(std::move(day_plan));
-    }
-  }
-
-  // Bill the window: the simulator runs on the windowed trace so that
-  // storage/requests outside the window don't pollute the report.
-  MC_OBS_SCOPE("core.run_policy.billing");
-  const trace::RequestTrace window_trace =
-      trace.window(options.start_day, window);
+  // Bills only the window's days of the full trace; its current tiers are
+  // each file's tier entering the next day.
   sim::SimulatorOptions sim_options;
   sim_options.initial_tiers = initial;
   sim_options.charge_initial_placement = options.charge_initial_placement;
-  sim_options.pool = options.pool;
-  sim::StorageSimulator simulator(window_trace, pricing, sim_options);
-  result.report = simulator.run(result.plan);
+  sim_options.start_day = options.start_day;
+  sim_options.end_day = end_day;
+  sim_options.pool = &plan_pool(context);
+  sim::StorageSimulator simulator(trace, pricing, std::move(sim_options));
+
+  for (std::size_t day = options.start_day; day < end_day; ++day) {
+    sim::DayPlan day_plan(n);
+    {
+      MC_OBS_SCOPE("core.decide");
+      util::Stopwatch watch;
+      // The whole day goes through the batch API; policies fan the per-file
+      // work out over context.pool (see TieringPolicy::decide_day).
+      policy.decide_day(context, day, simulator.current_tiers(), day_plan);
+      result.day_seconds.push_back(watch.seconds());
+    }
+    result.decision_seconds += result.day_seconds.back();
+    {
+      MC_OBS_SCOPE("sim.bill");
+      simulator.advance(day_plan);
+    }
+    result.plan.push_back(std::move(day_plan));
+  }
+  result.report = simulator.report();
   return result;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 // The planning/evaluation harness: runs a TieringPolicy day by day over a
-// billing window of the trace, bills the resulting plan with the simulator,
-// and measures decision latency (the Figure 12 "computing overhead").
+// billing window of the trace, bills each day with the simulator as soon as
+// it is decided, and measures decision latency (the Figure 12 "computing
+// overhead").
 
 #include <memory>
 #include <string>

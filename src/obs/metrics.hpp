@@ -19,7 +19,7 @@
 //
 // Instrument with the macros, not the classes:
 //
-//   MC_OBS_SCOPE("core.run_policy.decide");        // RAII phase timer
+//   MC_OBS_SCOPE("core.decide");                   // RAII phase timer
 //   MC_OBS_COUNT("store.reader.bytes_mapped", n);  // monotonic counter
 //
 // Timing uses std::chrono::steady_clock only — wall-clock time never enters

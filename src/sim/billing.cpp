@@ -7,40 +7,45 @@
 
 namespace minicost::sim {
 
-BillingReport::BillingReport(std::size_t files, std::size_t days)
-    : per_day_exact_(days),
-      per_file_total_(files, 0.0),
-      per_day_changes_(days, 0),
-      per_day_(days) {}
+void DayPartial::add(const CostBreakdown& cost) {
+  storage.add(cost.storage);
+  read.add(cost.read);
+  write.add(cost.write);
+  change.add(cost.change);
+}
 
-void BillingReport::charge(trace::FileId file, std::size_t day,
-                           const CostBreakdown& cost) {
-  // StorageSimulator::advance, the only caller, rejects a day past the
-  // horizon and a plan whose width is not the file count before charging.
-  assert(day < days() && file < file_count());
-  ExactBreakdown& exact = per_day_exact_[day];
-  exact.storage.add(cost.storage);
-  exact.read.add(cost.read);
-  exact.write.add(cost.write);
-  exact.change.add(cost.change);
-  // A file's charges always arrive in day order from exactly one simulator
-  // run, so this fold's order is fixed (see the header comment).
-  // lint-contract: allow(billing-exact-sum) -- per-file folds are day-ordered within one run
-  per_file_total_[file] += cost.total();
+void DayPartial::add(const DayPartial& other) noexcept {
+  storage.add(other.storage);
+  read.add(other.read);
+  write.add(other.write);
+  change.add(other.change);
+  tier_changes += other.tier_changes;
+}
+
+BillingReport::BillingReport(std::size_t files, std::size_t days)
+    : per_day_exact_(days), per_file_total_(files, 0.0), per_day_(days) {}
+
+void BillingReport::add_day(std::size_t day, const DayPartial& partial) {
+  assert(day < days());
+  per_day_exact_[day].add(partial);
+  tier_changes_ += partial.tier_changes;
   stale_ = true;
 }
 
-void BillingReport::count_change(std::size_t day) {
-  assert(day < days());
-  ++tier_changes_;
-  ++per_day_changes_[day];
+void BillingReport::charge(trace::FileId file, std::size_t day,
+                           const CostBreakdown& cost) {
+  assert(day < days() && file < file_count());
+  DayPartial one;
+  one.add(cost);
+  add_day(day, one);
+  add_file_total(file, cost.total());
 }
 
 void BillingReport::refresh() const {
   if (!stale_) return;
   grand_total_ = CostBreakdown{};
   for (std::size_t d = 0; d < per_day_exact_.size(); ++d) {
-    const ExactBreakdown& exact = per_day_exact_[d];
+    const DayPartial& exact = per_day_exact_[d];
     CostBreakdown& rounded = per_day_[d];
     rounded.storage = exact.storage.value();
     rounded.read = exact.read.value();
@@ -81,18 +86,11 @@ void BillingReport::merge_shard(const BillingReport& other,
       file_offset > per_file_total_.size() - other.per_file_total_.size())
     throw std::invalid_argument(
         "BillingReport::merge_shard: file range exceeds report width");
-  for (std::size_t d = 0; d < per_day_exact_.size(); ++d) {
-    per_day_exact_[d].storage.add(other.per_day_exact_[d].storage);
-    per_day_exact_[d].read.add(other.per_day_exact_[d].read);
-    per_day_exact_[d].write.add(other.per_day_exact_[d].write);
-    per_day_exact_[d].change.add(other.per_day_exact_[d].change);
-    per_day_changes_[d] += other.per_day_changes_[d];
-  }
+  for (std::size_t d = 0; d < per_day_exact_.size(); ++d)
+    add_day(d, other.per_day_exact_[d]);
   for (std::size_t f = 0; f < other.per_file_total_.size(); ++f)
     // lint-contract: allow(billing-exact-sum) -- shards own disjoint file ranges, one addend per file
     per_file_total_[file_offset + f] += other.per_file_total_[f];
-  tier_changes_ += other.tier_changes_;
-  stale_ = true;
 }
 
 namespace {

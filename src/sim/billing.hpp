@@ -5,13 +5,14 @@
 // Cs/Cc/Cr/Cw decomposition, tier-change counts).
 //
 // Accumulation is *order-independent*: per-day breakdowns live in exact
-// fixed-point accumulators (stats::ExactSum) and are rounded to doubles only
-// when read, and the grand total is the day-ordered fold of those rounded
-// per-day values. Two reports over the same multiset of charges — however
-// the charges were ordered, grouped, or split across shard reports merged
-// with merge_shard() — are therefore byte-identical (DESIGN.md §9).
-// Per-file totals stay plain doubles: a file's charges always arrive in day
-// order from exactly one simulator run, so their fold order is fixed.
+// fixed-point accumulators (DayPartial's stats::ExactSums) and are rounded
+// to doubles only when read, and the grand total is the day-ordered fold of
+// those rounded per-day values. Two reports over the same multiset of
+// charges — however the charges were ordered, grouped into partials, or
+// split across shard reports merged with merge_shard() — are therefore
+// byte-identical (DESIGN.md §9). Per-file totals stay plain doubles: a
+// file's charges always arrive in day order from exactly one simulator run,
+// so their fold order is fixed.
 
 #include <cstdint>
 #include <vector>
@@ -22,17 +23,40 @@
 
 namespace minicost::sim {
 
+/// Exact sums of some of one day's file charges, and how many of those
+/// files changed tier. The simulator prices each chunk of files into its own
+/// partial; the report keeps one per day. Merging is exact and associative,
+/// so any split of a day's files into partials gives the same bytes.
+struct DayPartial {
+  stats::ExactSum storage, read, write, change;
+  std::uint64_t tier_changes = 0;
+
+  /// Adds one file-day charge (throws std::invalid_argument if non-finite).
+  void add(const CostBreakdown& cost);
+  /// Adds another partial's sums and tier changes.
+  void add(const DayPartial& other) noexcept;
+};
+
 class BillingReport {
  public:
   BillingReport() = default;
   BillingReport(std::size_t files, std::size_t days);
 
-  /// Records one file-day charge. `file` and `day` must be in range; only
-  /// an assert checks them (StorageSimulator::advance validates first).
-  void charge(trace::FileId file, std::size_t day, const CostBreakdown& cost);
+  /// Merges one partial into day `day`'s sums and tier-change count. `day`
+  /// must be in range; only an assert checks it (StorageSimulator::advance
+  /// validates first).
+  void add_day(std::size_t day, const DayPartial& partial);
 
-  /// Records a tier change event for statistics; `day` must be in range.
-  void count_change(std::size_t day);
+  /// Adds one day's charge to a file's running total; the caller adds each
+  /// file's days in order. Calls for distinct files may run concurrently.
+  void add_file_total(trace::FileId file, double cost) {
+    // lint-contract: allow(billing-exact-sum) -- per-file folds are day-ordered within one run
+    per_file_total_[file] += cost;
+  }
+
+  /// Records one file-day charge: add_day with a one-charge partial plus
+  /// add_file_total. `file` and `day` must be in range.
+  void charge(trace::FileId file, std::size_t day, const CostBreakdown& cost);
 
   std::size_t days() const noexcept { return per_day_exact_.size(); }
   std::size_t file_count() const noexcept { return per_file_total_.size(); }
@@ -45,7 +69,7 @@ class BillingReport {
   }
   std::uint64_t tier_changes() const noexcept { return tier_changes_; }
   std::uint64_t tier_changes_on(std::size_t day) const {
-    return per_day_changes_.at(day);
+    return per_day_exact_.at(day).tier_changes;
   }
 
   /// Cumulative total cost through day d inclusive (the Figure 7/13 series).
@@ -60,15 +84,10 @@ class BillingReport {
   void merge_shard(const BillingReport& other, std::size_t file_offset);
 
  private:
-  struct ExactBreakdown {
-    stats::ExactSum storage, read, write, change;
-  };
-
   void refresh() const;  ///< re-materializes rounded caches when stale
 
-  std::vector<ExactBreakdown> per_day_exact_;
+  std::vector<DayPartial> per_day_exact_;
   std::vector<double> per_file_total_;
-  std::vector<std::uint64_t> per_day_changes_;
   std::uint64_t tier_changes_ = 0;
 
   // Rounded views of the exact state, rebuilt lazily on read.

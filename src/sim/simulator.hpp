@@ -10,7 +10,7 @@
 // then billed at plan[t]'s prices. Day 0 placements are free by default
 // (initial upload, no re-tiering happened).
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "pricing/policy.hpp"
@@ -38,23 +38,30 @@ struct SimulatorOptions {
   /// Charge Cc when day 0's plan differs from the starting tier. Off by
   /// default: the initial placement is part of the upload, not a re-tiering.
   bool charge_initial_placement = false;
-  /// Pool for per-file daily billing; nullptr = the process-shared pool.
-  /// The cost model is separable across files (DESIGN.md), so pricing runs
-  /// in parallel while the report accumulates serially in file order — the
-  /// bill is byte-identical to the serial path for every pool size.
+  /// First trace day billed: the simulator's day d reads the trace's day
+  /// start_day + d, so a window bills without copying the trace.
+  std::size_t start_day = 0;
+  /// One past the last billed trace day; 0 = the trace's end. The report
+  /// covers days [start_day, end_day).
+  std::size_t end_day = 0;
+  /// Pool for daily billing; nullptr bills inline. Each fixed-size file
+  /// chunk prices into its own exact DayPartial and the partials merge in
+  /// chunk order, so the bill is byte-identical for every pool size.
   util::ThreadPool* pool = nullptr;
 };
 
 class StorageSimulator {
  public:
   /// The trace and policy are borrowed; both must outlive the simulator.
+  /// Throws std::invalid_argument on a bad [start_day, end_day) window or
+  /// an initial_tiers width other than the file count.
   StorageSimulator(const trace::RequestTrace& trace,
                    const pricing::PricingPolicy& policy,
                    SimulatorOptions options = {});
 
   /// Applies one day's plan and bills it. Days must be advanced in order;
   /// throws std::invalid_argument on a plan of the wrong width and
-  /// std::out_of_range past the trace horizon.
+  /// std::out_of_range past the billed window.
   void advance(const DayPlan& plan);
 
   /// Advances through all days of `plan`. Returns the final report.
@@ -76,23 +83,12 @@ class StorageSimulator {
   std::size_t day_ = 0;
   std::vector<pricing::StorageTier> tiers_;
   BillingReport report_;
-  // Per-day scratch for the parallel pricing phase (reused across days).
-  std::vector<CostBreakdown> day_costs_;
-  std::vector<std::uint8_t> day_changed_;
+  std::vector<DayPartial> partials_;  ///< one per file chunk, reused daily
 };
 
 /// One-shot convenience: bill `plan` over `trace` under `policy`.
 BillingReport simulate(const trace::RequestTrace& trace,
                        const pricing::PricingPolicy& policy,
                        const HorizonPlan& plan, SimulatorOptions options = {});
-
-/// Bills a single file's tier sequence (used by the per-file planners; the
-/// cost model is separable across files, see DESIGN.md). `tiers[t]` is the
-/// file's tier on day t; day 0 is free unless charge_initial.
-double file_sequence_cost(const pricing::PricingPolicy& policy,
-                          const trace::FileRecord& file,
-                          const std::vector<pricing::StorageTier>& tiers,
-                          pricing::StorageTier initial_tier,
-                          bool charge_initial = false);
 
 }  // namespace minicost::sim

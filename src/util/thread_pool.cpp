@@ -56,8 +56,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, std::max<std::size_t>(1, size() * 4));
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
+  // About four chunks per thread, the size rounded down: rounding it up
+  // would cut 20 indices on 4 threads into 10 two-index chunks, so one
+  // thread would run 6 indices where 5 do.
+  const std::size_t chunk_size = std::max<std::size_t>(1, n / (size() * 4));
+  const std::size_t chunks = (n + chunk_size - 1) / chunk_size;
 
   std::atomic<std::size_t> next{begin};
   std::exception_ptr first_error;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../sim/file_sequence_cost.hpp"
 #include "decide_one.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"

@@ -4,7 +4,9 @@
 
 #include "core/greedy.hpp"
 #include "core/optimal.hpp"
+#include "core/rl_policy.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -100,6 +102,47 @@ TEST(RunPolicyTest, OptimalNeverCostsMoreThanAnyOtherPolicy) {
     const double cost =
         run_policy(tr, azure, *policy, options).report.grand_total().total();
     EXPECT_GE(cost, opt - 1e-9) << policy->name();
+  }
+}
+
+// run_policy bills each day right after deciding it, reading the full
+// trace at the window's days. The bill must be the bytes of simulating the
+// finished plan over a copy of the window, for a window that ends before the
+// trace does and at every pool size.
+TEST(RunPolicyTest, InLoopBillMatchesSimulatingTheWindowCopy) {
+  const trace::RequestTrace tr = make_trace(1100);
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  PlanOptions options;
+  options.start_day = 14;
+  options.end_day = 31;
+  options.initial_tiers = static_initial_tiers(tr, azure, 14);
+  ASSERT_LT(options.end_day, tr.days());
+
+  rl::A3CConfig agent_config;
+  agent_config.filters = 8;
+  agent_config.hidden = 8;
+  agent_config.workers = 1;
+  rl::A3CAgent agent(agent_config, 11);
+  auto hot = make_hot_policy();
+  GreedyPolicy greedy;
+  OptimalPolicy optimal;
+  RlPolicy rl_policy(agent);
+
+  util::ThreadPool one(1), four(4);
+  for (TieringPolicy* policy : std::initializer_list<TieringPolicy*>{
+           hot.get(), &greedy, &optimal, &rl_policy}) {
+    for (util::ThreadPool* pool : {&one, &four}) {
+      options.pool = pool;
+      const PlanResult result = run_policy(tr, azure, *policy, options);
+      sim::SimulatorOptions oracle_options;
+      oracle_options.initial_tiers = options.initial_tiers;
+      oracle_options.charge_initial_placement = true;
+      const sim::BillingReport oracle = sim::simulate(
+          tr.window(options.start_day, options.end_day - options.start_day),
+          azure, result.plan, oracle_options);
+      EXPECT_TRUE(sim::bitwise_equal(result.report, oracle))
+          << policy->name() << " pool " << pool->size();
+    }
   }
 }
 

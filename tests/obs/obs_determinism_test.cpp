@@ -114,9 +114,11 @@ TEST_F(ObsDeterminismTest, MetricsAreObservedButNeverReadBack) {
             1u);
   EXPECT_EQ(obs::Registry::global().counter("core.run_policy.files").value(),
             tr.file_count());
-  EXPECT_GE(
-      obs::Registry::global().timer("core.run_policy.decide").stats().count,
-      1u);
+  // One decide and one bill scope per planned day.
+  EXPECT_EQ(obs::Registry::global().timer("core.decide").stats().count,
+            tr.days() - 5);
+  EXPECT_EQ(obs::Registry::global().timer("sim.bill").stats().count,
+            tr.days() - 5);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -9,6 +10,14 @@
 
 namespace minicost::sim {
 namespace {
+
+/// Records `count` tier changes on `day` through a charge-free partial.
+void add_changes(BillingReport& report, std::size_t day,
+                 std::uint64_t count = 1) {
+  DayPartial changes;
+  changes.tier_changes = count;
+  report.add_day(day, changes);
+}
 
 TEST(BillingReportTest, ChargesAccumulateEverywhere) {
   BillingReport report(2, 3);
@@ -37,9 +46,8 @@ TEST(BillingReportTest, CumulativeThroughSumsPrefix) {
 
 TEST(BillingReportTest, TierChangeCounting) {
   BillingReport report(1, 2);
-  report.count_change(0);
-  report.count_change(1);
-  report.count_change(1);
+  add_changes(report, 0);
+  add_changes(report, 1, 2);
   EXPECT_EQ(report.tier_changes(), 3u);
   EXPECT_EQ(report.tier_changes_on(0), 1u);
   EXPECT_EQ(report.tier_changes_on(1), 2u);
@@ -49,7 +57,7 @@ TEST(BillingReportTest, MergeCombinesReports) {
   BillingReport a(2, 2), b(2, 2);
   a.charge(0, 0, CostBreakdown{1.0, 0.0, 0.0, 0.0});
   b.charge(1, 1, CostBreakdown{0.0, 2.0, 0.0, 0.0});
-  b.count_change(1);
+  add_changes(b, 1);
   a.merge_shard(b, 0);
   EXPECT_DOUBLE_EQ(a.grand_total().total(), 3.0);
   EXPECT_DOUBLE_EQ(a.file_total(1), 2.0);
@@ -69,7 +77,7 @@ TEST(BillingReportTest, MergeShardPlacesFileRange) {
   BillingReport shard(2, 2);  // covers files [2, 4) of the full report
   shard.charge(0, 1, CostBreakdown{0.0, 2.0, 0.0, 0.0});
   shard.charge(1, 0, CostBreakdown{0.0, 0.0, 4.0, 0.0});
-  shard.count_change(1);
+  add_changes(shard, 1);
   full.merge_shard(shard, 2);
 
   EXPECT_DOUBLE_EQ(full.grand_total().total(), 7.0);
@@ -137,14 +145,50 @@ TEST(BillingReportTest, MergeShardIsBitExactUnderAnyPartition) {
   }
 }
 
+// The simulator's path: each chunk of a day's files sums into its own
+// DayPartial and the partials merge into the day. Any chunking must give the
+// bytes of charging the files one at a time.
+TEST(BillingReportTest, DayPartialsOfAnyChunkingMatchSingleCharges) {
+  constexpr std::size_t kFiles = 13, kDays = 2;
+  std::vector<CostBreakdown> charges(kFiles);
+  double v = 1.0;
+  for (std::size_t f = 0; f < kFiles; ++f) {
+    v *= -89.0;
+    charges[f] = CostBreakdown{v, v * 1e-17, v * 1e17, 1.0 / v};
+  }
+
+  BillingReport single(kFiles, kDays);
+  for (std::size_t d = 0; d < kDays; ++d) {
+    for (std::size_t f = 0; f < kFiles; ++f) single.charge(f, d, charges[f]);
+    add_changes(single, d, kFiles);
+  }
+
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::size_t{4}, std::size_t{6}, kFiles}) {
+    BillingReport chunked(kFiles, kDays);
+    for (std::size_t d = 0; d < kDays; ++d) {
+      for (std::size_t first = 0; first < kFiles; first += chunk) {
+        DayPartial partial;
+        for (std::size_t f = first; f < std::min(kFiles, first + chunk); ++f) {
+          partial.add(charges[f]);
+          ++partial.tier_changes;
+          chunked.add_file_total(f, charges[f].total());
+        }
+        chunked.add_day(d, partial);
+      }
+    }
+    EXPECT_TRUE(bitwise_equal(single, chunked)) << "chunk " << chunk;
+  }
+}
+
 TEST(BillingReportTest, BitwiseEqualAcceptsAnyMergeOfTheSameCharges) {
   BillingReport whole(2, 2), left(1, 2), right(1, 2), merged(2, 2);
   whole.charge(0, 0, CostBreakdown{0.1, 0.2, 0.0, 0.0});
   whole.charge(1, 1, CostBreakdown{0.3, 0.0, 0.7, 0.5});
-  whole.count_change(1);
+  add_changes(whole, 1);
   left.charge(0, 0, CostBreakdown{0.1, 0.2, 0.0, 0.0});
   right.charge(0, 1, CostBreakdown{0.3, 0.0, 0.7, 0.5});
-  right.count_change(1);
+  add_changes(right, 1);
   merged.merge_shard(right, 1);
   merged.merge_shard(left, 0);
   EXPECT_TRUE(bitwise_equal(whole, merged));
@@ -189,8 +233,8 @@ TEST(BillingReportTest, BitwiseEqualTellsNegativeZeroFromPositiveZero) {
 
 TEST(BillingReportTest, BitwiseEqualComparesShapesAndPerDayTierChanges) {
   BillingReport a(1, 2), b(1, 2);
-  a.count_change(0);
-  b.count_change(1);
+  add_changes(a, 0);
+  add_changes(b, 1);
   ASSERT_EQ(a.tier_changes(), b.tier_changes());
   EXPECT_FALSE(bitwise_equal(a, b));
   EXPECT_FALSE(bitwise_equal(BillingReport(1, 2), BillingReport(2, 2)));

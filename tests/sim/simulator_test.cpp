@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "file_sequence_cost.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -155,39 +156,120 @@ TEST(SimulatorTest, ChargeInitialInSequenceCost) {
               1e-15);
 }
 
+/// The two-phase bill the simulator used to run, kept as the oracle: price
+/// every file-day, then charge the report one file at a time in file order.
+BillingReport two_phase_bill(const trace::RequestTrace& trace,
+                             const PricingPolicy& prices,
+                             const HorizonPlan& plan, StorageTier initial,
+                             bool charge_initial) {
+  BillingReport report(trace.file_count(), plan.size());
+  std::vector<StorageTier> tiers(trace.file_count(), initial);
+  for (std::size_t d = 0; d < plan.size(); ++d) {
+    DayPartial changes;
+    for (std::size_t i = 0; i < trace.file_count(); ++i) {
+      const trace::FileRecord& f = trace.file(static_cast<trace::FileId>(i));
+      CostBreakdown cost = file_day_cost_no_change(
+          prices, plan[d][i], f.reads[d], f.writes[d], f.size_gb);
+      if (plan[d][i] != tiers[i]) {
+        if (d > 0 || charge_initial)
+          cost.change = prices.change_cost(tiers[i], plan[d][i], f.size_gb);
+        ++changes.tier_changes;
+        tiers[i] = plan[d][i];
+      }
+      report.charge(static_cast<trace::FileId>(i), d, cost);
+    }
+    report.add_day(d, changes);
+  }
+  return report;
+}
+
+/// A plan whose tiers vary by file and day, so change costs and counters
+/// show up on every day.
+HorizonPlan mixed_plan(std::size_t days, std::size_t files) {
+  HorizonPlan plan(days, DayPlan(files));
+  for (std::size_t d = 0; d < days; ++d)
+    for (std::size_t i = 0; i < files; ++i)
+      plan[d][i] = static_cast<StorageTier>((i * 7 + d * (i % 5)) % 3);
+  return plan;
+}
+
 TEST(SimulatorTest, ParallelBillingIsByteIdenticalToSerial) {
-  // Wide enough to cross kParallelBillingGrain so the sharded pricing path
-  // actually runs; the bill must match the serial reduction bit for bit.
   trace::SyntheticConfig config;
-  config.file_count = 2048;
-  config.days = 8;
+  config.file_count = 2100;
+  config.days = 4;
   config.seed = 99;
-  const trace::RequestTrace trace = trace::generate_synthetic(config);
+  const trace::RequestTrace full = trace::generate_synthetic(config);
   const PricingPolicy azure = PricingPolicy::azure_2020();
 
-  // Alternate tiers day to day so change costs and counters exercise too.
-  HorizonPlan plan;
-  for (std::size_t d = 0; d < trace.days(); ++d) {
-    plan.push_back(DayPlan(trace.file_count(), d % 2 == 0
-                                                   ? StorageTier::kHot
-                                                   : StorageTier::kCool));
+  util::ThreadPool one(1), two(2), three(3), four(4);
+  const std::vector<util::ThreadPool*> pools{nullptr, &one, &two, &three,
+                                             &four};
+  // Both sides of the 512-file billing chunk and of the 1024-file grain
+  // below which a day bills inline.
+  for (const std::size_t width :
+       {std::size_t{1}, std::size_t{511}, std::size_t{512}, std::size_t{513},
+        std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
+        std::size_t{2100}}) {
+    const trace::RequestTrace trace(
+        config.days,
+        std::vector<trace::FileRecord>(full.files().begin(),
+                                       full.files().begin() + width));
+    const HorizonPlan plan = mixed_plan(config.days, width);
+    for (const bool charge_initial : {false, true}) {
+      const BillingReport oracle = two_phase_bill(
+          trace, azure, plan, StorageTier::kHot, charge_initial);
+      for (util::ThreadPool* pool : pools) {
+        SimulatorOptions options;
+        options.charge_initial_placement = charge_initial;
+        options.pool = pool;
+        EXPECT_TRUE(bitwise_equal(simulate(trace, azure, plan, options), oracle))
+            << "width " << width << " charge_initial " << charge_initial
+            << " pool " << (pool ? pool->size() : 0);
+      }
+    }
   }
+}
 
-  util::ThreadPool one(1), many(4);
-  SimulatorOptions serial_options;
-  serial_options.pool = &one;
-  SimulatorOptions parallel_options;
-  parallel_options.pool = &many;
-  const BillingReport serial = simulate(trace, azure, plan, serial_options);
-  const BillingReport parallel = simulate(trace, azure, plan, parallel_options);
+TEST(SimulatorTest, BillingWindowReadsTheTraceInPlace) {
+  trace::SyntheticConfig config;
+  config.file_count = 1100;
+  config.days = 12;
+  config.seed = 7;
+  const trace::RequestTrace trace = trace::generate_synthetic(config);
+  const PricingPolicy azure = PricingPolicy::azure_2020();
+  const HorizonPlan plan = mixed_plan(5, trace.file_count());
 
-  EXPECT_EQ(serial.grand_total().total(), parallel.grand_total().total());
-  EXPECT_EQ(serial.tier_changes(), parallel.tier_changes());
-  EXPECT_EQ(serial.per_file_totals(), parallel.per_file_totals());
-  for (std::size_t d = 0; d < trace.days(); ++d) {
-    EXPECT_EQ(serial.day(d).total(), parallel.day(d).total()) << "day " << d;
-    EXPECT_EQ(serial.tier_changes_on(d), parallel.tier_changes_on(d));
+  SimulatorOptions windowed;
+  windowed.charge_initial_placement = true;
+  const BillingReport oracle =
+      simulate(trace.window(4, 5), azure, plan, windowed);
+
+  util::ThreadPool four(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &four}) {
+    SimulatorOptions options = windowed;
+    options.start_day = 4;
+    options.end_day = 9;
+    options.pool = pool;
+    StorageSimulator sim(trace, azure, options);
+    sim.run(plan);
+    EXPECT_EQ(sim.report().days(), 5u);
+    EXPECT_TRUE(bitwise_equal(sim.report(), oracle));
+    EXPECT_THROW(sim.advance(plan[0]), std::out_of_range);
   }
+}
+
+TEST(SimulatorTest, RejectsABillingWindowOutsideTheTrace) {
+  const trace::RequestTrace trace = make_trace();  // 3 days
+  const PricingPolicy azure = PricingPolicy::azure_2020();
+  SimulatorOptions options;
+  options.end_day = 4;
+  EXPECT_THROW(StorageSimulator(trace, azure, options), std::invalid_argument);
+  options.start_day = 3;
+  options.end_day = 2;
+  EXPECT_THROW(StorageSimulator(trace, azure, options), std::invalid_argument);
+  options.start_day = 1;
+  options.end_day = 0;  // through the trace's end
+  EXPECT_EQ(StorageSimulator(trace, azure, options).report().days(), 2u);
 }
 
 }  // namespace
