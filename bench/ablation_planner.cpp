@@ -3,7 +3,6 @@
 //   static baselines (Hot / Cold / per-file static),
 //   Greedy (2-tier, yesterday-informed) and its 3-tier / oracle variants,
 //   Forecast-MPC (seasonal-naive forecasts + exact DP over the forecast),
-//   tabular Q-learning, DQN with experience replay (Algorithm 1 literal),
 //   and the A3C agent (the paper's MiniCost).
 
 #include <iostream>
@@ -11,48 +10,12 @@
 #include "common.hpp"
 #include "core/forecast_policy.hpp"
 #include "core/greedy.hpp"
-#include "rl/dqn.hpp"
-#include "rl/qlearn.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 
-namespace {
-
-using namespace minicost;
-
-/// Adapters so the tabular/DQN agents run through the planner harness.
-/// Those agents are not thread-safe, so decide_day loops over the files
-/// serially.
-template <typename Agent>
-class AgentPolicy final : public core::TieringPolicy {
- public:
-  AgentPolicy(Agent& agent, std::string name, std::size_t min_history)
-      : agent_(agent), name_(std::move(name)), min_history_(min_history) {}
-  std::string name() const override { return name_; }
-  core::Knowledge knowledge() const noexcept override {
-    return core::Knowledge::kHistory;
-  }
-  void decide_day(const core::PlanContext& context, std::size_t day,
-                  std::span<const pricing::StorageTier> current,
-                  std::span<pricing::StorageTier> out_plan) override {
-    core::check_batch_widths(context, current, out_plan);
-    for (std::size_t i = 0; i < out_plan.size(); ++i)
-      out_plan[i] = day < min_history_
-                        ? current[i]
-                        : pricing::tier_from_index(agent_.act(
-                              context.trace.files()[i], day, current[i]));
-  }
-
- private:
-  Agent& agent_;
-  std::string name_;
-  std::size_t min_history_;
-};
-
-}  // namespace
-
 int main() {
+  using namespace minicost;
   std::cout << "ablation_planner: every decision engine vs Optimal\n";
 
   trace::SyntheticConfig workload;
@@ -102,23 +65,6 @@ int main() {
   }
   {
     util::Stopwatch watch;
-    rl::QLearnConfig config;
-    rl::QLearningAgent tabular(config, workload.seed);
-    tabular.train(tr, prices, episodes / 4);
-    AgentPolicy<rl::QLearningAgent> policy(tabular, "Q-table", 8);
-    report(policy, watch.seconds());
-  }
-  {
-    util::Stopwatch watch;
-    rl::DqnConfig config;
-    rl::DqnAgent dqn(config, workload.seed);
-    dqn.train(tr, prices, episodes / 4);  // replay reuses samples 32x
-    AgentPolicy<rl::DqnAgent> policy(
-        dqn, "DQN+replay", dqn.featurizer().history_len());
-    report(policy, watch.seconds());
-  }
-  {
-    util::Stopwatch watch;
     rl::A3CConfig config;
     rl::A3CAgent a3c(config, workload.seed);
     rl::TrainOptions train;
@@ -139,9 +85,6 @@ int main() {
       "variant. Notably, Forecast-MPC — a predict-then-optimize baseline "
       "the paper never evaluates — is near-optimal here: the workload's "
       "weekly cycle makes most files forecastable (its edge shrinks "
-      "exactly where Fig. 4 says forecasts fail). DQN trails on a quarter "
-      "of A3C's episodes and still spends several times its training time "
-      "(prep+train column): its replay updates make an episode cost ~13x "
-      "an A3C episode at 200 files and ~27x at the default 600.");
+      "exactly where Fig. 4 says forecasts fail).");
   return 0;
 }

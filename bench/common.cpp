@@ -8,7 +8,6 @@
 #include "trace/synthetic.hpp"
 #include "util/csv.hpp"
 #include "util/env.hpp"
-#include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
 namespace minicost::benchx {

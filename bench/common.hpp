@@ -76,7 +76,7 @@ std::filesystem::path write_run_report(
 /// Prints the "expected shape" note that accompanies every figure.
 void expectation(const std::string& text);
 
-/// Sweep concurrency knob for the core::SweepRunner figure benches, read
+/// Sweep concurrency knob for the SweepRunner figure benches, read
 /// from MINICOST_SWEEP_POOL:
 ///   1         → serial (get() == nullptr), the determinism reference
 ///   N > 1     → a private N-thread pool owned by this object

@@ -7,6 +7,7 @@
 
 #include "common.hpp"
 #include "forecast/evaluate.hpp"
+#include "util/thread_pool.hpp"
 
 int main() {
   using namespace minicost;
@@ -17,7 +18,7 @@ int main() {
   config.train_days = workload.full.days() - 7;  // "first two months"
   config.horizon = 7;                            // "next 7 days"
   const forecast::BacktestResult result =
-      forecast::backtest(workload.full, config);
+      forecast::backtest(workload.full, config, util::ThreadPool::shared());
 
   util::Table table({"bucket", "files", "p1", "median", "p99", "mean |err|"});
   for (const auto& bucket : result.summary) {

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sweep_runner.hpp"
+#include "sweep_runner.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
@@ -50,11 +50,11 @@ int main() {
   // independent). Every point trains from the same workload seed so the
   // learning rate is the only variable.
   benchx::SweepPool sweep_pool;
-  core::SweepRunner runner(workload.seed, sweep_pool.get());
+  benchx::SweepRunner runner(workload.seed, sweep_pool.get());
   std::cout << "  sweep farm: " << rates.size() << " points on "
             << sweep_pool.size() << " pool thread(s)\n";
   const std::vector<Outcome> outcomes = runner.run<Outcome>(
-      rates.size(), [&](core::SweepPointContext& ctx) {
+      rates.size(), [&](benchx::SweepPointContext& ctx) {
         const double lr = rates[ctx.index];
         rl::A3CConfig config;
         if (rmsprop) config.optimizer = rl::OptimizerKind::kRmsProp;

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sweep_runner.hpp"
+#include "sweep_runner.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
 
@@ -34,11 +34,11 @@ int main() {
   // One independent agent per ε, farmed across the sweep pool; same seed
   // per point so ε is the only variable (MINICOST_SWEEP_POOL knob).
   benchx::SweepPool sweep_pool;
-  core::SweepRunner runner(workload.seed, sweep_pool.get());
+  benchx::SweepRunner runner(workload.seed, sweep_pool.get());
   std::cout << "  sweep farm: " << epsilons.size() << " points on "
             << sweep_pool.size() << " pool thread(s)\n";
   const std::vector<Curve> curves = runner.run<Curve>(
-      epsilons.size(), [&](core::SweepPointContext& ctx) {
+      epsilons.size(), [&](benchx::SweepPointContext& ctx) {
         const double epsilon = epsilons[ctx.index];
         rl::A3CConfig config;
         config.epsilon = epsilon;

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/sweep_runner.hpp"
+#include "sweep_runner.hpp"
 #include "stats/descriptive.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
@@ -38,12 +38,12 @@ int main() {
     double seconds = 0.0;
   };
   benchx::SweepPool sweep_pool;
-  core::SweepRunner runner(workload.seed, sweep_pool.get());
+  benchx::SweepRunner runner(workload.seed, sweep_pool.get());
   const std::size_t point_count = widths.size() * runs;
   std::cout << "  sweep farm: " << point_count << " points on "
             << sweep_pool.size() << " pool thread(s)\n";
   const std::vector<Point> points = runner.run<Point>(
-      point_count, [&](core::SweepPointContext& ctx) {
+      point_count, [&](benchx::SweepPointContext& ctx) {
         const std::size_t width = widths[ctx.index / runs];
         const std::size_t run = ctx.index % runs;
         rl::A3CConfig config;

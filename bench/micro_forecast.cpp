@@ -1,12 +1,12 @@
 // Microbenchmarks for the forecasting substrate: ARIMA fit/predict at the
-// Figure-4 workload shape, the auto-order search, and the baselines.
+// Figure-4 workload shape, the auto-order search, and the seasonal-naive
+// baseline.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "forecast/arima.hpp"
-#include "forecast/ewma.hpp"
 #include "forecast/seasonal_naive.hpp"
 #include "util/rng.hpp"
 
@@ -58,16 +58,6 @@ void BM_AutoArima(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AutoArima)->Unit(benchmark::kMicrosecond);
-
-void BM_Ewma_FitForecast(benchmark::State& state) {
-  const auto xs = series(55);
-  for (auto _ : state) {
-    forecast::Ewma model(0.3);
-    model.fit(xs);
-    benchmark::DoNotOptimize(model.forecast(7));
-  }
-}
-BENCHMARK(BM_Ewma_FitForecast);
 
 void BM_SeasonalNaive_FitForecast(benchmark::State& state) {
   const auto xs = series(55);

@@ -28,8 +28,8 @@ std::vector<double> make_input() {
 
 // One row through forward_batch on warm weights (the Dense layers'
 // transposes already built): each A3C rollout step runs it via
-// Network::forward_train_row, and policy_probabilities(), value() and
-// DQN's act and q_values call it directly.
+// Network::forward_train_row, and policy_probabilities() and value() call
+// it directly.
 void BM_NN_ForwardRow(benchmark::State& state) {
   nn::Network net = make_net(static_cast<std::size_t>(state.range(0)));
   const std::vector<double> input = make_input();

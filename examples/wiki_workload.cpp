@@ -23,6 +23,7 @@
 #include "trace/synthetic.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace minicost;
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
   backtest_config.train_days = tr.days() - 7;
   backtest_config.horizon = 7;
   const forecast::BacktestResult backtest =
-      forecast::backtest(tr, backtest_config);
+      forecast::backtest(tr, backtest_config, util::ThreadPool::shared());
   util::Table fig4({"bucket", "files", "p1", "median", "p99", "mean |err|"});
   for (const auto& bucket : backtest.summary) {
     fig4.add_row({bucket.label, util::format_count(bucket.files),

@@ -28,9 +28,9 @@ struct ForecastMpcConfig {
   std::size_t min_history = 14;
   /// Factory for the per-file forecaster. Defaults to seasonal-naive(7),
   /// which is cheap and exploits the weekly request cycle; swap in
-  /// forecast::Arima or forecast::Ewma via the factory. decide_day
-  /// invokes it concurrently across files, so the factory must
-  /// be callable from multiple threads (stateless factories are).
+  /// forecast::Arima via the factory. decide_day invokes it concurrently
+  /// across files, so the factory must be callable from multiple threads
+  /// (stateless factories are).
   std::function<std::unique_ptr<forecast::Forecaster>()> make_forecaster;
   /// Clamp negative forecasted frequencies to zero.
   bool clamp_nonnegative = true;

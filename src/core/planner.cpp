@@ -30,7 +30,7 @@ PlanResult run_policy(const trace::RequestTrace& trace,
                             end_day, initial, options.pool};
   {
     // Forecast phase: prepare() is where forecasting policies fit their
-    // models (ARIMA/EWMA) and the RL policy warms its featurizer.
+    // models (ARIMA, seasonal-naive) and the RL policy warms its featurizer.
     MC_OBS_SCOPE("core.run_policy.forecast");
     policy.prepare(context);
   }

@@ -6,13 +6,12 @@
 #include "forecast/arima.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/error_metrics.hpp"
-#include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minicost::forecast {
 
 BacktestResult backtest(const trace::RequestTrace& trace,
-                        const BacktestConfig& config) {
+                        const BacktestConfig& config, util::ThreadPool& pool) {
   if (trace.days() < config.train_days + config.horizon)
     throw std::invalid_argument("backtest: trace shorter than train + horizon");
   if (config.train_days < 8)
@@ -25,13 +24,12 @@ BacktestResult backtest(const trace::RequestTrace& trace,
                           };
 
   const stats::Histogram buckets = stats::paper_stddev_histogram();
-  BacktestResult result;
-  result.bucket_errors.assign(buckets.bucket_count(), {});
-  std::vector<std::uint64_t> bucket_files(buckets.bucket_count(), 0);
-  util::Mutex merge_mutex;
-
   const auto& files = trace.files();
-  util::ThreadPool::shared().parallel_for(0, files.size(), [&](std::size_t i) {
+  // Each file writes only its own slot; the merge below runs in file order
+  // on the calling thread, so the result does not depend on the schedule.
+  std::vector<std::vector<double>> file_errors(files.size());
+  std::vector<std::size_t> file_bucket(files.size(), 0);
+  pool.parallel_for(0, files.size(), [&](std::size_t i) {
     const trace::FileRecord& f = files[i];
     const std::span<const double> history(f.reads.data(), config.train_days);
 
@@ -51,20 +49,24 @@ BacktestResult backtest(const trace::RequestTrace& trace,
         f.reads.begin() + static_cast<std::ptrdiff_t>(config.train_days),
         f.reads.begin() +
             static_cast<std::ptrdiff_t>(config.train_days + config.horizon));
-    const std::vector<double> errors = stats::relative_errors(truth, predicted);
+    file_errors[i] = stats::relative_errors(truth, predicted);
 
     // Bucket by the variability measured over the *training* window — the
     // only information an online system has when it must decide how much to
     // trust the forecast.
     const double m = stats::mean(history);
     const double cv = m > 0.0 ? stats::stddev(history) / m : 0.0;
-    const std::size_t bucket = buckets.bucket_of(cv);
-
-    util::MutexLock lock(merge_mutex);
-    auto& sink = result.bucket_errors[bucket];
-    sink.insert(sink.end(), errors.begin(), errors.end());
-    ++bucket_files[bucket];
+    file_bucket[i] = buckets.bucket_of(cv);
   });
+
+  BacktestResult result;
+  result.bucket_errors.assign(buckets.bucket_count(), {});
+  std::vector<std::uint64_t> bucket_files(buckets.bucket_count(), 0);
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    auto& sink = result.bucket_errors[file_bucket[i]];
+    sink.insert(sink.end(), file_errors[i].begin(), file_errors[i].end());
+    ++bucket_files[file_bucket[i]];
+  }
 
   for (std::size_t b = 0; b < buckets.bucket_count(); ++b) {
     BucketErrorSummary summary;

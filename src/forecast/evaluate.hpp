@@ -13,6 +13,10 @@
 #include "stats/histogram.hpp"
 #include "trace/trace.hpp"
 
+namespace minicost::util {
+class ThreadPool;
+}  // namespace minicost::util
+
 namespace minicost::forecast {
 
 struct BacktestConfig {
@@ -41,9 +45,11 @@ struct BacktestResult {
   std::vector<BucketErrorSummary> summary;
 };
 
-/// Runs the backtest. Throws std::invalid_argument if the trace is shorter
-/// than train_days + horizon. Parallel over files; deterministic.
+/// Runs the backtest on `pool`, one file per task. Throws
+/// std::invalid_argument if the trace is shorter than train_days + horizon.
+/// Errors merge in file order, so the result is bitwise the same for every
+/// pool size.
 BacktestResult backtest(const trace::RequestTrace& trace,
-                        const BacktestConfig& config);
+                        const BacktestConfig& config, util::ThreadPool& pool);
 
 }  // namespace minicost::forecast

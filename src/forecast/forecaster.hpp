@@ -1,8 +1,8 @@
 #pragma once
 // Common interface for the time-series forecasters. The paper uses ARIMA
 // (Sec. 3.1) to predict the next 7 daily request frequencies from the first
-// two months of history; EWMA and seasonal-naive are cheaper baselines used
-// by tests and the ablation benches.
+// two months of history; seasonal-naive is the cheaper baseline that
+// Forecast-MPC plans with by default.
 
 #include <span>
 #include <vector>

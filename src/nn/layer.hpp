@@ -6,8 +6,8 @@
 // Design notes:
 //  * One compute path: every layer runs row kernels over `batch` row-major
 //    rows. The deployed planning loop pushes a whole chunk of file states
-//    through forward_batch(); the A3C rollout, policy_probabilities(),
-//    value() and DQN run its one-row form.
+//    through forward_batch(); the A3C rollout, policy_probabilities() and
+//    value() run its one-row form.
 //  * Each output row depends on its input row alone, and every accumulator
 //    adds its terms in the reference order (bias first, inputs or taps
 //    ascending, rows ascending; DESIGN.md §7), so results are the same bits

@@ -5,7 +5,7 @@
 #include "core/optimal.hpp"
 #include "core/planner.hpp"
 #include "decide_one.hpp"
-#include "forecast/ewma.hpp"
+#include "forecast/seasonal_naive.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -103,7 +103,7 @@ TEST(ForecastMpcTest, CustomForecasterFactoryIsUsed) {
   ForecastMpcConfig config;
   config.make_forecaster = [&factory_calls]() {
     ++factory_calls;
-    return std::make_unique<forecast::Ewma>(0.3);
+    return std::make_unique<forecast::SeasonalNaive>(7);
   };
   ForecastMpcPolicy mpc(config);
   run_policy(tr, azure, mpc, options);

@@ -1,41 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "forecast/ewma.hpp"
 #include "forecast/seasonal_naive.hpp"
 
 namespace minicost::forecast {
 namespace {
-
-TEST(EwmaTest, AlphaOneTracksLastValue) {
-  Ewma model(1.0);
-  model.fit(std::vector<double>{1.0, 5.0, 9.0});
-  EXPECT_DOUBLE_EQ(model.level(), 9.0);
-  EXPECT_EQ(model.forecast(2), (std::vector<double>{9.0, 9.0}));
-}
-
-TEST(EwmaTest, SmoothsTowardRecentValues) {
-  Ewma model(0.5);
-  model.fit(std::vector<double>{0.0, 0.0, 8.0});
-  EXPECT_DOUBLE_EQ(model.level(), 4.0);
-}
-
-TEST(EwmaTest, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma(0.0), std::invalid_argument);
-  EXPECT_THROW(Ewma(1.5), std::invalid_argument);
-  EXPECT_THROW(Ewma(-0.1), std::invalid_argument);
-}
-
-TEST(EwmaTest, FitRejectsEmpty) {
-  Ewma model(0.5);
-  EXPECT_THROW(model.fit(std::vector<double>{}), std::invalid_argument);
-}
-
-TEST(EwmaTest, ForecastBeforeFitThrows) {
-  Ewma model(0.5);
-  EXPECT_THROW(model.forecast(1), std::logic_error);
-}
-
-TEST(EwmaTest, NameIsStable) { EXPECT_EQ(Ewma().name(), "ewma"); }
 
 TEST(SeasonalNaiveTest, RepeatsLastSeason) {
   SeasonalNaive model(3);

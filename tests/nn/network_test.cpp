@@ -127,7 +127,7 @@ TEST(NetworkTest, AddRejectsShapeMismatch) {
 }
 
 TEST(NetworkTest, ForwardValidatesInputSize) {
-  // The one-row forward that policy_probabilities(), value() and DQN run.
+  // The one-row forward that policy_probabilities() and value() run.
   util::Rng rng(3);
   Network net = tiny_net(rng);
   EXPECT_THROW(net.forward_batch(std::vector<double>{1.0}, 1),

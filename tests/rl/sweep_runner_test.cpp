@@ -1,4 +1,4 @@
-// SweepRunner (src/core/sweep_runner.hpp): the figure-sweep farm must
+// SweepRunner (bench/sweep_runner.hpp): the figure-sweep farm must
 // produce per-point results that are a pure function of the point index —
 // independent of pool size, scheduling order, and run-to-run — because the
 // CI sweep smoke diffs whole bench CSVs across pool sizes.
@@ -10,7 +10,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/sweep_runner.hpp"
+#include "sweep_runner.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,7 +20,7 @@ namespace {
 // A deterministic stand-in for "train an agent at this grid point": burn a
 // point-seeded RNG stream and fold it into a value. Any scheduling leak
 // (wrong seed, shared state, reordered results) changes the output.
-double point_job(core::SweepPointContext& ctx) {
+double point_job(benchx::SweepPointContext& ctx) {
   util::Rng rng(ctx.seed);
   double acc = static_cast<double>(ctx.index);
   for (int i = 0; i < 64; ++i) acc += rng.next_double();
@@ -29,7 +29,7 @@ double point_job(core::SweepPointContext& ctx) {
 }
 
 TEST(SweepRunnerTest, ResultsAreIndexedByPointAndDeterministic) {
-  core::SweepRunner runner(1234, nullptr);
+  benchx::SweepRunner runner(1234, nullptr);
   const std::vector<double> first =
       runner.run<double>(9, point_job, nullptr);
   const std::vector<double> second =
@@ -43,14 +43,14 @@ TEST(SweepRunnerTest, ResultsAreIndexedByPointAndDeterministic) {
 TEST(SweepRunnerTest, PoolSizeDoesNotChangeResultsOrLogs) {
   const std::size_t kPoints = 17;
   std::ostringstream serial_log;
-  core::SweepRunner serial(99, nullptr);
+  benchx::SweepRunner serial(99, nullptr);
   const std::vector<double> serial_results =
       serial.run<double>(kPoints, point_job, &serial_log);
 
   for (std::size_t threads : {2u, 4u}) {
     util::ThreadPool pool(threads);
     std::ostringstream pooled_log;
-    core::SweepRunner pooled(99, &pool);
+    benchx::SweepRunner pooled(99, &pool);
     const std::vector<double> pooled_results =
         pooled.run<double>(kPoints, point_job, &pooled_log);
     // Bitwise equality: the per-point computation never depends on the
@@ -65,25 +65,25 @@ TEST(SweepRunnerTest, PoolSizeDoesNotChangeResultsOrLogs) {
 TEST(SweepRunnerTest, PointSeedsAreStableAndDistinct) {
   // Pinned values: changing the derivation silently reseeds every figure
   // sweep, so a change here must be deliberate.
-  EXPECT_EQ(core::SweepRunner::point_seed(42, 0),
-            core::SweepRunner::point_seed(42, 0));
-  EXPECT_NE(core::SweepRunner::point_seed(42, 0),
-            core::SweepRunner::point_seed(43, 0));
+  EXPECT_EQ(benchx::SweepRunner::point_seed(42, 0),
+            benchx::SweepRunner::point_seed(42, 0));
+  EXPECT_NE(benchx::SweepRunner::point_seed(42, 0),
+            benchx::SweepRunner::point_seed(43, 0));
 
   std::set<std::uint64_t> seen;
   for (std::uint64_t base : {0ull, 42ull, 0xFFFF'FFFF'FFFF'FFFFull}) {
     for (std::size_t point = 0; point < 256; ++point)
-      seen.insert(core::SweepRunner::point_seed(base, point));
+      seen.insert(benchx::SweepRunner::point_seed(base, point));
     // Point 0 must not collapse to the base seed itself — jobs often train
     // one extra shared-seed agent for comparability.
-    EXPECT_NE(core::SweepRunner::point_seed(base, 0), base);
+    EXPECT_NE(benchx::SweepRunner::point_seed(base, 0), base);
   }
   EXPECT_EQ(seen.size(), 3u * 256u);
 }
 
 TEST(SweepRunnerTest, SingleAndZeroPointSweepsWork) {
   util::ThreadPool pool(2);
-  core::SweepRunner runner(7, &pool);
+  benchx::SweepRunner runner(7, &pool);
   EXPECT_TRUE(runner.run<double>(0, point_job, nullptr).empty());
   const std::vector<double> one = runner.run<double>(1, point_job, nullptr);
   ASSERT_EQ(one.size(), 1u);

@@ -62,10 +62,11 @@ Semantic rules — need types, the call graph or the build graph:
                        pool executes queued tasks from inside blocking waits
                        — re-entering it with a mutex held is a lock-inversion
                        deadlock waiting for load (DESIGN.md §8).
-  orphan-header        a src/ header that nothing outside tests/ includes
+  orphan-header        a src/ header that nothing the system runs includes
                        except its own .cpp. The include graph is read from
-                       src/ tools/ bench/ examples/ fuzz/ perfbench/; a
-                       header only tests use belongs in tests/, so the
+                       src/ tools/ examples/ fuzz/ perfbench/; bench/ and
+                       tests/ includers do not count. A header only benches
+                       or tests use belongs in bench/ or tests/, so the
                        library does not keep code the system never runs.
 
 Frontend: the rules run on a "semantic facts" model (declared types, alias
@@ -117,8 +118,10 @@ SUPPRESS_RE = re.compile(
 )
 
 SOURCE_DIRS = ("src", "tools", "bench", "examples", "fuzz")
-# Where orphan-header looks for includers: the lint walk plus perfbench/.
-INCLUDER_DIRS = SOURCE_DIRS + ("perfbench",)
+# Where orphan-header looks for includers: what the system runs. bench/
+# (paper-figure harnesses) and tests/ are left out, so a src/ header that
+# only they reach is an orphan.
+INCLUDER_DIRS = ("src", "tools", "examples", "fuzz", "perfbench")
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 
 RNG_ENGINE_TYPES = {
@@ -1257,8 +1260,9 @@ def rule_ffp_contract(root: Path) -> list[Finding]:
 
 
 def rule_orphan_header(root: Path, rels: list[str]) -> list[Finding]:
-    """src/ headers in `rels` whose only includer (tests/ aside) is their
-    own .cpp. An include resolves against src/ and the includer's dir."""
+    """src/ headers in `rels` whose only includer (bench/ and tests/ aside)
+    is their own .cpp. An include resolves against src/ and the includer's
+    dir."""
     includers: dict[str, set[str]] = {}
     for top in INCLUDER_DIRS:
         if not (root / top).is_dir():
@@ -1275,8 +1279,8 @@ def rule_orphan_header(root: Path, rels: list[str]) -> list[Finding]:
                                          set()).add(rel)
     return [Finding(
         rel, 1, "orphan-header",
-        "nothing outside tests/ includes this header except its own .cpp; "
-        "move it into tests/ or delete it")
+        "nothing outside bench/ and tests/ includes this header except its "
+        "own .cpp; move it into bench/ or tests/, or delete it")
         for rel in rels
         if rel.startswith("src/") and rel.endswith(".hpp")
         and not includers.get(rel, set()) - {rel[:-len(".hpp")] + ".cpp"}]
