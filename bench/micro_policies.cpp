@@ -1,16 +1,21 @@
 // Featurization latency: encoding one file's state, the per-file half of a
-// MiniCost decision; and whole batched decisions on one thread over 10k
-// files: A3CAgent::act_batch from the files' raw states, and
-// A3CAgent::act_features_batch from already-encoded states. Every policy's
-// full daily decide_day pass is in fig12_overhead.
+// MiniCost decision; whole batched decisions on one thread over 10k files:
+// A3CAgent::act_batch from the files' raw states, and
+// A3CAgent::act_features_batch from already-encoded states; and a whole
+// MiniCost plan of the same files through core::run_policy, which plans one
+// file per class of identical files. Every policy's full daily decide_day
+// pass is in fig12_overhead.
 
 #include <benchmark/benchmark.h>
 
 #include "common.hpp"
+#include "core/planner.hpp"
+#include "core/rl_policy.hpp"
 #include "rl/a3c.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -116,6 +121,35 @@ void BM_RL_ActFeaturesBatch(benchmark::State& state, ActInput input) {
 BENCHMARK_CAPTURE(BM_RL_ActFeaturesBatch, distinct, ActInput::kDistinct)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RL_ActFeaturesBatch, trace, ActInput::kTrace)
+    ->Unit(benchmark::kMillisecond);
+
+// run_policy with the MiniCost policy over the 10k files' last 35 days (as
+// many as perfbench's plan-minicost bills), from the static hot/cool start,
+// on a 1-thread pool. `trace` repeats files, so classes plan about a fifth
+// of them; `distinct` repeats none, so only the class pass's cost shows.
+void BM_RL_RunPolicy(benchmark::State& state, ActInput input) {
+  constexpr std::size_t kBilledDays = 35;
+  rl::A3CAgent agent(rl::A3CConfig{}, 7);
+  core::RlPolicy policy(agent);
+  const trace::RequestTrace trace = act_trace(input);
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  util::ThreadPool one(1);
+  core::PlanOptions options;
+  options.start_day = trace.days() - kBilledDays;
+  options.initial_tiers =
+      core::static_initial_tiers(trace, azure, options.start_day);
+  options.pool = &one;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::run_policy(trace, azure, policy, options).report.grand_total());
+  }
+  state.counters["file_days_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kActFiles * kBilledDays),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_RL_RunPolicy, distinct, ActInput::kDistinct)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RL_RunPolicy, trace, ActInput::kTrace)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,7 +2,10 @@
 // full daily billing pass and a whole-horizon bill (each on a 1- and a
 // 4-thread pool), and the per-file optimal DP. The trace is as wide as
 // perfbench's plan-minicost fleet (10k files), where a day's bill spans
-// enough 512-file chunks for the pool to pay.
+// enough 512-file chunks for the pool to pay. The whole-horizon bill also
+// runs on the trace's first 2048 and 4096 files, the widths run_policy
+// bills once a whole-count fleet is planned one file per class, which
+// place the pool's crossover (kParallelBillingGrain).
 
 #include <benchmark/benchmark.h>
 
@@ -65,8 +68,18 @@ BENCHMARK(BM_Sim_DailyBillingPass)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+/// The bench trace's first `files` files.
+trace::RequestTrace trace_prefix(std::size_t files) {
+  const trace::RequestTrace& full = bench_trace();
+  return trace::RequestTrace(
+      full.days(), std::vector<trace::FileRecord>(
+                       full.files().begin(),
+                       full.files().begin() + static_cast<std::ptrdiff_t>(files)));
+}
+
 void BM_Sim_FullHorizonBilling(benchmark::State& state) {
-  const trace::RequestTrace& tr = bench_trace();
+  const trace::RequestTrace tr =
+      trace_prefix(static_cast<std::size_t>(state.range(1)));
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   const sim::HorizonPlan plan(
       tr.days(), sim::DayPlan(tr.file_count(), pricing::StorageTier::kCool));
@@ -80,9 +93,13 @@ void BM_Sim_FullHorizonBilling(benchmark::State& state) {
                           static_cast<std::int64_t>(tr.file_count() * tr.days()));
 }
 BENCHMARK(BM_Sim_FullHorizonBilling)
-    ->ArgName("pool")
-    ->Arg(1)
-    ->Arg(4)
+    ->ArgNames({"pool", "files"})
+    ->Args({1, 2048})
+    ->Args({4, 2048})
+    ->Args({1, 4096})
+    ->Args({4, 4096})
+    ->Args({1, 10000})
+    ->Args({4, 10000})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Sim_PerFileOptimalDp(benchmark::State& state) {

@@ -18,6 +18,7 @@
 #include "obs/metrics.hpp"
 #include "rl/stream.hpp"
 #include "stats/descriptive.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minicost::rl {
@@ -63,41 +64,10 @@ constexpr std::size_t kRowChunk = 512;
 constexpr std::size_t kPartitionRows = 512;
 constexpr std::size_t kMaxPartitions = 64;
 
-constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ULL;
-
-std::uint64_t bits(double x) noexcept {
-  return std::bit_cast<std::uint64_t>(x);
-}
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t word) noexcept {
-  return (h ^ word) * kHashMul;
-}
-
-// Hashes `width` doubles' bytes with four independent multiply-xor lanes,
-// so the multiply chain is a quarter of the row long, then folds the lanes.
-std::uint64_t hash_words(const double* row, std::size_t width) noexcept {
-  std::uint64_t h0 = 1, h1 = 2, h2 = 3, h3 = 4;
-  std::size_t i = 0;
-  for (; i + 4 <= width; i += 4) {
-    h0 = mix(h0, bits(row[i]));
-    h1 = mix(h1, bits(row[i + 1]));
-    h2 = mix(h2, bits(row[i + 2]));
-    h3 = mix(h3, bits(row[i + 3]));
-  }
-  for (; i < width; ++i) h0 = mix(h0, bits(row[i]));
-  return h0 ^ std::rotl(h1, 16) ^ std::rotl(h2, 32) ^ std::rotl(h3, 48);
-}
-
-// murmur3's 64-bit finalizer: every output bit depends on every input bit,
-// so act_rows can take the partition from the high bits and the table slot
-// from the low bits.
-std::uint64_t finish(std::uint64_t h) noexcept {
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  h *= 0xC4CEB9FE1A85EC53ULL;
-  return h ^ (h >> 33);
-}
+using util::double_bits;
+using util::hash_doubles;
+using util::hash_finish;
+using util::hash_mix;
 
 // act_batch's rows: each file's raw state on `day` and its current tier,
 // the whole input of Featurizer::encode_into besides the day. States are
@@ -111,16 +81,17 @@ struct FileStates {
 
   std::uint64_t hash(std::size_t r) const {
     const Featurizer::RawState s = featurizer.raw_state(files[r], day);
-    std::uint64_t h = hash_words(s.reads.data(), s.reads.size());
-    h = mix(h, bits(s.writes));
-    h = mix(h, bits(s.size_gb));
-    return finish(mix(h, pricing::tier_index(tiers[r])));
+    std::uint64_t h = hash_doubles(s.reads.data(), s.reads.size());
+    h = hash_mix(h, double_bits(s.writes));
+    h = hash_mix(h, double_bits(s.size_gb));
+    return hash_finish(hash_mix(h, pricing::tier_index(tiers[r])));
   }
   bool same(std::size_t a, std::size_t b) const {
     const Featurizer::RawState x = featurizer.raw_state(files[a], day);
     const Featurizer::RawState y = featurizer.raw_state(files[b], day);
-    return tiers[a] == tiers[b] && bits(x.writes) == bits(y.writes) &&
-           bits(x.size_gb) == bits(y.size_gb) &&
+    return tiers[a] == tiers[b] &&
+           double_bits(x.writes) == double_bits(y.writes) &&
+           double_bits(x.size_gb) == double_bits(y.size_gb) &&
            std::memcmp(x.reads.data(), y.reads.data(),
                        x.reads.size_bytes()) == 0;
   }
@@ -137,7 +108,7 @@ struct FeatureRows {
 
   const double* row(std::size_t r) const noexcept { return rows + r * width; }
   std::uint64_t hash(std::size_t r) const noexcept {
-    return finish(hash_words(row(r), width));
+    return hash_finish(hash_doubles(row(r), width));
   }
   bool same(std::size_t a, std::size_t b) const noexcept {
     return std::memcmp(row(a), row(b), width * sizeof(double)) == 0;

@@ -7,11 +7,11 @@
 
 namespace minicost::sim {
 
-void DayPartial::add(const CostBreakdown& cost) {
-  storage.add(cost.storage);
-  read.add(cost.read);
-  write.add(cost.write);
-  change.add(cost.change);
+void DayPartial::add(const CostBreakdown& cost, std::uint32_t members) {
+  storage.add_scaled(cost.storage, members);
+  read.add_scaled(cost.read, members);
+  write.add_scaled(cost.write, members);
+  change.add_scaled(cost.change, members);
 }
 
 void DayPartial::add(const DayPartial& other) noexcept {
@@ -91,6 +91,19 @@ void BillingReport::merge_shard(const BillingReport& other,
   for (std::size_t f = 0; f < other.per_file_total_.size(); ++f)
     // lint-contract: allow(billing-exact-sum) -- shards own disjoint file ranges, one addend per file
     per_file_total_[file_offset + f] += other.per_file_total_[f];
+}
+
+BillingReport BillingReport::gather(
+    std::span<const trace::FileId> source_of) const {
+  BillingReport wide;
+  wide.per_day_exact_ = per_day_exact_;
+  wide.tier_changes_ = tier_changes_;
+  wide.per_day_.resize(per_day_exact_.size());
+  wide.stale_ = true;
+  wide.per_file_total_.reserve(source_of.size());
+  for (const trace::FileId source : source_of)
+    wide.per_file_total_.push_back(per_file_total_.at(source));
+  return wide;
 }
 
 namespace {

@@ -15,6 +15,7 @@
 // so their fold order is fixed.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/cost_model.hpp"
@@ -31,8 +32,10 @@ struct DayPartial {
   stats::ExactSum storage, read, write, change;
   std::uint64_t tier_changes = 0;
 
-  /// Adds one file-day charge (throws std::invalid_argument if non-finite).
-  void add(const CostBreakdown& cost);
+  /// Adds one file-day charge `members` times, exactly (the charge of a
+  /// class of files billed once; throws std::invalid_argument if
+  /// non-finite). Tier changes are the caller's to count.
+  void add(const CostBreakdown& cost, std::uint32_t members = 1);
   /// Adds another partial's sums and tier changes.
   void add(const DayPartial& other) noexcept;
 };
@@ -74,6 +77,13 @@ class BillingReport {
 
   /// Cumulative total cost through day d inclusive (the Figure 7/13 series).
   double cumulative_through(std::size_t d) const;
+
+  /// This report widened to `source_of.size()` files, file i taking file
+  /// source_of[i]'s total: run_policy's bill of one file per class, handed
+  /// back per input file. The day sums and tier changes already count every
+  /// class member and are copied as they are. Every source_of entry must be
+  /// below file_count() (throws std::out_of_range otherwise).
+  BillingReport gather(std::span<const trace::FileId> source_of) const;
 
   /// Merges a report covering the contiguous file range
   /// [file_offset, file_offset + other.file_count()) of this report's file

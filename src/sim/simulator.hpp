@@ -11,6 +11,7 @@
 // (initial upload, no re-tiering happened).
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "pricing/policy.hpp"
@@ -44,6 +45,11 @@ struct SimulatorOptions {
   /// One past the last billed trace day; 0 = the trace's end. The report
   /// covers days [start_day, end_day).
   std::size_t end_day = 0;
+  /// How many files each trace file bills for (index = FileId); empty = one
+  /// each. File i's charges and tier changes count members[i] times in the
+  /// day sums (DayPartial::add), while its per-file total stays one file's:
+  /// run_policy bills one representative per class of identical files.
+  std::vector<std::uint32_t> members;
   /// Pool for daily billing; nullptr bills inline. Each fixed-size file
   /// chunk prices into its own exact DayPartial and the partials merge in
   /// chunk order, so the bill is byte-identical for every pool size.
@@ -54,7 +60,7 @@ class StorageSimulator {
  public:
   /// The trace and policy are borrowed; both must outlive the simulator.
   /// Throws std::invalid_argument on a bad [start_day, end_day) window or
-  /// an initial_tiers width other than the file count.
+  /// an initial_tiers or members width other than the file count.
   StorageSimulator(const trace::RequestTrace& trace,
                    const pricing::PricingPolicy& policy,
                    SimulatorOptions options = {});

@@ -9,6 +9,24 @@ namespace {
 
 constexpr std::uint64_t kLimbMask = 0xFFFFFFFFULL;
 
+// x = ± m * 2^(p - 1074) with m < 2^53 and p >= 0: bit position 0 of the
+// accumulator weighs 2^-1074 (the least subnormal), and subnormals
+// (biased == 0) share the exponent of the smallest normal.
+struct Decomposed {
+  bool negative;
+  std::uint64_t m;
+  std::uint64_t p;
+};
+
+Decomposed decompose(double x) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t biased = (bits >> 52) & 0x7FF;
+  const std::uint64_t fraction = bits & ((1ULL << 52) - 1);
+  return {(bits >> 63) != 0,
+          biased == 0 ? fraction : fraction | (1ULL << 52),
+          (biased == 0 ? 1 : biased) - 1};
+}
+
 }  // namespace
 
 void ExactSum::add(double x) {
@@ -16,16 +34,7 @@ void ExactSum::add(double x) {
     throw std::invalid_argument("ExactSum::add: non-finite addend");
   if (x == 0.0) return;  // ±0 contributes nothing (and has no mantissa bits)
 
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  const bool negative = (bits >> 63) != 0;
-  const std::uint64_t biased = (bits >> 52) & 0x7FF;
-  const std::uint64_t fraction = bits & ((1ULL << 52) - 1);
-  // x = ± m * 2^(e) with m < 2^53; subnormals (biased == 0) share the
-  // exponent of the smallest normal. Bit position 0 of the accumulator
-  // weighs 2^-1074, so m's least bit lands at position p >= 0.
-  const std::uint64_t m = biased == 0 ? fraction : fraction | (1ULL << 52);
-  const std::uint64_t p = (biased == 0 ? 1 : biased) - 1;  // == e + 1074
-
+  const auto [negative, m, p] = decompose(x);
   const std::size_t limb = p >> 5;
   const std::uint64_t shift = p & 31;
   // m << shift spans up to 84 bits; split it over three 32-bit limbs.
@@ -43,6 +52,34 @@ void ExactSum::add(double x) {
     limbs_[limb + 1] += c1;
     limbs_[limb + 2] += c2;
   }
+  if (++pending_ >= kMaxPending) normalize();
+}
+
+void ExactSum::add_scaled(double x, std::uint32_t k) {
+  if (k == 1) return add(x);
+  if (!std::isfinite(x))
+    throw std::invalid_argument("ExactSum::add_scaled: non-finite addend");
+  if (x == 0.0 || k == 0) return;
+
+  const auto [negative, m, p] = decompose(x);
+  // m * k < 2^85, as 32-bit digits d0 + d1 * 2^32 + d2 * 2^64 (d2 < 2^21):
+  // m's low digit times k fits 64 bits, its high part (< 2^21) times k plus
+  // that product's carry fits 54.
+  const std::uint64_t low_product = (m & kLimbMask) * k;
+  const std::uint64_t high_product = (m >> 32) * k + (low_product >> 32);
+  const std::uint64_t lo = (low_product & kLimbMask) | (high_product << 32);
+  const std::uint64_t hi = high_product >> 32;
+  // (m * k) << shift spans up to 116 bits; split it over four limbs.
+  const std::size_t limb = p >> 5;
+  const std::uint64_t shift = p & 31;
+  const std::uint64_t low = lo << shift;  // bits 0..63
+  const std::uint64_t high =
+      (hi << shift) | (shift == 0 ? 0 : lo >> (64 - shift));  // bits 64..116
+  const std::int64_t sign = negative ? -1 : 1;
+  limbs_[limb] += sign * static_cast<std::int64_t>(low & kLimbMask);
+  limbs_[limb + 1] += sign * static_cast<std::int64_t>(low >> 32);
+  limbs_[limb + 2] += sign * static_cast<std::int64_t>(high & kLimbMask);
+  limbs_[limb + 3] += sign * static_cast<std::int64_t>(high >> 32);
   if (++pending_ >= kMaxPending) normalize();
 }
 

@@ -18,7 +18,8 @@
 // for every shard size (DESIGN.md §9).
 //
 // Costs: ~544 bytes of state; add(double) is a handful of ALU ops (no
-// branches on magnitude, no tables); add(ExactSum) merges exactly.
+// branches on magnitude, no tables); add_scaled(x, k) adds k copies of x in
+// a few more; add(ExactSum) merges exactly.
 
 #include <array>
 #include <cstdint>
@@ -33,6 +34,13 @@ class ExactSum {
   /// on NaN or infinity (a bill must stay finite; feeding one non-finite
   /// charge would silently poison every later total).
   void add(double x);
+
+  /// Adds k copies of one finite double, exactly: the same state as k
+  /// add(x) calls. x's 53-bit significand is multiplied by k in integer
+  /// arithmetic (at most 85 bits, deposited over four limbs), so the
+  /// product is exact for every finite x, subnormals included. Throws like
+  /// add() on NaN or infinity, whatever k is.
+  void add_scaled(double x, std::uint32_t k);
 
   /// Adds another accumulator's exact sum (associative and exact, so any
   /// merge tree over the same addends yields the same state).
@@ -51,10 +59,12 @@ class ExactSum {
   // 32-bit limbs in int64 slots, base 2^32, little-endian: limb i covers
   // absolute bit positions [32i, 32i+32) where bit 0 weighs 2^-1074 (the
   // least subnormal). The largest finite double's top mantissa bit sits at
-  // position 2097 (limb 65); two extra limbs absorb carries and sign.
+  // position 2097 (limb 65), and times a 32-bit count at position 2129
+  // (limb 66); the top limb absorbs carries and sign.
   static constexpr std::size_t kLimbs = 68;
-  // A single add() deposits < 2^32 into each of three adjacent limbs, so a
-  // limb stays within int64 for 2^29 adds between carry propagations.
+  // A single add() or add_scaled() deposits < 2^32 into each of at most
+  // four adjacent limbs, so a limb stays within int64 for 2^29 adds between
+  // carry propagations.
   static constexpr std::uint32_t kMaxPending = 1u << 29;
 
   void normalize() const noexcept;

@@ -110,9 +110,9 @@ TEST_F(ObsDeterminismTest, MetricsAreObservedButNeverReadBack) {
   options.start_day = 5;
   (void)core::run_policy(tr, prices, policy, options);
 
-  EXPECT_EQ(obs::Registry::global().counter("core.run_policy.calls").value(),
+  EXPECT_EQ(obs::Registry::global().counter("core.plan.calls").value(),
             1u);
-  EXPECT_EQ(obs::Registry::global().counter("core.run_policy.files").value(),
+  EXPECT_EQ(obs::Registry::global().counter("core.plan.files").value(),
             tr.file_count());
   // One decide and one bill scope per planned day.
   EXPECT_EQ(obs::Registry::global().timer("core.decide").stats().count,

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace minicost::sim {
@@ -179,6 +182,74 @@ TEST(BillingReportTest, DayPartialsOfAnyChunkingMatchSingleCharges) {
     }
     EXPECT_TRUE(bitwise_equal(single, chunked)) << "chunk " << chunk;
   }
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// `count` copies of one charge as repeated DayPartial::add(cost): literally
+// for small counts, by doubling merges (exact) for the largest.
+DayPartial repeated(const CostBreakdown& cost, std::uint64_t count) {
+  DayPartial sum;
+  if (count <= 3) {
+    for (std::uint64_t i = 0; i < count; ++i) sum.add(cost);
+    return sum;
+  }
+  DayPartial power;
+  power.add(cost);
+  for (; count != 0; count >>= 1) {
+    if ((count & 1) != 0) sum.add(power);
+    power.add(power);
+  }
+  return sum;
+}
+
+// A class of k identical files is billed once with add(cost, k): each sum
+// must hold exactly what k single charges would.
+TEST(BillingReportTest, DayPartialScaledAddEqualsRepeatedAdds) {
+  const CostBreakdown costs[] = {
+      {std::numeric_limits<double>::denorm_min(), std::ldexp(1.0, -1022), 0.1,
+       -3.7},
+      {-3.7, std::ldexp(DBL_MAX, -33), 0.0, 0.1},
+  };
+  for (const CostBreakdown& cost : costs) {
+    for (const std::uint32_t k : {0u, 1u, 2u, 3u, 0xFFFFFFFFu}) {
+      DayPartial scaled;
+      scaled.add(cost, k);
+      const DayPartial expected = repeated(cost, k);
+      EXPECT_EQ(bits_of(scaled.storage.value()),
+                bits_of(expected.storage.value())) << k;
+      EXPECT_EQ(bits_of(scaled.read.value()), bits_of(expected.read.value()))
+          << k;
+      EXPECT_EQ(bits_of(scaled.write.value()),
+                bits_of(expected.write.value())) << k;
+      EXPECT_EQ(bits_of(scaled.change.value()),
+                bits_of(expected.change.value())) << k;
+    }
+  }
+}
+
+TEST(BillingReportTest, GatherHandsEachFileItsSourcesTotal) {
+  BillingReport classes(2, 3);
+  classes.charge(0, 0, CostBreakdown{0.1, 0.2, 0.0, 0.0});
+  classes.charge(1, 2, CostBreakdown{0.3, 0.0, 0.7, 0.5});
+  add_changes(classes, 2, 4);
+
+  const std::vector<trace::FileId> source_of = {0, 1, 0, 1, 1};
+  const BillingReport wide = classes.gather(source_of);
+  ASSERT_EQ(wide.file_count(), source_of.size());
+  ASSERT_EQ(wide.days(), classes.days());
+  for (std::size_t f = 0; f < source_of.size(); ++f)
+    EXPECT_EQ(bits_of(wide.file_total(f)),
+              bits_of(classes.file_total(source_of[f])));
+  for (std::size_t d = 0; d < classes.days(); ++d) {
+    EXPECT_TRUE(bitwise_equal(wide.day(d), classes.day(d)));
+    EXPECT_EQ(wide.tier_changes_on(d), classes.tier_changes_on(d));
+  }
+  EXPECT_EQ(wide.tier_changes(), 4u);
+  EXPECT_TRUE(bitwise_equal(wide.grand_total(), classes.grand_total()));
+
+  const std::vector<trace::FileId> out_of_range = {0, 2};
+  EXPECT_THROW((void)classes.gather(out_of_range), std::out_of_range);
 }
 
 TEST(BillingReportTest, BitwiseEqualAcceptsAnyMergeOfTheSameCharges) {

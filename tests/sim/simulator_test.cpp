@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "file_sequence_cost.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
@@ -204,11 +207,12 @@ TEST(SimulatorTest, ParallelBillingIsByteIdenticalToSerial) {
   util::ThreadPool one(1), two(2), three(3), four(4);
   const std::vector<util::ThreadPool*> pools{nullptr, &one, &two, &three,
                                              &four};
-  // Both sides of the 512-file billing chunk and of the 1024-file grain
+  // Both sides of the 512-file billing chunk and of the 2048-file grain
   // below which a day bills inline.
   for (const std::size_t width :
        {std::size_t{1}, std::size_t{511}, std::size_t{512}, std::size_t{513},
         std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
+        std::size_t{2047}, std::size_t{2048}, std::size_t{2049},
         std::size_t{2100}}) {
     const trace::RequestTrace trace(
         config.days,
@@ -228,6 +232,52 @@ TEST(SimulatorTest, ParallelBillingIsByteIdenticalToSerial) {
       }
     }
   }
+}
+
+// A file billed with members[i] = k adds k of its charges and tier changes
+// to the day sums, and one file's to its own total: billing each distinct
+// file once, weighted, gives the bytes of billing every copy.
+TEST(SimulatorTest, MembersBillLikeRepeatedFiles) {
+  trace::SyntheticConfig config;
+  config.file_count = 2100;  // over the parallel-billing grain
+  config.days = 5;
+  config.seed = 5;
+  const trace::RequestTrace distinct = trace::generate_synthetic(config);
+  const PricingPolicy azure = PricingPolicy::azure_2020();
+  std::vector<std::uint32_t> members(distinct.file_count());
+  std::vector<trace::FileRecord> copies;
+  std::vector<trace::FileId> source_of;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    members[i] = static_cast<std::uint32_t>(1 + i % 4);
+    for (std::uint32_t c = 0; c < members[i]; ++c) {
+      copies.push_back(distinct.files()[i]);
+      source_of.push_back(static_cast<trace::FileId>(i));
+    }
+  }
+  const trace::RequestTrace repeated(config.days, std::move(copies));
+  const HorizonPlan plan = mixed_plan(config.days, distinct.file_count());
+  HorizonPlan repeated_plan;
+  for (const DayPlan& day : plan) {
+    DayPlan wide;
+    for (const trace::FileId i : source_of) wide.push_back(day[i]);
+    repeated_plan.push_back(std::move(wide));
+  }
+
+  util::ThreadPool four(4);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &four}) {
+    SimulatorOptions options;
+    options.charge_initial_placement = true;
+    options.pool = pool;
+    const BillingReport oracle = simulate(repeated, azure, repeated_plan, options);
+    options.members = members;
+    const BillingReport weighted = simulate(distinct, azure, plan, options);
+    EXPECT_TRUE(bitwise_equal(weighted.gather(source_of), oracle))
+        << "pool " << (pool ? pool->size() : 0);
+  }
+
+  SimulatorOptions bad;
+  bad.members.assign(distinct.file_count() + 1, 1);
+  EXPECT_THROW(StorageSimulator(distinct, azure, bad), std::invalid_argument);
 }
 
 TEST(SimulatorTest, BillingWindowReadsTheTraceInPlace) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -150,6 +153,100 @@ TEST(ExactSumTest, ManyAddsTriggerCarryPropagation) {
   }
   expected = 0.125 * (1 << 20);
   EXPECT_EQ(s.value(), expected);
+}
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// `count` copies of x as repeated add(x): literally for small counts, and by
+// doubling merges (exact, so the same state) for counts no loop can reach.
+ExactSum repeated(double x, std::uint64_t count) {
+  ExactSum sum;
+  if (count <= 3) {
+    for (std::uint64_t i = 0; i < count; ++i) sum.add(x);
+    return sum;
+  }
+  ExactSum power;  // x * 2^bit
+  power.add(x);
+  for (; count != 0; count >>= 1) {
+    if ((count & 1) != 0) sum.add(power);
+    power.add(power);
+  }
+  return sum;
+}
+
+// The values and counts add_scaled must get exactly right: the least
+// subnormal, the least normal, inexact decimals of both signs, and a value
+// whose product with the largest count stays finite; counts 0 and 1, small
+// counts, and the largest 32-bit count.
+const double kScaledValues[] = {std::numeric_limits<double>::denorm_min(),
+                                std::ldexp(1.0, -1022), 0.1, -3.7,
+                                std::ldexp(DBL_MAX, -33)};
+const std::uint32_t kScaledCounts[] = {0, 1, 2, 3, 0xFFFFFFFFu};
+
+TEST(ExactSumTest, AddScaledEqualsRepeatedAdds) {
+  for (const double x : kScaledValues) {
+    for (const std::uint32_t k : kScaledCounts) {
+      ExactSum scaled;
+      scaled.add_scaled(x, k);
+      EXPECT_EQ(bits_of(scaled.value()), bits_of(repeated(x, k).value()))
+          << x << " x " << k;
+
+      // On top of an existing sum, and merged into another one.
+      ExactSum mixed;
+      mixed.add(1.5);
+      mixed.add_scaled(x, k);
+      mixed.add(-x);
+      ExactSum expected = repeated(x, k);
+      expected.add(1.5);
+      expected.add(-x);
+      EXPECT_EQ(bits_of(mixed.value()), bits_of(expected.value()))
+          << x << " x " << k << " mixed";
+    }
+  }
+  // The repeated-add reference itself: doubling merges equal a plain loop.
+  ExactSum loop;
+  for (int i = 0; i < 1000; ++i) loop.add(0.1);
+  EXPECT_EQ(bits_of(repeated(0.1, 1000).value()), bits_of(loop.value()));
+}
+
+TEST(ExactSumTest, AddScaledOfTheLargestCountSpansFourLimbs) {
+  // A full 53-bit significand times 2^32 - 1, at every shift within a limb:
+  // the product's top bits land in a fourth limb.
+  const double full = std::nextafter(2.0, 0.0);  // 2 - 2^-52
+  for (int e = 0; e < 32; ++e) {
+    const double x = std::ldexp(full, e);
+    ExactSum scaled;
+    scaled.add_scaled(x, 0xFFFFFFFFu);
+    EXPECT_EQ(bits_of(scaled.value()),
+              bits_of(repeated(x, 0xFFFFFFFFu).value()))
+        << "shift " << e;
+  }
+}
+
+TEST(ExactSumTest, AddScaledCrossesTheNormalizeBoundary) {
+  // Just over 2^29 (kMaxPending) scaled adds, each depositing up to 2^32 in
+  // four limbs: the accumulator normalizes mid-stream, in both signs.
+  constexpr std::uint64_t kCalls = (std::uint64_t{1} << 29) + 6;
+  constexpr std::uint32_t k = 0xFFFFFFFFu;
+  ExactSum scaled;
+  for (std::uint64_t i = 0; i < kCalls / 2; ++i) {
+    scaled.add_scaled(0.1, k);
+    scaled.add_scaled(-3.7, k);
+  }
+  ExactSum expected = repeated(0.1, kCalls / 2 * k);
+  expected.add(repeated(-3.7, kCalls / 2 * k));
+  EXPECT_EQ(bits_of(scaled.value()), bits_of(expected.value()));
+}
+
+TEST(ExactSumTest, AddScaledRejectsNonFiniteForEveryCount) {
+  ExactSum s;
+  for (const std::uint32_t k : kScaledCounts) {
+    EXPECT_THROW(s.add_scaled(std::numeric_limits<double>::infinity(), k),
+                 std::invalid_argument);
+    EXPECT_THROW(s.add_scaled(std::numeric_limits<double>::quiet_NaN(), k),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(s.value(), 0.0);
 }
 
 TEST(ExactSumTest, ResetClears) {

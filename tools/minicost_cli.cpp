@@ -497,7 +497,7 @@ int serve_loop(const store::TraceReader& reader,
                     << ",dirty=" << driver.dirty_shard_count()
                     << ",warm_policies=" << drivers.size() << std::endl;
           // A LIVE registry snapshot each call — counters registered after
-          // driver construction (e.g. core.shard_eval.* on the first plan)
+          // driver construction (e.g. core.plan_driver.* on the first plan)
           // show up as soon as they exist.
           for (const auto& snapshot : obs::Registry::global().counters())
             std::cout << "counter," << snapshot.name << "," << snapshot.value
