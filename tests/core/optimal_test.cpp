@@ -125,17 +125,14 @@ TEST(OptimalPolicyTest, PreparedPlanMatchesPerFileDp) {
 
   OptimalPolicy policy;
   policy.prepare(context);
-  double expected_total = 0.0;
   for (trace::FileId f = 0; f < 50; ++f) {
     const OptimalSequence seq =
         optimal_sequence(azure, tr.file(f), 5, 20, StorageTier::kHot);
-    expected_total += seq.cost;
     for (std::size_t day = 5; day < 20; ++day) {
       EXPECT_EQ(decide_one(policy, context, f, day, StorageTier::kHot),
                 seq.tiers[day - 5]);
     }
   }
-  EXPECT_NEAR(policy.planned_cost(), expected_total, 1e-9);
 }
 
 TEST(OptimalPolicyTest, DecideOutsideWindowThrows) {

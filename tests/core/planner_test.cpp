@@ -70,8 +70,8 @@ TEST(RunPolicyTest, RejectsInitialTiersWidthMismatch) {
 }
 
 TEST(RunPolicyTest, OptimalBilledCostMatchesPlannedCost) {
-  // End-to-end consistency: the DP's internal cost equals the simulator's
-  // independent billing of the produced plan.
+  // End-to-end consistency: the per-file DP costs, summed over every file,
+  // equal the simulator's independent billing of the produced plan.
   const trace::RequestTrace tr = make_trace();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   OptimalPolicy optimal;
@@ -79,8 +79,12 @@ TEST(RunPolicyTest, OptimalBilledCostMatchesPlannedCost) {
   options.start_day = 14;
   options.initial_tiers = static_initial_tiers(tr, azure, 14);
   const PlanResult result = run_policy(tr, azure, optimal, options);
-  EXPECT_NEAR(result.report.grand_total().total(), optimal.planned_cost(),
-              1e-9);
+  double planned = 0.0;
+  for (trace::FileId f = 0; f < tr.file_count(); ++f)
+    planned += optimal_sequence(azure, tr.file(f), 14, tr.days(),
+                                options.initial_tiers[f])
+                   .cost;
+  EXPECT_NEAR(result.report.grand_total().total(), planned, 1e-9);
 }
 
 TEST(RunPolicyTest, OptimalNeverCostsMoreThanAnyOtherPolicy) {
