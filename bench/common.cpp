@@ -112,12 +112,8 @@ void expectation(const std::string& text) {
 SweepPool::SweepPool() {
   const std::size_t knob = util::env_size("MINICOST_SWEEP_POOL", 0);
   if (knob == 1) return;  // serial reference path
-  if (knob > 1) {
-    owned_ = std::make_unique<util::ThreadPool>(knob);
-    pool_ = owned_.get();
-    return;
-  }
-  pool_ = &util::ThreadPool::shared();
+  owned_ = std::make_unique<util::ThreadPool>(knob);  // 0 = hardware-sized
+  pool_ = owned_.get();
 }
 
 RlEval::RlEval(trace::RequestTrace eval_trace, pricing::PricingPolicy pricing,

@@ -80,7 +80,7 @@ void expectation(const std::string& text);
 /// from MINICOST_SWEEP_POOL:
 ///   1         → serial (get() == nullptr), the determinism reference
 ///   N > 1     → a private N-thread pool owned by this object
-///   0 / unset → the shared process pool (hardware-sized)
+///   0 / unset → a private hardware-sized pool owned by this object
 /// Per-point results are pool-size independent by the SweepRunner contract;
 /// the CI sweep smoke pins that by diffing pool sizes 1 and 4.
 class SweepPool {

@@ -38,6 +38,9 @@ int main() {
     core::Knowledge knowledge() const noexcept override {
       return core::Knowledge::kNone;
     }
+    std::unique_ptr<core::TieringPolicy> clone() const override {
+      return std::make_unique<PinnedPolicy>();
+    }
     void decide_day(const core::PlanContext& context, std::size_t,
                     std::span<const pricing::StorageTier> current,
                     std::span<pricing::StorageTier> out_plan) override {

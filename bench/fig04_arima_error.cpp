@@ -17,8 +17,9 @@ int main() {
   forecast::BacktestConfig config;
   config.train_days = workload.full.days() - 7;  // "first two months"
   config.horizon = 7;                            // "next 7 days"
+  util::ThreadPool pool;  // hardware-sized
   const forecast::BacktestResult result =
-      forecast::backtest(workload.full, config, util::ThreadPool::shared());
+      forecast::backtest(workload.full, config, pool);
 
   util::Table table({"bucket", "files", "p1", "median", "p99", "mean |err|"});
   for (const auto& bucket : result.summary) {

@@ -1,5 +1,6 @@
 // Planning throughput: one decide_day() call — a day of tier decisions for
-// every file — per policy, on a wide synthetic trace, as files/second.
+// every file, on the calling thread — per policy, on a wide synthetic
+// trace, as files/second.
 //
 // Output is machine-readable JSON on stdout (one object), e.g.
 //   {"bench":"micro_batch_plan","files":50000, ...,
@@ -24,7 +25,6 @@
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -88,8 +88,8 @@ int main() {
   }
 
   std::printf("{\"bench\":\"micro_batch_plan\",\"files\":%zu,\"day\":%zu,"
-              "\"pool_threads\":%zu,\"results\":[",
-              files, day, util::ThreadPool::shared().size());
+              "\"results\":[",
+              files, day);
   for (std::size_t i = 0; i < results.size(); ++i)
     std::printf("%s{\"policy\":\"%s\",\"batched_files_per_sec\":%.1f}",
                 i == 0 ? "" : ",", results[i].policy.c_str(),

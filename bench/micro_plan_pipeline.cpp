@@ -104,8 +104,7 @@ int main() {
       {"replan_wall_seconds", replan.wall_seconds},
       {"incremental_speedup", incremental_speedup},
       {"decide_sum_seconds", serial.decision_seconds},
-      {"file_decide_p50_ns", serial.file_decide_p50_ns},
-      {"file_decide_p99_ns", serial.file_decide_p99_ns},
+      {"decide_ns_per_file_day", serial.decide_ns_per_file_day},
       {"bills_identical", identical ? 1.0 : 0.0},
   };
 
@@ -115,11 +114,11 @@ int main() {
       "{\"bench\":\"micro_plan_pipeline\",\"files\":%zu,\"days\":%zu,"
       "\"shard_files\":%zu,\"shards\":%zu,\"serial_wall_seconds\":%.4f,"
       "\"replan_wall_seconds\":%.4f,\"incremental_speedup\":%.2f,"
-      "\"decide_sum_seconds\":%.4f,\"file_decide_p50_ns\":%.1f,"
-      "\"file_decide_p99_ns\":%.1f,\"bills_identical\":%s}",
+      "\"decide_sum_seconds\":%.4f,\"decide_ns_per_file_day\":%.1f,"
+      "\"bills_identical\":%s}",
       files, days, shard_files, serial.shard_count, serial.wall_seconds,
       replan.wall_seconds, incremental_speedup, serial.decision_seconds,
-      serial.file_decide_p50_ns, serial.file_decide_p99_ns,
+      serial.decide_ns_per_file_day,
       identical ? "true" : "false");
 
   std::printf("%s\n", buf);

@@ -71,8 +71,9 @@ int main(int argc, char** argv) {
   forecast::BacktestConfig backtest_config;
   backtest_config.train_days = tr.days() - 7;
   backtest_config.horizon = 7;
+  util::ThreadPool pool;  // hardware-sized
   const forecast::BacktestResult backtest =
-      forecast::backtest(tr, backtest_config, util::ThreadPool::shared());
+      forecast::backtest(tr, backtest_config, pool);
   util::Table fig4({"bucket", "files", "p1", "median", "p99", "mean |err|"});
   for (const auto& bucket : backtest.summary) {
     fig4.add_row({bucket.label, util::format_count(bucket.files),
@@ -90,6 +91,7 @@ int main(int argc, char** argv) {
   options.start_day = tr.days() >= 35 ? tr.days() - 35 : 1;
   options.initial_tiers =
       core::static_initial_tiers(tr, azure, options.start_day);
+  options.pool = &pool;
   core::OptimalPolicy optimal;
   const core::PlanResult optimal_result =
       core::run_policy(tr, azure, optimal, options);

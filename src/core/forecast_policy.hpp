@@ -28,9 +28,9 @@ struct ForecastMpcConfig {
   std::size_t min_history = 14;
   /// Factory for the per-file forecaster. Defaults to seasonal-naive(7),
   /// which is cheap and exploits the weekly request cycle; swap in
-  /// forecast::Arima via the factory. decide_day invokes it concurrently
-  /// across files, so the factory must be callable from multiple threads
-  /// (stateless factories are).
+  /// forecast::Arima via the factory. run_policy's block clones share it and
+  /// run concurrently, so the factory must be callable from multiple
+  /// threads (stateless factories are).
   std::function<std::unique_ptr<forecast::Forecaster>()> make_forecaster;
   /// Clamp negative forecasted frequencies to zero.
   bool clamp_nonnegative = true;
@@ -43,9 +43,11 @@ class ForecastMpcPolicy final : public TieringPolicy {
   std::string name() const override { return "Forecast-MPC"; }
   Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
 
+  std::unique_ptr<TieringPolicy> clone() const override {
+    return std::make_unique<ForecastMpcPolicy>(config_);
+  }
   void prepare(const PlanContext& context) override;
-  /// Per-file state only (plan_[file]), so replanning shards safely on the
-  /// pool through decide_each_file.
+  /// Per-file state only (plan_[file]), driven by each file's own tier.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;

@@ -34,8 +34,11 @@ class GreedyPolicy final : public TieringPolicy {
     return include_archive_ ? "Greedy-3tier" : "Greedy";
   }
   Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
+  std::unique_ptr<TieringPolicy> clone() const override {
+    return std::make_unique<GreedyPolicy>(include_archive_);
+  }
 
-  /// Pure per-file pricing, sharded on the pool by decide_each_file.
+  /// Pure per-file pricing through decide_each_file.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;
@@ -53,6 +56,9 @@ class ClairvoyantGreedyPolicy final : public TieringPolicy {
 
   std::string name() const override { return "Greedy-1day-oracle"; }
   Knowledge knowledge() const noexcept override { return Knowledge::kNextDay; }
+  std::unique_ptr<TieringPolicy> clone() const override {
+    return std::make_unique<ClairvoyantGreedyPolicy>(include_archive_);
+  }
 
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "sim/cost_model.hpp"
-#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -129,14 +128,13 @@ void OptimalPolicy::prepare(const PlanContext& context) {
   start_day_ = context.start_day;
   const std::size_t n = context.trace.file_count();
   sequences_.assign(n, {});
-  plan_pool(context).parallel_for(0, n, [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i)
     sequences_[i] =
         optimal_sequence(context.pricing,
                          context.trace.file(static_cast<trace::FileId>(i)),
                          context.start_day, context.end_day,
                          context.initial_tiers[i], charge_initial_)
             .tiers;
-  });
 }
 
 void OptimalPolicy::decide_day(const PlanContext& context, std::size_t day,

@@ -47,8 +47,11 @@ class OptimalPolicy final : public TieringPolicy {
 
   std::string name() const override { return "Optimal"; }
   Knowledge knowledge() const noexcept override { return Knowledge::kFullTrace; }
+  std::unique_ptr<TieringPolicy> clone() const override {
+    return std::make_unique<OptimalPolicy>(charge_initial_);
+  }
 
-  /// Runs the per-file DP for the whole window (parallel over files).
+  /// Runs the per-file DP for the whole window.
   void prepare(const PlanContext& context) override;
 
   /// One pass copying the precomputed sequences' day column. Throws

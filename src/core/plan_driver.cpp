@@ -1,7 +1,6 @@
 #include "core/plan_driver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -73,12 +72,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
   run.shard_count = shards_.size();
 
   MC_OBS_COUNT("core.plan_driver.calls", 1);
-
-  // Run-local latency histogram (percentiles must cover THIS run only) plus
-  // the cumulative global timer the run reports serialize.
-  obs::Timer latency;
-  obs::Timer* global_latency =
-      obs::enabled() ? &obs::timer("core.plan_driver.file_decide") : nullptr;
+  std::size_t planned_files = 0;
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto [first, count] = shards_[s];
@@ -107,20 +101,12 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     PlanResult shard_result =
         run_policy(shard_trace, pricing_, policy_, plan_options);
 
-    for (const double day_seconds : shard_result.day_seconds) {
-      const double per_file_ns =
-          day_seconds * 1e9 / static_cast<double>(count);
-      const auto ns = static_cast<std::uint64_t>(
-          per_file_ns > 0.0 ? std::llround(per_file_ns) : 0);
-      latency.record_ns(ns);
-      if (global_latency != nullptr) global_latency->record_ns(ns);
-    }
-
     {
       MC_OBS_SCOPE("core.merge");
       run.report.merge_shard(shard_result.report, first);
     }
     run.decision_seconds += shard_result.decision_seconds;
+    planned_files += count;
     ++run.replanned_shards;
     cache_[s].report = std::move(shard_result.report);
     cache_[s].decide_seconds = shard_result.decision_seconds;
@@ -131,9 +117,9 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
       reader_.release_frequency_range(first, count);
   }
 
-  const obs::TimerStats stats = latency.stats();
-  run.file_decide_p50_ns = stats.percentile_ns(0.5);
-  run.file_decide_p99_ns = stats.percentile_ns(0.99);
+  if (planned_files > 0)
+    run.decide_ns_per_file_day = run.decision_seconds * 1e9 /
+                                 static_cast<double>(planned_files * window);
   run.wall_seconds = wall.seconds();
   return run;
 }

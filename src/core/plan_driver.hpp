@@ -32,11 +32,11 @@
 //
 // A 0-file store is valid and plans to an empty (0-file) bill.
 //
-// Timing semantics: decision_seconds is the SUM of per-shard decide time,
-// wall_seconds is the run's wall-clock (materialize + decide + bill +
-// merge). Per-file decision latency is recorded per shard-day into the
-// run-local histogram AND the global obs timer
-// `core.plan_driver.file_decide`; p50/p99 land in the run result.
+// Timing semantics: decision_seconds is the SUM of per-shard decide time
+// (thread-seconds over run_policy's blocks), wall_seconds is the run's
+// wall-clock (materialize + decide + bill + merge), and
+// decide_ns_per_file_day is their mean per planned file-day. Blocks run
+// the days concurrently, so no day has a wall time of its own.
 
 #include <string>
 #include <vector>
@@ -58,8 +58,9 @@ struct PlanDriverOptions {
   bool static_initial = true;
   pricing::StorageTier default_initial_tier = pricing::StorageTier::kHot;
   bool charge_initial_placement = true;
-  /// Pool for batched planning/billing inside each shard; nullptr = the
-  /// process-shared pool. Results are pool-size independent.
+  /// Pool whose threads plan each shard's file blocks (run_policy);
+  /// nullptr plans on the calling thread. Results are pool-size
+  /// independent.
   util::ThreadPool* pool = nullptr;
   /// madvise each shard's frequency pages away once billed, keeping RSS
   /// bounded by the shard instead of the mapped trace.
@@ -78,10 +79,9 @@ struct PlanDriverRun {
   std::size_t shard_count = 0;      ///< shards in the partition
   std::size_t replanned_shards = 0; ///< shards actually planned this run
   std::size_t start_day = 0;
-  /// Per-file decision latency percentiles over this run's planned shards
-  /// (ns; estimated from the log2 histogram). 0 when nothing was planned.
-  double file_decide_p50_ns = 0.0;
-  double file_decide_p99_ns = 0.0;
+  /// decision_seconds per file-day of this run's planned shards (ns); 0
+  /// when nothing was planned.
+  double decide_ns_per_file_day = 0.0;
 };
 
 class PlanDriver {

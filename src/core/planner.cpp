@@ -1,8 +1,11 @@
 #include "core/planner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +14,7 @@
 #include "stats/descriptive.hpp"
 #include "util/hash.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -18,8 +22,7 @@ namespace {
 /// The files of a trace partitioned by their planning inputs: two files
 /// share a class when their read and write series are byte-equal, their
 /// size_gb bits are equal and they start in the same tier. Class ids follow
-/// the file order of each class's first file, its representative. Files in
-/// a co-request group stay singletons.
+/// the file order of each class's first file, its representative.
 struct FileClasses {
   std::vector<trace::FileId> class_of;        ///< per file: its class
   std::vector<trace::FileId> representative;  ///< per class: its first file
@@ -33,11 +36,6 @@ FileClasses classify(const trace::RequestTrace& trace,
   FileClasses classes;
   classes.class_of.resize(n);
   if (n == 0) return classes;
-
-  std::vector<bool> grouped(n, false);
-  for (const trace::CoRequestGroup& group : trace.groups())
-    for (const trace::FileId m : group.members)
-      if (m < n) grouped[m] = true;
 
   std::vector<std::uint64_t> hashes(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -63,24 +61,18 @@ FileClasses classify(const trace::RequestTrace& trace,
            std::memcmp(x.writes.data(), y.writes.data(),
                        x.writes.size() * sizeof(double)) == 0;
   };
-  const auto open_class = [&](std::size_t i) {
-    const auto id = static_cast<trace::FileId>(classes.representative.size());
-    classes.representative.push_back(static_cast<trace::FileId>(i));
-    classes.members.push_back(1);
-    classes.class_of[i] = id;
-    return id;
-  };
   // Open addressing; a slot holds 1 + a class id, or 0.
   const std::size_t mask = std::bit_ceil(2 * n) - 1;
   std::vector<trace::FileId> slots(mask + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (grouped[i]) {
-      open_class(i);
-      continue;
-    }
     for (std::size_t slot = hashes[i] & mask;; slot = (slot + 1) & mask) {
       if (slots[slot] == 0) {
-        slots[slot] = open_class(i) + 1;
+        const auto id =
+            static_cast<trace::FileId>(classes.representative.size());
+        classes.representative.push_back(static_cast<trace::FileId>(i));
+        classes.members.push_back(1);
+        classes.class_of[i] = id;
+        slots[slot] = id + 1;
         break;
       }
       const trace::FileId id = slots[slot] - 1;
@@ -95,19 +87,14 @@ FileClasses classify(const trace::RequestTrace& trace,
   return classes;
 }
 
-/// A copy of the classes' representatives, groups remapped to them (a
-/// grouped file is always its own class's representative).
+/// A copy of the classes' representatives, without co-request groups.
 trace::RequestTrace representatives_trace(const trace::RequestTrace& trace,
                                           const FileClasses& classes) {
   std::vector<trace::FileRecord> files;
   files.reserve(classes.representative.size());
   for (const trace::FileId rep : classes.representative)
     files.push_back(trace.files()[rep]);
-  std::vector<trace::CoRequestGroup> groups = trace.groups();
-  for (trace::CoRequestGroup& group : groups)
-    for (trace::FileId& m : group.members)
-      if (m < classes.class_of.size()) m = classes.class_of[m];
-  return trace::RequestTrace(trace.days(), std::move(files), std::move(groups));
+  return trace::RequestTrace(trace.days(), std::move(files));
 }
 
 }  // namespace
@@ -147,73 +134,114 @@ PlanResult run_policy(const trace::RequestTrace& trace,
         representative_initial.push_back(initial[rep]);
     }
   }
-  const trace::RequestTrace& planned = classed ? representatives : trace;
-  const std::vector<pricing::StorageTier>& planned_initial =
+  const trace::TraceView planned = classed ? representatives : trace;
+  const std::span<const pricing::StorageTier> planned_initial =
       classed ? representative_initial : initial;
   const std::size_t width = planned.file_count();
-
-  const PlanContext context{planned, pricing,         options.start_day,
-                            end_day, planned_initial, options.pool};
-  {
-    // prepare() is where forecasting policies fit their models (ARIMA,
-    // seasonal-naive), Optimal runs its DP and the RL policy warms its
-    // featurizer.
-    MC_OBS_SCOPE("core.prepare");
-    policy.prepare(context);
-  }
-
-  PlanResult result;
-  result.policy_name = policy.name();
-  result.start_day = options.start_day;
   const std::size_t window = end_day - options.start_day;
-  result.plan.reserve(window);
-  result.day_seconds.reserve(window);
+
+  // One contiguous block of files per pool thread. Files are independent
+  // over the whole horizon, so each block runs the whole day loop alone:
+  // its own policy clone, prepared on its own files, decides each day, and
+  // its own simulator bills it.
+  const std::size_t threads = options.pool ? options.pool->size() : 1;
+  const std::size_t blocks = std::max<std::size_t>(1, std::min(threads, width));
+  const auto block_first = [&](std::size_t b) { return b * width / blocks; };
+  std::vector<std::unique_ptr<TieringPolicy>> clones;
+  clones.reserve(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) clones.push_back(policy.clone());
+  sim::HorizonPlan planned_plan(window, sim::DayPlan(width));
+  std::vector<sim::BillingReport> block_reports(blocks);
+  std::vector<double> block_decide_seconds(blocks, 0.0);
+
+  const auto plan_block = [&](std::size_t b) {
+    const std::size_t first = block_first(b);
+    const std::size_t count = block_first(b + 1) - first;
+    TieringPolicy& block_policy = *clones[b];
+    const PlanContext context{planned.subview(first, count), pricing,
+                              options.start_day, end_day,
+                              planned_initial.subspan(first, count)};
+    {
+      // prepare() is where forecasting policies fit their models (ARIMA,
+      // seasonal-naive), Optimal runs its DP and the RL policy warms its
+      // featurizer.
+      MC_OBS_SCOPE("core.prepare");
+      block_policy.prepare(context);
+    }
+    // Bills only the window's days of the full trace; its current tiers are
+    // each file's tier entering the next day.
+    sim::SimulatorOptions sim_options;
+    sim_options.initial_tiers.assign(context.initial_tiers.begin(),
+                                     context.initial_tiers.end());
+    sim_options.charge_initial_placement = options.charge_initial_placement;
+    sim_options.start_day = options.start_day;
+    sim_options.end_day = end_day;
+    if (classed)
+      sim_options.members.assign(
+          classes.members.begin() + static_cast<std::ptrdiff_t>(first),
+          classes.members.begin() + static_cast<std::ptrdiff_t>(first + count));
+    sim::StorageSimulator simulator(context.trace, pricing,
+                                    std::move(sim_options));
+    for (std::size_t day = options.start_day; day < end_day; ++day) {
+      const std::span<pricing::StorageTier> day_plan =
+          std::span(planned_plan[day - options.start_day]).subspan(first, count);
+      {
+        MC_OBS_SCOPE("core.decide");
+        const util::Stopwatch watch;
+        block_policy.decide_day(context, day, simulator.current_tiers(),
+                                day_plan);
+        block_decide_seconds[b] += watch.seconds();
+      }
+      MC_OBS_SCOPE("sim.bill");
+      simulator.advance(day_plan);
+    }
+    block_reports[b] = simulator.report();
+  };
+  {
+    MC_OBS_SCOPE("core.plan_region");
+    if (options.pool != nullptr) {
+      options.pool->parallel_for(0, blocks, plan_block);
+    } else {
+      plan_block(0);
+    }
+  }
 
   MC_OBS_COUNT("core.plan.calls", 1);
   MC_OBS_COUNT("core.plan.files", n);
   MC_OBS_COUNT("core.plan.days", window);
+  MC_OBS_COUNT("core.plan.blocks", blocks);
   MC_OBS_COUNT("core.plan_classes", width);
   // Classes per input file in parts per million, summed over calls: 10^6
   // per call means no file repeated another.
   MC_OBS_COUNT("core.class_share",
                n == 0 ? 0 : (width * std::uint64_t{1000000} + n / 2) / n);
 
-  // Bills only the window's days of the full trace; its current tiers are
-  // each representative's tier entering the next day.
-  sim::SimulatorOptions sim_options;
-  sim_options.initial_tiers = planned_initial;
-  sim_options.charge_initial_placement = options.charge_initial_placement;
-  sim_options.start_day = options.start_day;
-  sim_options.end_day = end_day;
-  sim_options.members = classes.members;
-  sim_options.pool = &plan_pool(context);
-  sim::StorageSimulator simulator(planned, pricing, std::move(sim_options));
-
-  for (std::size_t day = options.start_day; day < end_day; ++day) {
-    sim::DayPlan day_plan(width);
-    {
-      MC_OBS_SCOPE("core.decide");
-      util::Stopwatch watch;
-      // The whole day goes through the batch API; policies fan the per-file
-      // work out over context.pool (see TieringPolicy::decide_day).
-      policy.decide_day(context, day, simulator.current_tiers(), day_plan);
-      result.day_seconds.push_back(watch.seconds());
-    }
-    result.decision_seconds += result.day_seconds.back();
-    {
-      MC_OBS_SCOPE("sim.bill");
-      simulator.advance(day_plan);
-    }
-    if (classed) {
+  PlanResult result;
+  result.policy_name = policy.name();
+  result.start_day = options.start_day;
+  for (const double seconds : block_decide_seconds)
+    result.decision_seconds += seconds;
+  if (n > 0)
+    result.decide_ns_per_file_day = result.decision_seconds * 1e9 /
+                                    static_cast<double>(n * window);
+  // The block reports' day sums are exact, so merging them in block order
+  // gives the bytes of one simulator over every planned file.
+  sim::BillingReport report(width, window);
+  for (std::size_t b = 0; b < blocks; ++b)
+    report.merge_shard(block_reports[b], block_first(b));
+  if (classed) {
+    result.report = report.gather(classes.class_of);
+    result.plan.reserve(window);
+    for (const sim::DayPlan& day_plan : planned_plan) {
       sim::DayPlan expanded(n);
       for (std::size_t i = 0; i < n; ++i)
         expanded[i] = day_plan[classes.class_of[i]];
-      day_plan = std::move(expanded);
+      result.plan.push_back(std::move(expanded));
     }
-    result.plan.push_back(std::move(day_plan));
+  } else {
+    result.report = std::move(report);
+    result.plan = std::move(planned_plan);
   }
-  result.report = classed ? simulator.report().gather(classes.class_of)
-                          : simulator.report();
   return result;
 }
 

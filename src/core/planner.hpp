@@ -2,8 +2,10 @@
 // The planning/evaluation harness: runs a TieringPolicy day by day over a
 // billing window of the trace, one representative per class of files with
 // identical inputs, bills each day with the simulator as soon as it is
-// decided, and measures decision latency (the Figure 12 "computing
-// overhead").
+// decided, and measures decision time (the Figure 12 "computing
+// overhead"). The planned files split into contiguous blocks, one per pool
+// thread, and each block runs the whole day loop on its own policy clone
+// and simulator.
 
 #include <memory>
 #include <string>
@@ -24,8 +26,9 @@ struct PlanOptions {
   /// Charge Cc when day `start_day`'s assignment differs from the initial
   /// tier (true: the window continues an existing deployment).
   bool charge_initial_placement = true;
-  /// Pool for batched planning and billing; nullptr = the process-shared
-  /// pool. Plans and bills are byte-identical for every pool size.
+  /// Pool whose threads plan the file blocks, one block per thread (never
+  /// more blocks than files); nullptr plans one block on the calling
+  /// thread. Plans and bills are byte-identical for every pool size.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -33,16 +36,20 @@ struct PlanResult {
   std::string policy_name;
   sim::HorizonPlan plan;      ///< plan[t] covers absolute day start_day + t
   sim::BillingReport report;  ///< billed over the window only
-  double decision_seconds = 0.0;    ///< wall-clock spent in decide_day()
-  std::vector<double> day_seconds;  ///< per-day decision wall-clock
+  /// Time spent in decide_day(), summed over the blocks: thread-seconds,
+  /// not wall-clock, once blocks run concurrently.
+  double decision_seconds = 0.0;
+  /// decision_seconds per file-day of the input (ns; 0 with no files).
+  double decide_ns_per_file_day = 0.0;
   std::size_t start_day = 0;
 };
 
 /// Runs `policy` over days [options.start_day, options.end_day) of `trace`
 /// and bills the plan. Files with byte-equal series, size and initial tier
 /// are planned and billed once per class (DESIGN.md §7); the plan and the
-/// report still cover every file. Throws std::invalid_argument on bad
-/// windows.
+/// report still cover every file. `policy` itself is never prepared or
+/// called: each block plans on its own policy.clone(). Throws
+/// std::invalid_argument on bad windows.
 PlanResult run_policy(const trace::RequestTrace& trace,
                       const pricing::PricingPolicy& pricing,
                       TieringPolicy& policy, const PlanOptions& options);

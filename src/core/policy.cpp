@@ -3,19 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace minicost::core {
-namespace {
-
-/// Below this file count a daily batch is not worth the pool handoff.
-constexpr std::size_t kParallelDecideGrain = 256;
-
-}  // namespace
-
-util::ThreadPool& plan_pool(const PlanContext& context) noexcept {
-  return context.pool ? *context.pool : util::ThreadPool::shared();
-}
 
 void check_batch_widths(const PlanContext& context,
                         std::span<const pricing::StorageTier> current,
@@ -30,18 +18,8 @@ void decide_each_file(const PlanContext& context,
                       std::span<pricing::StorageTier> out_plan,
                       const FileDecision& decide_file) {
   check_batch_widths(context, current, out_plan);
-  const std::size_t n = out_plan.size();
-  const auto decide_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < out_plan.size(); ++i)
     out_plan[i] = decide_file(static_cast<trace::FileId>(i), current[i]);
-  };
-  util::ThreadPool& pool = plan_pool(context);
-  if (pool.size() > 1 && n >= kParallelDecideGrain) {
-    // Per-index work is independent and out_plan writes are disjoint, so
-    // the result is byte-identical to the serial loop for any pool size.
-    pool.parallel_for(0, n, decide_one);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) decide_one(i);
-  }
 }
 
 void AlwaysTierPolicy::decide_day(const PlanContext& context, std::size_t,

@@ -10,10 +10,9 @@
 // size caches. Policies declare how much of the future they peek at via
 // knowledge() — the evaluation harness prints it so comparisons stay honest.
 //
-// decide_day() is the only decision entry point, and its output never
-// depends on the size of the planning pool. Policies whose decisions are
-// per-file independent implement it with decide_each_file(), which shards
-// the per-file function across plan_pool(context) (see DESIGN.md §7).
+// decide_day() is the only decision entry point. Policies are serial code:
+// run_policy runs one clone() of the policy per block of files, each on one
+// thread, so the planning pool never reaches a policy (see DESIGN.md §7).
 
 #include <functional>
 #include <memory>
@@ -37,21 +36,17 @@ enum class Knowledge {
 };
 
 struct PlanContext {
-  const trace::RequestTrace& trace;       ///< full-horizon trace
+  trace::TraceView trace;                 ///< the files planned, full horizon
   const pricing::PricingPolicy& pricing;  ///< CSP price sheet
   std::size_t start_day;                  ///< first decision day (inclusive)
   std::size_t end_day;                    ///< last decision day (exclusive)
   /// Tier each file holds entering start_day; index = FileId.
-  const std::vector<pricing::StorageTier>& initial_tiers;
-  /// Pool for batch planning; nullptr = util::ThreadPool::shared(). Results
-  /// never depend on the pool's size (per-index work is independent).
+  std::span<const pricing::StorageTier> initial_tiers;
+  /// Unused, like decision_cache: policies never see a pool. Only
+  /// perfbench/src/pipeline.cpp's positional init sets either.
   util::ThreadPool* pool = nullptr;
-  /// Unused; only perfbench/src/pipeline.cpp's positional init sets it.
   const void* decision_cache = nullptr;
 };
-
-/// The pool batch planning runs on: context.pool, or the shared pool.
-util::ThreadPool& plan_pool(const PlanContext& context) noexcept;
 
 class TieringPolicy {
  public:
@@ -59,6 +54,14 @@ class TieringPolicy {
 
   virtual std::string name() const = 0;
   virtual Knowledge knowledge() const noexcept = 0;
+
+  /// A fresh policy with this one's configuration that, once prepared on
+  /// a context, decides exactly as this one would on it. run_policy makes
+  /// one per block of files on its calling thread and runs them
+  /// concurrently, one thread each, so whatever a clone shares with this
+  /// policy (RlPolicy's agent) must be safe to use from several threads. A
+  /// clone may borrow from this policy and must not outlive it.
+  virtual std::unique_ptr<TieringPolicy> clone() const = 0;
 
   /// Called once before a planning window.
   virtual void prepare(const PlanContext& context) { (void)context; }
@@ -83,11 +86,8 @@ using FileDecision = std::function<pricing::StorageTier(
     trace::FileId file, pricing::StorageTier current)>;
 
 /// decide_day body for per-file independent policies: checks the widths,
-/// then sets out_plan[i] = decide_file(i, current[i]) for every file,
-/// sharded across plan_pool(context) in contiguous chunks for wide days.
-/// decide_file is called concurrently for distinct files, so it must touch
-/// no cross-file mutable state; the result is then byte-identical to the
-/// serial loop for every pool size.
+/// then sets out_plan[i] = decide_file(i, current[i]) for every file, in
+/// file order.
 void decide_each_file(const PlanContext& context,
                       std::span<const pricing::StorageTier> current,
                       std::span<pricing::StorageTier> out_plan,
@@ -100,6 +100,9 @@ class AlwaysTierPolicy final : public TieringPolicy {
 
   std::string name() const override;
   Knowledge knowledge() const noexcept override { return Knowledge::kNone; }
+  std::unique_ptr<TieringPolicy> clone() const override {
+    return std::make_unique<AlwaysTierPolicy>(tier_);
+  }
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;

@@ -20,8 +20,8 @@ void RlPolicy::decide_day(const PlanContext& context, std::size_t day,
     std::copy(current.begin(), current.end(), out_plan.begin());
     return;
   }
-  const std::vector<rl::Action> actions = agent_.act_batch(
-      context.trace.files(), day, current, greedy_, &plan_pool(context));
+  const std::vector<rl::Action> actions =
+      agent_.act_batch(context.trace.files(), day, current, greedy_);
   for (std::size_t i = 0; i < actions.size(); ++i)
     out_plan[i] = pricing::tier_from_index(actions[i]);
 }

@@ -40,9 +40,14 @@ class RlPolicy final : public TieringPolicy {
 
   std::string name() const override { return "MiniCost"; }
   Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
+  /// Borrows this policy's agent (act_batch is thread-safe), so the clone
+  /// must not outlive this policy.
+  std::unique_ptr<TieringPolicy> clone() const override {
+    return std::make_unique<RlPolicy>(agent_, greedy_);
+  }
 
-  /// One A3CAgent::act_batch call — fused NN forwards sharded over the
-  /// planning pool. Every row equals A3CAgent::act on the file's encoded
+  /// One A3CAgent::act_batch call: fused NN forwards over the day's
+  /// distinct states. Every row equals A3CAgent::act on the file's encoded
   /// features; before a full history window exists every file stays put.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,

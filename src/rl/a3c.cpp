@@ -8,7 +8,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "rl/stream.hpp"
 #include "stats/descriptive.hpp"
 #include "util/hash.hpp"
-#include "util/thread_pool.hpp"
 
 namespace minicost::rl {
 namespace {
@@ -54,13 +52,11 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
 // one forward, which bounds the widest scratch buffer (sub-batch × conv
 // width doubles).
 constexpr std::size_t kForwardRows = 256;
-// act_rows hashes, forwards and copies its rows in chunks of this many, one
-// pool task each, so each task reads its files in row order.
+// act_rows hashes, forwards and copies its rows in chunks of this many, so
+// each pass reads its files in row order.
 constexpr std::size_t kRowChunk = 512;
 // act_rows dedups in one hash partition per kPartitionRows rows (at most
-// kMaxPartitions), one pool task each. Like the chunks, a function of the
-// row count alone, so neither the decisions nor the work split depend on
-// the pool size.
+// kMaxPartitions), each with a small table of its own.
 constexpr std::size_t kPartitionRows = 512;
 constexpr std::size_t kMaxPartitions = 64;
 
@@ -590,7 +586,6 @@ Action A3CAgent::act(const trace::FileRecord& file, std::size_t day,
 
 template <class Rows>
 std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
-                                       util::ThreadPool* pool,
                                        const Rows& source) {
   std::vector<Action> actions(count);
   if (count == 0) return actions;
@@ -643,7 +638,8 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
   // r's. An open-addressing table over the partition's rows in ascending
   // order; every hash hit is confirmed by comparing the rows' bytes.
   std::vector<std::size_t> first(count);
-  const auto dedup_partition = [&](ActScratch& s, std::size_t p) {
+  ActScratch s;
+  const auto dedup_partition = [&](std::size_t p) {
     std::size_t rows = 0;
     for (std::size_t c = 0; c < chunks; ++c)
       rows += bounds[c * (parts + 1) + p + 1] - bounds[c * (parts + 1) + p];
@@ -672,9 +668,8 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
 
   // Pass 3, per chunk: encode and forward the chunk's first occurrences, in
   // row order and sub-batches of kForwardRows, and pick each one's action.
-  std::vector<std::size_t> forwarded(chunks);
-  const auto decide_chunk = [&](nn::Network& net, ActScratch& s,
-                                std::size_t c) {
+  std::size_t forwarded = 0;
+  const auto decide_chunk = [&](std::size_t c) {
     const std::size_t hi = std::min(count, (c + 1) * kRowChunk);
     s.rows.clear();
     for (std::size_t r = c * kRowChunk; r < hi; ++r)
@@ -685,7 +680,7 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
       const std::span<double> batch(s.batch);
       for (std::size_t d = 0; d < rows; ++d)
         source.encode(s.rows[lo + d], batch.subspan(d * width, width));
-      std::vector<double> pi = net.forward_batch(s.batch, rows);
+      std::vector<double> pi = actor.forward_batch(s.batch, rows);
       nn::softmax_rows(pi, rows, pi);
       for (std::size_t d = 0; d < rows; ++d) {
         const double* row = pi.data() + d * out_width;
@@ -704,7 +699,7 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
         }
       }
     }
-    forwarded[c] = s.rows.size();
+    forwarded += s.rows.size();
   };
 
   // Pass 4, per chunk: every repeat takes its first occurrence's action.
@@ -718,61 +713,36 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
       if (first[r] != r) actions[r] = actions[first[r]];
   };
 
-  if (pool && pool->size() > 1 && chunks > 1) {
-    pool->parallel_for(0, chunks, hash_chunk);
-    pool->parallel_for(0, parts, [&](std::size_t p) {
-      ActScratch scratch;
-      dedup_partition(scratch, p);
-    });
-    // forward_batch state is per-thread: clone the snapshot per chunk. A
-    // zero-row forward first builds the snapshot's Dense transposes (the
-    // refresh above left them stale), which the clones then share instead
-    // of each rebuilding its own — one transpose per call, as on the serial
-    // path.
-    actor.forward_batch({}, 0);
-    pool->parallel_for(0, chunks, [&](std::size_t c) {
-      nn::Network net = actor;
-      ActScratch scratch;
-      decide_chunk(net, scratch, c);
-    });
-    pool->parallel_for(0, chunks, copy_chunk);
-  } else {
-    // Serial: one network and one scratch serve every task.
-    ActScratch scratch;
-    for (std::size_t c = 0; c < chunks; ++c) hash_chunk(c);
-    for (std::size_t p = 0; p < parts; ++p) dedup_partition(scratch, p);
-    for (std::size_t c = 0; c < chunks; ++c) decide_chunk(actor, scratch, c);
-    for (std::size_t c = 0; c < chunks; ++c) copy_chunk(c);
-  }
+  for (std::size_t c = 0; c < chunks; ++c) hash_chunk(c);
+  for (std::size_t p = 0; p < parts; ++p) dedup_partition(p);
+  for (std::size_t c = 0; c < chunks; ++c) decide_chunk(c);
+  for (std::size_t c = 0; c < chunks; ++c) copy_chunk(c);
   MC_OBS_COUNT("rl.a3c.act.rows", count);
-  MC_OBS_COUNT("rl.a3c.act.forward_rows",
-               std::accumulate(forwarded.begin(), forwarded.end(),
-                               std::size_t{0}));
+  MC_OBS_COUNT("rl.a3c.act.forward_rows", forwarded);
   return actions;
 }
 
 std::vector<Action> A3CAgent::act_batch(
     std::span<const trace::FileRecord> files, std::size_t day,
-    std::span<const pricing::StorageTier> current_tiers, bool greedy,
-    util::ThreadPool* pool) {
+    std::span<const pricing::StorageTier> current_tiers, bool greedy) {
   if (files.size() != current_tiers.size())
     throw std::invalid_argument("A3CAgent::act_batch: span width mismatch");
   MC_OBS_SCOPE("rl.a3c.act_batch");
   MC_OBS_COUNT("rl.a3c.act_batch.files", files.size());
-  return act_rows(files.size(), greedy, pool,
+  return act_rows(files.size(), greedy,
                   FileStates{featurizer_, files, day, current_tiers});
 }
 
 std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
                                                  std::size_t count, bool greedy,
-                                                 util::ThreadPool* pool) {
+                                                 util::ThreadPool*) {
   const std::size_t width = featurizer_.feature_count();
   if (rows.size() != count * width)
     throw std::invalid_argument(
         "A3CAgent::act_features_batch: rows span width mismatch");
   MC_OBS_SCOPE("rl.a3c.act_features_batch");
   MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
-  return act_rows(count, greedy, pool, FeatureRows{rows.data(), width});
+  return act_rows(count, greedy, FeatureRows{rows.data(), width});
 }
 
 std::vector<double> A3CAgent::policy_probabilities(

@@ -142,25 +142,24 @@ class A3CAgent {
   /// on `day` given it currently sits in current_tiers[i]. Files whose raw
   /// states (Featurizer::RawState) and tiers match byte for byte share one
   /// decision: each distinct state is featurized and forwarded once per
-  /// call, in fused batch forwards (one kernel per layer and sub-batch)
-  /// that shard across `pool` (nullptr = run on the calling thread).
-  /// Bit-identical to calling act() per file, for any pool size. Requires
-  /// day >= history_len and files.size() == current_tiers.size(); every
-  /// file is validated, so one whose history is too short throws
-  /// std::out_of_range. Thread-safe: works on a parameter snapshot taken
-  /// under the lock.
+  /// call, in fused batch forwards (one kernel per layer and sub-batch) on
+  /// the calling thread. Bit-identical to calling act() per file, however
+  /// the files are split across calls. Requires day >= history_len and
+  /// files.size() == current_tiers.size(); every file is validated, so one
+  /// whose history is too short throws std::out_of_range. Thread-safe:
+  /// works on a parameter snapshot taken under the lock, so run_policy's
+  /// blocks call it concurrently.
   std::vector<Action> act_batch(std::span<const trace::FileRecord> files,
                                 std::size_t day,
                                 std::span<const pricing::StorageTier> current_tiers,
-                                bool greedy = true,
-                                util::ThreadPool* pool = nullptr);
+                                bool greedy = true);
 
   /// act_batch over pre-encoded feature rows: `rows` holds `count` rows of
   /// featurizer().feature_count() doubles each, densely packed; actions[i]
   /// decides row i. For callers that featurize on their own. Each distinct
   /// row (compared by bytes) is forwarded once per call. Bit-identical to
-  /// act_batch on the files that would encode to these rows, for any pool
-  /// size. Thread-safe.
+  /// act_batch on the files that would encode to these rows. Thread-safe.
+  /// `pool` is unused; only perfbench/src/pipeline.cpp passes one.
   std::vector<Action> act_features_batch(std::span<const double> rows,
                                          std::size_t count, bool greedy = true,
                                          util::ThreadPool* pool = nullptr);
@@ -230,7 +229,7 @@ class A3CAgent {
   /// copies it to the rows that repeat it (DESIGN.md §7, item 5).
   template <class Rows>
   std::vector<Action> act_rows(std::size_t count, bool greedy,
-                               util::ThreadPool* pool, const Rows& source);
+                               const Rows& source);
 
   A3CConfig config_;
   Featurizer featurizer_;

@@ -25,9 +25,10 @@
 namespace minicost::sim {
 
 /// Exact sums of some of one day's file charges, and how many of those
-/// files changed tier. The simulator prices each chunk of files into its own
-/// partial; the report keeps one per day. Merging is exact and associative,
-/// so any split of a day's files into partials gives the same bytes.
+/// files changed tier. The simulator prices each day into one partial; the
+/// report keeps one per day. Merging is exact and associative, so any split
+/// of a day's files into partials (run_policy's blocks, PlanDriver's
+/// shards) gives the same bytes.
 struct DayPartial {
   stats::ExactSum storage, read, write, change;
   std::uint64_t tier_changes = 0;

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pricing/policy.hpp"
@@ -50,25 +51,24 @@ struct SimulatorOptions {
   /// day sums (DayPartial::add), while its per-file total stays one file's:
   /// run_policy bills one representative per class of identical files.
   std::vector<std::uint32_t> members;
-  /// Pool for daily billing; nullptr bills inline. Each fixed-size file
-  /// chunk prices into its own exact DayPartial and the partials merge in
-  /// chunk order, so the bill is byte-identical for every pool size.
+  /// Unused: the simulator bills on the calling thread (run_policy bills
+  /// each block of files on its own simulator). Kept only for
+  /// perfbench/src/pipeline.cpp, which sets it.
   util::ThreadPool* pool = nullptr;
 };
 
 class StorageSimulator {
  public:
-  /// The trace and policy are borrowed; both must outlive the simulator.
-  /// Throws std::invalid_argument on a bad [start_day, end_day) window or
-  /// an initial_tiers or members width other than the file count.
-  StorageSimulator(const trace::RequestTrace& trace,
-                   const pricing::PricingPolicy& policy,
+  /// The trace's files and the policy are borrowed; both must outlive the
+  /// simulator. Throws std::invalid_argument on a bad [start_day, end_day)
+  /// window or an initial_tiers or members width other than the file count.
+  StorageSimulator(trace::TraceView trace, const pricing::PricingPolicy& policy,
                    SimulatorOptions options = {});
 
   /// Applies one day's plan and bills it. Days must be advanced in order;
   /// throws std::invalid_argument on a plan of the wrong width and
   /// std::out_of_range past the billed window.
-  void advance(const DayPlan& plan);
+  void advance(std::span<const pricing::StorageTier> plan);
 
   /// Advances through all days of `plan`. Returns the final report.
   const BillingReport& run(const HorizonPlan& plan);
@@ -83,17 +83,16 @@ class StorageSimulator {
   void reset();
 
  private:
-  const trace::RequestTrace& trace_;
+  trace::TraceView trace_;
   const pricing::PricingPolicy& policy_;
   SimulatorOptions options_;
   std::size_t day_ = 0;
   std::vector<pricing::StorageTier> tiers_;
   BillingReport report_;
-  std::vector<DayPartial> partials_;  ///< one per file chunk, reused daily
 };
 
 /// One-shot convenience: bill `plan` over `trace` under `policy`.
-BillingReport simulate(const trace::RequestTrace& trace,
+BillingReport simulate(trace::TraceView trace,
                        const pricing::PricingPolicy& policy,
                        const HorizonPlan& plan, SimulatorOptions options = {});
 

@@ -138,4 +138,16 @@ void RequestTrace::validate() const {
   }
 }
 
+const FileRecord& TraceView::file(FileId id) const {
+  if (id >= files_.size())
+    throw std::out_of_range("TraceView::file: id past the view");
+  return files_[id];
+}
+
+TraceView TraceView::subview(std::size_t first, std::size_t count) const {
+  if (first > files_.size() || count > files_.size() - first)
+    throw std::out_of_range("TraceView::subview: range past the view");
+  return TraceView(days_, files_.subspan(first, count));
+}
+
 }  // namespace minicost::trace

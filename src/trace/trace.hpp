@@ -91,4 +91,34 @@ class RequestTrace {
   std::vector<CoRequestGroup> groups_;
 };
 
+/// A borrowed run of a trace's files over its whole horizon: what planning
+/// and billing read (core::PlanContext, sim::StorageSimulator). Built
+/// implicitly from a RequestTrace, which must outlive it; subview() narrows
+/// it to a block of files without copying them. Carries no co-request
+/// groups: no planning policy reads them.
+class TraceView {
+ public:
+  TraceView() = default;
+  /// Implicit: every whole trace is a view of itself.
+  TraceView(const RequestTrace& trace) noexcept
+      : days_(trace.days()), files_(trace.files()) {}
+
+  std::size_t days() const noexcept { return days_; }
+  std::size_t file_count() const noexcept { return files_.size(); }
+  std::span<const FileRecord> files() const noexcept { return files_; }
+  /// File `id` of the view (bounds-checked: std::out_of_range).
+  const FileRecord& file(FileId id) const;
+
+  /// Files [first, first + count) of this view (std::out_of_range past its
+  /// end).
+  TraceView subview(std::size_t first, std::size_t count) const;
+
+ private:
+  TraceView(std::size_t days, std::span<const FileRecord> files) noexcept
+      : days_(days), files_(files) {}
+
+  std::size_t days_ = 0;
+  std::span<const FileRecord> files_;
+};
+
 }  // namespace minicost::trace

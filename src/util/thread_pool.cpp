@@ -106,9 +106,4 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace minicost::util

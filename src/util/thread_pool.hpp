@@ -1,7 +1,7 @@
 #pragma once
 // Fixed-size worker thread pool with a simple task queue, plus a blocking
 // parallel_for used for the library's embarrassingly parallel loops
-// (per-file DP, ARIMA fits, policy evaluation). Degrades to useful behaviour
+// (run_policy's file blocks, ARIMA fits, policy evaluation). Degrades to useful behaviour
 // on a single hardware thread: parallel_for then runs chunks inline.
 //
 // Concurrency model (DESIGN.md §8): the queue and the stop flag are the only
@@ -60,11 +60,6 @@ class ThreadPool {
   /// deadlocking.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
-
-  /// Shared process-wide pool sized by hardware concurrency. Intended for
-  /// library internals; experiments that need determinism independent of
-  /// thread count must make per-index work independent (all ours is).
-  static ThreadPool& shared();
 
  private:
   void worker_loop();

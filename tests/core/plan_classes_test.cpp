@@ -1,6 +1,6 @@
 // The class contract of run_policy: it plans and bills one representative
 // per class of files with identical inputs (reads, writes, size, initial
-// tier; grouped files stay singletons) and hands plans and bills back per
+// tier; co-request groups play no part) and hands plans and bills back per
 // file. For every in-tree policy, at every pool size, the result must be
 // the bytes of planning every file: prepare/decide_day over the full trace,
 // billed by sim::simulate over all n files.
@@ -29,6 +29,7 @@
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/synthetic.hpp"
+#include "trace/trace_io.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minicost::core {
@@ -103,8 +104,8 @@ PlanResult plan_every_file(const trace::RequestTrace& trace,
       options.initial_tiers.empty()
           ? std::vector<StorageTier>(n, options.default_initial_tier)
           : options.initial_tiers;
-  const PlanContext context{trace,   pricing, options.start_day,
-                            end_day, initial, options.pool};
+  const PlanContext context{trace, pricing, options.start_day, end_day,
+                            initial};
   policy.prepare(context);
   PlanResult result;
   std::vector<StorageTier> current = initial;
@@ -119,7 +120,6 @@ PlanResult plan_every_file(const trace::RequestTrace& trace,
   sim_options.charge_initial_placement = options.charge_initial_placement;
   sim_options.start_day = options.start_day;
   sim_options.end_day = end_day;
-  sim_options.pool = options.pool;
   result.report = sim::simulate(trace, pricing, result.plan, sim_options);
   return result;
 }
@@ -186,8 +186,8 @@ TEST(PlanClassesTest, AllDistinctTraceMatchesPlanningEveryFile) {
   }
 }
 
-// Every file twice: classes of two, more of them than the simulator's
-// parallel-billing grain, so the weighted bill runs on the pool.
+// Every file twice: classes of two, split over the pool's file blocks, so
+// every block bills weighted charges.
 TEST(PlanClassesTest, EveryFileTwiceMatchesPlanningEveryFile) {
   const trace::RequestTrace distinct = synthetic(2100, false, 0.0);
   trace::RequestTrace tr = distinct;
@@ -245,14 +245,60 @@ TEST(PlanClassesTest, FilesDifferingInOneInputAreNotClassedTogether) {
   }
 }
 
-TEST(PlanClassesTest, GroupedFilesStaySingletons) {
+// No policy reads co-request groups (DESIGN.md §7 item 6), so grouped
+// files class like any other.
+TEST(PlanClassesTest, GroupedFilesClassLikeAnyOther) {
   trace::RequestTrace tr = identical(6);
   tr.mutable_groups().push_back({{1, 4}, std::vector<double>(kDays, 0.5)});
   expect_matches_oracle(tr, window_options(), "grouped");
-  // Files 0, 2, 3 and 5 share a class; files 1 and 4 are their own.
   if (obs::kCompiledIn) {
-    EXPECT_EQ(planned_classes(tr, window_options()), 3u);
+    EXPECT_EQ(planned_classes(tr, window_options()), 1u);
   }
+}
+
+// The same files as `minicost generate` writes them to a .csv, with 30% of
+// them in co-request groups, and to a .mct, streamed without groups: the
+// two plan the same classes, and their bills are byte-identical.
+TEST(PlanClassesTest, GroupedCsvAndItsStorePlanAlike) {
+  trace::SyntheticConfig config;
+  config.file_count = 10000;
+  config.integral_counts = true;
+  config.grouped_file_fraction = 0.3;
+  config.seed = 11;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("minicost_plan_classes_csv_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  trace::save_trace(trace::generate_synthetic(config), dir / "trace.csv");
+  const trace::RequestTrace csv = trace::load_trace(dir / "trace.csv");
+  ASSERT_FALSE(csv.groups().empty());
+  config.grouped_file_fraction = 0.0;
+  {
+    store::TraceWriter writer(dir / "trace.mct", config.days);
+    for (const trace::FileRecord& f :
+         trace::generate_synthetic_files(config, 0, config.file_count))
+      writer.add_file(f.name, f.size_gb, f.reads, f.writes);
+    writer.finish();
+  }
+  {
+    const trace::RequestTrace mct =
+        store::TraceReader(dir / "trace.mct").materialize();
+    ASSERT_TRUE(mct.groups().empty());
+    const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+    PlanOptions options;
+    options.start_day = csv.days() - 35;
+    options.initial_tiers =
+        static_initial_tiers(csv, azure, options.start_day);
+    GreedyPolicy greedy;
+    EXPECT_TRUE(sim::bitwise_equal(run_policy(csv, azure, greedy, options).report,
+                                   run_policy(mct, azure, greedy, options).report));
+    if (obs::kCompiledIn) {
+      const std::uint64_t classes = planned_classes(csv, options);
+      EXPECT_LT(classes, csv.file_count() / 2);
+      EXPECT_EQ(planned_classes(mct, options), classes);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PlanClassesTest, EmptyTracePlansToAnEmptyBill) {

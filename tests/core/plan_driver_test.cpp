@@ -39,17 +39,23 @@ void expect_identical(const sim::BillingReport& a,
   EXPECT_EQ(a.tier_changes(), b.tier_changes());
 }
 
-/// Greedy wrapped with a prepare() counter: prepare runs once per planned
-/// shard, so the count pins both "the instance is reused across runs" and
-/// "clean shards are spliced, not re-planned".
+/// Greedy wrapped with a prepare() counter that its clones share: with no
+/// pool each shard plans one block, so prepare runs once per planned shard
+/// and the count pins both "the instance is reused across runs" and "clean
+/// shards are spliced, not re-planned".
 class CountingGreedy final : public TieringPolicy {
  public:
   std::string name() const override { return inner_.name(); }
   Knowledge knowledge() const noexcept override {
     return inner_.knowledge();
   }
+  std::unique_ptr<TieringPolicy> clone() const override {
+    auto copy = std::make_unique<CountingGreedy>();
+    copy->calls_ = calls_;
+    return copy;
+  }
   void prepare(const PlanContext& context) override {
-    ++prepare_calls;
+    ++*calls_;
     inner_.prepare(context);
   }
   void decide_day(const PlanContext& context, std::size_t day,
@@ -58,10 +64,11 @@ class CountingGreedy final : public TieringPolicy {
     inner_.decide_day(context, day, current, out_plan);
   }
 
-  std::size_t prepare_calls = 0;
+  std::size_t prepare_calls() const { return *calls_; }
 
  private:
   GreedyPolicy inner_;
+  std::shared_ptr<std::size_t> calls_ = std::make_shared<std::size_t>(0);
 };
 
 class PlanDriverTest : public ::testing::Test {
@@ -130,7 +137,7 @@ TEST_F(PlanDriverTest, CleanReplanSplicesEverythingFromCache) {
   const PlanDriverRun spliced = driver.replan();
   EXPECT_EQ(spliced.replanned_shards, 0u);
   EXPECT_EQ(spliced.decision_seconds, 0.0);
-  EXPECT_EQ(spliced.file_decide_p50_ns, 0.0);
+  EXPECT_EQ(spliced.decide_ns_per_file_day, 0.0);
   expect_identical(spliced.report, full.report);
 }
 
@@ -169,27 +176,29 @@ TEST_F(PlanDriverTest, PolicyInstanceStaysWarmAcrossRuns) {
   PlanDriver driver(*reader_, prices_, policy, driver_options(7));
 
   driver.run();
-  EXPECT_EQ(policy.prepare_calls, 9u);  // one per shard
+  EXPECT_EQ(policy.prepare_calls(), 9u);  // one per shard
 
   driver.replan();  // clean: pure splice
-  EXPECT_EQ(policy.prepare_calls, 9u);
+  EXPECT_EQ(policy.prepare_calls(), 9u);
 
   driver.mark_dirty(0, 1);
   driver.replan();  // one dirty shard
-  EXPECT_EQ(policy.prepare_calls, 10u);
+  EXPECT_EQ(policy.prepare_calls(), 10u);
 
   driver.run();  // full re-plan reuses the same instance
-  EXPECT_EQ(policy.prepare_calls, 19u);
+  EXPECT_EQ(policy.prepare_calls(), 19u);
 }
 
-TEST_F(PlanDriverTest, ReportsLatencyPercentilesAndTimings) {
+TEST_F(PlanDriverTest, ReportsMeanDecideTimeAndTimings) {
   GreedyPolicy policy;
   PlanDriver driver(*reader_, prices_, policy, driver_options(7));
   const PlanDriverRun run = driver.run();
   EXPECT_GT(run.wall_seconds, 0.0);
   EXPECT_GT(run.decision_seconds, 0.0);
-  EXPECT_GT(run.file_decide_p50_ns, 0.0);
-  EXPECT_GE(run.file_decide_p99_ns, run.file_decide_p50_ns);
+  EXPECT_GT(run.decide_ns_per_file_day, 0.0);
+  // 61 files over days [3, 10): the mean of the decide sum per file-day.
+  EXPECT_DOUBLE_EQ(run.decide_ns_per_file_day,
+                   run.decision_seconds * 1e9 / (61.0 * 7.0));
   EXPECT_EQ(run.start_day, 3u);
   EXPECT_EQ(run.policy_name, policy.name());
 }

@@ -32,8 +32,10 @@ TEST(RunPolicyTest, PlanCoversWindowExactly) {
   EXPECT_EQ(result.plan.size(), 20u);
   EXPECT_EQ(result.plan[0].size(), tr.file_count());
   EXPECT_EQ(result.report.days(), 20u);
-  EXPECT_EQ(result.day_seconds.size(), 20u);
   EXPECT_GT(result.decision_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.decide_ns_per_file_day,
+                   result.decision_seconds * 1e9 /
+                       static_cast<double>(tr.file_count() * 20));
   EXPECT_EQ(result.policy_name, "Hot");
 }
 

@@ -109,7 +109,7 @@ TEST(RlPolicyTest, OwnedAgentFromOptionsDecidesLikeBorrowedAgent) {
             run_policy(tr, azure, borrowed, plan_options).plan);
 }
 
-// Wider than act_batch's 256-row chunk, so the pool really splits days.
+// Wide enough that each of a 4-thread pool's blocks holds 150 files.
 trace::RequestTrace make_wide_trace() {
   trace::SyntheticConfig config;
   config.file_count = 600;

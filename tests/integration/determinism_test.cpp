@@ -8,6 +8,7 @@
 
 #include "evaluation.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -15,8 +16,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/forecast_policy.hpp"
@@ -105,8 +108,8 @@ TEST(DeterminismTest, DifferentSeedsProduceDifferentAgents) {
   EXPECT_NE(probs[0], probs[1]);
 }
 
-// The 300-file trace every equivalence test plans: wide enough that
-// decide_each_file shards a day across the pool (kParallelDecideGrain).
+// The 300-file trace every equivalence test plans: wide enough that each
+// of a 4-thread pool's file blocks holds many files.
 trace::RequestTrace wide_trace() {
   trace::SyntheticConfig tc = trace_config();
   tc.file_count = 300;
@@ -250,11 +253,11 @@ TEST(DeterminismTest, EvaluateIsPoolSizeIndependent) {
   }
 }
 
-// act_batch must produce the same actions whether it runs serially, on an
-// idle pool, or on a pool that is simultaneously churning through unrelated
-// work (the production shape: evaluate() keeps the shared pool busy with
-// other policies while the RL policy plans its day). Chunk sharding is
-// fixed-size, so contention may only change timing, never decisions.
+// run_policy's blocks call act_batch from several pool threads at once,
+// while other work may keep the pool busy (evaluate() runs the policies
+// concurrently on one pool). Each call plans on its own snapshot of the
+// actor, so concurrent calls under contention decide exactly as a serial
+// call: contention may only change timing, never decisions.
 TEST(DeterminismTest, ActBatchIsIdenticalUnderContendedPool) {
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   trace::SyntheticConfig tc = trace_config();
@@ -277,11 +280,11 @@ TEST(DeterminismTest, ActBatchIsIdenticalUnderContendedPool) {
 
   for (const bool greedy : {true, false}) {
     const std::vector<rl::Action> serial =
-        agent.act_batch(tr.files(), day, tiers, greedy, /*pool=*/nullptr);
+        agent.act_batch(tr.files(), day, tiers, greedy);
 
     util::ThreadPool pool(4);
     // Contend: a deep queue of short foreign compute tasks keeps every
-    // worker busy while act_batch shards its chunks. Tasks are finite (the
+    // worker busy while the act_batch calls run. Tasks are finite (the
     // pool's waiting threads help drain the queue, so an unbounded task
     // would be executed by the planner itself).
     std::atomic<std::uint64_t> sink{0};
@@ -294,11 +297,14 @@ TEST(DeterminismTest, ActBatchIsIdenticalUnderContendedPool) {
         sink.fetch_add(acc, std::memory_order_relaxed);
       }));
     }
-    const std::vector<rl::Action> contended =
-        agent.act_batch(tr.files(), day, tiers, greedy, &pool);
+    std::vector<std::vector<rl::Action>> contended(4);
+    pool.parallel_for(0, contended.size(), [&](std::size_t k) {
+      contended[k] = agent.act_batch(tr.files(), day, tiers, greedy);
+    });
     for (auto& f : noise) f.wait();
 
-    EXPECT_EQ(serial, contended) << "greedy=" << greedy;
+    for (const std::vector<rl::Action>& actions : contended)
+      EXPECT_EQ(serial, actions) << "greedy=" << greedy;
   }
 }
 
@@ -311,9 +317,9 @@ std::uint64_t counter_value(std::string_view name) {
 // The number of distinct (raw state, tier) keys among `files` on `day`:
 // what act_batch must forward, counted here by brute force.
 std::size_t distinct_states(const rl::Featurizer& featurizer,
-                            const std::vector<trace::FileRecord>& files,
+                            std::span<const trace::FileRecord> files,
                             std::size_t day,
-                            const std::vector<pricing::StorageTier>& tiers) {
+                            std::span<const pricing::StorageTier> tiers) {
   std::set<std::vector<std::uint64_t>> keys;
   for (std::size_t i = 0; i < files.size(); ++i) {
     const rl::Featurizer::RawState s = featurizer.raw_state(files[i], day);
@@ -329,14 +335,17 @@ std::size_t distinct_states(const rl::Featurizer& featurizer,
 }
 
 // A multi-day act_batch plan over a trace with whole request counts (so
-// states repeat, within and across act_rows' chunks and partitions) is the
-// same at every pool size, and each day forwards exactly its distinct raw
-// states, whatever the pool size.
+// states repeat, within and across act_rows' chunks and partitions), split
+// into one contiguous block of files per pool thread as run_policy splits
+// it, is the same at every pool size, and each block's call forwards
+// exactly the distinct raw states of its own files.
 TEST(DeterminismTest, ActBatchForwardsEachDistinctStateOnceAtEveryPoolSize) {
   trace::SyntheticConfig tc = trace_config();
   tc.file_count = 2500;
   tc.integral_counts = true;
   const trace::RequestTrace tr = trace::generate_synthetic(tc);
+  const std::span<const trace::FileRecord> files(tr.files());
+  const std::size_t n = files.size();
   rl::A3CConfig config;
   config.filters = 8;
   config.hidden = 8;
@@ -344,30 +353,43 @@ TEST(DeterminismTest, ActBatchForwardsEachDistinctStateOnceAtEveryPoolSize) {
   rl::A3CAgent agent(config, 79);
   const std::size_t first_day = agent.featurizer().history_len();
 
-  util::ThreadPool one(1), four(4);
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   for (const bool greedy : {true, false}) {
     std::vector<std::vector<rl::Action>> plans;
-    for (util::ThreadPool* pool :
-         {static_cast<util::ThreadPool*>(nullptr), &one, &four}) {
-      SCOPED_TRACE("greedy=" + std::to_string(greedy) + " pool=" +
-                   std::to_string(pool ? pool->size() : 0));
-      std::vector<pricing::StorageTier> tiers(tr.file_count(),
-                                              pricing::StorageTier::kHot);
+    for (const std::size_t threads : {1, 3, 4}) {
+      SCOPED_TRACE("greedy=" + std::to_string(greedy) +
+                   " threads=" + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      const auto block = [&](std::size_t b) {
+        return std::pair{b * n / threads, (b + 1) * n / threads - b * n / threads};
+      };
+      std::vector<pricing::StorageTier> tiers(n, pricing::StorageTier::kHot);
       std::vector<rl::Action> plan;
       std::size_t forwarded = 0;
       for (std::size_t day = first_day; day < first_day + 6; ++day) {
-        const std::size_t expected =
-            distinct_states(agent.featurizer(), tr.files(), day, tiers);
+        std::size_t expected = 0;
+        for (std::size_t b = 0; b < threads; ++b) {
+          const auto [lo, count] = block(b);
+          expected += distinct_states(agent.featurizer(),
+                                      files.subspan(lo, count), day,
+                                      std::span(tiers).subspan(lo, count));
+        }
         const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
-        const std::vector<rl::Action> actions =
-            agent.act_batch(tr.files(), day, tiers, greedy, pool);
+        std::vector<rl::Action> actions(n);
+        pool.parallel_for(0, threads, [&](std::size_t b) {
+          const auto [lo, count] = block(b);
+          const std::vector<rl::Action> part = agent.act_batch(
+              files.subspan(lo, count), day,
+              std::span(tiers).subspan(lo, count), greedy);
+          std::copy(part.begin(), part.end(),
+                    actions.begin() + static_cast<std::ptrdiff_t>(lo));
+        });
         EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, expected)
             << "day " << day;
         forwarded += expected;
         plan.insert(plan.end(), actions.begin(), actions.end());
-        for (std::size_t i = 0; i < actions.size(); ++i)
+        for (std::size_t i = 0; i < n; ++i)
           tiers[i] = pricing::tier_from_index(actions[i]);
       }
       // Otherwise the trace would not exercise the dedup at all.

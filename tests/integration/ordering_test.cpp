@@ -109,6 +109,9 @@ TEST(OrderingTest, HigherVariabilityBucketsSaveMorePerFile) {
    public:
     std::string name() const override { return "Pinned"; }
     Knowledge knowledge() const noexcept override { return Knowledge::kNone; }
+    std::unique_ptr<TieringPolicy> clone() const override {
+      return std::make_unique<PinnedPolicy>();
+    }
     void decide_day(const PlanContext& context, std::size_t,
                     std::span<const pricing::StorageTier> current,
                     std::span<pricing::StorageTier> out_plan) override {

@@ -176,15 +176,35 @@ TEST(A3CAgentTest, ActBatchMatchesScalarActSampled) {
   }
 }
 
+// run_policy's blocks call act_batch concurrently, one pool thread per
+// contiguous block of files: every split, on pools of every size, decides
+// as one call over all the files.
 TEST(A3CAgentTest, ActBatchIsPoolSizeIndependent) {
   A3CAgent agent(tiny_config(), 23);
   const trace::RequestTrace trace = small_trace(1200);
+  const std::span<const trace::FileRecord> files(trace.files());
   const std::vector<pricing::StorageTier> current(
       trace.file_count(), pricing::StorageTier::kCool);
-  util::ThreadPool one(1), many(4);
-  const auto serial = agent.act_batch(trace.files(), 20, current, true, &one);
-  const auto sharded = agent.act_batch(trace.files(), 20, current, true, &many);
-  EXPECT_EQ(serial, sharded);
+  const std::size_t n = files.size();
+  for (const bool greedy : {true, false}) {
+    const std::vector<Action> whole =
+        agent.act_batch(files, 20, current, greedy);
+    for (const std::size_t threads : {1, 2, 3, 4}) {
+      util::ThreadPool pool(threads);
+      std::vector<Action> blocked(n);
+      pool.parallel_for(0, threads, [&](std::size_t b) {
+        const std::size_t lo = b * n / threads;
+        const std::size_t count = (b + 1) * n / threads - lo;
+        const std::vector<Action> actions =
+            agent.act_batch(files.subspan(lo, count), 20,
+                            std::span(current).subspan(lo, count), greedy);
+        std::copy(actions.begin(), actions.end(),
+                  blocked.begin() + static_cast<std::ptrdiff_t>(lo));
+      });
+      EXPECT_EQ(blocked, whole)
+          << "greedy=" << greedy << " threads=" << threads;
+    }
+  }
 }
 
 // Batch decisions are row-independent: identical feature rows must decide
@@ -235,7 +255,6 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesActBatchOnEncodedRows) {
   A3CAgent agent(tiny_config(), 4);
   const trace::RequestTrace trace = small_trace();
   const std::size_t width = agent.featurizer().feature_count();
-  util::ThreadPool pool(4);
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{2}, std::size_t{64}, std::size_t{300}}) {
     std::vector<trace::FileRecord> files;
@@ -250,11 +269,8 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesActBatchOnEncodedRows) {
                 rows.begin() + static_cast<std::ptrdiff_t>(i * width));
     }
     const auto reference = agent.act_batch(files, 20, current, true);
-    const auto serial = agent.act_features_batch(rows, batch, true);
-    const auto pooled = agent.act_features_batch(rows, batch, true, &pool);
     SCOPED_TRACE("batch=" + std::to_string(batch));
-    EXPECT_EQ(serial, reference);
-    EXPECT_EQ(pooled, reference);
+    EXPECT_EQ(agent.act_features_batch(rows, batch, true), reference);
   }
 }
 
@@ -268,8 +284,8 @@ TEST(A3CAgentTest, ActFeaturesBatchValidatesRowBufferWidth) {
 
 // act_features_batch forwards each distinct row of the call once and
 // copies its decision to the rows that repeat it. Whatever the duplicate
-// pattern, batch size or pool size, every row must still decide exactly as
-// the scalar act() does on that row alone.
+// pattern or batch size, every row must still decide exactly as the scalar
+// act() does on that row alone.
 TEST(A3CAgentTest, ActFeaturesBatchMatchesScalarActUnderEveryDuplicatePattern) {
   A3CAgent agent(tiny_config(), 31);
   const std::size_t width = agent.featurizer().feature_count();
@@ -277,7 +293,6 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesScalarActUnderEveryDuplicatePattern) {
   const std::size_t max_batch = 700;
   const std::vector<double> palette = random_rows(max_batch + 1, width, 77);
   const std::size_t special = max_batch;  // a row no other pattern uses
-  util::ThreadPool one(1), four(4);
 
   struct Pattern {
     std::string name;
@@ -312,14 +327,10 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesScalarActUnderEveryDuplicatePattern) {
               std::span<const double>(rows).subspan(i * width, width), greedy);
           saw_two_actions |= expected[i] != expected[0];
         }
-        for (util::ThreadPool* pool : {&one, &four}) {
-          const auto actions =
-              agent.act_features_batch(rows, batch, greedy, pool);
-          ASSERT_EQ(actions.size(), batch);
-          for (std::size_t i = 0; i < batch; ++i)
-            ASSERT_EQ(actions[i], expected[i])
-                << "row " << i << " pool=" << pool->size();
-        }
+        const auto actions = agent.act_features_batch(rows, batch, greedy);
+        ASSERT_EQ(actions.size(), batch);
+        for (std::size_t i = 0; i < batch; ++i)
+          ASSERT_EQ(actions[i], expected[i]) << "row " << i;
       }
     }
   }
@@ -368,18 +379,14 @@ TEST(A3CAgentTest, ActCountsRowsAndForwardedRowsOncePerCall) {
   std::vector<std::size_t> source(300);
   for (std::size_t i = 0; i < source.size(); ++i) source[i] = i % 3;
   const std::vector<double> rows = gather_rows(palette, source, width);
-  util::ThreadPool pool(4);
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    const std::uint64_t rows_before = counter_value("rl.a3c.act.rows");
-    const std::uint64_t forward_before =
-        counter_value("rl.a3c.act.forward_rows");
-    agent.act_features_batch(rows, 300, true, p);
-    EXPECT_EQ(counter_value("rl.a3c.act.rows") - rows_before, 300u);
-    // The dedup spans the whole call: 3 distinct rows, whatever the pool.
-    EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - forward_before, 3u);
-  }
+  const std::uint64_t rows_before = counter_value("rl.a3c.act.rows");
+  const std::uint64_t forward_before = counter_value("rl.a3c.act.forward_rows");
+  agent.act_features_batch(rows, 300, true);
+  EXPECT_EQ(counter_value("rl.a3c.act.rows") - rows_before, 300u);
+  // The dedup spans the whole call: 3 distinct rows.
+  EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - forward_before, 3u);
   obs::set_enabled(was_enabled);
 }
 
@@ -449,29 +456,25 @@ TEST(A3CAgentTest, ActBatchValidatesEveryFileNotOnlyTheDistinctOnes) {
   const trace::RequestTrace trace = small_trace();
   constexpr std::size_t kDay = 20;
   const std::vector<pricing::StorageTier> tiers(3, pricing::StorageTier::kHot);
-  util::ThreadPool pool(4);
   for (const bool short_reads : {true, false}) {
     std::vector<trace::FileRecord> files(3, trace.file(2));
     // Shrunk in place, so the series keeps its capacity and its old values
     // past the end: a dedup that read the state without the bounds check
     // would take this file for a repeat of the first two.
     (short_reads ? files[2].reads : files[2].writes).resize(kDay - 1);
-    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool})
-      EXPECT_THROW(agent.act_batch(files, kDay, tiers, true, p),
-                   std::out_of_range)
-          << "short_reads=" << short_reads;
+    EXPECT_THROW(agent.act_batch(files, kDay, tiers, true), std::out_of_range)
+        << "short_reads=" << short_reads;
   }
 }
 
 // Duplicated files that straddle act_rows' 512-row chunks and its hash
 // partitions decide exactly as act() does on each file alone, greedy and
-// sampled, serial and pooled.
+// sampled.
 TEST(A3CAgentTest, ActBatchDuplicatesAcrossChunksDecideAsScalarAct) {
   A3CAgent agent(tiny_config(), 41);
   const trace::RequestTrace trace = small_trace(64);
   constexpr std::size_t kDay = 23;
   constexpr std::size_t kFiles = 2600;  // six chunks, six partitions
-  util::ThreadPool one(1), four(4);
   const std::vector<std::pair<std::string,
                               std::function<std::size_t(std::size_t)>>>
       patterns = {
@@ -507,12 +510,7 @@ TEST(A3CAgentTest, ActBatchDuplicatesAcrossChunksDecideAsScalarAct) {
         expected[i] = agent.act(files[i], kDay, tiers[i], greedy);
         saw_two_actions |= expected[i] != expected[0];
       }
-      for (util::ThreadPool* pool :
-           {static_cast<util::ThreadPool*>(nullptr), &one, &four}) {
-        const auto actions = agent.act_batch(files, kDay, tiers, greedy, pool);
-        ASSERT_EQ(actions, expected)
-            << "pool=" << (pool ? pool->size() : std::size_t{0});
-      }
+      ASSERT_EQ(agent.act_batch(files, kDay, tiers, greedy), expected);
     }
   }
   EXPECT_TRUE(saw_two_actions);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "file_sequence_cost.hpp"
@@ -196,39 +197,44 @@ HorizonPlan mixed_plan(std::size_t days, std::size_t files) {
   return plan;
 }
 
+// run_policy bills each block of files on its own simulator over a view of
+// the block, concurrently, and merges the block reports in block order:
+// every split, on pools of every size, bills the bytes of one serial pass.
 TEST(SimulatorTest, ParallelBillingIsByteIdenticalToSerial) {
   trace::SyntheticConfig config;
-  config.file_count = 2100;
+  config.file_count = 1100;
   config.days = 4;
   config.seed = 99;
-  const trace::RequestTrace full = trace::generate_synthetic(config);
+  const trace::RequestTrace trace = trace::generate_synthetic(config);
+  const std::size_t n = trace.file_count();
   const PricingPolicy azure = PricingPolicy::azure_2020();
+  const HorizonPlan plan = mixed_plan(config.days, n);
 
-  util::ThreadPool one(1), two(2), three(3), four(4);
-  const std::vector<util::ThreadPool*> pools{nullptr, &one, &two, &three,
-                                             &four};
-  // Both sides of the 512-file billing chunk and of the 2048-file grain
-  // below which a day bills inline.
-  for (const std::size_t width :
-       {std::size_t{1}, std::size_t{511}, std::size_t{512}, std::size_t{513},
-        std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
-        std::size_t{2047}, std::size_t{2048}, std::size_t{2049},
-        std::size_t{2100}}) {
-    const trace::RequestTrace trace(
-        config.days,
-        std::vector<trace::FileRecord>(full.files().begin(),
-                                       full.files().begin() + width));
-    const HorizonPlan plan = mixed_plan(config.days, width);
-    for (const bool charge_initial : {false, true}) {
-      const BillingReport oracle = two_phase_bill(
-          trace, azure, plan, StorageTier::kHot, charge_initial);
-      for (util::ThreadPool* pool : pools) {
-        SimulatorOptions options;
-        options.charge_initial_placement = charge_initial;
-        options.pool = pool;
-        EXPECT_TRUE(bitwise_equal(simulate(trace, azure, plan, options), oracle))
-            << "width " << width << " charge_initial " << charge_initial
-            << " pool " << (pool ? pool->size() : 0);
+  for (const bool charge_initial : {false, true}) {
+    const BillingReport oracle = two_phase_bill(
+        trace, azure, plan, StorageTier::kHot, charge_initial);
+    SimulatorOptions options;
+    options.charge_initial_placement = charge_initial;
+    EXPECT_TRUE(bitwise_equal(simulate(trace, azure, plan, options), oracle));
+    for (const std::size_t threads : {1, 2, 3, 4}) {
+      util::ThreadPool pool(threads);
+      for (const std::size_t blocks : {1, 2, 3, 7}) {
+        std::vector<BillingReport> parts(blocks);
+        pool.parallel_for(0, blocks, [&](std::size_t b) {
+          const std::size_t first = b * n / blocks;
+          const std::size_t count = (b + 1) * n / blocks - first;
+          StorageSimulator sim(trace::TraceView(trace).subview(first, count),
+                               azure, options);
+          for (const DayPlan& day : plan)
+            sim.advance(std::span(day).subspan(first, count));
+          parts[b] = sim.report();
+        });
+        BillingReport merged(n, plan.size());
+        for (std::size_t b = 0; b < blocks; ++b)
+          merged.merge_shard(parts[b], b * n / blocks);
+        EXPECT_TRUE(bitwise_equal(merged, oracle))
+            << "charge_initial " << charge_initial << " threads " << threads
+            << " blocks " << blocks;
       }
     }
   }
@@ -239,7 +245,7 @@ TEST(SimulatorTest, ParallelBillingIsByteIdenticalToSerial) {
 // file once, weighted, gives the bytes of billing every copy.
 TEST(SimulatorTest, MembersBillLikeRepeatedFiles) {
   trace::SyntheticConfig config;
-  config.file_count = 2100;  // over the parallel-billing grain
+  config.file_count = 2100;
   config.days = 5;
   config.seed = 5;
   const trace::RequestTrace distinct = trace::generate_synthetic(config);
@@ -263,17 +269,12 @@ TEST(SimulatorTest, MembersBillLikeRepeatedFiles) {
     repeated_plan.push_back(std::move(wide));
   }
 
-  util::ThreadPool four(4);
-  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &four}) {
-    SimulatorOptions options;
-    options.charge_initial_placement = true;
-    options.pool = pool;
-    const BillingReport oracle = simulate(repeated, azure, repeated_plan, options);
-    options.members = members;
-    const BillingReport weighted = simulate(distinct, azure, plan, options);
-    EXPECT_TRUE(bitwise_equal(weighted.gather(source_of), oracle))
-        << "pool " << (pool ? pool->size() : 0);
-  }
+  SimulatorOptions options;
+  options.charge_initial_placement = true;
+  const BillingReport oracle = simulate(repeated, azure, repeated_plan, options);
+  options.members = members;
+  const BillingReport weighted = simulate(distinct, azure, plan, options);
+  EXPECT_TRUE(bitwise_equal(weighted.gather(source_of), oracle));
 
   SimulatorOptions bad;
   bad.members.assign(distinct.file_count() + 1, 1);
@@ -294,18 +295,14 @@ TEST(SimulatorTest, BillingWindowReadsTheTraceInPlace) {
   const BillingReport oracle =
       simulate(trace.window(4, 5), azure, plan, windowed);
 
-  util::ThreadPool four(4);
-  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr), &four}) {
-    SimulatorOptions options = windowed;
-    options.start_day = 4;
-    options.end_day = 9;
-    options.pool = pool;
-    StorageSimulator sim(trace, azure, options);
-    sim.run(plan);
-    EXPECT_EQ(sim.report().days(), 5u);
-    EXPECT_TRUE(bitwise_equal(sim.report(), oracle));
-    EXPECT_THROW(sim.advance(plan[0]), std::out_of_range);
-  }
+  SimulatorOptions options = windowed;
+  options.start_day = 4;
+  options.end_day = 9;
+  StorageSimulator sim(trace, azure, options);
+  sim.run(plan);
+  EXPECT_EQ(sim.report().days(), 5u);
+  EXPECT_TRUE(bitwise_equal(sim.report(), oracle));
+  EXPECT_THROW(sim.advance(plan[0]), std::out_of_range);
 }
 
 TEST(SimulatorTest, RejectsABillingWindowOutsideTheTrace) {

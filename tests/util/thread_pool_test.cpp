@@ -85,9 +85,5 @@ TEST(ThreadPoolTest, ManySmallTasksAllComplete) {
   EXPECT_EQ(count.load(), 500);
 }
 
-TEST(ThreadPoolTest, SharedPoolIsSingleton) {
-  EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
-}
-
 }  // namespace
 }  // namespace minicost::util

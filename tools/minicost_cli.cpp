@@ -48,6 +48,7 @@
 #include "util/env.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -344,18 +345,18 @@ std::vector<std::string> split_list(const std::string& text) {
 /// the serve smokes compare them textually.
 constexpr const char* kRowHeader =
     "event,policy,shard_files,shards,replanned,wall_seconds,"
-    "decide_sum_seconds,file_decide_p50_ns,file_decide_p99_ns,total_cost,"
+    "decide_sum_seconds,decide_ns_per_file_day,total_cost,"
     "tier_changes";
 
 std::string format_row(const std::string& event, std::size_t shard_files,
                        const core::PlanDriverRun& run) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
-                "%s,%s,%zu,%zu,%zu,%.6f,%.6f,%.1f,%.1f,%.17g,%" PRIu64,
+                "%s,%s,%zu,%zu,%zu,%.6f,%.6f,%.1f,%.17g,%" PRIu64,
                 event.c_str(), run.policy_name.c_str(), shard_files,
                 run.shard_count, run.replanned_shards, run.wall_seconds,
-                run.decision_seconds, run.file_decide_p50_ns,
-                run.file_decide_p99_ns, run.report.grand_total().total(),
+                run.decision_seconds, run.decide_ns_per_file_day,
+                run.report.grand_total().total(),
                 run.report.tier_changes());
   return buf;
 }
@@ -387,25 +388,22 @@ void print_run(const core::PlanDriverRun& run, std::size_t days,
             << ", wall: " << util::format_double(run.wall_seconds, 2)
             << "s, decide sum: "
             << util::format_double(run.decision_seconds, 2) << "s";
-  if (run.file_decide_p99_ns > 0.0)
-    std::cout << ", per-file decide p50/p99: "
-              << util::format_double(run.file_decide_p50_ns, 0) << "/"
-              << util::format_double(run.file_decide_p99_ns, 0) << " ns";
+  if (run.decide_ns_per_file_day > 0.0)
+    std::cout << ", decide per file-day: "
+              << util::format_double(run.decide_ns_per_file_day, 0) << " ns";
   std::cout << ", peak RSS: " << util::format_double(obs::peak_rss_mib(), 1)
             << " MiB\n";
 }
 
 /// The one `minicost_plan` run report, with the same metrics for .csv and
-/// .mct input (the percentiles are 0 where nothing measured them: a CSV
-/// plan). bills_identical appears when --compare ran.
+/// .mct input. bills_identical appears when --compare ran.
 void write_plan_report(const core::PlanDriverRun& run,
                        std::optional<bool> identical) {
   obs::RunReport report = obs::make_report("minicost_plan");
   report.metrics = {
       {"plan_wall_seconds", run.wall_seconds},
       {"decide_sum_seconds", run.decision_seconds},
-      {"file_decide_p50_ns", run.file_decide_p50_ns},
-      {"file_decide_p99_ns", run.file_decide_p99_ns},
+      {"decide_ns_per_file_day", run.decide_ns_per_file_day},
       {"shards", static_cast<double>(run.shard_count)},
       {"total_cost", run.report.grand_total().total()},
   };
@@ -526,11 +524,13 @@ bool compare_monolithic(const store::TraceReader& reader,
                         const pricing::PricingPolicy& prices,
                         const std::string& policy_name,
                         const RlCliOptions& rl,
-                        const core::PlanDriverRun& sharded) {
+                        const core::PlanDriverRun& sharded,
+                        util::ThreadPool& pool) {
   try {
     const trace::RequestTrace tr = reader.materialize();
     core::PlanOptions mono;
     mono.start_day = sharded.start_day;
+    mono.pool = &pool;
     mono.initial_tiers = core::static_initial_tiers(tr, prices, mono.start_day);
     const PolicyPtr policy = make_policy(policy_name, rl);
     return check_identical("monolithic comparison", sharded.report,
@@ -551,10 +551,12 @@ struct PlanCell {
 /// Plans a CSV trace in memory through run_policy, as a single shard.
 PlanCell plan_csv(const trace::RequestTrace& tr,
                   const pricing::PricingPolicy& prices,
-                  core::TieringPolicy& policy, std::size_t start_day) {
+                  core::TieringPolicy& policy, std::size_t start_day,
+                  util::ThreadPool& pool) {
   core::PlanOptions options;
   options.start_day = start_day;
   options.initial_tiers = core::static_initial_tiers(tr, prices, start_day);
+  options.pool = &pool;
   const util::Stopwatch watch;
   core::PlanResult result = core::run_policy(tr, prices, policy, options);
   PlanCell cell;
@@ -562,6 +564,7 @@ PlanCell plan_csv(const trace::RequestTrace& tr,
   cell.run.policy_name = std::move(result.policy_name);
   cell.run.report = std::move(result.report);
   cell.run.decision_seconds = result.decision_seconds;
+  cell.run.decide_ns_per_file_day = result.decide_ns_per_file_day;
   cell.run.shard_count = cell.run.replanned_shards = 1;
   cell.run.start_day = start_day;
   return cell;
@@ -573,15 +576,14 @@ void print_cells(const std::deque<PlanCell>& cells, const util::Cli& cli,
   std::ostringstream rows;
   rows << kRowHeader << "\n";
   util::Table table({"policy", "shard_files", "shards", "wall s",
-                     "decide-sum s", "p50 ns", "p99 ns", "total"});
+                     "decide-sum s", "decide ns/file-day", "total"});
   for (const auto& [shard_files, run] : cells) {
     rows << format_row("plan", shard_files, run) << "\n";
     table.add_row({run.policy_name, util::format_count(shard_files),
                    std::to_string(run.shard_count),
                    util::format_double(run.wall_seconds, 2),
                    util::format_double(run.decision_seconds, 2),
-                   util::format_double(run.file_decide_p50_ns, 0),
-                   util::format_double(run.file_decide_p99_ns, 0),
+                   util::format_double(run.decide_ns_per_file_day, 0),
                    util::format_money(run.report.grand_total().total())});
   }
   if (cli.str("format") == "csv")
@@ -644,6 +646,7 @@ int cmd_plan(int argc, const char* const* argv) {
   if (cli.str("format") != "table" && cli.str("format") != "csv")
     throw std::invalid_argument("--format expects table | csv, got '" +
                                 cli.str("format") + "'");
+  util::ThreadPool pool;  // hardware-sized: run_policy plans a block per thread
 
   if (!is_store(input)) {
     for (const char* flag : {"serve", "replan", "sweep-shard-files",
@@ -658,7 +661,7 @@ int cmd_plan(int argc, const char* const* argv) {
     const trace::RequestTrace tr = trace::load_trace(input);
     const PolicyPtr policy = make_policy(policy_names.front(), rl);
     const std::deque<PlanCell> cells{
-        plan_csv(tr, prices, *policy, start_day(tr.days()))};
+        plan_csv(tr, prices, *policy, start_day(tr.days()), pool)};
     print_cells(cells, cli, tr.days(), prices);
     write_plan_report(cells.front().run, std::nullopt);
     return 0;
@@ -666,6 +669,7 @@ int cmd_plan(int argc, const char* const* argv) {
 
   core::PlanDriverOptions base;
   base.shard_files = cli.size("shard-files");
+  base.pool = &pool;
   const bool serve = cli.boolean("serve");
   const bool compare = cli.boolean("compare");
   const std::string replan = cli.str("replan");
@@ -725,7 +729,7 @@ int cmd_plan(int argc, const char* const* argv) {
   std::optional<bool> identical;
   if (compare)
     identical = compare_monolithic(reader, prices, policy_names.front(), rl,
-                                   cells.front().run);
+                                   cells.front().run, pool);
   write_plan_report(cells.back().run, identical);
   return identical.value_or(true) ? 0 : 1;
 }
