@@ -1,7 +1,6 @@
 #include "core/planner.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -23,32 +22,22 @@ namespace {
 /// share a class when their read and write series are byte-equal, their
 /// size_gb bits are equal and they start in the same tier. Class ids follow
 /// the file order of each class's first file, its representative.
-struct FileClasses {
-  std::vector<trace::FileId> class_of;        ///< per file: its class
-  std::vector<trace::FileId> representative;  ///< per class: its first file
-  std::vector<std::uint32_t> members;         ///< per class: its file count
+struct FileClasses : util::KeyClasses {
+  std::vector<std::uint32_t> members;  ///< per class: its file count
 };
 
 FileClasses classify(const trace::RequestTrace& trace,
                      std::span<const pricing::StorageTier> initial) {
   const std::vector<trace::FileRecord>& files = trace.files();
-  const std::size_t n = files.size();
-  FileClasses classes;
-  classes.class_of.resize(n);
-  if (n == 0) return classes;
-
-  std::vector<std::uint64_t> hashes(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  const auto hash = [&](std::size_t i) {
     const trace::FileRecord& f = files[i];
     std::uint64_t h = util::hash_doubles(f.reads.data(), f.reads.size());
     h = util::hash_mix(h, util::hash_doubles(f.writes.data(), f.writes.size()));
     h = util::hash_mix(h, util::double_bits(f.size_gb));
-    hashes[i] = util::hash_finish(
+    return util::hash_finish(
         util::hash_mix(h, pricing::tier_index(initial[i])));
-  }
-
-  // Every hash hit is confirmed on the bytes: -0.0 and +0.0 differ, and so
-  // do NaN payloads.
+  };
+  // Compares bytes: -0.0 and +0.0 differ, and so do NaN payloads.
   const auto same = [&](std::size_t a, std::size_t b) {
     const trace::FileRecord& x = files[a];
     const trace::FileRecord& y = files[b];
@@ -61,29 +50,9 @@ FileClasses classify(const trace::RequestTrace& trace,
            std::memcmp(x.writes.data(), y.writes.data(),
                        x.writes.size() * sizeof(double)) == 0;
   };
-  // Open addressing; a slot holds 1 + a class id, or 0.
-  const std::size_t mask = std::bit_ceil(2 * n) - 1;
-  std::vector<trace::FileId> slots(mask + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t slot = hashes[i] & mask;; slot = (slot + 1) & mask) {
-      if (slots[slot] == 0) {
-        const auto id =
-            static_cast<trace::FileId>(classes.representative.size());
-        classes.representative.push_back(static_cast<trace::FileId>(i));
-        classes.members.push_back(1);
-        classes.class_of[i] = id;
-        slots[slot] = id + 1;
-        break;
-      }
-      const trace::FileId id = slots[slot] - 1;
-      const std::size_t rep = classes.representative[id];
-      if (hashes[rep] == hashes[i] && same(rep, i)) {
-        classes.class_of[i] = id;
-        ++classes.members[id];
-        break;
-      }
-    }
-  }
+  FileClasses classes{util::key_classes(files.size(), hash, same), {}};
+  classes.members.assign(classes.representative.size(), 0);
+  for (const trace::FileId id : classes.class_of) ++classes.members[id];
   return classes;
 }
 

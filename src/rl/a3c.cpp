@@ -1,8 +1,6 @@
 #include "rl/a3c.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -52,13 +50,6 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
 // one forward, which bounds the widest scratch buffer (sub-batch × conv
 // width doubles).
 constexpr std::size_t kForwardRows = 256;
-// act_rows hashes, forwards and copies its rows in chunks of this many, so
-// each pass reads its files in row order.
-constexpr std::size_t kRowChunk = 512;
-// act_rows dedups in one hash partition per kPartitionRows rows (at most
-// kMaxPartitions), each with a small table of its own.
-constexpr std::size_t kPartitionRows = 512;
-constexpr std::size_t kMaxPartitions = 64;
 
 using util::double_bits;
 using util::hash_doubles;
@@ -112,13 +103,6 @@ struct FeatureRows {
   void encode(std::size_t r, std::span<double> out) const noexcept {
     std::copy_n(row(r), width, out.data());
   }
-};
-
-// One task's buffers, reused from task to task on the serial path.
-struct ActScratch {
-  std::vector<std::size_t> slots;  // dedup table: 1 + a first row, or 0
-  std::vector<std::size_t> rows;   // a chunk's first occurrences
-  std::vector<double> batch;       // one sub-batch of encoded rows
 };
 
 }  // namespace
@@ -601,124 +585,54 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
   const std::uint64_t act_stream =
       kActStreamBase + env_steps_.load(std::memory_order_relaxed);
 
+  // Validate and hash every row (a too-short history throws even when its
+  // state repeats another's), then find each row's first occurrence.
+  const util::KeyClasses classes = util::key_classes(
+      count, [&](std::size_t r) { return source.hash(r); },
+      [&](std::size_t a, std::size_t b) { return source.same(a, b); });
+
+  // Encode and forward the first occurrences in row order, in sub-batches
+  // of kForwardRows, and pick each one's action.
   const std::size_t width = featurizer_.feature_count();
   const std::size_t out_width = actor.output_size();
-  const std::size_t chunks = (count + kRowChunk - 1) / kRowChunk;
-  const std::size_t parts = std::clamp<std::size_t>(
-      (count + kPartitionRows - 1) / kPartitionRows, 1, kMaxPartitions);
-  const auto partition_of = [parts](std::uint64_t h) {
-    return static_cast<std::size_t>(((h >> 32) * parts) >> 32);
-  };
-
-  // Pass 1, per chunk: validate and hash every row, then order the chunk's
-  // rows by partition. Chunk c's rows of partition p are
-  // order[c * kRowChunk + bounds[c][p], c * kRowChunk + bounds[c][p + 1]),
-  // ascending.
-  std::vector<std::uint64_t> hashes(count);
-  std::vector<std::size_t> order(count);
-  std::vector<std::size_t> bounds(chunks * (parts + 1));
-  const auto hash_chunk = [&](std::size_t c) {
-    const std::size_t lo = c * kRowChunk;
-    const std::size_t hi = std::min(count, lo + kRowChunk);
-    std::size_t* bound = bounds.data() + c * (parts + 1);
-    for (std::size_t r = lo; r < hi; ++r) {
-      hashes[r] = source.hash(r);
-      ++bound[partition_of(hashes[r]) + 1];
-    }
-    std::array<std::size_t, kMaxPartitions> next{};
-    for (std::size_t p = 0; p < parts; ++p) {
-      bound[p + 1] += bound[p];
-      next[p] = lo + bound[p];
-    }
-    for (std::size_t r = lo; r < hi; ++r)
-      order[next[partition_of(hashes[r])]++] = r;
-  };
-
-  // Pass 2, per partition: first[r] = the first row whose bytes equal row
-  // r's. An open-addressing table over the partition's rows in ascending
-  // order; every hash hit is confirmed by comparing the rows' bytes.
-  std::vector<std::size_t> first(count);
-  ActScratch s;
-  const auto dedup_partition = [&](std::size_t p) {
-    std::size_t rows = 0;
-    for (std::size_t c = 0; c < chunks; ++c)
-      rows += bounds[c * (parts + 1) + p + 1] - bounds[c * (parts + 1) + p];
-    const std::size_t mask = std::bit_ceil(2 * rows) - 1;
-    s.slots.assign(mask + 1, 0);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t* bound = bounds.data() + c * (parts + 1);
-      for (std::size_t i = bound[p]; i < bound[p + 1]; ++i) {
-        const std::size_t r = order[c * kRowChunk + i];
-        const std::uint64_t h = hashes[r];
-        for (std::size_t slot = h & mask;; slot = (slot + 1) & mask) {
-          const std::size_t f = s.slots[slot];
-          if (f == 0) {
-            s.slots[slot] = r + 1;
-            first[r] = r;
-            break;
-          }
-          if (hashes[f - 1] == h && source.same(r, f - 1)) {
-            first[r] = f - 1;
-            break;
-          }
-        }
-      }
-    }
-  };
-
-  // Pass 3, per chunk: encode and forward the chunk's first occurrences, in
-  // row order and sub-batches of kForwardRows, and pick each one's action.
-  std::size_t forwarded = 0;
-  const auto decide_chunk = [&](std::size_t c) {
-    const std::size_t hi = std::min(count, (c + 1) * kRowChunk);
-    s.rows.clear();
-    for (std::size_t r = c * kRowChunk; r < hi; ++r)
-      if (first[r] == r) s.rows.push_back(r);
-    for (std::size_t lo = 0; lo < s.rows.size(); lo += kForwardRows) {
-      const std::size_t rows = std::min(kForwardRows, s.rows.size() - lo);
-      s.batch.resize(rows * width);
-      const std::span<double> batch(s.batch);
-      for (std::size_t d = 0; d < rows; ++d)
-        source.encode(s.rows[lo + d], batch.subspan(d * width, width));
-      std::vector<double> pi = actor.forward_batch(s.batch, rows);
-      nn::softmax_rows(pi, rows, pi);
-      for (std::size_t d = 0; d < rows; ++d) {
-        const double* row = pi.data() + d * out_width;
-        Action& chosen = actions[s.rows[lo + d]];
-        if (greedy) {
-          chosen = nn::argmax(std::span<const double>(row, out_width));
+  const std::size_t distinct = classes.representative.size();
+  std::vector<Action> chosen(distinct);
+  std::vector<double> batch;
+  for (std::size_t lo = 0; lo < distinct; lo += kForwardRows) {
+    const std::size_t rows = std::min(kForwardRows, distinct - lo);
+    batch.resize(rows * width);
+    for (std::size_t d = 0; d < rows; ++d)
+      source.encode(classes.representative[lo + d],
+                    std::span(batch).subspan(d * width, width));
+    std::vector<double> pi = actor.forward_batch(batch, rows);
+    nn::softmax_rows(pi, rows, pi);
+    for (std::size_t d = 0; d < rows; ++d) {
+      const double* row = pi.data() + d * out_width;
+      if (greedy) {
+        chosen[lo + d] = nn::argmax(std::span<const double>(row, out_width));
+      } else {
+        // Mirror act(): every decision draws from the same forked stream.
+        util::Rng rng = seed_rng_.fork(act_stream);
+        if (rng.bernoulli(config_.epsilon)) {
+          chosen[lo + d] =
+              static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
         } else {
-          // Mirror act(): every decision draws from the same forked stream.
-          util::Rng rng = seed_rng_.fork(act_stream);
-          if (rng.bernoulli(config_.epsilon)) {
-            chosen = static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
-          } else {
-            chosen =
-                rng.weighted_index(std::vector<double>(row, row + out_width));
-          }
+          chosen[lo + d] =
+              rng.weighted_index(std::vector<double>(row, row + out_width));
         }
       }
     }
-    forwarded += s.rows.size();
-  };
+  }
 
-  // Pass 4, per chunk: every repeat takes its first occurrence's action.
-  // Exact: equal keys encode to equal rows, every batch row's output
-  // depends on its own bytes alone, whatever shares its batch (the Layer
-  // contract), and sampled mode draws every row from the same forked
-  // stream, so byte-identical rows always decide identically.
-  const auto copy_chunk = [&](std::size_t c) {
-    const std::size_t hi = std::min(count, (c + 1) * kRowChunk);
-    for (std::size_t r = c * kRowChunk; r < hi; ++r)
-      if (first[r] != r) actions[r] = actions[first[r]];
-  };
-
-  for (std::size_t c = 0; c < chunks; ++c) hash_chunk(c);
-  for (std::size_t p = 0; p < parts; ++p) dedup_partition(p);
-  for (std::size_t c = 0; c < chunks; ++c) decide_chunk(c);
-  for (std::size_t c = 0; c < chunks; ++c) copy_chunk(c);
+  // Every row takes its first occurrence's action. Exact: equal keys encode
+  // to equal rows, every batch row's output depends on its own bytes alone,
+  // whatever shares its batch (the Layer contract), and sampled mode draws
+  // every row from the same forked stream, so byte-identical rows always
+  // decide identically.
+  for (std::size_t r = 0; r < count; ++r)
+    actions[r] = chosen[classes.class_of[r]];
   MC_OBS_COUNT("rl.a3c.act.rows", count);
-  MC_OBS_COUNT("rl.a3c.act.forward_rows", forwarded);
+  MC_OBS_COUNT("rl.a3c.act.forward_rows", distinct);
   return actions;
 }
 

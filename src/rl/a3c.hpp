@@ -141,10 +141,11 @@ class A3CAgent {
   /// Batched deployment path: actions[i] is the tier decision for files[i]
   /// on `day` given it currently sits in current_tiers[i]. Files whose raw
   /// states (Featurizer::RawState) and tiers match byte for byte share one
-  /// decision: each distinct state is featurized and forwarded once per
-  /// call, in fused batch forwards (one kernel per layer and sub-batch) on
-  /// the calling thread. Bit-identical to calling act() per file, however
-  /// the files are split across calls. Requires day >= history_len and
+  /// decision: each distinct state is found in one dedup table over the
+  /// call's files, then featurized and forwarded once per call, in fused
+  /// batch forwards (one kernel per layer and sub-batch) on the calling
+  /// thread. Bit-identical to calling act() per file, however the files
+  /// are split across calls. Requires day >= history_len and
   /// files.size() == current_tiers.size(); every file is validated, so one
   /// whose history is too short throws std::out_of_range. Thread-safe:
   /// works on a parameter snapshot taken under the lock, so run_policy's
@@ -224,9 +225,10 @@ class A3CAgent {
   /// `source` (a3c.cpp's FileStates or FeatureRows: hash(r) validates and
   /// hashes row r, same(a, b) compares two rows' bytes, encode(r, out)
   /// writes row r's features). Snapshots the actor, validates and hashes
-  /// every row, finds each row's first occurrence per hash partition, then
-  /// encodes and forwards each first occurrence once, picks its action and
-  /// copies it to the rows that repeat it (DESIGN.md §7, item 5).
+  /// every row and finds each row's first occurrence in one table
+  /// (util::key_classes), then encodes and forwards each first occurrence
+  /// once, picks its action and copies it to the rows that repeat it
+  /// (DESIGN.md §7, item 5).
   template <class Rows>
   std::vector<Action> act_rows(std::size_t count, bool greedy,
                                const Rows& source);
