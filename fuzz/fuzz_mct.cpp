@@ -1,6 +1,6 @@
 // Fuzz target: the `.mct` container decoder. Input bytes are staged as a
 // file and opened with TraceReader; a file that validates is then walked
-// end to end (names, series, groups, checksums, materialization). The
+// end to end (names, groups, checksums, materialization). The
 // contract under test: arbitrary bytes either open cleanly or raise a
 // std::exception — never a wild read, an overflowing offset computation, or
 // an unbounded allocation (ASan/UBSan police the first two; the day/group
@@ -21,16 +21,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // v2 chunks compress, so a kilobyte input can legitimately *declare* a
     // frequency section that decodes to gigabytes (one 1-byte all-zeros
     // delta chunk per 2^20 files). Decoding is O(declared), not O(input):
-    // walk the frequency data only when the decoded section is small, so
+    // decode the frequency data only when the decoded section is small, so
     // the fuzzer probes the decoder instead of timing out in memset.
     const bool small_freq = reader.freq_raw_bytes() <= (1u << 20);
     for (std::size_t i = 0; i < files; ++i) {
       (void)reader.name(i);
       (void)reader.size_gb(i);
-      if (small_freq) {
-        (void)reader.reads(i);
-        (void)reader.writes(i);
-      }
     }
     for (std::size_t g = 0; g < reader.group_count(); ++g)
       (void)reader.group(g);

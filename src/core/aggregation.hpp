@@ -105,9 +105,6 @@ class AggregationController {
   const std::vector<std::size_t>& on_period_start(
       const trace::RequestTrace& trace, std::size_t period_start);
 
-  const std::vector<std::size_t>& active_groups() const noexcept {
-    return active_;
-  }
   std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:

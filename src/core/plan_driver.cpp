@@ -78,7 +78,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     const auto [first, count] = shards_[s];
     if (!replan_shard[s]) {
       MC_OBS_SCOPE("core.merge");
-      run.report.merge_shard(cache_[s].report, first);
+      run.report.merge_shard(cache_[s], first);
       MC_OBS_COUNT("core.plan_driver.shards_spliced", 1);
       continue;
     }
@@ -108,8 +108,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     run.decision_seconds += shard_result.decision_seconds;
     planned_files += count;
     ++run.replanned_shards;
-    cache_[s].report = std::move(shard_result.report);
-    cache_[s].decide_seconds = shard_result.decision_seconds;
+    cache_[s] = std::move(shard_result.report);
     MC_OBS_COUNT("core.plan_driver.shards", 1);
     MC_OBS_COUNT("core.plan_driver.files", count);
 

@@ -118,10 +118,6 @@ class PlanDriver {
     std::size_t first = 0;
     std::size_t count = 0;
   };
-  struct ShardCache {
-    sim::BillingReport report;
-    double decide_seconds = 0.0;
-  };
 
   PlanDriverRun run_shards(const std::vector<bool>& replan_shard);
 
@@ -131,7 +127,7 @@ class PlanDriver {
   PlanDriverOptions options_;
   std::size_t end_day_ = 0;  ///< resolved (options_.end_day or trace end)
   std::vector<ShardRange> shards_;
-  std::vector<ShardCache> cache_;
+  std::vector<sim::BillingReport> cache_;  ///< each shard's last bill
   std::vector<bool> dirty_;  ///< per shard; starts all-true
 };
 

@@ -42,7 +42,6 @@ class Arima final : public Forecaster {
   const std::vector<double>& ar() const noexcept { return ar_; }
   /// MA coefficients theta_1..theta_q (valid after fit).
   const std::vector<double>& ma() const noexcept { return ma_; }
-  double intercept() const noexcept { return intercept_; }
   /// In-sample innovation variance (valid after fit).
   double innovation_variance() const noexcept { return sigma2_; }
 

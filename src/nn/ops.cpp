@@ -40,18 +40,6 @@ void softmax_rows(std::span<const double> logits, std::size_t rows,
   }
 }
 
-std::vector<double> log_softmax(std::span<const double> logits) {
-  std::vector<double> result(logits.size());
-  if (logits.empty()) return result;
-  const double peak = *std::max_element(logits.begin(), logits.end());
-  double total = 0.0;
-  for (double logit : logits) total += std::exp(logit - peak);
-  const double log_total = std::log(total) + peak;
-  for (std::size_t i = 0; i < logits.size(); ++i)
-    result[i] = logits[i] - log_total;
-  return result;
-}
-
 double entropy(std::span<const double> probabilities) noexcept {
   double h = 0.0;
   for (double p : probabilities) {
@@ -64,10 +52,6 @@ std::size_t argmax(std::span<const double> values) noexcept {
   if (values.empty()) return 0;
   return static_cast<std::size_t>(
       std::max_element(values.begin(), values.end()) - values.begin());
-}
-
-void clip_inplace(std::span<double> values, double limit) noexcept {
-  for (double& value : values) value = std::clamp(value, -limit, limit);
 }
 
 namespace {

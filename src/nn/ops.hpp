@@ -15,17 +15,11 @@ std::vector<double> softmax(std::span<const double> logits);
 void softmax_rows(std::span<const double> logits, std::size_t rows,
                   std::span<double> out);
 
-/// log(softmax(logits)), stable.
-std::vector<double> log_softmax(std::span<const double> logits);
-
 /// Shannon entropy of a probability vector, in nats.
 double entropy(std::span<const double> probabilities) noexcept;
 
 /// Index of the maximum element; 0 for empty input.
 std::size_t argmax(std::span<const double> values) noexcept;
-
-/// Clips each element into [-limit, limit]; used for gradient clipping.
-void clip_inplace(std::span<double> values, double limit) noexcept;
 
 /// L2 norm.
 double l2_norm(std::span<const double> values) noexcept;

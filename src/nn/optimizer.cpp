@@ -41,20 +41,6 @@ void rmsprop_step_kernel(double* params, const double* grads,
   }
 }
 
-MINICOST_TARGET_CLONES
-void adam_step_kernel(double* params, const double* grads, double* m,
-                      double* v, std::size_t n, double lr, double beta1,
-                      double beta2, double epsilon, double correction1,
-                      double correction2) {
-  for (std::size_t i = 0; i < n; ++i) {
-    m[i] = beta1 * m[i] + (1.0 - beta1) * grads[i];
-    v[i] = beta2 * v[i] + (1.0 - beta2) * grads[i] * grads[i];
-    const double m_hat = m[i] / correction1;
-    const double v_hat = v[i] / correction2;
-    params[i] -= lr * m_hat / (std::sqrt(v_hat) + epsilon);
-  }
-}
-
 }  // namespace
 
 Sgd::Sgd(double lr, double momentum) : Optimizer(lr), momentum_(momentum) {}
@@ -72,20 +58,6 @@ void RmsProp::step(std::span<double> params, std::span<const double> grads) {
   check_sizes(params, grads, mean_square_);
   rmsprop_step_kernel(params.data(), grads.data(), mean_square_.data(),
                       params.size(), lr_, decay_, epsilon_);
-}
-
-Adam::Adam(double lr, double beta1, double beta2, double epsilon)
-    : Optimizer(lr), beta1_(beta1), beta2_(beta2), epsilon_(epsilon) {}
-
-void Adam::step(std::span<double> params, std::span<const double> grads) {
-  check_sizes(params, grads, m_);
-  if (v_.empty()) v_.assign(params.size(), 0.0);
-  ++t_;
-  const double correction1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double correction2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  adam_step_kernel(params.data(), grads.data(), m_.data(), v_.data(),
-                   params.size(), lr_, beta1_, beta2_, epsilon_, correction1,
-                   correction2);
 }
 
 }  // namespace minicost::nn

@@ -20,8 +20,6 @@ class Optimizer {
   virtual void step(std::span<double> params, std::span<const double> grads) = 0;
 
   virtual std::string name() const = 0;
-  double learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(double lr) noexcept { lr_ = lr; }
 
  protected:
   explicit Optimizer(double lr) : lr_(lr) {}
@@ -39,8 +37,9 @@ class Sgd final : public Optimizer {
   std::vector<double> velocity_;
 };
 
-/// RMSProp — the optimizer of the original A3C paper, and MiniCost's
-/// default.
+/// RMSProp — the optimizer of the original A3C paper and of the MiniCost
+/// paper's training (Sec. 6.1). The trainer's default is Sgd with momentum
+/// (rl::A3CConfig::optimizer).
 class RmsProp final : public Optimizer {
  public:
   explicit RmsProp(double lr, double decay = 0.99, double epsilon = 1e-6);
@@ -50,19 +49,6 @@ class RmsProp final : public Optimizer {
  private:
   double decay_, epsilon_;
   std::vector<double> mean_square_;
-};
-
-class Adam final : public Optimizer {
- public:
-  explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
-                double epsilon = 1e-8);
-  void step(std::span<double> params, std::span<const double> grads) override;
-  std::string name() const override { return "adam"; }
-
- private:
-  double beta1_, beta2_, epsilon_;
-  std::size_t t_ = 0;
-  std::vector<double> m_, v_;
 };
 
 }  // namespace minicost::nn

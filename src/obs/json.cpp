@@ -69,14 +69,12 @@ class Parser {
         if (!consume_literal("true")) fail(pos_, "bad literal");
         Value v;
         v.kind_ = Value::Kind::kBool;
-        v.bool_ = true;
         return v;
       }
       case 'f': {
         if (!consume_literal("false")) fail(pos_, "bad literal");
         Value v;
         v.kind_ = Value::Kind::kBool;
-        v.bool_ = false;
         return v;
       }
       case 'n': {
@@ -221,11 +219,6 @@ class Parser {
 };
 
 Value Value::parse(std::string_view text) { return Parser(text).document(); }
-
-bool Value::as_bool() const {
-  if (kind_ != Kind::kBool) throw std::runtime_error("json: not a bool");
-  return bool_;
-}
 
 double Value::as_double() const {
   if (kind_ != Kind::kNumber) throw std::runtime_error("json: not a number");

@@ -24,10 +24,6 @@ class Value {
   /// std::runtime_error with position info on malformed input.
   static Value parse(std::string_view text);
 
-  Kind kind() const noexcept { return kind_; }
-  bool is_object() const noexcept { return kind_ == Kind::kObject; }
-
-  bool as_bool() const;
   double as_double() const;
   std::uint64_t as_u64() const;
   std::int64_t as_i64() const;
@@ -45,7 +41,6 @@ class Value {
   friend class Parser;
 
   Kind kind_ = Kind::kNull;
-  bool bool_ = false;
   std::string scalar_;  ///< raw number token, or decoded string value
   std::vector<std::pair<std::string, Value>> members_;  ///< kObject
   std::vector<Value> items_;                            ///< kArray

@@ -23,36 +23,6 @@ void set_enabled(bool on) noexcept {
   runtime_flag().store(on, std::memory_order_relaxed);
 }
 
-double TimerStats::percentile_ns(double p) const noexcept {
-  if (count == 0) return 0.0;
-  if (p <= 0.0) return static_cast<double>(min_ns);
-  if (p >= 1.0) return static_cast<double>(max_ns);
-  // Rank of the requested quantile among `count` samples (1-based).
-  const double rank = p * static_cast<double>(count);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBucketCount; ++b) {
-    if (buckets[b] == 0) continue;
-    const auto below = static_cast<double>(seen);
-    seen += buckets[b];
-    if (static_cast<double>(seen) < rank) continue;
-    // The quantile falls in bucket b: interpolate within its bounds.
-    const double lower = static_cast<double>(Timer::bucket_lower_ns(b));
-    const double upper =
-        b + 1 < kBucketCount
-            ? static_cast<double>(Timer::bucket_lower_ns(b + 1))
-            : static_cast<double>(max_ns);
-    const double fraction =
-        (rank - below) / static_cast<double>(buckets[b]);
-    double estimate = lower + (upper - lower) * fraction;
-    if (estimate < static_cast<double>(min_ns))
-      estimate = static_cast<double>(min_ns);
-    if (estimate > static_cast<double>(max_ns))
-      estimate = static_cast<double>(max_ns);
-    return estimate;
-  }
-  return static_cast<double>(max_ns);
-}
-
 TimerStats Timer::stats() const noexcept {
   TimerStats out;
   out.count = count_.load(std::memory_order_relaxed);

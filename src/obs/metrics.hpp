@@ -65,7 +65,6 @@ class Counter {
   void add(std::uint64_t amount) noexcept {
     value_.fetch_add(amount, std::memory_order_relaxed);
   }
-  void increment() noexcept { add(1); }
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
@@ -93,18 +92,6 @@ struct TimerStats {
   double total_seconds() const noexcept {
     return static_cast<double>(total_ns) * 1e-9;
   }
-  double mean_seconds() const noexcept {
-    return count == 0 ? 0.0 : total_seconds() / static_cast<double>(count);
-  }
-
-  /// Estimated p-quantile (p in [0, 1]) in nanoseconds from the log2
-  /// histogram: finds the bucket holding the p-th sample and interpolates
-  /// linearly inside its [lower, upper) range, clamped to the observed
-  /// min/max so a single-sample histogram reports that sample exactly.
-  /// Resolution is bounded by the power-of-two bucket widths — good enough
-  /// for the p50/p99 latency lines in run reports, not for fine ranking.
-  /// Returns 0 when the histogram is empty.
-  double percentile_ns(double p) const noexcept;
 };
 
 /// A duration aggregate (count/total/min/max + log2 histogram). Lock-free:
@@ -115,10 +102,6 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  /// Lowest duration (ns) that lands in bucket `b` (inclusive).
-  static constexpr std::uint64_t bucket_lower_ns(std::size_t b) noexcept {
-    return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-  }
   static constexpr std::size_t bucket_index(std::uint64_t ns) noexcept {
     const auto width = static_cast<std::size_t>(std::bit_width(ns));
     return width < TimerStats::kBucketCount ? width

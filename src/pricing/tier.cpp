@@ -19,11 +19,4 @@ std::string_view tier_name(StorageTier tier) noexcept {
   return "?";
 }
 
-StorageTier parse_tier(std::string_view name) {
-  if (name == "hot") return StorageTier::kHot;
-  if (name == "cool" || name == "cold") return StorageTier::kCool;
-  if (name == "archive") return StorageTier::kArchive;
-  throw std::invalid_argument("parse_tier: unknown tier '" + std::string(name) + "'");
-}
-
 }  // namespace minicost::pricing

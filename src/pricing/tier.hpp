@@ -28,8 +28,4 @@ StorageTier tier_from_index(std::size_t index);
 
 std::string_view tier_name(StorageTier tier) noexcept;
 
-/// Parses "hot" / "cool" / "cold" / "archive" (case-sensitive). Throws
-/// std::invalid_argument on anything else.
-StorageTier parse_tier(std::string_view name);
-
 }  // namespace minicost::pricing

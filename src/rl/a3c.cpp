@@ -40,8 +40,6 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
       return std::make_unique<nn::RmsProp>(config.learning_rate);
     case OptimizerKind::kSgdMomentum:
       return std::make_unique<nn::Sgd>(config.learning_rate, config.momentum);
-    case OptimizerKind::kAdam:
-      return std::make_unique<nn::Adam>(config.learning_rate);
   }
   return std::make_unique<nn::Sgd>(config.learning_rate, config.momentum);
 }

@@ -40,7 +40,6 @@ enum class OptimizerKind {
   /// SGD with momentum — scale-sensitive, so weak-signal episodes move the
   /// policy proportionally less; the default and the most stable here.
   kSgdMomentum,
-  kAdam,
 };
 
 struct A3CConfig {

@@ -45,7 +45,6 @@ class TieringEnv {
   std::size_t current_day() const noexcept { return day_; }
   pricing::StorageTier current_tier() const noexcept { return tier_; }
   const Featurizer& featurizer() const noexcept { return featurizer_; }
-  std::size_t episode_length() const noexcept { return end_day_ - start_day_; }
 
  private:
   const trace::RequestTrace& trace_;

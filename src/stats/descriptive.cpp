@@ -58,25 +58,6 @@ double percentile(std::vector<double> xs, double p) {
 
 double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
 
-double correlation(std::span<const double> xs, std::span<const double> ys) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("correlation: length mismatch");
-  const std::size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 void RunningStats::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;

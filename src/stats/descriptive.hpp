@@ -29,10 +29,6 @@ double percentile(std::vector<double> xs, double p);
 
 double median(std::vector<double> xs);
 
-/// Pearson correlation of two equal-length series; 0 if either is constant.
-/// Throws std::invalid_argument on length mismatch.
-double correlation(std::span<const double> xs, std::span<const double> ys);
-
 /// Numerically stable streaming mean/variance accumulator (Welford).
 class RunningStats {
  public:

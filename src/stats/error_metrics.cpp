@@ -1,7 +1,7 @@
 #include "stats/error_metrics.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace minicost::stats {
 namespace {
@@ -28,38 +28,6 @@ std::vector<double> relative_errors(std::span<const double> truth,
   for (std::size_t i = 0; i < truth.size(); ++i)
     errors[i] = relative_error(truth[i], predicted[i]);
   return errors;
-}
-
-double mape(std::span<const double> truth, std::span<const double> predicted) {
-  check_same_size(truth, predicted, "mape");
-  double total = 0.0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    if (truth[i] == 0.0) continue;
-    total += std::abs((truth[i] - predicted[i]) / truth[i]);
-    ++n;
-  }
-  return n == 0 ? 0.0 : total / static_cast<double>(n);
-}
-
-double rmse(std::span<const double> truth, std::span<const double> predicted) {
-  check_same_size(truth, predicted, "rmse");
-  if (truth.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    const double d = truth[i] - predicted[i];
-    total += d * d;
-  }
-  return std::sqrt(total / static_cast<double>(truth.size()));
-}
-
-double mae(std::span<const double> truth, std::span<const double> predicted) {
-  check_same_size(truth, predicted, "mae");
-  if (truth.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i)
-    total += std::abs(truth[i] - predicted[i]);
-  return total / static_cast<double>(truth.size());
 }
 
 }  // namespace minicost::stats

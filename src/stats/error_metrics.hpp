@@ -16,13 +16,4 @@ double relative_error(double truth, double predicted) noexcept;
 std::vector<double> relative_errors(std::span<const double> truth,
                                     std::span<const double> predicted);
 
-/// Mean absolute percentage error over pairs with nonzero truth.
-double mape(std::span<const double> truth, std::span<const double> predicted);
-
-/// Root mean squared error. Throws std::invalid_argument on mismatch.
-double rmse(std::span<const double> truth, std::span<const double> predicted);
-
-/// Mean absolute error. Throws std::invalid_argument on mismatch.
-double mae(std::span<const double> truth, std::span<const double> predicted);
-
 }  // namespace minicost::stats

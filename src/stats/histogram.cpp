@@ -24,10 +24,6 @@ std::size_t Histogram::bucket_of(double value) const noexcept {
 
 void Histogram::add(double value) noexcept { ++counts_[bucket_of(value)]; }
 
-void Histogram::add_all(std::span<const double> values) noexcept {
-  for (double v : values) add(v);
-}
-
 std::uint64_t Histogram::total() const noexcept {
   std::uint64_t n = 0;
   for (auto c : counts_) n += c;

@@ -4,7 +4,6 @@
 // used in Figures 2, 3, 4, and 8.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,6 @@ class Histogram {
   explicit Histogram(std::vector<double> edges);
 
   void add(double value) noexcept;
-  void add_all(std::span<const double> values) noexcept;
 
   std::size_t bucket_count() const noexcept { return counts_.size(); }
   std::uint64_t count(std::size_t bucket) const { return counts_.at(bucket); }

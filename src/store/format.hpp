@@ -10,9 +10,8 @@
 //   [frequency]   file-major series blocks: for file i, its reads series
 //                 then its writes series, each occupying `series_stride`
 //                 bytes (days * 8 rounded up to 64). Every series therefore
-//                 starts 64-byte aligned — the alignment the PR 1 SIMD batch
-//                 kernels load with — and maps directly as
-//                 std::span<const double> with zero copies.
+//                 starts 64-byte aligned in the file (and in a decoded v2
+//                 chunk).
 //   [file table]  file_count x FileEntry (name slice + size_gb)
 //   [name blob]   concatenated UTF-8 names, sliced by the file table
 //   [group section] co-request groups, 8-byte aligned records:
@@ -31,7 +30,7 @@
 // section is laid out exactly as in v1. `freq_bytes` is the *encoded*
 // size; the decoded size lives in HeaderV2Ext::freq_raw_bytes. Decoding a
 // chunk reproduces the v1 64-byte-aligned file-major bytes exactly, so
-// SIMD kernels and billing see identical data either way.
+// TraceReader::materialize_shard() copies identical series either way.
 //
 // Integrity: each section carries a CRC32 in the header, and the header
 // itself is CRC'd over every byte that precedes its own checksum field.

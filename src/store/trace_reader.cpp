@@ -269,9 +269,7 @@ TraceReader::TraceReader(TraceReader&& other) noexcept
       ext_(other.ext_),
       file_table_(std::exchange(other.file_table_, nullptr)),
       chunk_table_(std::exchange(other.chunk_table_, nullptr)),
-      group_offsets_(std::move(other.group_offsets_)),
-      decoded_freq_(std::move(other.decoded_freq_)),
-      decoded_base_(std::exchange(other.decoded_base_, nullptr)) {}
+      group_offsets_(std::move(other.group_offsets_)) {}
 
 TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
   if (this != &other) {
@@ -284,8 +282,6 @@ TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
     file_table_ = std::exchange(other.file_table_, nullptr);
     chunk_table_ = std::exchange(other.chunk_table_, nullptr);
     group_offsets_ = std::move(other.group_offsets_);
-    decoded_freq_ = std::move(other.decoded_freq_);
-    decoded_base_ = std::exchange(other.decoded_base_, nullptr);
   }
   return *this;
 }
@@ -328,48 +324,6 @@ void TraceReader::decode_chunk_into(std::size_t index,
   MC_OBS_COUNT("store.codec.chunks_decoded", 1);
   MC_OBS_COUNT("store.codec.bytes_encoded", e.encoded_bytes);
   MC_OBS_COUNT("store.codec.bytes_decoded", e.raw_bytes);
-}
-
-const std::byte* TraceReader::decoded_freq_base() const {
-  util::MutexLock lock(freq_mutex_);
-  if (decoded_base_ == nullptr) {
-    // Over-allocate so the first series can sit on a 64-byte boundary, the
-    // same alignment the mapped v1 section provides.
-    decoded_freq_.resize(static_cast<std::size_t>(ext_.freq_raw_bytes) +
-                         kSeriesAlign);
-    auto addr = reinterpret_cast<std::uintptr_t>(decoded_freq_.data());
-    std::byte* aligned = decoded_freq_.data() +
-                         (round_up(addr, kSeriesAlign) - addr);
-    const std::uint64_t chunk_raw_stride =
-        static_cast<std::uint64_t>(ext_.files_per_chunk) * 2 *
-        header_.series_stride;
-    for (std::size_t c = 0; c < ext_.chunk_count; ++c)
-      decode_chunk_into(
-          c, {aligned + static_cast<std::size_t>(c) * chunk_raw_stride,
-              static_cast<std::size_t>(chunk_table_[c].raw_bytes)});
-    decoded_base_ = aligned;
-  }
-  return decoded_base_;
-}
-
-std::span<const double> TraceReader::reads(std::size_t file) const {
-  if (file >= header_.file_count)
-    throw std::out_of_range("TraceReader::reads: file index out of range");
-  const std::byte* freq =
-      is_v2() ? decoded_freq_base() : at(header_.freq_offset);
-  const auto* series = reinterpret_cast<const double*>(
-      freq + file * 2 * header_.series_stride);
-  return {series, header_.days};
-}
-
-std::span<const double> TraceReader::writes(std::size_t file) const {
-  if (file >= header_.file_count)
-    throw std::out_of_range("TraceReader::writes: file index out of range");
-  const std::byte* freq =
-      is_v2() ? decoded_freq_base() : at(header_.freq_offset);
-  const auto* series = reinterpret_cast<const double*>(
-      freq + file * 2 * header_.series_stride + header_.series_stride);
-  return {series, header_.days};
 }
 
 TraceReader::GroupView TraceReader::group(std::size_t index) const {

@@ -1,5 +1,5 @@
 #pragma once
-// Zero-copy mmap reader for the .mct columnar trace container (format.hpp).
+// mmap reader for the .mct columnar trace container (format.hpp).
 //
 // open() maps the file read-only and validates the header, section bounds,
 // and all *metadata* checksums (file table, names, groups) — rejecting
@@ -8,12 +8,11 @@
 // section is deliberately NOT paged in by open(); verify_checksums() (the
 // `minicost verify` path) does that full scan on demand.
 //
-// Per-file series come back as std::span<const double> straight into the
-// mapping — 64-byte aligned, so the PR 1 SIMD kernels can consume them in
-// place — and materialize_shard() builds an ordinary RequestTrace for any
-// contiguous file range, which is what the shard-streamed planning driver
-// (core/plan_driver.hpp) iterates over with O(shard) rather than O(trace)
-// resident memory.
+// Series leave the container one way: materialize_shard() copies any
+// contiguous file range into an ordinary RequestTrace (decoding only the v2
+// chunks the range overlaps), which is what the shard-streamed planning
+// driver (core/plan_driver.hpp) iterates over with O(shard) rather than
+// O(trace) resident memory.
 
 #include <cstdint>
 #include <filesystem>
@@ -23,8 +22,6 @@
 
 #include "store/format.hpp"
 #include "trace/trace.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace minicost::store {
 
@@ -35,12 +32,8 @@ class TraceReader {
   explicit TraceReader(const std::filesystem::path& path);
   ~TraceReader();
 
-  // Moves transfer the decoded-frequency cache without locking: moving a
-  // reader that another thread is concurrently using is already a race, so
-  // the analysis is waived rather than pretending a lock would fix it.
-  TraceReader(TraceReader&& other) noexcept MC_NO_THREAD_SAFETY_ANALYSIS;
-  TraceReader& operator=(TraceReader&& other) noexcept
-      MC_NO_THREAD_SAFETY_ANALYSIS;
+  TraceReader(TraceReader&& other) noexcept;
+  TraceReader& operator=(TraceReader&& other) noexcept;
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
@@ -67,14 +60,6 @@ class TraceReader {
 
   std::string_view name(std::size_t file) const;
   double size_gb(std::size_t file) const;
-  /// The file's daily read/write series, 64-byte aligned. v1: mapped in
-  /// place, zero copies. v2: served from a lazily-decoded resident copy of
-  /// the whole frequency section (built once, under an internal lock) —
-  /// random access over a chunked container costs O(section) memory, so the
-  /// shard-sized paths go through materialize_shard() instead, which decodes
-  /// only the overlapping chunks.
-  std::span<const double> reads(std::size_t file) const;
-  std::span<const double> writes(std::size_t file) const;
 
   struct GroupView {
     std::span<const trace::FileId> members;
@@ -117,9 +102,6 @@ class TraceReader {
   /// chunk_table_[index].raw_bytes). Thread-safe: reads only the immutable
   /// mapping. Throws std::runtime_error on corruption.
   void decode_chunk_into(std::size_t index, std::span<std::byte> raw_out) const;
-  /// v2 reads()/writes() backing store: decodes the whole frequency section
-  /// once (64-byte aligned) and returns its base. Safe to call concurrently.
-  const std::byte* decoded_freq_base() const;
   void collect_groups(std::size_t first, std::size_t count,
                       std::vector<trace::CoRequestGroup>& groups) const;
 
@@ -132,13 +114,6 @@ class TraceReader {
   /// Offset of each group record inside the group section (built on open;
   /// group records are variable-length so random access needs an index).
   std::vector<std::uint64_t> group_offsets_;
-  /// Lazily-built decoded frequency section for v2 random access. The
-  /// vector over-allocates by kSeriesAlign so decoded_base_ can be aligned;
-  /// once built (empty -> full transition under freq_mutex_) the contents
-  /// are immutable.
-  mutable util::Mutex freq_mutex_;
-  mutable std::vector<std::byte> decoded_freq_ MC_GUARDED_BY(freq_mutex_);
-  mutable const std::byte* decoded_base_ MC_GUARDED_BY(freq_mutex_) = nullptr;
 };
 
 }  // namespace minicost::store

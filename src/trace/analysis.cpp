@@ -18,13 +18,4 @@ VariabilityAnalysis analyze_variability(const RequestTrace& trace) {
   return analysis;
 }
 
-std::vector<double> daily_request_totals(const RequestTrace& trace) {
-  std::vector<double> totals(trace.days(), 0.0);
-  for (const FileRecord& f : trace.files()) {
-    for (std::size_t t = 0; t < trace.days(); ++t)
-      totals[t] += f.reads[t] + f.writes[t];
-  }
-  return totals;
-}
-
 }  // namespace minicost::trace

@@ -22,8 +22,4 @@ struct VariabilityAnalysis {
 /// RequestTrace::variability) and buckets them with the paper's edges.
 VariabilityAnalysis analyze_variability(const RequestTrace& trace);
 
-/// Daily total request volume across all files (reads + writes), used for
-/// workload sanity plots.
-std::vector<double> daily_request_totals(const RequestTrace& trace);
-
 }  // namespace minicost::trace

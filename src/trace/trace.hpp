@@ -83,7 +83,6 @@ class RequestTrace {
   /// Mutable access for builders (generator, parser, aggregation rewrite).
   std::vector<FileRecord>& mutable_files() noexcept { return files_; }
   std::vector<CoRequestGroup>& mutable_groups() noexcept { return groups_; }
-  void set_days(std::size_t days) noexcept { days_ = days; }
 
  private:
   std::size_t days_ = 0;

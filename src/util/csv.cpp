@@ -1,6 +1,5 @@
 #include "util/csv.hpp"
 
-#include <charconv>
 #include <stdexcept>
 #include <system_error>
 
@@ -36,18 +35,6 @@ void CsvWriter::row(const std::vector<std::string>& fields) {
     out_ << escape(fields[i]);
   }
   out_ << '\n';
-}
-
-void CsvWriter::row_numeric(const std::vector<double>& values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (double v : values) {
-    char buf[64];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-    fields.emplace_back(buf, ptr);
-    (void)ec;
-  }
-  row(fields);
 }
 
 std::vector<std::string> split_csv_line(std::string_view line) {

@@ -21,9 +21,6 @@ class CsvWriter {
   /// Writes one row; values are escaped as needed.
   void row(const std::vector<std::string>& fields);
 
-  /// Convenience: writes a row of doubles with full round-trip precision.
-  void row_numeric(const std::vector<double>& values);
-
   /// Header then any mix of rows.
   void header(const std::vector<std::string>& names) { row(names); }
 

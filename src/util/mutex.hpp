@@ -29,7 +29,6 @@ class MC_CAPABILITY("mutex") Mutex {
 
   void lock() MC_ACQUIRE() { impl_.lock(); }
   void unlock() MC_RELEASE() { impl_.unlock(); }
-  bool try_lock() MC_TRY_ACQUIRE(true) { return impl_.try_lock(); }
 
  private:
   std::mutex impl_;

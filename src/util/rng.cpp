@@ -96,10 +96,6 @@ double Rng::exponential(double rate) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return next_double() < p; }
 
-double Rng::lognormal(double mu, double sigma) noexcept {
-  return std::exp(normal(mu, sigma));
-}
-
 Rng Rng::fork(std::uint64_t stream) const noexcept {
   SplitMix64 sm(seed_ ^ (0xA0761D6478BD642FULL + stream * 0xE7037ED1A0B428DBULL));
   return Rng(sm.next());

@@ -74,9 +74,6 @@ class Rng {
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p) noexcept;
 
-  /// Log-normal: exp(normal(mu, sigma)).
-  double lognormal(double mu, double sigma) noexcept;
-
   /// Derive an independent child generator; stream i is stable for a given
   /// parent seed. Used to give each file / worker its own stream so results
   /// do not depend on evaluation order or thread interleaving.

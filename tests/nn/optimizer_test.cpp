@@ -36,10 +36,6 @@ TEST(RmsPropTest, ConvergesOnQuadratic) {
   EXPECT_NEAR(minimize_quadratic(RmsProp(0.05), 500), 3.0, 0.01);
 }
 
-TEST(AdamTest, ConvergesOnQuadratic) {
-  EXPECT_NEAR(minimize_quadratic(Adam(0.1), 500), 3.0, 0.01);
-}
-
 TEST(OptimizerTest, StepRejectsSizeMismatch) {
   Sgd opt(0.1);
   std::vector<double> params{1.0, 2.0};
@@ -56,17 +52,9 @@ TEST(OptimizerTest, StepRejectsChangedParameterCount) {
                std::invalid_argument);
 }
 
-TEST(OptimizerTest, LearningRateMutable) {
-  Sgd opt(0.1);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.1);
-  opt.set_learning_rate(0.01);
-  EXPECT_DOUBLE_EQ(opt.learning_rate(), 0.01);
-}
-
 TEST(OptimizerTest, NamesAreStable) {
   EXPECT_EQ(Sgd(0.1).name(), "sgd");
   EXPECT_EQ(RmsProp(0.1).name(), "rmsprop");
-  EXPECT_EQ(Adam(0.1).name(), "adam");
 }
 
 TEST(RmsPropTest, StepsAreApproximatelyScaleInvariant) {
@@ -77,13 +65,6 @@ TEST(RmsPropTest, StepsAreApproximatelyScaleInvariant) {
   small.step(a, std::vector<double>{1.0});
   large.step(b, std::vector<double>{100.0});
   EXPECT_NEAR(a[0], b[0], 1e-6);
-}
-
-TEST(AdamTest, BiasCorrectionMakesFirstStepLrSized) {
-  Adam opt(0.1);
-  std::vector<double> x{0.0};
-  opt.step(x, std::vector<double>{5.0});  // any positive gradient: first step = -lr
-  EXPECT_NEAR(x[0], -0.1, 1e-6);
 }
 
 }  // namespace

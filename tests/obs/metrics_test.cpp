@@ -41,7 +41,7 @@ TEST(CounterTest, AddValueReset) {
   Counter counter;
   EXPECT_EQ(counter.value(), 0u);
   counter.add(5);
-  counter.increment();
+  counter.add(1);
   EXPECT_EQ(counter.value(), 6u);
   counter.reset();
   EXPECT_EQ(counter.value(), 0u);
@@ -63,12 +63,6 @@ TEST(TimerTest, BucketBoundaries) {
   EXPECT_EQ(Timer::bucket_index(std::uint64_t{1} << 30), 31u);
   EXPECT_EQ(Timer::bucket_index(std::uint64_t{1} << 40), 31u);
   EXPECT_EQ(Timer::bucket_index(~std::uint64_t{0}), 31u);
-
-  EXPECT_EQ(Timer::bucket_lower_ns(0), 0u);
-  EXPECT_EQ(Timer::bucket_lower_ns(1), 1u);
-  EXPECT_EQ(Timer::bucket_lower_ns(2), 2u);
-  EXPECT_EQ(Timer::bucket_lower_ns(5), 16u);
-  EXPECT_EQ(Timer::bucket_lower_ns(31), std::uint64_t{1} << 30);
 }
 
 TEST(TimerTest, RecordAggregates) {
@@ -93,32 +87,6 @@ TEST(TimerTest, RecordAggregates) {
   EXPECT_EQ(timer.stats().count, 0u);
   EXPECT_EQ(timer.stats().min_ns, 0u);
   EXPECT_EQ(timer.stats().max_ns, 0u);
-}
-
-TEST(TimerTest, PercentileEstimates) {
-  Timer timer;
-  EXPECT_EQ(timer.stats().percentile_ns(0.5), 0.0);  // empty: no estimate
-
-  // A single sample: every quantile is that sample.
-  timer.record_ns(100);
-  EXPECT_EQ(timer.stats().percentile_ns(0.0), 100.0);
-  EXPECT_EQ(timer.stats().percentile_ns(0.5), 100.0);
-  EXPECT_EQ(timer.stats().percentile_ns(1.0), 100.0);
-
-  // 99 samples in b3 ([4, 8) ns) and one in b10 ([512, 1024) ns): the
-  // median must come from the low bucket, p99.5 from the high one, and the
-  // high estimate is clamped to max_ns.
-  timer.reset();
-  for (int i = 0; i < 99; ++i) timer.record_ns(5);
-  timer.record_ns(600);
-  const TimerStats stats = timer.stats();
-  const double p50 = stats.percentile_ns(0.5);
-  EXPECT_GE(p50, 4.0);
-  EXPECT_LE(p50, 8.0);
-  const double p995 = stats.percentile_ns(0.995);
-  EXPECT_GE(p995, 512.0);
-  EXPECT_LE(p995, 600.0);  // clamped to the observed max
-  EXPECT_GE(stats.percentile_ns(0.99), p50);
 }
 
 TEST(RegistryTest, LookupIsStableAndIdempotent) {
@@ -165,7 +133,7 @@ TEST(RegistryStressTest, ConcurrentRegistrationAndUpdatesAreExact) {
   pool.parallel_for(0, kTasks, [&](std::size_t task) {
     const std::string own = "stress.own." + std::to_string(task % 8);
     for (std::size_t i = 0; i < kIters; ++i) {
-      registry.counter("stress.shared").increment();
+      registry.counter("stress.shared").add(1);
       registry.counter(own).add(2);
       registry.timer("stress.timer").record_ns(i);
       ScopedTimer scope(registry.timer("stress.scoped"));

@@ -30,24 +30,5 @@ TEST(TierTest, NamesAreStable) {
   EXPECT_EQ(tier_name(StorageTier::kArchive), "archive");
 }
 
-TEST(TierTest, ParseAcceptsPaperTerminology) {
-  EXPECT_EQ(parse_tier("hot"), StorageTier::kHot);
-  EXPECT_EQ(parse_tier("cool"), StorageTier::kCool);
-  EXPECT_EQ(parse_tier("cold"), StorageTier::kCool);  // the paper says "cold"
-  EXPECT_EQ(parse_tier("archive"), StorageTier::kArchive);
-}
-
-TEST(TierTest, ParseRejectsUnknown) {
-  EXPECT_THROW(parse_tier("lukewarm"), std::invalid_argument);
-  EXPECT_THROW(parse_tier(""), std::invalid_argument);
-  EXPECT_THROW(parse_tier("HOT"), std::invalid_argument);
-}
-
-TEST(TierTest, ParseRoundTripsNames) {
-  for (StorageTier t : all_tiers()) {
-    EXPECT_EQ(parse_tier(tier_name(t)), t);
-  }
-}
-
 }  // namespace
 }  // namespace minicost::pricing

@@ -65,11 +65,6 @@ TEST_F(EnvTest, EpisodeEndsAtWindowEnd) {
   EXPECT_THROW(env_.step(0), std::logic_error);
 }
 
-TEST_F(EnvTest, EpisodeLengthMatchesWindow) {
-  env_.reset(0, pricing::StorageTier::kHot, 14, 24);
-  EXPECT_EQ(env_.episode_length(), 10u);
-}
-
 TEST_F(EnvTest, RejectsBadWindows) {
   EXPECT_THROW(env_.reset(0, pricing::StorageTier::kHot, 3, 20),
                std::out_of_range);  // before full history

@@ -78,30 +78,6 @@ TEST(DescriptiveTest, MedianOfUnsortedInput) {
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
 }
 
-TEST(DescriptiveTest, CorrelationOfLinearSeriesIsOne) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys{2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(correlation(xs, ys), 1.0, 1e-12);
-}
-
-TEST(DescriptiveTest, CorrelationOfAntiLinearSeriesIsMinusOne) {
-  const std::vector<double> xs{1.0, 2.0, 3.0};
-  const std::vector<double> ys{3.0, 2.0, 1.0};
-  EXPECT_NEAR(correlation(xs, ys), -1.0, 1e-12);
-}
-
-TEST(DescriptiveTest, CorrelationConstantSeriesIsZero) {
-  const std::vector<double> xs{1.0, 1.0, 1.0};
-  const std::vector<double> ys{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(correlation(xs, ys), 0.0);
-}
-
-TEST(DescriptiveTest, CorrelationRejectsLengthMismatch) {
-  EXPECT_THROW(correlation(std::vector<double>{1.0},
-                           std::vector<double>{1.0, 2.0}),
-               std::invalid_argument);
-}
-
 TEST(RunningStatsTest, MatchesBatchStatistics) {
   util::Rng rng(5);
   std::vector<double> xs;

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <stdexcept>
 
 namespace minicost::stats {
 namespace {
@@ -33,45 +33,6 @@ TEST(RelativeErrorsTest, RejectsMismatch) {
   EXPECT_THROW(
       relative_errors(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0}),
       std::invalid_argument);
-}
-
-TEST(MapeTest, AveragesAbsolutePercentageError) {
-  const std::vector<double> truth{10.0, 20.0};
-  const std::vector<double> predicted{9.0, 22.0};
-  EXPECT_NEAR(mape(truth, predicted), (0.1 + 0.1) / 2.0, 1e-12);
-}
-
-TEST(MapeTest, SkipsZeroTruth) {
-  const std::vector<double> truth{0.0, 10.0};
-  const std::vector<double> predicted{5.0, 5.0};
-  EXPECT_DOUBLE_EQ(mape(truth, predicted), 0.5);
-}
-
-TEST(MapeTest, AllZeroTruthIsZero) {
-  const std::vector<double> truth{0.0, 0.0};
-  const std::vector<double> predicted{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(mape(truth, predicted), 0.0);
-}
-
-TEST(RmseTest, ComputesRootMeanSquare) {
-  const std::vector<double> truth{1.0, 2.0, 3.0};
-  const std::vector<double> predicted{1.0, 2.0, 6.0};
-  EXPECT_NEAR(rmse(truth, predicted), std::sqrt(9.0 / 3.0), 1e-12);
-}
-
-TEST(RmseTest, PerfectPredictionIsZero) {
-  const std::vector<double> xs{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(rmse(xs, xs), 0.0);
-}
-
-TEST(MaeTest, ComputesMeanAbsoluteError) {
-  const std::vector<double> truth{1.0, -2.0};
-  const std::vector<double> predicted{2.0, 0.0};
-  EXPECT_DOUBLE_EQ(mae(truth, predicted), 1.5);
-}
-
-TEST(MaeTest, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(mae(std::vector<double>{}, std::vector<double>{}), 0.0);
 }
 
 }  // namespace

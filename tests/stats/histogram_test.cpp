@@ -35,14 +35,6 @@ TEST(HistogramTest, EmptyShareIsZero) {
   EXPECT_DOUBLE_EQ(h.share(0), 0.0);
 }
 
-TEST(HistogramTest, AddAllProcessesSpan) {
-  Histogram h({0.0, 5.0});
-  const std::vector<double> values{1.0, 6.0, 7.0};
-  h.add_all(values);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.count(1), 2u);
-}
-
 TEST(HistogramTest, LabelsMatchPaperStyle) {
   Histogram h = paper_stddev_histogram();
   EXPECT_EQ(h.label(0), "0-0.1");

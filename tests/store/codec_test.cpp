@@ -289,13 +289,10 @@ TEST_F(CodecContainerTest, RoundTripsByteIdenticallyUnderEveryCodec) {
     EXPECT_LE(v2.header().freq_bytes, v1.header().freq_bytes);
     EXPECT_EQ(v2.freq_raw_bytes(), v1.header().freq_bytes);
     v2.verify_checksums();
-    // Whole-trace, shard, and random-access paths all reproduce v1 exactly.
+    // Whole-trace, multi-chunk and one-file shards all reproduce v1 exactly.
     expect_same_trace(v2.materialize(), v1.materialize());
     expect_same_trace(v2.materialize_shard(5, 20), v1.materialize_shard(5, 20));
-    for (std::size_t t = 0; t < original.days(); ++t) {
-      EXPECT_EQ(bits(v2.reads(33)[t]), bits(v1.reads(33)[t]));
-      EXPECT_EQ(bits(v2.writes(33)[t]), bits(v1.writes(33)[t]));
-    }
+    expect_same_trace(v2.materialize_shard(33, 1), v1.materialize_shard(33, 1));
   }
 }
 

@@ -95,18 +95,19 @@ TEST_F(StoreFormatTest, RoundTripsEverySeriesBitExactly) {
   EXPECT_EQ(reader.file_count(), original.file_count());
   EXPECT_EQ(reader.group_count(), original.groups().size());
 
+  const trace::RequestTrace copy = reader.materialize();
   for (std::size_t i = 0; i < original.file_count(); ++i) {
     const trace::FileRecord& f = original.files()[i];
+    const trace::FileRecord& got = copy.files()[i];
     EXPECT_EQ(reader.name(i), f.name);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(reader.size_gb(i)),
               std::bit_cast<std::uint64_t>(f.size_gb));
-    const auto reads = reader.reads(i);
-    const auto writes = reader.writes(i);
-    ASSERT_EQ(reads.size(), original.days());
+    ASSERT_EQ(got.reads.size(), original.days());
+    ASSERT_EQ(got.writes.size(), original.days());
     for (std::size_t t = 0; t < original.days(); ++t) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(reads[t]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.reads[t]),
                 std::bit_cast<std::uint64_t>(f.reads[t]));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(writes[t]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.writes[t]),
                 std::bit_cast<std::uint64_t>(f.writes[t]));
     }
   }
@@ -142,14 +143,9 @@ TEST_F(StoreFormatTest, MaterializeEqualsOriginal) {
 TEST_F(StoreFormatTest, SeriesAreSixtyFourByteAligned) {
   pack_trace(sample_trace(5, 9), path_);  // 9 days -> 72 B padded to 128 B
   const TraceReader reader(path_);
-  for (std::size_t i = 0; i < reader.file_count(); ++i) {
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(reader.reads(i).data()) %
-                  kSeriesAlign,
-              0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(reader.writes(i).data()) %
-                  kSeriesAlign,
-              0u);
-  }
+  // Every series starts at freq_offset + k * series_stride in the file.
+  EXPECT_EQ(reader.header().freq_offset % kSeriesAlign, 0u);
+  EXPECT_EQ(reader.header().series_stride, 128u);
 }
 
 TEST_F(StoreFormatTest, MaterializeShardRemapsAndDropsStraddlingGroups) {
@@ -186,9 +182,11 @@ TEST_F(StoreFormatTest, ReleaseFrequencyRangeKeepsDataReadable) {
   pack_trace(original, path_);
   const TraceReader reader(path_);
   reader.release_frequency_range(0, reader.file_count());
-  for (std::size_t i = 0; i < reader.file_count(); ++i)
-    for (std::size_t t = 0; t < reader.days(); ++t)
-      EXPECT_EQ(reader.reads(i)[t], original.files()[i].reads[t]);
+  const trace::RequestTrace copy = reader.materialize();
+  for (std::size_t i = 0; i < reader.file_count(); ++i) {
+    EXPECT_EQ(copy.files()[i].reads, original.files()[i].reads);
+    EXPECT_EQ(copy.files()[i].writes, original.files()[i].writes);
+  }
   EXPECT_THROW(reader.release_frequency_range(15, 10), std::out_of_range);
 }
 

@@ -124,6 +124,28 @@ class CliSmokeTest(unittest.TestCase):
                              "--shard-files", "512", "--replan", "0:600")
         self.assertIn("replan bill vs full plan: byte-identical", out)
 
+    def test_plan_format_csv_stdout_is_clean_csv(self):
+        header = ["event", "policy", "shard_files", "shards", "replanned",
+                  "wall_seconds", "decide_sum_seconds",
+                  "decide_ns_per_file_day", "total_cost", "tier_changes"]
+        runs = [
+            ("plan", "t.csv", "--policy", "greedy", "--format", "csv"),
+            ("plan", "t.mct", "--policy", "greedy", "--format", "csv"),
+            ("plan", "t.mct", "--policy", "greedy",
+             "--sweep-shard-files", "0,1000", "--format", "csv"),
+        ]
+        for args in runs:
+            with self.subTest(args=" ".join(args)):
+                reader = csv.DictReader(io.StringIO(self.invoke_ok(*args)))
+                self.assertEqual(reader.fieldnames, header)
+                rows = list(reader)
+                for row in rows:
+                    self.assertNotIn(None, row, row)  # no extra fields
+                    self.assertNotIn(None, row.values(), row)  # none missing
+                    self.assertEqual(row["event"], "plan", row)
+                self.assertEqual(len(rows), 2 if "--sweep-shard-files" in args
+                                 else 1)
+
     def test_scripted_serve_session(self):
         out = self.invoke_ok("plan", "t.mct", "--serve",
                              "--policy", "greedy,hot", "--shard-files", "512",

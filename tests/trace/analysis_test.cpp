@@ -44,16 +44,5 @@ TEST(AnalysisTest, MembersMatchMeasuredVariability) {
   }
 }
 
-TEST(AnalysisTest, DailyTotalsSumReadsAndWrites) {
-  std::vector<FileRecord> files;
-  files.push_back({"a", 0.1, {1.0, 2.0}, {0.5, 0.5}});
-  files.push_back({"b", 0.1, {3.0, 4.0}, {0.0, 1.0}});
-  const RequestTrace trace(2, std::move(files));
-  const auto totals = daily_request_totals(trace);
-  ASSERT_EQ(totals.size(), 2u);
-  EXPECT_DOUBLE_EQ(totals[0], 4.5);
-  EXPECT_DOUBLE_EQ(totals[1], 7.5);
-}
-
 }  // namespace
 }  // namespace minicost::trace

@@ -46,19 +46,6 @@ TEST_F(CsvTest, EscapesCommasQuotesAndNewlines) {
   EXPECT_EQ(rows[0][2], "plain");
 }
 
-TEST_F(CsvTest, NumericRowRoundTripsExactly) {
-  {
-    CsvWriter writer(path_);
-    writer.row_numeric({1.5, -2.25, 0.1, 1e-9});
-  }
-  const auto rows = read_csv(path_);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(std::stod(rows[0][0]), 1.5);
-  EXPECT_EQ(std::stod(rows[0][1]), -2.25);
-  EXPECT_EQ(std::stod(rows[0][2]), 0.1);
-  EXPECT_EQ(std::stod(rows[0][3]), 1e-9);
-}
-
 TEST_F(CsvTest, CreatesParentDirectories) {
   const auto nested = path_.parent_path() / "minicost_nested_dir" / "file.csv";
   {

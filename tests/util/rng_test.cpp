@@ -177,10 +177,5 @@ TEST(RngTest, WeightedIndexRespectsWeights) {
   EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.75, 0.02);
 }
 
-TEST(RngTest, LognormalIsPositive) {
-  Rng rng(59);
-  for (int i = 0; i < 1000; ++i) EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
-}
-
 }  // namespace
 }  // namespace minicost::util

@@ -396,7 +396,8 @@ void print_run(const core::PlanDriverRun& run, std::size_t days,
 }
 
 /// The one `minicost_plan` run report, with the same metrics for .csv and
-/// .mct input. bills_identical appears when --compare ran.
+/// .mct input. bills_identical appears when --compare ran. Its path goes to
+/// stderr, so `--format csv` stdout stays a clean CSV.
 void write_plan_report(const core::PlanDriverRun& run,
                        std::optional<bool> identical) {
   obs::RunReport report = obs::make_report("minicost_plan");
@@ -409,7 +410,7 @@ void write_plan_report(const core::PlanDriverRun& run,
   };
   if (identical)
     report.metrics.emplace_back("bills_identical", *identical ? 1.0 : 0.0);
-  std::cout << "[report] "
+  std::cerr << "[report] "
             << obs::write_report(report,
                                  util::env_str("MINICOST_OUT", "bench_out"))
                    .string()
@@ -596,7 +597,7 @@ void print_cells(const std::deque<PlanCell>& cells, const util::Cli& cli,
     print_run(cells.front().run, days, prices);
   if (!cli.str("out").empty()) {
     std::ofstream(cli.str("out")) << rows.str();
-    std::cout << "[rows] " << cli.str("out") << "\n";
+    std::cerr << "[rows] " << cli.str("out") << "\n";
   }
 }
 
