@@ -101,7 +101,7 @@ std::filesystem::path write_run_report(
   obs::RunReport report = obs::make_report(name);
   report.metrics.insert(report.metrics.end(), metrics.begin(), metrics.end());
   const std::filesystem::path path = obs::write_report(report, bench_out());
-  std::cout << "[report] " << path.string() << "\n";
+  std::cerr << "[report] " << path.string() << "\n";
   return path;
 }
 

@@ -68,7 +68,9 @@ void emit(const std::string& name, const std::string& banner,
 /// obs counter/timer touched so far, peak RSS, plus the bench-specific
 /// `metrics` scalars. Refuses to overwrite a report written under a
 /// different env fingerprint — those get a <name>.<k>.json sibling instead.
-/// Returns the path written.
+/// Prints `[report] <path>` on stderr, so a bench's stdout stays its own
+/// output (micro_batch_plan's is one JSON document). Returns the path
+/// written.
 std::filesystem::path write_run_report(
     const std::string& name,
     const std::vector<std::pair<std::string, double>>& metrics = {});

@@ -30,28 +30,30 @@ int main(int argc, char** argv) {
 
   util::Cli cli("wiki_workload", "Section-3 style trace analysis");
   cli.add_flag("files", "3000", "synthetic file count (ignored with --pagecounts)");
-  cli.add_flag("pagecounts", "", "directory of hourly pagecounts dump files");
+  cli.add_flag("pagecounts", "", "directory of Wikimedia pagecounts dump files");
   cli.add_flag("seed", "42", "experiment seed");
   if (!cli.parse(argc, argv)) return 1;
 
-  std::uint64_t seed = 0;
-  std::size_t files = 0;
+  trace::RequestTrace tr;
   try {
-    seed = cli.size("seed");
-    files = cli.size("files");
-  } catch (const std::invalid_argument& error) {
+    const std::uint64_t seed = cli.size("seed");
+    const std::size_t files = cli.size("files");
+    if (const std::string dir = cli.str("pagecounts"); !dir.empty()) {
+      const trace::PageviewAggregator dumps =
+          trace::load_pagecounts_directory(dir, 62, "en");
+      std::cerr << "pagecounts: skipped lines: " << dumps.malformed_lines()
+                << " malformed, " << dumps.lines_past_horizon()
+                << " with views past day 62\n";
+      tr = dumps.build_trace(100.0, 0.02, seed);
+    } else {
+      trace::SyntheticConfig config;
+      config.file_count = files;
+      config.seed = seed;
+      tr = trace::generate_synthetic(config);
+    }
+  } catch (const std::exception& error) {
     std::cerr << "wiki_workload: " << error.what() << "\n";
     return 1;
-  }
-  trace::RequestTrace tr;
-  if (const std::string dir = cli.str("pagecounts"); !dir.empty()) {
-    std::cout << "parsing pagecounts dumps from " << dir << "...\n";
-    tr = trace::load_pagecounts_directory(dir, 62, "en", 100.0, 0.02, seed);
-  } else {
-    trace::SyntheticConfig config;
-    config.file_count = files;
-    config.seed = seed;
-    tr = trace::generate_synthetic(config);
   }
   std::cout << "trace: " << tr.file_count() << " files over " << tr.days()
             << " days\n\n";

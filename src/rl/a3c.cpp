@@ -118,7 +118,6 @@ struct A3CAgent::WorkerCtx {
 
   TieringEnv env;
   nn::Network actor, critic;
-  std::vector<double> actor_stage, critic_stage;
   // Episode buffers, T rows each: the rollout's actions and rewards, its
   // states (T x feature_count) and logits (T x kActionCount), and the
   // update's returns, advantages, loss gradients and probabilities.
@@ -136,8 +135,6 @@ struct A3CAgent::WorkerCtx {
     util::Rng scratch = agent.seed_rng_.fork(kInitStream);
     actor = make_actor(agent.config_, agent.featurizer_, scratch);
     critic = make_critic(agent.config_, agent.featurizer_, scratch);
-    actor_stage.resize(agent.server_->actor_size());
-    critic_stage.resize(agent.server_->critic_size());
     actor_grads.resize(agent.server_->actor_size());
     critic_grads.resize(agent.server_->critic_size());
   }
@@ -190,14 +187,12 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
   nn::Network& actor = ctx.actor;
   nn::Network& critic = ctx.critic;
   // Sync local nets from the parameter server. The wavefront sync admits
-  // this episode in ordinal order, so the staged parameters are a pure
-  // function of the ordinal. The copy runs under the server's lock; the
-  // network load happens outside it.
+  // this episode in ordinal order, so the loaded parameters are a pure
+  // function of the ordinal. The server loads them into the nets under its
+  // lock, one copy per sync.
   {
     MC_OBS_SCOPE("rl.a3c.sync");
-    server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
-    actor.load_parameters(ctx.actor_stage);
-    critic.load_parameters(ctx.critic_stage);
+    server_->sync(round_episode, actor, critic);
   }
   // Every gradient accumulator is 0.0 here: construction zeroes them, and
   // each episode's collect_gradients leaves them zeroed.

@@ -191,8 +191,8 @@ class A3CAgent {
     double cost_sum = 0.0;
   };
 
-  /// Per-worker training state (local nets, env, staging and episode
-  /// buffers); defined in a3c.cpp.
+  /// Per-worker training state (local nets, env and episode buffers);
+  /// defined in a3c.cpp.
   struct WorkerCtx;
 
   /// Runs one episode on the worker's local nets and routes the gradient

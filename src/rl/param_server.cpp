@@ -77,8 +77,8 @@ void ParamServer::end_round() {
   round_active_ = false;
 }
 
-void ParamServer::sync(std::size_t episode, std::span<double> actor_out,
-                       std::span<double> critic_out) {
+void ParamServer::sync(std::size_t episode, nn::Network& actor,
+                       nn::Network& critic) {
   const bool timing = obs::kCompiledIn && obs::enabled();
   const std::uint64_t t0 = timing ? steady_now_ns() : 0;
   util::MutexLock lock(mutex_);
@@ -93,8 +93,8 @@ void ParamServer::sync(std::size_t episode, std::span<double> actor_out,
   });
   if (timing && sync_wait_ns_ != nullptr)
     sync_wait_ns_->add(steady_now_ns() - t0);
-  std::copy(actor_flat_.begin(), actor_flat_.end(), actor_out.begin());
-  std::copy(critic_flat_.begin(), critic_flat_.end(), critic_out.begin());
+  actor.load_parameters(actor_flat_);
+  critic.load_parameters(critic_flat_);
   ++synced_;
   cv_.notify_all();
 }

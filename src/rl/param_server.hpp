@@ -34,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "util/mutex.hpp"
@@ -80,10 +81,11 @@ class ParamServer {
   /// unapplied episodes (a protocol bug, not a user error).
   void end_round() MC_EXCLUDES(mutex_);
 
-  /// Waits for episode `episode`'s sync turn and copies the authoritative
-  /// parameters into the staging buffers (sized actor_size()/critic_size()).
-  void sync(std::size_t episode, std::span<double> actor_out,
-            std::span<double> critic_out) MC_EXCLUDES(mutex_);
+  /// Waits for episode `episode`'s sync turn and loads the authoritative
+  /// parameters into a worker's networks (actor_size()/critic_size()
+  /// parameters each) while it holds the lock: one copy per sync.
+  void sync(std::size_t episode, nn::Network& actor, nn::Network& critic)
+      MC_EXCLUDES(mutex_);
 
   /// Waits for episode `episode`'s apply turn and runs both optimizers over
   /// the gradients.

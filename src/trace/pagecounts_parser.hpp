@@ -1,107 +1,57 @@
 #pragma once
-// Manual parsers for the Wikimedia page-view dump formats the paper's trace
-// comes from (https://dumps.wikimedia.org/other/pagecounts-ez/). If a user
-// has the real dump, these turn it into a RequestTrace; the shipped
-// experiments use the synthetic generator instead.
+// The reader for the Wikimedia page-view dumps the paper's trace comes from
+// (https://dumps.wikimedia.org/other/pagecounts-ez/). It turns a directory
+// of dump files into a RequestTrace (`minicost convert --pagecounts`); the
+// shipped experiments use the synthetic generator instead.
 //
-// Two formats are supported:
-//  * classic hourly `pagecounts` lines:  "<project> <title> <views> <bytes>"
-//    (one file per hour; the caller supplies the hour index);
-//  * `pagecounts-ez` merged daily lines: "<project> <title> <monthly_total>
-//    <daily_string>", where the daily string is a comma-separated list of
-//    per-day entries and each entry encodes hours as letter/value pairs
-//    (A=hour 0 ... X=hour 23), e.g. "B12G3" = 12 views in hour 1, 3 in 6.
+// A file's name gives its line grammar and the time its views fall on:
+//  * classic hourly files `pagecounts-YYYYMMDD-HHMMSS`, one hour each, with
+//    lines "<project> <title> <views> <bytes>";
+//  * pagecounts-ez monthly files `pagecounts-YYYY-MM...`, one month each,
+//    with lines "<project> <title> <monthly_total> <daily_string>". The
+//    daily string joins "<day>:<hours>" entries with commas (days 1-based
+//    in the month); the hours are letter/value pairs, A = hour 0 ...
+//    X = hour 23: "en.z Main_Page 314 1:A5B7,2:C9".
+// The ez files write a Wikipedia project with a ".z" suffix, so the project
+// "en" keeps English Wikipedia in both grammars. Blank lines and lines that
+// start with '#' are skipped; every other line that does not parse is
+// counted as malformed and skipped.
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <istream>
-#include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.hpp"
 
 namespace minicost::trace {
 
-/// One parsed classic pagecounts line.
-struct PagecountsLine {
-  std::string project;
-  std::string title;
-  std::uint64_t views = 0;
-  std::uint64_t bytes = 0;
-};
-
-/// Parses "<project> <title> <views> <bytes>". Returns nullopt on malformed
-/// lines (wrong field count, non-numeric counts) — dump files contain some.
-std::optional<PagecountsLine> parse_pagecounts_line(std::string_view line);
-
-/// Decodes a pagecounts-ez hour string like "B12G3X1" into 24 hourly counts.
-/// Unknown letters are skipped; missing hours are zero.
-std::array<std::uint64_t, 24> decode_hour_string(std::string_view encoded);
-
-/// One parsed pagecounts-ez *merged* line: "<project> <title> <total>
-/// <daily_string>", where the daily string is a comma-separated list of
-/// per-day entries, each "<day_number>:<hour_string>" (day numbers are
-/// 1-based within the month). Example:
-///   "en.z Main_Page 314 1:A5B7,2:C9,31:X3"
-struct PagecountsEzLine {
-  std::string project;
-  std::string title;
-  std::uint64_t monthly_total = 0;
-  /// (day_index 0-based, views that day) pairs, in file order.
-  std::vector<std::pair<std::size_t, std::uint64_t>> daily_views;
-};
-
-/// Parses a merged pagecounts-ez line. Returns nullopt on malformed input.
-/// Day entries with unparseable day numbers are skipped.
-std::optional<PagecountsEzLine> parse_pagecounts_ez_line(std::string_view line);
-
-/// Reads a whole pagecounts-ez merged file (one month per file; feed
-/// several with increasing `month_offset_days` for multi-month horizons)
-/// into per-title daily series. Malformed lines are skipped and counted.
-class PagecountsEzReader {
+/// Accumulates dump files of either grammar into per-title daily views.
+class PageviewAggregator {
  public:
-  explicit PagecountsEzReader(std::size_t days,
-                              std::string project_filter = "en.z");
+  /// `days` is the horizon from `day0`; views after it are dropped and the
+  /// lines that carried them counted. `project` keeps only that project's
+  /// lines (empty keeps all). Throws std::invalid_argument if days == 0.
+  PageviewAggregator(std::size_t days, std::string project,
+                     std::chrono::sys_days day0);
 
-  void add_line(std::size_t month_offset_days, std::string_view line);
-  void add_stream(std::size_t month_offset_days, std::istream& in);
+  /// Reads the dump file called `name` (a file name, not a path). Throws
+  /// std::invalid_argument if the name matches neither pattern (compressed
+  /// `.gz`/`.bz2` files included), names a time before day0 or an hour or
+  /// month an earlier file already covered, or if none of its lines parses.
+  void add_file(std::string_view name, std::istream& in);
 
   std::uint64_t malformed_lines() const noexcept { return malformed_; }
-  std::size_t title_count() const noexcept { return daily_views_.size(); }
+  std::uint64_t lines_past_horizon() const noexcept { return past_horizon_; }
 
-  /// Same trace-building protocol as PagecountsAggregator.
-  RequestTrace build_trace(double mean_size_mb, double write_read_ratio,
-                           std::uint64_t seed) const;
-
- private:
-  std::size_t days_;
-  std::string project_filter_;
-  std::uint64_t malformed_ = 0;
-  std::unordered_map<std::string, std::vector<double>> daily_views_;
-};
-
-/// Accumulates hourly pagecounts lines into per-title daily view counts.
-class PagecountsAggregator {
- public:
-  /// `days` is the horizon; lines for hours outside it are ignored.
-  /// `project_filter` keeps only lines whose project matches (e.g. "en");
-  /// empty keeps everything.
-  explicit PagecountsAggregator(std::size_t days, std::string project_filter = "en");
-
-  /// Feeds one classic-format line observed at absolute hour `hour`
-  /// (0 = first hour of day 0). Malformed lines are counted and skipped.
-  void add_line(std::size_t hour, std::string_view line);
-
-  /// Feeds a whole classic-format hourly stream.
-  void add_stream(std::size_t hour, std::istream& in);
-
-  std::uint64_t malformed_lines() const noexcept { return malformed_; }
-  std::size_t title_count() const noexcept { return daily_views_.size(); }
-
-  /// Builds the trace: sizes are drawn Poisson(mean_size_mb) per title
+  /// Builds the trace: titles in sorted order, each with its own RNG stream
+  /// forked from `seed`; sizes are drawn Poisson(mean_size_mb) per title
   /// (the paper's protocol — the dump has no sizes), writes are
   /// write_read_ratio * reads. Titles with zero total views are dropped.
   RequestTrace build_trace(double mean_size_mb, double write_read_ratio,
@@ -109,19 +59,19 @@ class PagecountsAggregator {
 
  private:
   std::size_t days_;
-  std::string project_filter_;
+  std::string project_;
+  std::chrono::sys_days day0_;
   std::uint64_t malformed_ = 0;
+  std::uint64_t past_horizon_ = 0;
+  std::set<std::pair<bool, std::int64_t>> covered_;  // (monthly, hour or month)
   std::unordered_map<std::string, std::vector<double>> daily_views_;
 };
 
-/// Convenience: reads a directory of classic hourly dump files named in
-/// ascending hour order (sorted lexicographically), aggregates them into a
-/// trace. Throws std::runtime_error if the directory has no regular files.
-RequestTrace load_pagecounts_directory(const std::filesystem::path& dir,
-                                       std::size_t days,
-                                       const std::string& project_filter,
-                                       double mean_size_mb,
-                                       double write_read_ratio,
-                                       std::uint64_t seed);
+/// Reads every regular file of `dir` into one aggregator whose day 0 is the
+/// earliest date any file name gives. Throws std::runtime_error if the
+/// directory has no regular files, and add_file()'s errors.
+PageviewAggregator load_pagecounts_directory(const std::filesystem::path& dir,
+                                             std::size_t days,
+                                             const std::string& project);
 
 }  // namespace minicost::trace

@@ -86,14 +86,6 @@ std::uint64_t Rng::poisson(double mean) noexcept {
   return count;
 }
 
-double Rng::exponential(double rate) noexcept {
-  double u = 0.0;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 bool Rng::bernoulli(double p) noexcept { return next_double() < p; }
 
 Rng Rng::fork(std::uint64_t stream) const noexcept {

@@ -68,9 +68,6 @@ class Rng {
   /// the trace generator draws sizes/frequencies with means in the hundreds.
   std::uint64_t poisson(double mean) noexcept;
 
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate) noexcept;
-
   /// Bernoulli trial with success probability p in [0, 1].
   bool bernoulli(double p) noexcept;
 

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "nn/dense.hpp"
+#include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "util/rng.hpp"
 
@@ -70,6 +72,15 @@ void assign_zeros(ParamServer& server) {
                 std::vector<double>(kCritic, 0.0));
 }
 
+// A network of exactly `parameters` parameters (a Dense layer with one
+// output), for sync() to load into.
+nn::Network net_of(std::size_t parameters) {
+  util::Rng rng(1);
+  nn::Network net;
+  net.add(std::make_unique<nn::Dense>(parameters - 1, 1, rng));
+  return net;
+}
+
 TEST(ParamServerTest, SyncReadsExactlyTheWindowedAppliedPrefix) {
   for (const std::size_t window : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ParamServer server(plain_sgd());
@@ -86,11 +97,12 @@ TEST(ParamServerTest, SyncReadsExactlyTheWindowedAppliedPrefix) {
 
     auto worker = [&](std::uint64_t seed) {
       util::Rng rng(seed);
-      std::vector<double> actor(kActor), critic(kCritic);
+      nn::Network actor = net_of(kActor), critic = net_of(kCritic);
       std::size_t e = 0;
       while ((e = next.fetch_add(1)) < kEpisodes) {
         server.sync(e, actor, critic);
-        synced_prefix[e] = applied_prefix(actor, critic);
+        synced_prefix[e] = applied_prefix(actor.snapshot_parameters(),
+                                          critic.snapshot_parameters());
         std::this_thread::sleep_for(
             std::chrono::microseconds(rng.uniform_int(0, 300)));
         server.apply(e, episode_grads(kActor, 0, e),
@@ -163,7 +175,7 @@ TEST(ParamServerTest, EndRoundRejectsUnappliedEpisodes) {
   ParamServer server(plain_sgd());
   assign_zeros(server);
   server.begin_round(2, 1);
-  std::vector<double> actor(kActor), critic(kCritic);
+  nn::Network actor = net_of(kActor), critic = net_of(kCritic);
   server.sync(0, actor, critic);
   server.apply(0, episode_grads(kActor, 0, 0), episode_grads(kCritic, kActor, 0));
   EXPECT_THROW(server.end_round(), std::logic_error);

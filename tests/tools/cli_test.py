@@ -5,6 +5,8 @@ Runs the built binary in a temporary directory on a ~2k-file trace: every
 command, the byte-exact format round trips, the plan modes that check their
 own bills (--compare, --replan, a scripted --serve session), and the
 malformed inputs that must fail with exit 1 and exactly one stderr line.
+`convert --pagecounts` reads small dump directories the test writes itself
+in both Wikimedia grammars.
 
     python3 tests/tools/cli_test.py path/to/minicost
 
@@ -133,10 +135,17 @@ class CliSmokeTest(unittest.TestCase):
             ("plan", "t.mct", "--policy", "greedy", "--format", "csv"),
             ("plan", "t.mct", "--policy", "greedy",
              "--sweep-shard-files", "0,1000", "--format", "csv"),
+            ("plan", "t.mct", "--policy", "greedy", "--shard-files", "512",
+             "--compare", "--format", "csv"),
         ]
         for args in runs:
             with self.subTest(args=" ".join(args)):
-                reader = csv.DictReader(io.StringIO(self.invoke_ok(*args)))
+                result = self.invoke(*args)
+                self.assertEqual(result.returncode, 0, result.stderr)
+                if "--compare" in args:
+                    self.assertIn("monolithic comparison: byte-identical",
+                                  result.stderr)
+                reader = csv.DictReader(io.StringIO(result.stdout))
                 self.assertEqual(reader.fieldnames, header)
                 rows = list(reader)
                 for row in rows:
@@ -145,6 +154,95 @@ class CliSmokeTest(unittest.TestCase):
                     self.assertEqual(row["event"], "plan", row)
                 self.assertEqual(len(rows), 2 if "--sweep-shard-files" in args
                                  else 1)
+
+    def dumps(self, name, files):
+        """Writes the pagecounts dump directory `name`, {file name: text}."""
+        (self.dir / name).mkdir()
+        for file_name, text in files.items():
+            (self.dir / name / file_name).write_text(text)
+        return name
+
+    def convert_dumps(self, name, days):
+        """Converts dump directory `name` to `name`.csv over `days` days;
+        returns ({title: daily reads}, stderr)."""
+        result = self.invoke("convert", "--pagecounts", name, "--days", days,
+                             "--out", f"{name}.csv")
+        self.assertEqual(result.returncode, 0, result.stderr)
+        reads = {}
+        for row in csv.reader(io.StringIO(self.read(f"{name}.csv").decode())):
+            if row[0] == "file":
+                reads[row[1]] = [float(v) for v in row[3:3 + int(days)]]
+        return reads, result.stderr
+
+    def test_pagecounts_classic_directory_round_trips(self):
+        files = {f"pagecounts-20110715-{h:02d}0000":
+                 f"en A {h + 1} 100\nen B 2 100\nde A 50 100\n"
+                 for h in range(24)}
+        files["pagecounts-20110716-000000"] = "en A 7 100\n"
+        reads, err = self.convert_dumps(self.dumps("classic", files), "2")
+        self.assertEqual(reads, {"A": [300.0, 7.0], "B": [48.0, 0.0]})
+        self.assertEqual(err, "pagecounts: skipped lines: 0 malformed, "
+                              "0 with views past --days\n")
+        self.invoke_ok("convert", "--pagecounts", "classic", "--days", "2",
+                       "--out", "classic.mct")
+        self.invoke_ok("convert", "classic.mct", "--out", "classic_back.csv")
+        self.assertEqual(self.read("classic_back.csv"),
+                         self.read("classic.csv"))
+
+    def test_pagecounts_ez_month_gives_per_day_reads(self):
+        # The ez grammar writes English Wikipedia "en.z"; --project is "en".
+        reads, _ = self.convert_dumps(self.dumps("ez", {
+            "pagecounts-2011-07-views-ge-5":
+                "# merged daily views\n"
+                "en.z Main_Page 314 1:A5B7,2:C9,31:X3\n"
+                "de.z Main_Page 9 1:A9\n"}), "31")
+        expected = [0.0] * 31
+        expected[0], expected[1], expected[30] = 12.0, 9.0, 3.0
+        self.assertEqual(reads, {"Main_Page": expected})
+
+    def test_pagecounts_mixed_directory_sums_both_grammars(self):
+        reads, _ = self.convert_dumps(self.dumps("mixed", {
+            "pagecounts-2011-07": "en.z A 9 2:A4,3:B5\n",
+            "pagecounts-20110702-050000": "en A 10 100\n"}), "3")
+        self.assertEqual(reads, {"A": [0.0, 14.0, 5.0]})
+
+    def test_pagecounts_missing_hours_leave_later_days_in_place(self):
+        reads, _ = self.convert_dumps(self.dumps("gap", {
+            "pagecounts-20110715-000000": "en A 1 100\n",
+            "pagecounts-20110717-230000": "en A 4 100\n"}), "3")
+        self.assertEqual(reads, {"A": [1.0, 0.0, 4.0]})
+
+    def test_pagecounts_skipped_lines_are_counted_on_stderr(self):
+        _, err = self.convert_dumps(self.dumps("skips", {
+            "pagecounts-20110701-000000":
+                "en A 1 100\ngarbage\nen A x 100\n\n# comment\n",
+            "pagecounts-2011-07": "en.z A 1 1:A1,32:B1\nen.z B 1 20:A1\n"}),
+            "3")
+        self.assertEqual(err, "pagecounts: skipped lines: 3 malformed, "
+                              "1 with views past --days\n")
+
+    def test_pagecounts_refusals_fail_with_one_stderr_line(self):
+        cases = {
+            "unknown_name": {"pagecounts-00": "en A 1 100\n"},
+            "compressed": {"pagecounts-20110715-000000.gz": "en A 1 100\n"},
+            "duplicate_hour": {"pagecounts-20110715-000000": "en A 1 100\n",
+                               "pagecounts-20110715-003000": "en A 1 100\n"},
+            "duplicate_month": {"pagecounts-2011-07": "en.z A 1 1:A1\n",
+                                "pagecounts-2011-07-01": "en.z A 1 1:A1\n"},
+            "nothing_parses": {"pagecounts-20110715-000000":
+                               "en.z A 1 1:A1\ngarbage\n",
+                               "pagecounts-20110715-010000": "en A 1 100\n"},
+        }
+        for name, files in cases.items():
+            with self.subTest(name):
+                result = self.invoke("convert", "--pagecounts",
+                                     self.dumps(f"bad_{name}", files),
+                                     "--out", f"bad_{name}.csv")
+                self.assertEqual(result.returncode, 1, result.stdout)
+                self.assertEqual(len(result.stderr.splitlines()), 1,
+                                 result.stderr)
+                self.assertEqual(result.stdout, "")
+                self.assertFalse((self.dir / f"bad_{name}.csv").exists())
 
     def test_scripted_serve_session(self):
         out = self.invoke_ok("plan", "t.mct", "--serve",

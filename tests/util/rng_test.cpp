@@ -115,14 +115,6 @@ TEST(RngTest, PoissonZeroMeanIsZero) {
   EXPECT_EQ(rng.poisson(-1.0), 0u);
 }
 
-TEST(RngTest, ExponentialMeanIsInverseRate) {
-  Rng rng(37);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
 TEST(RngTest, BernoulliMatchesProbability) {
   Rng rng(41);
   int hits = 0;

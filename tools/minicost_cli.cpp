@@ -161,7 +161,8 @@ int cmd_convert(int argc, const char* const* argv) {
                 "convert a trace between .csv and .mct, or Wikimedia "
                 "pagecounts dumps to either");
   cli.add_flag("out", "trace.csv", "output trace (.csv or .mct)");
-  cli.add_flag("pagecounts", "", "directory of classic hourly dump files");
+  cli.add_flag("pagecounts", "",
+               "directory of Wikimedia pagecounts dump files");
   cli.add_flag("days", "62", "horizon in days (--pagecounts)");
   cli.add_flag("project", "en", "project filter (--pagecounts)");
   cli.add_flag("size-mb", "100", "Poisson mean file size, MB (--pagecounts)");
@@ -179,12 +180,18 @@ int cmd_convert(int argc, const char* const* argv) {
                                   " only applies to --pagecounts");
   const std::string out = cli.str("out");
   const store::WriterOptions options = writer_options(cli, out);
-  const trace::RequestTrace tr =
-      from_dumps ? trace::load_pagecounts_directory(
-                       cli.str("pagecounts"), cli.size("days"),
-                       cli.str("project"), cli.real("size-mb"),
-                       cli.real("write-ratio"), cli.size("seed"))
-                 : load_any(input_path(cli, "input trace (.csv or .mct)"));
+  trace::RequestTrace tr;
+  if (from_dumps) {
+    const trace::PageviewAggregator dumps = trace::load_pagecounts_directory(
+        cli.str("pagecounts"), cli.size("days"), cli.str("project"));
+    tr = dumps.build_trace(cli.real("size-mb"), cli.real("write-ratio"),
+                           cli.size("seed"));
+    std::cerr << "pagecounts: skipped lines: " << dumps.malformed_lines()
+              << " malformed, " << dumps.lines_past_horizon()
+              << " with views past --days\n";
+  } else {
+    tr = load_any(input_path(cli, "input trace (.csv or .mct)"));
+  }
   save_any(tr, out, options);
   std::cout << "converted " << tr.file_count() << " files x " << tr.days()
             << " days (" << tr.groups().size() << " co-request groups) to "
@@ -361,12 +368,12 @@ std::string format_row(const std::string& event, std::size_t shard_files,
   return buf;
 }
 
-/// The one byte-identity check: prints `what: byte-identical|MISMATCH`.
+/// The one byte-identity check: prints `what: byte-identical|MISMATCH` on
+/// `out`.
 bool check_identical(const char* what, const sim::BillingReport& a,
-                     const sim::BillingReport& b) {
+                     const sim::BillingReport& b, std::ostream& out) {
   const bool identical = sim::bitwise_equal(a, b);
-  std::cout << what << ": " << (identical ? "byte-identical" : "MISMATCH")
-            << "\n";
+  out << what << ": " << (identical ? "byte-identical" : "MISMATCH") << "\n";
   return identical;
 }
 
@@ -519,14 +526,15 @@ int serve_loop(const store::TraceReader& reader,
 }
 
 /// --compare: bills the monolithic path over reader.materialize() and
-/// byte-checks the sharded bill against it. Any throw (the materialize is the
-/// big allocation) counts as a mismatch, so the run report is still written.
+/// byte-checks the sharded bill against it, printing the verdict on `out`.
+/// Any throw (the materialize is the big allocation) counts as a mismatch,
+/// so the run report is still written.
 bool compare_monolithic(const store::TraceReader& reader,
                         const pricing::PricingPolicy& prices,
                         const std::string& policy_name,
                         const RlCliOptions& rl,
                         const core::PlanDriverRun& sharded,
-                        util::ThreadPool& pool) {
+                        util::ThreadPool& pool, std::ostream& out) {
   try {
     const trace::RequestTrace tr = reader.materialize();
     core::PlanOptions mono;
@@ -535,7 +543,8 @@ bool compare_monolithic(const store::TraceReader& reader,
     mono.initial_tiers = core::static_initial_tiers(tr, prices, mono.start_day);
     const PolicyPtr policy = make_policy(policy_name, rl);
     return check_identical("monolithic comparison", sharded.report,
-                           core::run_policy(tr, prices, *policy, mono).report);
+                           core::run_policy(tr, prices, *policy, mono).report,
+                           out);
   } catch (const std::exception& error) {
     std::cerr << "plan: monolithic comparison failed: " << error.what()
               << "\n";
@@ -709,7 +718,7 @@ int cmd_plan(int argc, const char* const* argv) {
               << format_row("plan", base.shard_files, full) << "\n"
               << format_row("replan", base.shard_files, incremental) << "\n";
     return check_identical("replan bill vs full plan", full.report,
-                           incremental.report)
+                           incremental.report, std::cout)
                ? 0
                : 1;
   }
@@ -728,9 +737,10 @@ int cmd_plan(int argc, const char* const* argv) {
   }
   print_cells(cells, cli, reader.days(), prices);
   std::optional<bool> identical;
-  if (compare)
-    identical = compare_monolithic(reader, prices, policy_names.front(), rl,
-                                   cells.front().run, pool);
+  if (compare)  // stderr under --format csv keeps stdout one CSV document
+    identical = compare_monolithic(
+        reader, prices, policy_names.front(), rl, cells.front().run, pool,
+        cli.str("format") == "csv" ? std::cerr : std::cout);
   write_plan_report(cells.back().run, identical);
   return identical.value_or(true) ? 0 : 1;
 }
