@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -115,7 +114,7 @@ int main() {
   // wavefront schedule tolerates oversubscription) but carry no gate.
   const auto scaling_episodes =
       util::env_size("MINICOST_TRAIN_SCALING_EPISODES", 1500);
-  const std::size_t hardware_threads = std::thread::hardware_concurrency();
+  const std::size_t hardware_threads = util::hardware_threads();
   const std::vector<std::size_t> worker_counts{1, 2, 4, 8, 16};
   std::vector<double> worker_eps;
   for (std::size_t workers : worker_counts)

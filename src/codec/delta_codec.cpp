@@ -57,47 +57,4 @@ void pack_blocks(std::span<const std::uint64_t> values,
   }
 }
 
-bool unpack_blocks(std::span<const std::byte> in, std::size_t count,
-                   std::vector<std::uint64_t>& values,
-                   std::size_t* consumed) {
-  std::size_t pos = 0;
-  std::size_t produced = 0;
-  while (produced < count) {
-    if (pos >= in.size()) return false;  // truncated: missing width byte
-    const auto width = static_cast<unsigned>(in[pos++]);
-    if (width > 64) return false;
-    const std::size_t n = std::min(kBlockValues, count - produced);
-    if (width == 0) {
-      values.insert(values.end(), n, 0);
-      produced += n;
-      continue;
-    }
-    const std::size_t packed = (n * width + 7) / 8;
-    if (packed > in.size() - pos) return false;  // truncated block
-    std::uint64_t window = 0;
-    unsigned filled = 0;
-    std::size_t byte_pos = pos;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t v = 0;
-      unsigned got = 0;
-      while (got < width) {
-        if (filled == 0) {
-          window = static_cast<std::uint64_t>(in[byte_pos++]);
-          filled = 8;
-        }
-        const unsigned take = std::min(width - got, filled);
-        v |= (window & ((take == 64 ? 0 : (1ULL << take)) - 1)) << got;
-        window >>= take;
-        filled -= take;
-        got += take;
-      }
-      values.push_back(v);
-    }
-    pos += packed;
-    produced += n;
-  }
-  if (consumed != nullptr) *consumed = pos;
-  return true;
-}
-
 }  // namespace minicost::codec

@@ -46,14 +46,11 @@ constexpr std::int64_t unzigzag(std::uint64_t z) noexcept {
   return static_cast<std::int64_t>((z >> 1) ^ (~(z & 1) + 1));
 }
 
-/// Appends `values` to `out` as width-prefixed packed blocks.
+/// Appends `values` to `out` as width-prefixed packed blocks. The chunk
+/// codec's decode reads them back in the same pass that rebuilds the
+/// doubles (chunk_codec.cpp); tests/store/delta_oracle.hpp keeps a
+/// separate unpacker as its reference.
 void pack_blocks(std::span<const std::uint64_t> values,
                  std::vector<std::byte>& out);
-
-/// Unpacks exactly `count` values from `in`, appending to `values`.
-/// Returns false on a malformed stream (bad width byte, truncated block);
-/// never reads out of bounds. On success *consumed is the bytes read.
-bool unpack_blocks(std::span<const std::byte> in, std::size_t count,
-                   std::vector<std::uint64_t>& values, std::size_t* consumed);
 
 }  // namespace minicost::codec

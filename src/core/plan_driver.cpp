@@ -85,7 +85,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
 
     trace::RequestTrace shard_trace = [&] {
       MC_OBS_SCOPE("store.materialize");
-      return reader_.materialize_shard(first, count);
+      return reader_.materialize_shard(first, count, options_.pool);
     }();
 
     PlanOptions plan_options;
@@ -96,7 +96,8 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     plan_options.pool = options_.pool;
     if (options_.static_initial && options_.start_day > 0)
       plan_options.initial_tiers =
-          static_initial_tiers(shard_trace, pricing_, options_.start_day);
+          static_initial_tiers(shard_trace, pricing_, options_.start_day,
+                               /*include_archive=*/false, options_.pool);
 
     PlanResult shard_result =
         run_policy(shard_trace, pricing_, policy_, plan_options);

@@ -58,9 +58,10 @@ struct PlanDriverOptions {
   bool static_initial = true;
   pricing::StorageTier default_initial_tier = pricing::StorageTier::kHot;
   bool charge_initial_placement = true;
-  /// Pool whose threads plan each shard's file blocks (run_policy);
-  /// nullptr plans on the calling thread. Results are pool-size
-  /// independent.
+  /// Pool whose threads read each shard (materialize_shard decodes its
+  /// chunks in blocks), compute its initial tiers and class hashes, and
+  /// plan its file blocks (run_policy); nullptr does all of it on the
+  /// calling thread. Results are pool-size independent.
   util::ThreadPool* pool = nullptr;
   /// madvise each shard's frequency pages away once billed, keeping RSS
   /// bounded by the shard instead of the mapped trace.

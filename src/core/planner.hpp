@@ -59,9 +59,12 @@ PlanResult run_policy(const trace::RequestTrace& trace,
 /// [0, observation_days). By default only hot/cool are considered — the
 /// paper's baseline customer "assigns all data files as either hot or cold,
 /// whichever yields a lower cost" (Sec. 3.1); archive placement is exactly
-/// what the optimizing policies then discover.
+/// what the optimizing policies then discover. With a `pool`, the files
+/// split into one contiguous block per pool thread; each file's tier is its
+/// own, so the result is the same for every pool size.
 std::vector<pricing::StorageTier> static_initial_tiers(
     const trace::RequestTrace& trace, const pricing::PricingPolicy& pricing,
-    std::size_t observation_days, bool include_archive = false);
+    std::size_t observation_days, bool include_archive = false,
+    util::ThreadPool* pool = nullptr);
 
 }  // namespace minicost::core

@@ -5,10 +5,10 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/json.hpp"
 #include "util/env.hpp"
+#include "util/thread_pool.hpp"
 
 #ifndef MINICOST_GIT_SHA
 #define MINICOST_GIT_SHA "unknown"
@@ -55,7 +55,7 @@ EnvFingerprint current_fingerprint() {
   env.sanitize = MINICOST_SANITIZE_NAME;
   env.seed = util::bench_seed();
   env.scale = util::env_int("MINICOST_SCALE", 0);
-  env.threads = std::thread::hardware_concurrency();
+  env.threads = static_cast<std::uint32_t>(util::hardware_threads());
   return env;
 }
 

@@ -35,7 +35,7 @@ struct EnvFingerprint {
   std::string sanitize;    ///< MINICOST_SANITIZE preset ("" = none)
   std::uint64_t seed = 0;  ///< MINICOST_SEED (default 42)
   std::int64_t scale = 0;  ///< MINICOST_SCALE; 0 = unset (bench default)
-  std::uint32_t threads = 0;  ///< hardware concurrency
+  std::uint32_t threads = 0;  ///< util::hardware_threads()
 
   /// Comparability key: every field except git_sha (reports are compared
   /// ACROSS commits — that is the whole point of a perf gate).

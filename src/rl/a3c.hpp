@@ -170,9 +170,6 @@ class A3CAgent {
   /// The critic's V(s). Thread-safe.
   double value(std::span<const double> features);
 
-  std::size_t trained_episodes() const noexcept {
-    return episodes_.load(std::memory_order_relaxed);
-  }
   std::size_t trained_steps() const noexcept {
     return env_steps_.load(std::memory_order_relaxed);
   }

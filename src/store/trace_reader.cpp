@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "codec/chunk_codec.hpp"
 #include "obs/metrics.hpp"
 #include "store/crc32.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::store {
 namespace {
@@ -395,45 +397,74 @@ void TraceReader::collect_groups(
   }
 }
 
-trace::RequestTrace TraceReader::materialize_shard(std::size_t first,
-                                                   std::size_t count) const {
+trace::RequestTrace TraceReader::materialize_shard(
+    std::size_t first, std::size_t count, util::ThreadPool* pool) const {
   if (count > header_.file_count || first > header_.file_count - count)
     throw std::out_of_range("TraceReader::materialize_shard: bad file range");
   MC_OBS_COUNT("store.reader.files_materialized", count);
-  std::vector<trace::FileRecord> files;
-  files.reserve(count);
-  const auto push_file = [&](std::size_t i, const std::byte* series_base) {
-    trace::FileRecord f;
-    f.name = std::string(name(i));
-    f.size_gb = size_gb(i);
+  const auto days = static_cast<std::size_t>(header_.days);
+  const auto stride = static_cast<std::size_t>(header_.series_stride);
+  // Every buffer the shard keeps is allocated here, on the calling thread:
+  // each record's name and the capacity of its two series. The blocks below
+  // only copy series bytes into that capacity, so no pool thread's malloc
+  // arena ends up holding the shard (glibc keeps one arena per thread, and
+  // what the main thread frees there stays mapped).
+  std::vector<trace::FileRecord> files(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    trace::FileRecord& f = files[k];
+    f.name.assign(name(first + k));
+    f.size_gb = size_gb(first + k);
+    f.reads.reserve(days);
+    f.writes.reserve(days);
+  }
+  const auto fill = [&](std::size_t i, const std::byte* series_base) {
+    trace::FileRecord& f = files[i - first];
     const auto* r = reinterpret_cast<const double*>(series_base);
-    const auto* w = reinterpret_cast<const double*>(series_base +
-                                                    header_.series_stride);
-    f.reads.assign(r, r + header_.days);
-    f.writes.assign(w, w + header_.days);
-    files.push_back(std::move(f));
+    const auto* w = reinterpret_cast<const double*>(series_base + stride);
+    f.reads.assign(r, r + days);
+    f.writes.assign(w, w + days);
   };
   if (!is_v2()) {
-    for (std::size_t i = first; i < first + count; ++i)
-      push_file(i, at(header_.freq_offset + i * 2 * header_.series_stride));
-  } else if (count > 0) {
-    // Decode only the chunks the range overlaps, into local scratch — no
-    // shared state, so concurrent materializations need no locking and
-    // resident memory stays O(chunk + shard), not O(trace).
-    std::vector<std::byte> scratch;
-    const std::size_t last = first + count - 1;
-    for (std::size_t c = first / ext_.files_per_chunk;
-         c <= last / ext_.files_per_chunk; ++c) {
-      const std::size_t chunk_first = c * ext_.files_per_chunk;
-      const std::size_t in_chunk = chunk_file_count(c);
-      scratch.resize(static_cast<std::size_t>(chunk_table_[c].raw_bytes));
-      decode_chunk_into(c, scratch);
-      const std::size_t lo = std::max(first, chunk_first);
-      const std::size_t hi = std::min(first + count, chunk_first + in_chunk);
+    // One contiguous file range per block, copied from the mapping.
+    const std::size_t blocks = util::block_count(pool, count);
+    util::run_blocks(pool, blocks, [&](std::size_t b) {
+      const std::size_t lo = first + b * count / blocks;
+      const std::size_t hi = first + (b + 1) * count / blocks;
       for (std::size_t i = lo; i < hi; ++i)
-        push_file(i, scratch.data() +
-                         (i - chunk_first) * 2 * header_.series_stride);
-    }
+        fill(i, at(header_.freq_offset + i * 2 * stride));
+    });
+  } else if (count > 0) {
+    // Decode only the chunks the range overlaps: one contiguous run of
+    // chunks per block, each decoded into its block's scratch (allocated
+    // here, without zeroing: decode writes every byte). Chunks are
+    // independent, so the blocks share nothing but the read-only mapping,
+    // and resident memory stays O(blocks * chunk + shard), not O(trace).
+    const std::size_t per_chunk = ext_.files_per_chunk;
+    const std::size_t chunk_lo = first / per_chunk;
+    const std::size_t chunks = (first + count - 1) / per_chunk + 1 - chunk_lo;
+    const std::size_t blocks = util::block_count(pool, chunks);
+    const auto block_chunk = [&](std::size_t b) {
+      return chunk_lo + b * chunks / blocks;
+    };
+    std::vector<std::unique_ptr<std::byte[]>> scratch(blocks);
+    for (std::size_t b = 0; b < blocks; ++b)
+      scratch[b] = std::make_unique_for_overwrite<std::byte[]>(
+          static_cast<std::size_t>(chunk_table_[block_chunk(b)].raw_bytes));
+    util::run_blocks(pool, blocks, [&](std::size_t b) {
+      for (std::size_t c = block_chunk(b); c < block_chunk(b + 1); ++c) {
+        // Only a trace's last chunk is short, so the block's first chunk is
+        // at least as large as every other chunk of the block.
+        decode_chunk_into(
+            c, {scratch[b].get(),
+                static_cast<std::size_t>(chunk_table_[c].raw_bytes)});
+        const std::size_t chunk_first = c * per_chunk;
+        const std::size_t lo = std::max(first, chunk_first);
+        const std::size_t hi =
+            std::min(first + count, chunk_first + chunk_file_count(c));
+        for (std::size_t i = lo; i < hi; ++i)
+          fill(i, scratch[b].get() + (i - chunk_first) * 2 * stride);
+      }
+    });
   }
   std::vector<trace::CoRequestGroup> groups;
   collect_groups(first, count, groups);

@@ -12,7 +12,9 @@
 // contiguous file range into an ordinary RequestTrace (decoding only the v2
 // chunks the range overlaps), which is what the shard-streamed planning
 // driver (core/plan_driver.hpp) iterates over with O(shard) rather than
-// O(trace) resident memory.
+// O(trace) resident memory. Given the driver's pool, it decodes the chunks
+// in parallel, one contiguous run of chunks per thread; the delta codec
+// decodes each chunk in one pass over its stream (codec/chunk_codec.cpp).
 
 #include <cstdint>
 #include <filesystem>
@@ -22,6 +24,10 @@
 
 #include "store/format.hpp"
 #include "trace/trace.hpp"
+
+namespace minicost::util {
+class ThreadPool;
+}  // namespace minicost::util
 
 namespace minicost::store {
 
@@ -76,9 +82,17 @@ class TraceReader {
   /// with members remapped to shard-local ids; groups straddling the range
   /// boundary are dropped (the shard evaluation path is defined for
   /// per-file policies, DESIGN.md §9). Throws std::out_of_range on a bad
-  /// range.
-  trace::RequestTrace materialize_shard(std::size_t first,
-                                        std::size_t count) const;
+  /// range, std::runtime_error on a corrupt chunk.
+  ///
+  /// With a `pool`, the range's chunks (v2) or files (v1) split into one
+  /// contiguous block per pool thread, and each block decodes and copies
+  /// its own series. The calling thread allocates every buffer the shard
+  /// keeps, and one chunk scratch per block, before the blocks run. The
+  /// result, and on a corrupt container the exception, are the same bytes
+  /// for every pool size: the error is that of the first bad chunk in
+  /// file order.
+  trace::RequestTrace materialize_shard(std::size_t first, std::size_t count,
+                                        util::ThreadPool* pool = nullptr) const;
 
   /// The whole trace as a RequestTrace (== materialize_shard(0, all)).
   trace::RequestTrace materialize() const;

@@ -153,6 +153,9 @@ PageviewAggregator::PageviewAggregator(std::size_t days, std::string project,
     : days_(days), project_(std::move(project)), day0_(day0) {
   if (days == 0)
     throw std::invalid_argument("PageviewAggregator: days must be > 0");
+  // The lines' ez suffix is stripped too, so "en.z" names the same
+  // project as "en".
+  if (project_.ends_with(".z")) project_.resize(project_.size() - 2);
 }
 
 void PageviewAggregator::add_file(std::string_view name, std::istream& in) {
@@ -177,6 +180,7 @@ void PageviewAggregator::add_file(std::string_view name, std::istream& in) {
     }
     ++parsed_lines;
     if (!project_.empty() && parsed.project != project_) continue;
+    ++project_lines_;
     std::vector<double>* series = nullptr;
     bool past_horizon = false;
     for (const auto& [day, views] : parsed.views) {
@@ -241,14 +245,23 @@ RequestTrace PageviewAggregator::build_trace(double mean_size_mb,
 PageviewAggregator load_pagecounts_directory(const std::filesystem::path& dir,
                                              std::size_t days,
                                              const std::string& project) {
+  std::vector<std::filesystem::directory_entry> entries(
+      std::filesystem::directory_iterator(dir), {});
+  std::sort(entries.begin(), entries.end());
   std::vector<std::filesystem::path> paths;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_regular_file()) paths.push_back(entry.path());
+  for (const auto& entry : entries) {
+    // A dump tree kept as one subdirectory per month must not convert
+    // only its top level without a word.
+    if (!entry.is_regular_file())
+      throw std::runtime_error("load_pagecounts_directory: " +
+                               entry.path().string() +
+                               " is not a regular file (subdirectories are "
+                               "not read; give one directory of dump files)");
+    paths.push_back(entry.path());
   }
   if (paths.empty())
     throw std::runtime_error("load_pagecounts_directory: no files in " +
                              dir.string());
-  std::sort(paths.begin(), paths.end());
 
   sys_days day0 = sys_days::max();
   for (const auto& path : paths)
@@ -259,6 +272,10 @@ PageviewAggregator load_pagecounts_directory(const std::filesystem::path& dir,
     if (!in) throw std::runtime_error("cannot open " + path.string());
     aggregator.add_file(path.filename().string(), in);
   }
+  if (aggregator.project_lines() == 0)
+    throw std::runtime_error("load_pagecounts_directory: no line in " +
+                             dir.string() + " is for project '" + project +
+                             "'");
   return aggregator;
 }
 

@@ -37,7 +37,9 @@ class PageviewAggregator {
  public:
   /// `days` is the horizon from `day0`; views after it are dropped and the
   /// lines that carried them counted. `project` keeps only that project's
-  /// lines (empty keeps all). Throws std::invalid_argument if days == 0.
+  /// lines (empty keeps all); its ez ".z" suffix is dropped as each ez
+  /// line's is, so "en.z" and "en" both keep English Wikipedia. Throws
+  /// std::invalid_argument if days == 0.
   PageviewAggregator(std::size_t days, std::string project,
                      std::chrono::sys_days day0);
 
@@ -49,6 +51,8 @@ class PageviewAggregator {
 
   std::uint64_t malformed_lines() const noexcept { return malformed_; }
   std::uint64_t lines_past_horizon() const noexcept { return past_horizon_; }
+  /// Parsed lines the project filter kept.
+  std::uint64_t project_lines() const noexcept { return project_lines_; }
 
   /// Builds the trace: titles in sorted order, each with its own RNG stream
   /// forked from `seed`; sizes are drawn Poisson(mean_size_mb) per title
@@ -63,13 +67,16 @@ class PageviewAggregator {
   std::chrono::sys_days day0_;
   std::uint64_t malformed_ = 0;
   std::uint64_t past_horizon_ = 0;
+  std::uint64_t project_lines_ = 0;
   std::set<std::pair<bool, std::int64_t>> covered_;  // (monthly, hour or month)
   std::unordered_map<std::string, std::vector<double>> daily_views_;
 };
 
-/// Reads every regular file of `dir` into one aggregator whose day 0 is the
-/// earliest date any file name gives. Throws std::runtime_error if the
-/// directory has no regular files, and add_file()'s errors.
+/// Reads every file of `dir` into one aggregator whose day 0 is the
+/// earliest date any file name gives. Throws std::runtime_error naming the
+/// first entry, in name order, that is not a regular file (a subdirectory,
+/// say), if the directory has no files, or if no line is for `project`;
+/// and add_file()'s errors.
 PageviewAggregator load_pagecounts_directory(const std::filesystem::path& dir,
                                              std::size_t days,
                                              const std::string& project);

@@ -1,7 +1,8 @@
 #pragma once
 // Hashing of doubles by their bytes, and the one dedup table that finds
 // equal inputs before the planner does work on them: run_policy's file
-// classes (core/planner.cpp) and act_rows' per-day states (rl/a3c.cpp).
+// classes (core/planner.cpp, which hashes on the pool and hands the table
+// its hashes) and act_rows' per-day states (rl/a3c.cpp).
 // Every hit in the table is confirmed by comparing the keys, so the hash
 // only has to spread keys, and -0.0 and +0.0 (and NaN payloads) hash apart.
 
@@ -9,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -56,20 +58,19 @@ struct KeyClasses {
   std::vector<std::uint32_t> representative;  ///< per class: its first key
 };
 
-/// Finds the classes of equal keys among keys 0..n-1: `hash(i)` hashes key
-/// i (finished, so its low bits spread) and `same(a, b)` says whether keys
-/// a and b are equal. Hashes every key in one pass, in key order, then
-/// inserts them in key order into one linear-probing table of
-/// bit_ceil(2n) slots, confirming every hash hit with `same`, so the
-/// classes are exact whatever the hash. Throws std::length_error if n does
-/// not fit a 32-bit class id.
-template <class Hash, class Same>
-KeyClasses key_classes(std::size_t n, const Hash& hash, const Same& same) {
+/// Finds the classes of equal keys among keys 0..n-1, n = hashes.size():
+/// `hashes[i]` is key i's hash (finished, so its low bits spread) and
+/// `same(a, b)` says whether keys a and b are equal. Inserts the keys in
+/// key order into one linear-probing table of bit_ceil(2n) slots,
+/// confirming every hash hit with `same`, so the classes are exact whatever
+/// the hashes. Throws std::length_error if n does not fit a 32-bit class
+/// id.
+template <class Same>
+KeyClasses key_classes(std::span<const std::uint64_t> hashes,
+                       const Same& same) {
+  const std::size_t n = hashes.size();
   if (n > std::numeric_limits<std::uint32_t>::max())
     throw std::length_error("key_classes: too many keys");
-  std::vector<std::uint64_t> hashes(n);
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = hash(i);
-
   KeyClasses classes;
   classes.class_of.resize(n);
   const std::size_t mask = std::bit_ceil(2 * n) - 1;
@@ -93,6 +94,17 @@ KeyClasses key_classes(std::size_t n, const Hash& hash, const Same& same) {
     }
   }
   return classes;
+}
+
+/// The same, hashing key i with `hash(i)` first, in one pass in key order.
+/// Throws std::length_error before it hashes when n does not fit.
+template <class Hash, class Same>
+KeyClasses key_classes(std::size_t n, const Hash& hash, const Same& same) {
+  if (n > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("key_classes: too many keys");
+  std::vector<std::uint64_t> hashes(n);
+  for (std::size_t i = 0; i < n; ++i) hashes[i] = hash(i);
+  return key_classes(std::span<const std::uint64_t>(hashes), same);
 }
 
 }  // namespace minicost::util

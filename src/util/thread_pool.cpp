@@ -7,8 +7,12 @@
 
 namespace minicost::util {
 
+std::size_t hardware_threads() noexcept {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (threads == 0) threads = hardware_threads();
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -104,6 +108,29 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
 
   if (first_error) std::rethrow_exception(first_error);
+}
+
+std::size_t block_count(const ThreadPool* pool, std::size_t n) noexcept {
+  const std::size_t threads = pool != nullptr ? pool->size() : 1;
+  return std::max<std::size_t>(1, std::min(threads, n));
+}
+
+void run_blocks(ThreadPool* pool, std::size_t blocks,
+                const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr || blocks <= 1) {
+    for (std::size_t b = 0; b < blocks; ++b) fn(b);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(blocks);
+  pool->parallel_for(0, blocks, [&](std::size_t b) {
+    try {
+      fn(b);
+    } catch (...) {
+      errors[b] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 }  // namespace minicost::util

@@ -23,10 +23,13 @@
 
 namespace minicost::util {
 
+/// The hardware thread count, at least 1 (std::thread may not know it).
+/// The one place the program asks.
+std::size_t hardware_threads() noexcept;
+
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency()
-  /// (at least 1).
+  /// Creates `threads` workers; 0 means hardware_threads().
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -74,5 +77,18 @@ class ThreadPool {
   bool stop_ MC_GUARDED_BY(mutex_) = false;
   std::condition_variable_any cv_;
 };
+
+/// Blocks for `n` items on `pool`: one per pool thread, never more than
+/// `n`, at least one; one with no pool. Block b of `blocks` covers items
+/// [b * n / blocks, (b + 1) * n / blocks).
+std::size_t block_count(const ThreadPool* pool, std::size_t n) noexcept;
+
+/// Runs fn(b) for every b in [0, blocks): on `pool` when it is non-null and
+/// there is more than one block, else in order on the calling thread. Waits
+/// for every block, then rethrows the exception of the lowest block that
+/// threw; when each block stops at its first error and the blocks split
+/// the work in order, that is the error a serial run meets first.
+void run_blocks(ThreadPool* pool, std::size_t blocks,
+                const std::function<void(std::size_t)>& fn);
 
 }  // namespace minicost::util

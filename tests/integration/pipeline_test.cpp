@@ -14,7 +14,7 @@ TEST(PipelineTest, TrainEvaluateProducesAllPolicies) {
   ASSERT_FALSE(tr.groups().empty());  // the w/E run needs co-request groups
   rl::A3CAgent agent(evaluation::agent_config(), evaluation::kSeed);
   evaluation::train(agent, tr);
-  EXPECT_GT(agent.trained_episodes(), 0u);
+  EXPECT_GT(agent.trained_steps(), 0u);
 
   util::ThreadPool pool(2);
   const auto outcomes = evaluation::run_policies(

@@ -111,8 +111,15 @@ TEST(A3CAgentTest, TrainingAccumulatesCounters) {
     ++callbacks;
     EXPECT_GT(progress.env_steps, 0u);
   };
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t episodes_before = counter_value("rl.a3c.train.episodes");
+  const std::uint64_t steps_before = counter_value("rl.a3c.train.env_steps");
   agent.train(trace, azure, options);
-  EXPECT_EQ(agent.trained_episodes(), 50u);
+  EXPECT_EQ(counter_value("rl.a3c.train.episodes") - episodes_before, 50u);
+  EXPECT_EQ(counter_value("rl.a3c.train.env_steps") - steps_before,
+            agent.trained_steps());
+  obs::set_enabled(was_enabled);
   EXPECT_GT(agent.trained_steps(), 50u);
   EXPECT_EQ(callbacks, 2);
 }
@@ -533,8 +540,13 @@ TEST(A3CAgentTest, MultiWorkerTrainingRuns) {
   TrainOptions options;
   options.episodes = 60;
   options.report_every = 60;
+  std::size_t episodes_done = 0;
+  options.on_progress = [&](const TrainProgress& progress) {
+    episodes_done = progress.episodes_done;
+  };
   EXPECT_NO_THROW(agent.train(trace, azure, options));
-  EXPECT_EQ(agent.trained_episodes(), 60u);
+  EXPECT_EQ(episodes_done, 60u);
+  EXPECT_GT(agent.trained_steps(), 0u);
 }
 
 std::string train_and_serialize(const A3CConfig& config, std::uint64_t seed,

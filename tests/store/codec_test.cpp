@@ -17,18 +17,24 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "codec/chunk_codec.hpp"
 #include "codec/delta_codec.hpp"
 #include "core/greedy.hpp"
 #include "core/plan_driver.hpp"
+#include "delta_oracle.hpp"
 #include "store/crc32.hpp"
 #include "store/format.hpp"
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/synthetic.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minicost::store {
@@ -78,7 +84,7 @@ TEST(DeltaCodec, PackUnpackRoundTrips) {
     codec::pack_blocks(values, packed);
     std::vector<std::uint64_t> back;
     std::size_t consumed = 0;
-    ASSERT_TRUE(codec::unpack_blocks(packed, values.size(), back, &consumed));
+    ASSERT_TRUE(codec::oracle::unpack_blocks(packed, values.size(), back, &consumed));
     EXPECT_EQ(consumed, packed.size());
     EXPECT_EQ(back, values);
   }
@@ -92,14 +98,156 @@ TEST(DeltaCodec, UnpackRejectsTruncationAndBadWidths) {
   // Every proper prefix is a truncation error, never an overread.
   for (std::size_t cut = 0; cut < packed.size(); ++cut) {
     back.clear();
-    EXPECT_FALSE(codec::unpack_blocks({packed.data(), cut}, values.size(),
-                                      back, nullptr));
+    EXPECT_FALSE(codec::oracle::unpack_blocks({packed.data(), cut},
+                                              values.size(), back, nullptr));
   }
   // A width byte above 64 is malformed.
   auto bad = packed;
   bad[0] = std::byte{65};
   back.clear();
-  EXPECT_FALSE(codec::unpack_blocks(bad, values.size(), back, nullptr));
+  EXPECT_FALSE(codec::oracle::unpack_blocks(bad, values.size(), back, nullptr));
+}
+
+// The one-pass decoder against the two-pass oracle: both fill buffers that
+// start as garbage, so a padding byte the decoder forgot shows up.
+// Returns the error type each threw ("" when it did not).
+struct DecodeOutcome {
+  std::vector<std::byte> raw;
+  std::string error;
+};
+
+DecodeOutcome decode_with(bool one_pass, const codec::ChunkLayout& layout,
+                          std::span<const std::byte> stream) {
+  DecodeOutcome out{std::vector<std::byte>(layout.raw_bytes(), std::byte{0xAB}),
+                    ""};
+  try {
+    if (one_pass) {
+      codec::decode_chunk(codec::kCodecDelta, layout, stream, out.raw);
+    } else {
+      codec::oracle::two_pass_decode(layout, stream, out.raw);
+    }
+  } catch (const std::runtime_error& error) {
+    out.error = std::string("runtime_error: ") + error.what();
+  }
+  return out;
+}
+
+void expect_decoders_agree(const codec::ChunkLayout& layout,
+                           std::span<const std::byte> stream) {
+  const DecodeOutcome one = decode_with(true, layout, stream);
+  const DecodeOutcome two = decode_with(false, layout, stream);
+  EXPECT_EQ(one.error, two.error);
+  if (one.error.empty() && two.error.empty()) {
+    EXPECT_EQ(one.raw, two.raw);
+  }
+}
+
+/// `count` values packed block by block, block b at width widths[b %
+/// widths.size()]: every value fits its block's width and the block's first
+/// value sets the top bit, so pack_blocks writes exactly that width.
+std::vector<std::byte> stream_of_widths(std::size_t count,
+                                        const std::vector<unsigned>& widths,
+                                        std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> values(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const unsigned width = widths[(i / codec::kBlockValues) % widths.size()];
+    if (width == 0) continue;
+    const std::uint64_t top = std::uint64_t{1} << (width - 1);
+    values[i] = rng.next_u64() & (top | (top - 1));
+    if (i % codec::kBlockValues == 0) values[i] |= top;
+  }
+  std::vector<std::byte> stream;
+  codec::pack_blocks(values, stream);
+  return stream;
+}
+
+// Layouts whose value counts end on a short last block (2 * 3 * 50 = 300
+// values: 128 + 128 + 44), fit in one short block (2 * 1 * 7 = 14), and
+// fill whole blocks exactly (2 * 2 * 64 = 256).
+const std::vector<codec::ChunkLayout> kDecodeLayouts = {
+    {3, 50, 448}, {1, 7, 64}, {2, 64, 512}};
+
+TEST(DeltaDecode, OnePassMatchesTwoPassAtEveryWidth) {
+  for (const codec::ChunkLayout& layout : kDecodeLayouts)
+    for (unsigned width = 0; width <= 64; ++width) {
+      SCOPED_TRACE("days=" + std::to_string(layout.days) +
+                   " width=" + std::to_string(width));
+      const std::vector<std::byte> stream = stream_of_widths(
+          layout.series_count() * layout.days, {width}, 100 + width);
+      expect_decoders_agree(layout, stream);
+      EXPECT_TRUE(decode_with(true, layout, stream).error.empty());
+    }
+}
+
+TEST(DeltaDecode, OnePassMatchesTwoPassOnMixedWidths) {
+  for (const codec::ChunkLayout& layout : kDecodeLayouts)
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      util::Rng rng(seed);
+      std::vector<unsigned> widths(3);
+      for (unsigned& width : widths)
+        width = static_cast<unsigned>(rng.next_u64() % 65);
+      expect_decoders_agree(
+          layout, stream_of_widths(layout.series_count() * layout.days,
+                                   widths, seed));
+    }
+}
+
+TEST(DeltaDecode, RoundTripsEveryIntegralSeries) {
+  // Real encoder output: counts, negative deltas, the 2^62 bound.
+  const codec::ChunkLayout layout{2, 9, 128};
+  std::vector<std::byte> raw(layout.raw_bytes());
+  const double series[4][9] = {
+      {0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {1, 5, 2, 900000, 3, 0, 7, 7, 7},
+      {4611686018427387904.0, -4611686018427387904.0, 0, -1, 1, -2, 2, 3, -3},
+      {12, 11, 10, 9, 8, 7, 6, 5, 4}};
+  for (std::size_t s = 0; s < 4; ++s)
+    std::memcpy(raw.data() + s * layout.stride, series[s], sizeof series[s]);
+  const codec::EncodedChunk encoded =
+      codec::encode_chunk(codec::kCodecDelta, layout, raw);
+  ASSERT_EQ(encoded.codec_id, codec::kCodecDelta);
+  const DecodeOutcome back = decode_with(true, layout, encoded.bytes);
+  ASSERT_EQ(back.error, "");
+  EXPECT_EQ(back.raw, raw);
+  expect_decoders_agree(layout, encoded.bytes);
+}
+
+TEST(DeltaDecode, RejectsWhatTheOracleRejects) {
+  for (const codec::ChunkLayout& layout : kDecodeLayouts) {
+    const std::vector<std::byte> stream = stream_of_widths(
+        layout.series_count() * layout.days, {13, 0, 64, 57}, 7);
+    // Every proper prefix is truncated, never an overread.
+    for (std::size_t cut = 0; cut < stream.size(); ++cut) {
+      const std::span<const std::byte> prefix(stream.data(), cut);
+      EXPECT_NE(decode_with(true, layout, prefix).error, "") << cut;
+      expect_decoders_agree(layout, prefix);
+    }
+    // Leftover bytes after the last block.
+    std::vector<std::byte> longer = stream;
+    longer.push_back(std::byte{0});
+    EXPECT_NE(decode_with(true, layout, longer).error, "");
+    expect_decoders_agree(layout, longer);
+    // A width byte above 64, at the first block and at the last.
+    for (const std::size_t at : {std::size_t{0}, stream.size() - 1}) {
+      std::vector<std::byte> bad = stream;
+      std::size_t pos = 0;
+      std::size_t remaining = layout.series_count() * layout.days;
+      while (true) {  // walk to the width byte of the block holding `at`
+        const auto width = static_cast<unsigned>(bad[pos]);
+        const std::size_t n = std::min(codec::kBlockValues, remaining);
+        const std::size_t next = pos + 1 + (n * width + 7) / 8;
+        if (next > at || next >= bad.size()) break;
+        pos = next;
+        remaining -= n;
+      }
+      for (const unsigned width : {65u, 128u, 255u}) {
+        bad[pos] = static_cast<std::byte>(width);
+        EXPECT_NE(decode_with(true, layout, bad).error, "");
+        expect_decoders_agree(layout, bad);
+      }
+    }
+  }
 }
 
 TEST(DeltaCodec, IntegralBitsAcceptsExactIntegersOnly) {
@@ -341,6 +489,71 @@ TEST_F(CodecContainerTest, BillsByteIdenticalAcrossShardSizesAndPools) {
                     bits(reference.report.file_total(f)));
       }
     }
+  }
+}
+
+// materialize_shard on a pool decodes (v2) or copies (v1) in blocks of
+// chunks or files; every pool size must give the serial bytes, for ranges
+// that start or end inside a chunk, ranges of fewer chunks than threads,
+// and empty ranges.
+TEST_F(CodecContainerTest, MaterializeShardIsPoolSizeIndependent) {
+  const trace::RequestTrace original = sample_trace();  // 61 files
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const std::size_t threads : {1, 2, 3, 4, 8})
+    pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  const std::vector<std::pair<std::size_t, std::size_t>> ranges = {
+      {0, 61}, {5, 20}, {7, 14}, {33, 1}, {3, 9},
+      {60, 1}, {0, 0}, {30, 0}, {61, 0}};
+  const std::vector<std::string> containers = {"v1", "raw", "delta"};
+  for (const std::string& container : containers) {
+    const std::filesystem::path& path = container == "v1" ? v1_path_ : v2_path_;
+    if (container == "v1") {
+      pack_trace(original, path);
+    } else {
+      // 7 files per chunk: 9 chunks, the last one short.
+      pack_trace(original, path, WriterOptions{container, 7});
+    }
+    const TraceReader reader(path);
+    for (const auto& [first, count] : ranges) {
+      const trace::RequestTrace serial = reader.materialize_shard(first, count);
+      ASSERT_EQ(serial.file_count(), count);
+      for (const auto& pool : pools) {
+        SCOPED_TRACE(container + " range " + std::to_string(first) + "+" +
+                     std::to_string(count) +
+                     " threads=" + std::to_string(pool->size()));
+        expect_same_trace(reader.materialize_shard(first, count, pool.get()),
+                          serial);
+      }
+    }
+  }
+}
+
+// With several corrupt chunks, every pool size reports the first one in
+// file order, as a serial read does.
+TEST_F(CodecContainerTest, PooledMaterializeReportsTheFirstBadChunk) {
+  pack_trace(sample_trace(), v2_path_, WriterOptions{"delta", 7});
+  std::vector<ChunkEntry> chunks;
+  {
+    const TraceReader reader(v2_path_);
+    chunks.assign(reader.chunk_table().begin(), reader.chunk_table().end());
+  }
+  flip_byte(kHeaderBytes + chunks[6].offset);
+  flip_byte(kHeaderBytes + chunks[2].offset);
+  const TraceReader reader(v2_path_);
+  const auto error_of = [&](util::ThreadPool* pool) {
+    try {
+      (void)reader.materialize_shard(0, reader.file_count(), pool);
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const std::string serial = error_of(nullptr);
+  EXPECT_NE(serial.find("chunk 2 checksum mismatch"), std::string::npos)
+      << serial;
+  for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+    util::ThreadPool pool(threads);
+    EXPECT_EQ(error_of(&pool), serial) << threads << " threads";
   }
 }
 

@@ -165,8 +165,15 @@ class CliSmokeTest(unittest.TestCase):
     def convert_dumps(self, name, days):
         """Converts dump directory `name` to `name`.csv over `days` days;
         returns ({title: daily reads}, stderr)."""
+        return self.convert_dumps_for(name, None, days, "en")
+
+    def convert_dumps_for(self, name, files, days, project):
+        """convert_dumps with `--project project`, first writing `files`
+        into directory `name` unless they are None."""
+        if files is not None:
+            self.dumps(name, files)
         result = self.invoke("convert", "--pagecounts", name, "--days", days,
-                             "--out", f"{name}.csv")
+                             "--project", project, "--out", f"{name}.csv")
         self.assertEqual(result.returncode, 0, result.stderr)
         reads = {}
         for row in csv.reader(io.StringIO(self.read(f"{name}.csv").decode())):
@@ -220,6 +227,36 @@ class CliSmokeTest(unittest.TestCase):
             "3")
         self.assertEqual(err, "pagecounts: skipped lines: 3 malformed, "
                               "1 with views past --days\n")
+
+    def test_pagecounts_ez_project_name_means_the_same_project(self):
+        # The ez grammar writes English Wikipedia "en.z"; a user may type it.
+        reads, _ = self.convert_dumps_for("ez_project", {
+            "pagecounts-2011-07": "en.z A 9 2:A4\nde.z A 1 2:A1\n",
+            "pagecounts-20110702-050000": "en A 10 100\n"}, "3", "en.z")
+        self.assertEqual(reads, {"A": [0.0, 14.0, 0.0]})
+
+    def test_pagecounts_no_line_for_the_project_fails(self):
+        result = self.invoke("convert", "--pagecounts",
+                             self.dumps("other_project", {
+                                 "pagecounts-2011-07": "de.z A 1 1:A1\n"}),
+                             "--project", "en", "--out", "other.csv")
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertEqual(len(result.stderr.splitlines()), 1, result.stderr)
+        self.assertIn("project 'en'", result.stderr)
+        self.assertFalse((self.dir / "other.csv").exists())
+
+    def test_pagecounts_subdirectory_fails_naming_it(self):
+        name = self.dumps("nested", {"pagecounts-20110715-000000":
+                                     "en A 1 100\n"})
+        (self.dir / name / "2011-07").mkdir()
+        (self.dir / name / "2011-07" / "pagecounts-20110715-010000") \
+            .write_text("en A 2 100\n")
+        result = self.invoke("convert", "--pagecounts", name,
+                             "--out", "nested.csv")
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertEqual(len(result.stderr.splitlines()), 1, result.stderr)
+        self.assertIn("2011-07 is not a regular file", result.stderr)
+        self.assertFalse((self.dir / "nested.csv").exists())
 
     def test_pagecounts_refusals_fail_with_one_stderr_line(self):
         cases = {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace minicost::trace {
 namespace {
@@ -221,6 +224,46 @@ TEST(LoadPagecountsDirectoryTest, MixedDirectorySumsBothGrammars) {
   EXPECT_DOUBLE_EQ(trace.reads(0, 1), 14.0);
   EXPECT_DOUBLE_EQ(trace.reads(0, 2), 5.0);
   EXPECT_DOUBLE_EQ(trace.reads(1, 1), 1.0);
+}
+
+TEST(LoadPagecountsDirectoryTest, EzProjectNameKeepsTheSameProject) {
+  // "en.z" is how the ez grammar writes "en"; as --project it means "en".
+  const DumpDir dir("minicost_pc_ez_project",
+                    {{"pagecounts-2011-07", "en.z A 9 2:A4\nde.z A 1 2:A1\n"},
+                     {"pagecounts-20110702-050000", "en A 10 1\n"}});
+  const RequestTrace trace = load_pagecounts_directory(dir.path, 31, "en.z")
+                                 .build_trace(100.0, 0.0, 1);
+  ASSERT_EQ(trace.file_count(), 1u);
+  EXPECT_DOUBLE_EQ(trace.reads(0, 1), 14.0);
+}
+
+TEST(LoadPagecountsDirectoryTest, ThrowsWhenNoLineIsForTheProject) {
+  const DumpDir dir("minicost_pc_no_project",
+                    {{"pagecounts-20110715-000000", "de A 5 1\n"}});
+  try {
+    (void)load_pagecounts_directory(dir.path, 1, "en");
+    ADD_FAILURE() << "no error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("project 'en'"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(LoadPagecountsDirectoryTest, ThrowsOnASubdirectory) {
+  const DumpDir dir("minicost_pc_subdir",
+                    {{"pagecounts-20110715-000000", "en A 5 1\n"}});
+  std::filesystem::create_directory(dir.path / "2011-07");
+  std::ofstream(dir.path / "2011-07" / "pagecounts-20110715-010000")
+      << "en A 2 1\n";
+  try {
+    (void)load_pagecounts_directory(dir.path, 1, "en");
+    ADD_FAILURE() << "no error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("2011-07 is not a regular file"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ParsePagecountsEzLineTest, ParsesMergedFormat) {

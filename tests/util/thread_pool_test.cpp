@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace minicost::util {
@@ -30,6 +31,44 @@ TEST(ThreadPoolTest, SizeMatchesRequested) {
 TEST(ThreadPoolTest, DefaultSizeIsAtLeastOne) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
+  EXPECT_EQ(pool.size(), hardware_threads());
+}
+
+TEST(RunBlocksTest, BlockCountIsOnePerThreadNeverMoreThanItems) {
+  ThreadPool pool(4);
+  EXPECT_EQ(block_count(nullptr, 100), 1u);
+  EXPECT_EQ(block_count(&pool, 100), 4u);
+  EXPECT_EQ(block_count(&pool, 3), 3u);
+  EXPECT_EQ(block_count(&pool, 0), 1u);
+}
+
+TEST(RunBlocksTest, RunsEveryBlockOnce) {
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> visits(7);
+    run_blocks(&pool, visits.size(),
+               [&](std::size_t b) { visits[b].fetch_add(1); });
+    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+  }
+}
+
+TEST(RunBlocksTest, RethrowsTheLowestFailingBlockAfterEveryBlockRan) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    std::atomic<int> ran{0};
+    try {
+      run_blocks(pool, 6, [&](std::size_t b) {
+        ran.fetch_add(1);
+        if (b == 2 || b == 4) throw std::runtime_error(std::to_string(b));
+      });
+      ADD_FAILURE() << "no error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "2");
+    }
+    // Serially the first error stops the loop; on a pool every block runs.
+    EXPECT_EQ(ran.load(), pool == nullptr ? 3 : 6);
+  }
 }
 
 TEST(ThreadPoolTest, ParallelForVisitsEveryIndexOnce) {
