@@ -113,8 +113,9 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     MC_OBS_COUNT("core.plan_driver.shards", 1);
     MC_OBS_COUNT("core.plan_driver.files", count);
 
-    if (options_.release_shard_pages)
-      reader_.release_frequency_range(first, count);
+    // madvise the shard's frequency pages away once billed, keeping RSS
+    // bounded by the shard instead of the mapped trace.
+    reader_.release_frequency_range(first, count);
   }
 
   if (planned_files > 0)

@@ -63,9 +63,6 @@ struct PlanDriverOptions {
   /// plan its file blocks (run_policy); nullptr does all of it on the
   /// calling thread. Results are pool-size independent.
   util::ThreadPool* pool = nullptr;
-  /// madvise each shard's frequency pages away once billed, keeping RSS
-  /// bounded by the shard instead of the mapped trace.
-  bool release_shard_pages = true;
 };
 
 struct PlanDriverRun {

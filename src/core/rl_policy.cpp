@@ -7,8 +7,7 @@ namespace minicost::core {
 
 RlPolicy::RlPolicy(const RlPolicyOptions& options)
     : owned_(std::make_unique<rl::A3CAgent>(options.agent, options.seed)),
-      agent_(*owned_),
-      greedy_(options.greedy) {
+      agent_(*owned_) {
   if (!options.checkpoint.empty()) agent_.load(options.checkpoint);
 }
 
@@ -21,7 +20,7 @@ void RlPolicy::decide_day(const PlanContext& context, std::size_t day,
     return;
   }
   const std::vector<rl::Action> actions =
-      agent_.act_batch(context.trace.files(), day, current, greedy_);
+      agent_.act_batch(context.trace.files(), day, current);
   for (std::size_t i = 0; i < actions.size(); ++i)
     out_plan[i] = pricing::tier_from_index(actions[i]);
 }

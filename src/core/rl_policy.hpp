@@ -14,7 +14,8 @@
 namespace minicost::core {
 
 /// Configuration for a self-contained MiniCost policy (CLI deployments that
-/// have no externally-owned agent).
+/// have no externally-owned agent). Decisions are greedy, as deployed in
+/// the paper.
 struct RlPolicyOptions {
   rl::A3CConfig agent;  ///< network/feature architecture
   /// Deterministic-init seed; two policies built from the same options are
@@ -24,15 +25,13 @@ struct RlPolicyOptions {
   /// deterministic initialization (untrained but fully functional — it
   /// still exercises the real featurize/forward pipeline).
   std::filesystem::path checkpoint;
-  bool greedy = true;
 };
 
 class RlPolicy final : public TieringPolicy {
  public:
-  /// Borrows the agent (must outlive the policy). greedy=true uses the
-  /// argmax of π (deployment mode); false samples (training-style).
-  explicit RlPolicy(rl::A3CAgent& agent, bool greedy = true)
-      : agent_(agent), greedy_(greedy) {}
+  /// Borrows the agent (must outlive the policy); each decision is the
+  /// argmax of π.
+  explicit RlPolicy(rl::A3CAgent& agent) : agent_(agent) {}
 
   /// Owns an agent built from `options` (and loaded from its checkpoint,
   /// if one is named).
@@ -43,7 +42,7 @@ class RlPolicy final : public TieringPolicy {
   /// Borrows this policy's agent (act_batch is thread-safe), so the clone
   /// must not outlive this policy.
   std::unique_ptr<TieringPolicy> clone() const override {
-    return std::make_unique<RlPolicy>(agent_, greedy_);
+    return std::make_unique<RlPolicy>(agent_);
   }
 
   /// One A3CAgent::act_batch call: fused NN forwards over the day's
@@ -56,7 +55,6 @@ class RlPolicy final : public TieringPolicy {
  private:
   std::unique_ptr<rl::A3CAgent> owned_;  ///< null when the agent is borrowed
   rl::A3CAgent& agent_;
-  bool greedy_;
 };
 
 /// An RlPolicy that owns its agent: for `minicost plan --policy rl` and

@@ -20,17 +20,49 @@
 namespace minicost::rl {
 namespace {
 
+// The trainer's fixed hyperparameters (DESIGN.md §5, item 4). No program
+// varies them; A3CConfig holds only what the benches sweep.
+
+// Convolution filter size: the paper's (Sec. 6.1).
+constexpr std::size_t kKernel = 4;
+// Momentum of OptimizerKind::kSgdMomentum.
+constexpr double kMomentum = 0.9;
+// Entropy regularization weight after the warmup.
+constexpr double kEntropyBeta = 0.02;
+// Entropy warmup: for the first kEntropyWarmupEpisodes of an initialization
+// the entropy weight decays linearly from kEntropyBetaInitial down to
+// kEntropyBeta. The critic needs a few thousand episodes to calibrate;
+// until then advantage noise can saturate the policy onto one arbitrary
+// action, from which recovery is slow (the logit gap must be walked back).
+// A strong early entropy floor keeps the policy near-uniform through that
+// phase.
+constexpr double kEntropyBetaInitial = 0.15;
+constexpr std::size_t kEntropyWarmupEpisodes = 8000;
+// Episodes each init-racing candidate trains for (A3CConfig::
+// init_candidates); the second half's mean reward ranks the candidates.
+constexpr std::size_t kProbeEpisodes = 6000;
+// Exploration is *sticky*: an ε-triggered random action is held for a
+// Geometric(1/kEpsilonHoldMean) number of steps. A one-step deviation pays
+// the tier-change cost twice (out and back) and never observes the target
+// tier's steady-state cost, so plain ε-greedy systematically punishes
+// exploration under Eq. (9)'s switching costs.
+constexpr double kEpsilonHoldMean = 3.0;
+// Global-norm clip of each network's gradient per episode.
+constexpr double kGradClipNorm = 5.0;
+// Days per training episode.
+constexpr std::size_t kEpisodeLen = 14;
+
 nn::Network make_actor(const A3CConfig& config, const Featurizer& featurizer,
                        util::Rng& rng) {
   return nn::build_trunk(featurizer.history_len(), featurizer.aux_count(),
-                         config.filters, config.kernel, config.hidden,
-                         kActionCount, rng);
+                         config.filters, kKernel, config.hidden, kActionCount,
+                         rng);
 }
 
 nn::Network make_critic(const A3CConfig& config, const Featurizer& featurizer,
                         util::Rng& rng) {
   return nn::build_trunk(featurizer.history_len(), featurizer.aux_count(),
-                         config.filters, config.kernel, config.hidden,
+                         config.filters, kKernel, config.hidden,
                          /*outputs=*/1, rng);
 }
 
@@ -39,9 +71,9 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
     case OptimizerKind::kRmsProp:
       return std::make_unique<nn::RmsProp>(config.learning_rate);
     case OptimizerKind::kSgdMomentum:
-      return std::make_unique<nn::Sgd>(config.learning_rate, config.momentum);
+      return std::make_unique<nn::Sgd>(config.learning_rate, kMomentum);
   }
-  return std::make_unique<nn::Sgd>(config.learning_rate, config.momentum);
+  return std::make_unique<nn::Sgd>(config.learning_rate, kMomentum);
 }
 
 // act_rows' forward sub-batch: at most this many distinct rows go through
@@ -148,8 +180,6 @@ A3CAgent::A3CAgent(A3CConfig config, std::uint64_t seed)
       seed_rng_(seed) {
   if (config.workers == 0)
     throw std::invalid_argument("A3CAgent: need at least one worker");
-  if (config.episode_len == 0)
-    throw std::invalid_argument("A3CAgent: episode_len must be > 0");
   if (config.gamma < 0.0 || config.gamma > 1.0)
     throw std::invalid_argument("A3CAgent: gamma outside [0, 1]");
   util::Rng init_rng = seed_rng_.fork(kInitStream);
@@ -160,20 +190,6 @@ A3CAgent::A3CAgent(A3CConfig config, std::uint64_t seed)
       [cfg]() { return make_optimizer(cfg); });
   util::MutexLock lock(param_mutex_);
   server_->assign(actor_.snapshot_parameters(), critic_.snapshot_parameters());
-  net_sync_version_ = server_->version();
-}
-
-void A3CAgent::refresh_networks_locked() {
-  // Sample the version before the snapshot: a concurrent apply can land in
-  // between, in which case we record content at least as new as claimed and
-  // simply refresh again on the next read.
-  const std::uint64_t version = server_->version();
-  if (net_sync_version_ == version) return;
-  std::vector<double> actor_flat, critic_flat;
-  server_->snapshot_into(actor_flat, critic_flat);
-  actor_.load_parameters(actor_flat);
-  critic_.load_parameters(critic_flat);
-  net_sync_version_ = version;
 }
 
 A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
@@ -211,11 +227,10 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
   rollout_logits.clear();
 
   EpisodeOutcome outcome;
-  const pricing::StorageTier start_tier =
-      config_.randomize_initial_tier
-          ? pricing::tier_from_index(static_cast<std::size_t>(
-                rng.uniform_int(0, pricing::kTierCount - 1)))
-          : config_.initial_tier;
+  // Every episode starts from a random tier: all tiers must appear as the
+  // current-tier state feature, or their values are never learned.
+  const pricing::StorageTier start_tier = pricing::tier_from_index(
+      static_cast<std::size_t>(rng.uniform_int(0, pricing::kTierCount - 1)));
   std::vector<double> state = env.reset(file, start_tier, start_day, end_day);
 
   {
@@ -223,8 +238,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     bool done = false;
     bool exploring = false;
     Action held_action = 0;
-    const double hold_stop_p =
-        config_.epsilon_hold_mean > 0.0 ? 1.0 / config_.epsilon_hold_mean : 1.0;
+    const double hold_stop_p = 1.0 / kEpsilonHoldMean;
     // Each step forwards its state through the actor's one-row batch
     // kernels straight into the training stash, so the update phase can run
     // backward_batch directly — the rollout IS the actor's forward pass
@@ -296,24 +310,21 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     critic.backward_batch(ctx.grad_v, n);
     advantage_mean /= static_cast<double>(n);
 
-    // Entropy weight with linear warmup (see A3CConfig), measured from the
-    // current initialization's start. The clock is the episode's lifetime
-    // ordinal, not the racy episodes_ counter: at any worker count the
-    // warmup schedule is then a pure function of the ordinal, which the
+    // Entropy weight with linear warmup (see kEntropyBetaInitial), measured
+    // from the current initialization's start. The clock is the episode's
+    // lifetime ordinal, not the racy episodes_ counter: at any worker count
+    // the warmup schedule is then a pure function of the ordinal, which the
     // run-to-run determinism contract requires.
     const std::size_t warmup_start =
         warmup_start_.load(std::memory_order_relaxed);
     const std::size_t episodes_done =
         ordinal > warmup_start ? ordinal - warmup_start : 0;
-    double beta = config_.entropy_beta;
-    if (config_.entropy_warmup_episodes > 0 &&
-        episodes_done < config_.entropy_warmup_episodes &&
-        config_.entropy_beta_initial > beta) {
-      const double progress =
-          static_cast<double>(episodes_done) /
-          static_cast<double>(config_.entropy_warmup_episodes);
-      beta = config_.entropy_beta_initial +
-             (config_.entropy_beta - config_.entropy_beta_initial) * progress;
+    double beta = kEntropyBeta;
+    if (episodes_done < kEntropyWarmupEpisodes) {
+      const double progress = static_cast<double>(episodes_done) /
+                              static_cast<double>(kEntropyWarmupEpisodes);
+      beta = kEntropyBetaInitial +
+             (kEntropyBeta - kEntropyBetaInitial) * progress;
     }
 
     // Actor pass: ascends log π(a|s)·A + β·H(π), averaged over the episode.
@@ -339,9 +350,8 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     // needs, with the actor's and critic's serial sum chains interleaved.
     const auto [actor_sq, critic_sq] = nn::Network::collect_gradients(
         actor, ctx.actor_grads, critic, ctx.critic_grads);
-    nn::clip_by_norm_squared(ctx.actor_grads, actor_sq, config_.grad_clip_norm);
-    nn::clip_by_norm_squared(ctx.critic_grads, critic_sq,
-                             config_.grad_clip_norm);
+    nn::clip_by_norm_squared(ctx.actor_grads, actor_sq, kGradClipNorm);
+    nn::clip_by_norm_squared(ctx.critic_grads, critic_sq, kGradClipNorm);
   }
 
   {
@@ -374,42 +384,40 @@ void A3CAgent::train(const trace::RequestTrace& trace,
   // static tier boundary (where the policy's classification is actually
   // contested; everything else is trivially one-tier). Uniform sampling
   // would spend >80% of episodes on near-dead stationary files (Fig. 2).
-  std::vector<double> weights(trace.file_count(), 1.0);
-  if (config_.sample_by_variability) {
-    for (std::size_t i = 0; i < trace.file_count(); ++i) {
-      const auto id = static_cast<trace::FileId>(i);
-      const trace::FileRecord& f = trace.file(id);
-      const double mean_reads = stats::mean(f.reads);
-      const double mean_writes = stats::mean(f.writes);
-      // Static decision margin: relative cost gap between the best and
-      // second-best tier at the file's average usage. Near-zero margin =
-      // boundary file.
-      double best = std::numeric_limits<double>::infinity();
-      double second = best;
-      for (pricing::StorageTier t : pricing::all_tiers()) {
-        const double cost = sim::file_day_cost_no_change(
-                                policy, t, mean_reads, mean_writes, f.size_gb)
-                                .total();
-        if (cost < best) {
-          second = best;
-          best = cost;
-        } else if (cost < second) {
-          second = cost;
-        }
+  std::vector<double> weights(trace.file_count());
+  for (std::size_t i = 0; i < trace.file_count(); ++i) {
+    const auto id = static_cast<trace::FileId>(i);
+    const trace::FileRecord& f = trace.file(id);
+    const double mean_reads = stats::mean(f.reads);
+    const double mean_writes = stats::mean(f.writes);
+    // Static decision margin: relative cost gap between the best and
+    // second-best tier at the file's average usage. Near-zero margin =
+    // boundary file.
+    double best = std::numeric_limits<double>::infinity();
+    double second = best;
+    for (pricing::StorageTier t : pricing::all_tiers()) {
+      const double cost = sim::file_day_cost_no_change(
+                              policy, t, mean_reads, mean_writes, f.size_gb)
+                              .total();
+      if (cost < best) {
+        second = best;
+        best = cost;
+      } else if (cost < second) {
+        second = cost;
       }
-      const double margin = best > 0.0 ? (second - best) / best : 1.0;
-      weights[i] = 0.3 + trace.variability(id) +
-                   0.25 * std::log1p(mean_reads) + 2.0 / (1.0 + 10.0 * margin);
     }
+    const double margin = best > 0.0 ? (second - best) / best : 1.0;
+    weights[i] = 0.3 + trace.variability(id) + 0.25 * std::log1p(mean_reads) +
+                 2.0 / (1.0 + 10.0 * margin);
   }
 
   std::size_t remaining = options.episodes;
 
   // Init racing (see A3CConfig::init_candidates): probe several fresh
   // initializations, keep the best performer's parameters.
-  const std::size_t probe = config_.candidate_probe_episodes;
-  if (episodes_.load(std::memory_order_relaxed) == 0 && config_.init_candidates > 1 && probe > 1 &&
-      options.episodes >= (config_.init_candidates + 1) * probe) {
+  if (episodes_.load(std::memory_order_relaxed) == 0 &&
+      config_.init_candidates > 1 &&
+      options.episodes >= (config_.init_candidates + 1) * kProbeEpisodes) {
     double best_reward = -std::numeric_limits<double>::infinity();
     std::vector<double> best_actor, best_critic;
     for (std::size_t candidate = 0; candidate < config_.init_candidates;
@@ -421,13 +429,12 @@ void A3CAgent::train(const trace::RequestTrace& trace,
         critic_ = make_critic(config_, featurizer_, init);
         server_->assign(actor_.snapshot_parameters(),
                         critic_.snapshot_parameters());
-        net_sync_version_ = server_->version();
       }
       warmup_start_.store(episodes_.load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
-      run_batch(trace, policy, weights, probe / 2);
-      const EpisodeOutcome second_half =
-          run_batch(trace, policy, weights, probe - probe / 2);
+      run_batch(trace, policy, weights, kProbeEpisodes / 2);
+      const EpisodeOutcome second_half = run_batch(
+          trace, policy, weights, kProbeEpisodes - kProbeEpisodes / 2);
       const double mean_reward =
           second_half.steps > 0
               ? second_half.reward_sum / static_cast<double>(second_half.steps)
@@ -436,17 +443,20 @@ void A3CAgent::train(const trace::RequestTrace& trace,
         best_reward = mean_reward;
         server_->snapshot_into(best_actor, best_critic);
       }
-      remaining -= probe;
+      remaining -= kProbeEpisodes;
     }
     // The winner restarts with fresh optimizer state (assign() resets both
-    // optimizers); actor_/critic_ refresh lazily on the next read.
-    server_->assign(std::move(best_actor), std::move(best_critic));
+    // optimizers).
+    {
+      util::MutexLock lock(param_mutex_);
+      actor_.load_parameters(best_actor);
+      critic_.load_parameters(best_critic);
+      server_->assign(std::move(best_actor), std::move(best_critic));
+    }
     // The winner continues mid-schedule: give it the post-warmup floor.
     warmup_start_.store(
-        episodes_.load(std::memory_order_relaxed) >=
-                config_.entropy_warmup_episodes
-            ? episodes_.load(std::memory_order_relaxed) -
-                  config_.entropy_warmup_episodes
+        episodes_.load(std::memory_order_relaxed) >= kEntropyWarmupEpisodes
+            ? episodes_.load(std::memory_order_relaxed) - kEntropyWarmupEpisodes
             : 0,
         std::memory_order_relaxed);
     if (options.on_progress) {
@@ -500,13 +510,23 @@ A3CAgent::EpisodeOutcome A3CAgent::run_batch(
   const std::size_t base = episodes_.load(std::memory_order_relaxed);
   server_->begin_round(batch, config_.workers);
 
+  // At most one thread per episode; the wavefront window stays
+  // config_.workers regardless, so the schedule (and therefore the result)
+  // does not depend on how many threads actually run. Worker w runs on
+  // contexts[w], built here before any thread starts: built inside each
+  // new thread, they landed in per-thread malloc arenas and raised peak RSS.
+  const std::size_t spawn = std::min(config_.workers, batch);
+  std::vector<WorkerCtx> contexts;
+  contexts.reserve(spawn);
+  for (std::size_t w = 0; w < spawn; ++w)
+    contexts.emplace_back(*this, trace, policy);
+
   std::atomic<std::size_t> next{0};
   // Outcomes land by ordinal and reduce in ordinal order after the join:
   // the FP sums are then independent of which worker ran which episode.
   std::vector<EpisodeOutcome> outcomes(batch);
 
-  auto worker_fn = [&]() {
-    WorkerCtx ctx(*this, trace, policy);
+  auto worker_fn = [&](WorkerCtx& ctx) {
     std::size_t e = 0;
     while ((e = next.fetch_add(1, std::memory_order_relaxed)) < batch) {
       util::Rng rng = seed_rng_.fork(episode_stream(base + e));
@@ -516,26 +536,33 @@ A3CAgent::EpisodeOutcome A3CAgent::run_batch(
           h + (span > 0 ? static_cast<std::size_t>(rng.uniform_int(
                               0, static_cast<std::int64_t>(span) - 1))
                         : 0);
-      const std::size_t end = std::min(start + config_.episode_len, trace.days());
+      const std::size_t end = std::min(start + kEpisodeLen, trace.days());
       outcomes[e] = run_episode(ctx, file, start, end, rng, e, base + e);
       episodes_.fetch_add(1, std::memory_order_relaxed);
       env_steps_.fetch_add(outcomes[e].steps, std::memory_order_relaxed);
     }
   };
 
-  // Spawn at most one thread per episode; the wavefront window stays
-  // config_.workers regardless, so the schedule (and therefore the result)
-  // does not depend on how many threads actually run.
-  const std::size_t spawn = std::min(config_.workers, batch);
-  if (spawn <= 1) {
-    worker_fn();
+  if (spawn == 1) {
+    worker_fn(contexts[0]);
   } else {
     std::vector<std::thread> threads;
     threads.reserve(spawn);
-    for (std::size_t w = 0; w < spawn; ++w) threads.emplace_back(worker_fn);
+    for (WorkerCtx& ctx : contexts)
+      threads.emplace_back(worker_fn, std::ref(ctx));
     for (auto& t : threads) t.join();
   }
   server_->end_round();
+
+  // Publish the round's parameters: the act, value and save paths read
+  // actor_/critic_.
+  std::vector<double> actor_flat, critic_flat;
+  server_->snapshot_into(actor_flat, critic_flat);
+  {
+    util::MutexLock lock(param_mutex_);
+    actor_.load_parameters(actor_flat);
+    critic_.load_parameters(critic_flat);
+  }
 
   EpisodeOutcome total;
   for (const EpisodeOutcome& outcome : outcomes) {
@@ -546,24 +573,17 @@ A3CAgent::EpisodeOutcome A3CAgent::run_batch(
   return total;
 }
 
-Action A3CAgent::act(std::span<const double> features, bool greedy) {
-  const std::vector<double> pi = policy_probabilities(features);
-  if (greedy) return nn::argmax(pi);
-  util::Rng rng =
-      seed_rng_.fork(kActStreamBase + env_steps_.load(std::memory_order_relaxed));
-  if (rng.bernoulli(config_.epsilon))
-    return static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
-  return rng.weighted_index(pi);
+Action A3CAgent::act(std::span<const double> features) {
+  return nn::argmax(policy_probabilities(features));
 }
 
 Action A3CAgent::act(const trace::FileRecord& file, std::size_t day,
-                     pricing::StorageTier current_tier, bool greedy) {
-  return act(featurizer_.encode(file, day, current_tier), greedy);
+                     pricing::StorageTier current_tier) {
+  return act(featurizer_.encode(file, day, current_tier));
 }
 
 template <class Rows>
-std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
-                                       const Rows& source) {
+std::vector<Action> A3CAgent::act_rows(std::size_t count, const Rows& source) {
   std::vector<Action> actions(count);
   if (count == 0) return actions;
 
@@ -572,11 +592,8 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
   nn::Network actor;
   {
     util::MutexLock lock(param_mutex_);
-    refresh_networks_locked();
     actor = actor_;
   }
-  const std::uint64_t act_stream =
-      kActStreamBase + env_steps_.load(std::memory_order_relaxed);
 
   // Validate and hash every row (a too-short history throws even when its
   // state repeats another's), then find each row's first occurrence.
@@ -599,29 +616,14 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
                     std::span(batch).subspan(d * width, width));
     std::vector<double> pi = actor.forward_batch(batch, rows);
     nn::softmax_rows(pi, rows, pi);
-    for (std::size_t d = 0; d < rows; ++d) {
-      const double* row = pi.data() + d * out_width;
-      if (greedy) {
-        chosen[lo + d] = nn::argmax(std::span<const double>(row, out_width));
-      } else {
-        // Mirror act(): every decision draws from the same forked stream.
-        util::Rng rng = seed_rng_.fork(act_stream);
-        if (rng.bernoulli(config_.epsilon)) {
-          chosen[lo + d] =
-              static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
-        } else {
-          chosen[lo + d] =
-              rng.weighted_index(std::vector<double>(row, row + out_width));
-        }
-      }
-    }
+    for (std::size_t d = 0; d < rows; ++d)
+      chosen[lo + d] = nn::argmax(
+          std::span<const double>(pi.data() + d * out_width, out_width));
   }
 
   // Every row takes its first occurrence's action. Exact: equal keys encode
-  // to equal rows, every batch row's output depends on its own bytes alone,
-  // whatever shares its batch (the Layer contract), and sampled mode draws
-  // every row from the same forked stream, so byte-identical rows always
-  // decide identically.
+  // to equal rows, and every batch row's output depends on its own bytes
+  // alone, whatever shares its batch (the Layer contract).
   for (std::size_t r = 0; r < count; ++r)
     actions[r] = chosen[classes.class_of[r]];
   MC_OBS_COUNT("rl.a3c.act.rows", count);
@@ -631,54 +633,47 @@ std::vector<Action> A3CAgent::act_rows(std::size_t count, bool greedy,
 
 std::vector<Action> A3CAgent::act_batch(
     std::span<const trace::FileRecord> files, std::size_t day,
-    std::span<const pricing::StorageTier> current_tiers, bool greedy) {
+    std::span<const pricing::StorageTier> current_tiers) {
   if (files.size() != current_tiers.size())
     throw std::invalid_argument("A3CAgent::act_batch: span width mismatch");
   MC_OBS_SCOPE("rl.a3c.act_batch");
   MC_OBS_COUNT("rl.a3c.act_batch.files", files.size());
-  return act_rows(files.size(), greedy,
+  return act_rows(files.size(),
                   FileStates{featurizer_, files, day, current_tiers});
 }
 
 std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
                                                  std::size_t count, bool greedy,
                                                  util::ThreadPool*) {
+  if (!greedy)
+    throw std::invalid_argument(
+        "A3CAgent::act_features_batch: only greedy decisions exist");
   const std::size_t width = featurizer_.feature_count();
   if (rows.size() != count * width)
     throw std::invalid_argument(
         "A3CAgent::act_features_batch: rows span width mismatch");
   MC_OBS_SCOPE("rl.a3c.act_features_batch");
   MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
-  return act_rows(count, greedy, FeatureRows{rows.data(), width});
+  return act_rows(count, FeatureRows{rows.data(), width});
 }
 
 std::vector<double> A3CAgent::policy_probabilities(
     std::span<const double> features) {
   util::MutexLock lock(param_mutex_);
-  refresh_networks_locked();
   return nn::softmax(actor_.forward_batch(features, 1));
 }
 
 double A3CAgent::value(std::span<const double> features) {
   util::MutexLock lock(param_mutex_);
-  refresh_networks_locked();
   return critic_.forward_batch(features, 1)[0];
 }
 
 void A3CAgent::save(const std::filesystem::path& path) const {
   util::MutexLock lock(param_mutex_);
-  // const method: materialize the server state into copies instead of
-  // refreshing the (possibly stale) member networks in place.
-  nn::Network actor = actor_;
-  nn::Network critic = critic_;
-  std::vector<double> actor_flat, critic_flat;
-  server_->snapshot_into(actor_flat, critic_flat);
-  actor.load_parameters(actor_flat);
-  critic.load_parameters(critic_flat);
   std::ofstream out(path);
   if (!out) throw std::runtime_error("A3CAgent::save: cannot open " + path.string());
-  nn::save_network(actor, out);
-  nn::save_network(critic, out);
+  nn::save_network(actor_, out);
+  nn::save_network(critic_, out);
 }
 
 void A3CAgent::load(const std::filesystem::path& path) {
@@ -693,7 +688,6 @@ void A3CAgent::load(const std::filesystem::path& path) {
   actor_ = std::move(actor);
   critic_ = std::move(critic);
   server_->assign(actor_.snapshot_parameters(), critic_.snapshot_parameters());
-  net_sync_version_ = server_->version();
 }
 
 std::size_t A3CAgent::parameter_count() const {

@@ -42,63 +42,38 @@ enum class OptimizerKind {
   kSgdMomentum,
 };
 
+/// What the benches vary. The trainer's fixed hyperparameters (filter size,
+/// momentum, entropy schedule, racing probe, exploration hold, gradient
+/// clip, episode length) are constants in a3c.cpp, each with its reason
+/// (DESIGN.md §5, item 4).
 struct A3CConfig {
   FeatureConfig features;
 
-  // Network architecture (paper Sec. 6.1: 128 filters of size 4, hidden
-  // layer of 128 neurons; the Fig. 11 sweep varies the width, so the
-  // defaults here are the sweep's "stable knee" for CPU-budget runs).
+  // Network width (paper Sec. 6.1: 128 filters of size 4, hidden layer of
+  // 128 neurons; the Fig. 11 sweep varies the width, so the defaults here
+  // are the sweep's "stable knee" for CPU-budget runs).
   std::size_t filters = 32;
-  std::size_t kernel = 4;
   std::size_t hidden = 32;
 
   // Learning.
   OptimizerKind optimizer = OptimizerKind::kSgdMomentum;
-  double momentum = 0.9;         ///< for kSgdMomentum
   double gamma = 0.9;            ///< discount; ~1-2 week effective horizon
   double learning_rate = 0.005;  ///< tuned for kSgdMomentum; the paper's
                                  ///< 0.0027 suits kRmsProp (Fig. 9 sweeps it)
-  double entropy_beta = 0.02;   ///< entropy regularization weight
-  /// Entropy warmup: for the first `entropy_warmup_episodes` the entropy
-  /// weight decays linearly from `entropy_beta_initial` down to
-  /// `entropy_beta`. The critic needs a few thousand episodes to calibrate;
-  /// until then advantage noise can saturate the policy onto one arbitrary
-  /// action, from which recovery is slow (the logit gap must be walked
-  /// back). A strong early entropy floor keeps the policy near-uniform
-  /// through that phase.
-  double entropy_beta_initial = 0.15;
-  std::size_t entropy_warmup_episodes = 8000;
   /// Init racing: at the start of training, `init_candidates` fresh
-  /// initializations are each trained for `candidate_probe_episodes`; the
+  /// initializations are each trained for a fixed probe of episodes; the
   /// one with the best mean reward over the second half of its probe is
   /// kept and training continues from it. Policy-gradient training on this
   /// MDP occasionally commits to a poor constant policy from an unlucky
   /// init; racing converts that tail risk into a small fixed cost.
   /// Racing only engages when the episode budget is at least
-  /// (init_candidates + 1) x candidate_probe_episodes.
+  /// (init_candidates + 1) probes.
   std::size_t init_candidates = 3;
-  std::size_t candidate_probe_episodes = 6000;
   double epsilon = 0.1;         ///< paper's greedy rate: P(random action)
-  /// Exploration is *sticky*: an ε-triggered random action is held for a
-  /// Geometric(1/epsilon_hold_mean) number of steps. A one-step deviation
-  /// pays the tier-change cost twice (out and back) and never observes the
-  /// target tier's steady-state cost, so plain ε-greedy systematically
-  /// punishes exploration under Eq. (9)'s switching costs.
-  double epsilon_hold_mean = 3.0;
-  /// Start training episodes from a random tier (all tiers must appear as
-  /// the current-tier state feature or their values are never learned).
-  bool randomize_initial_tier = true;
-  double grad_clip_norm = 5.0;  ///< global-norm clip per episode batch
 
-  // Episodes.
-  std::size_t episode_len = 14;  ///< days per training episode
   std::size_t workers = 2;       ///< asynchronous workers (threads)
-  /// Sample training files proportionally to (0.2 + variability): the >80%
-  /// near-stationary files (Fig. 2) need few samples to learn "stay put".
-  bool sample_by_variability = true;
 
   RewardConfig reward;
-  pricing::StorageTier initial_tier = pricing::StorageTier::kHot;
 };
 
 struct TrainProgress {
@@ -128,14 +103,14 @@ class A3CAgent {
   void train(const trace::RequestTrace& trace,
              const pricing::PricingPolicy& policy, const TrainOptions& options);
 
-  /// Picks a tier for the encoded state. greedy=true takes argmax π;
-  /// greedy=false samples from π (with the configured ε-exploration).
-  /// Thread-safe (serialized on the parameter lock).
-  Action act(std::span<const double> features, bool greedy = true);
+  /// Picks the tier argmax π for the encoded state (the paper deploys the
+  /// trained agent greedily, Sec. 5.1). Thread-safe (serialized on the
+  /// parameter lock).
+  Action act(std::span<const double> features);
 
   /// Convenience: featurize-then-act for `file` on `day` in `current_tier`.
   Action act(const trace::FileRecord& file, std::size_t day,
-             pricing::StorageTier current_tier, bool greedy = true);
+             pricing::StorageTier current_tier);
 
   /// Batched deployment path: actions[i] is the tier decision for files[i]
   /// on `day` given it currently sits in current_tiers[i]. Files whose raw
@@ -149,17 +124,18 @@ class A3CAgent {
   /// whose history is too short throws std::out_of_range. Thread-safe:
   /// works on a parameter snapshot taken under the lock, so run_policy's
   /// blocks call it concurrently.
-  std::vector<Action> act_batch(std::span<const trace::FileRecord> files,
-                                std::size_t day,
-                                std::span<const pricing::StorageTier> current_tiers,
-                                bool greedy = true);
+  std::vector<Action> act_batch(
+      std::span<const trace::FileRecord> files, std::size_t day,
+      std::span<const pricing::StorageTier> current_tiers);
 
   /// act_batch over pre-encoded feature rows: `rows` holds `count` rows of
   /// featurizer().feature_count() doubles each, densely packed; actions[i]
   /// decides row i. For callers that featurize on their own. Each distinct
   /// row (compared by bytes) is forwarded once per call. Bit-identical to
   /// act_batch on the files that would encode to these rows. Thread-safe.
-  /// `pool` is unused; only perfbench/src/pipeline.cpp passes one.
+  /// `greedy` must be true (throws std::invalid_argument otherwise) and
+  /// `pool` is unused: both stay only because perfbench/src/pipeline.cpp
+  /// passes them, until the benchmark's own change (ROADMAP item 1).
   std::vector<Action> act_features_batch(std::span<const double> rows,
                                          std::size_t count, bool greedy = true,
                                          util::ThreadPool* pool = nullptr);
@@ -212,11 +188,6 @@ class A3CAgent {
                            const std::vector<double>& weights,
                            std::size_t batch);
 
-  /// Lazily re-materializes actor_/critic_ from the parameter server if
-  /// optimizer steps landed since the last refresh. Must precede any read
-  /// of the networks (act/value/save paths).
-  void refresh_networks_locked() MC_REQUIRES(param_mutex_);
-
   /// The body of act_batch and act_features_batch over `count` rows of
   /// `source` (a3c.cpp's FileStates or FeatureRows: hash(r) validates and
   /// hashes row r, same(a, b) compares two rows' bytes, encode(r, out)
@@ -226,22 +197,20 @@ class A3CAgent {
   /// once, picks its action and copies it to the rows that repeat it
   /// (DESIGN.md §7, item 5).
   template <class Rows>
-  std::vector<Action> act_rows(std::size_t count, bool greedy,
-                               const Rows& source);
+  std::vector<Action> act_rows(std::size_t count, const Rows& source);
 
   A3CConfig config_;
   Featurizer featurizer_;
 
   // The authoritative learned state lives in the parameter server
   // (rl/param_server.hpp, DESIGN.md §14); workers sync local nets from it
-  // and apply gradients through it. actor_/critic_ are lazily-synced
-  // materializations for the act/value/serialization paths, guarded by
-  // param_mutex_; server_->version() > net_sync_version_ means they are
-  // stale (see refresh_networks_locked).
+  // and apply gradients through it. actor_/critic_ are its published copy
+  // for the act/value/serialization paths, guarded by param_mutex_: every
+  // run_batch round (its workers joined) and every assign() reloads them,
+  // so outside train() they always hold the server's parameters.
   mutable util::Mutex param_mutex_;
   nn::Network actor_ MC_GUARDED_BY(param_mutex_);
   nn::Network critic_ MC_GUARDED_BY(param_mutex_);
-  std::uint64_t net_sync_version_ MC_GUARDED_BY(param_mutex_) = 0;
   std::unique_ptr<ParamServer> server_;
 
   // Progress counters. All accesses use std::memory_order_relaxed: they are

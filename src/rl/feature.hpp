@@ -17,11 +17,6 @@ namespace minicost::rl {
 
 struct FeatureConfig {
   std::size_t history_len = 14;  ///< days of read history in the state
-  /// Scale for log features: log1p(x) / log_scale keeps values ~O(1).
-  /// Smaller scales spread the low-rate region (where the tier crossovers
-  /// sit, ~0.2-2.5 reads/day under the Azure preset) over a wider feature
-  /// range, which materially improves the policy's boundary resolution.
-  double log_scale = 4.0;
   bool include_day_of_week = true;
   /// Adds two summary features: log-scaled means of the last 7 and last 14
   /// days of reads (denoised rate estimates near the decision boundary).

@@ -40,11 +40,13 @@ struct RewardConfig {
   /// targets near zero and training stable.
   double alpha = 1.0;
   double delta = -1.0;
-  /// Upper bound on the inverse term; keeps zero-cost steps finite.
-  double cap = 5.0;
-  /// Divisor for kNegativeCost.
-  double negative_cost_scale = 1e-4;
 };
+
+/// Upper bound on the inverse modes' α / C term; keeps zero-cost steps
+/// finite.
+inline constexpr double kRewardCap = 5.0;
+/// kNegativeCost's divisor: R = -C / kNegativeCostScale + Δ.
+inline constexpr double kNegativeCostScale = 1e-4;
 
 /// Reward for a step that cost `cost` dollars. `baseline_cost` is the
 /// state's hot-tier day cost (used by kInverseRelative; pass any positive

@@ -38,7 +38,6 @@ void ParamServer::assign(std::vector<double> actor, std::vector<double> critic) 
   // across it would mix unrelated parameter histories.
   actor_opt_ = factory_();
   critic_opt_ = factory_();
-  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ParamServer::snapshot_into(std::vector<double>& actor,
@@ -120,7 +119,6 @@ void ParamServer::apply(std::size_t episode,
   critic_opt_->step(critic_flat_, critic_grads);
   ++applied_;
   cv_.notify_all();
-  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace minicost::rl

@@ -26,7 +26,6 @@
 // The parameter sizes are fixed by the first assign() and never change, so
 // their accessors read them without the lock.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -51,12 +50,6 @@ class ParamServer {
 
   std::size_t actor_size() const noexcept { return actor_size_; }
   std::size_t critic_size() const noexcept { return critic_size_; }
-
-  /// Monotone apply counter; bumped once per apply() and per assign().
-  /// Readers use it to detect staleness of materialized networks.
-  std::uint64_t version() const noexcept {
-    return version_.load(std::memory_order_relaxed);
-  }
 
   /// Replaces the authoritative parameters and resets both optimizers to
   /// fresh state. Both vectors must be the same size on every call after
@@ -114,7 +107,6 @@ class ParamServer {
   std::uint64_t synced_ MC_GUARDED_BY(mutex_) = 0;
   std::uint64_t applied_ MC_GUARDED_BY(mutex_) = 0;
 
-  std::atomic<std::uint64_t> version_{0};
   // Admission wait counters (resolved lazily when obs is enabled):
   // rl.a3c.sync.wait_ns and rl.a3c.opt_step.lock_wait_ns.
   obs::Counter* sync_wait_ns_ MC_GUARDED_BY(mutex_) = nullptr;

@@ -12,11 +12,10 @@
 // and raising the worker count re-dealt every stream.)
 //
 // Stream-id space layout: the agent's other fork() streams are small
-// constants or counter offsets (0 for network init, 0xAC7 + env_steps for
-// deployment-time sampling, 0xBEEF00 + candidate for init racing) — all far
-// below 2^56 for any reachable counter value. Episode streams therefore
-// carry a tag in the top byte, which no legacy stream can reach, and the
-// ordinal in the low 56 bits.
+// constants or counter offsets (0 for network init, 0xBEEF00 + candidate
+// for init racing) — all far below 2^56 for any reachable counter value.
+// Episode streams therefore carry a tag in the top byte, which no legacy
+// stream can reach, and the ordinal in the low 56 bits.
 
 #include <cstdint>
 
@@ -28,7 +27,6 @@ inline constexpr std::uint64_t kEpisodeStreamTag = 0x45ULL;
 /// Legacy stream bases (documented here so the disjointness argument is
 /// checkable in one place; the call sites are in a3c.cpp).
 inline constexpr std::uint64_t kInitStream = 0;            ///< network init
-inline constexpr std::uint64_t kActStreamBase = 0xAC7;     ///< act() sampling
 inline constexpr std::uint64_t kRacingStreamBase = 0xBEEF00;  ///< init racing
 
 /// Stream id for the `ordinal`-th training episode of the agent's lifetime.
@@ -47,8 +45,7 @@ static_assert(episode_stream(0x00FF'FFFF'FFFF'FFFFULL) >> 56 ==
               "the tag must survive the largest representable ordinal");
 // Disjointness from every legacy stream family: legacy ids stay below 2^56
 // for any counter value that fits the tagged payload, episode ids never do.
-static_assert(kInitStream >> 56 == 0 && kActStreamBase >> 56 == 0 &&
-              kRacingStreamBase >> 56 == 0);
+static_assert(kInitStream >> 56 == 0 && kRacingStreamBase >> 56 == 0);
 static_assert(episode_stream(0) > kRacingStreamBase + 0xFFFF'FFFFULL,
               "episode streams must clear the racing stream family");
 

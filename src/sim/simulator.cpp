@@ -68,7 +68,7 @@ const BillingReport& StorageSimulator::run(const HorizonPlan& plan) {
 void StorageSimulator::reset() {
   day_ = 0;
   if (options_.initial_tiers.empty()) {
-    tiers_.assign(trace_.file_count(), options_.initial_tier);
+    tiers_.assign(trace_.file_count(), pricing::StorageTier::kHot);
   } else {
     tiers_ = options_.initial_tiers;
   }

@@ -32,10 +32,9 @@ using DayPlan = std::vector<pricing::StorageTier>;
 using HorizonPlan = std::vector<DayPlan>;
 
 struct SimulatorOptions {
-  /// Tier every file starts in before day 0 (the "type specified by the
-  /// cloud customer", Sec. 5.1). Ignored when initial_tiers is non-empty.
-  pricing::StorageTier initial_tier = pricing::StorageTier::kHot;
-  /// Per-file starting tiers (index = FileId); empty = uniform initial_tier.
+  /// Per-file starting tiers before day 0 (index = FileId; the "type
+  /// specified by the cloud customer", Sec. 5.1); empty = every file starts
+  /// hot.
   std::vector<pricing::StorageTier> initial_tiers;
   /// Charge Cc when day 0's plan differs from the starting tier. Off by
   /// default: the initial placement is part of the upload, not a re-tiering.

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -8,6 +10,13 @@
 namespace minicost::util {
 
 std::size_t hardware_threads() noexcept {
+  // The CPUs the calling thread may run on (taskset, cgroup cpusets), which
+  // can be fewer than the machine has.
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int allowed = CPU_COUNT(&mask);
+    if (allowed > 0) return static_cast<std::size_t>(allowed);
+  }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 

@@ -23,8 +23,9 @@
 
 namespace minicost::util {
 
-/// The hardware thread count, at least 1 (std::thread may not know it).
-/// The one place the program asks.
+/// The number of CPUs in the calling thread's affinity mask, so `taskset`
+/// limits it; std::thread::hardware_concurrency() (at least 1) when the
+/// mask cannot be read. The one place the program asks.
 std::size_t hardware_threads() noexcept;
 
 class ThreadPool {

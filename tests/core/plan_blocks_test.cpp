@@ -36,7 +36,7 @@ trace::RequestTrace synthetic(bool integral_counts, double grouped_fraction) {
   return trace::generate_synthetic(config);
 }
 
-/// Every in-tree policy, fresh; the RL policies borrow `agent`.
+/// Every in-tree policy, fresh; the RL policy borrows `agent`.
 std::vector<std::unique_ptr<TieringPolicy>> every_policy(rl::A3CAgent& agent) {
   std::vector<std::unique_ptr<TieringPolicy>> all;
   all.push_back(make_hot_policy());
@@ -45,8 +45,7 @@ std::vector<std::unique_ptr<TieringPolicy>> every_policy(rl::A3CAgent& agent) {
   all.push_back(std::make_unique<ClairvoyantGreedyPolicy>());
   all.push_back(std::make_unique<ForecastMpcPolicy>());
   all.push_back(std::make_unique<OptimalPolicy>());
-  all.push_back(std::make_unique<RlPolicy>(agent, /*greedy=*/true));
-  all.push_back(std::make_unique<RlPolicy>(agent, /*greedy=*/false));
+  all.push_back(std::make_unique<RlPolicy>(agent));
   return all;
 }
 

@@ -63,7 +63,7 @@ trace::RequestTrace identical(std::size_t files) {
   return trace::RequestTrace(kDays, std::vector<trace::FileRecord>(files, f));
 }
 
-/// Builds every in-tree policy fresh. The RL policies borrow `agent`.
+/// Builds every in-tree policy fresh. The RL policy borrows `agent`.
 struct Policies {
   rl::A3CAgent agent = [] {
     rl::A3CConfig config;
@@ -81,14 +81,13 @@ struct Policies {
     all.push_back(std::make_unique<ClairvoyantGreedyPolicy>());
     all.push_back(std::make_unique<OptimalPolicy>());
     all.push_back(std::make_unique<ForecastMpcPolicy>());
-    all.push_back(std::make_unique<RlPolicy>(agent, /*greedy=*/true));
-    all.push_back(std::make_unique<RlPolicy>(agent, /*greedy=*/false));
+    all.push_back(std::make_unique<RlPolicy>(agent));
     return all;
   }
 };
 
 std::string label(const TieringPolicy& policy, std::size_t index) {
-  // The two RL policies share a name; the index tells them apart.
+  // The index names the policy's slot in make().
   return policy.name() + "#" + std::to_string(index);
 }
 

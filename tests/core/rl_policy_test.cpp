@@ -118,13 +118,13 @@ trace::RequestTrace make_wide_trace() {
   return trace::generate_synthetic(config);
 }
 
-void expect_pooled_plan_matches_serial(bool greedy) {
+TEST(RlPolicyTest, PooledPlanIsBitIdenticalToSerial) {
   const trace::RequestTrace tr = make_wide_trace();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   rl::A3CAgent agent = make_agent();
   util::ThreadPool serial_pool(1);
   util::ThreadPool pool(4);
-  RlPolicy policy(agent, greedy);
+  RlPolicy policy(agent);
   PlanOptions options;
   options.start_day = 20;
   options.pool = &serial_pool;
@@ -134,31 +134,6 @@ void expect_pooled_plan_matches_serial(bool greedy) {
   EXPECT_EQ(serial.plan, pooled.plan);
   EXPECT_EQ(serial.report.grand_total().total(),
             pooled.report.grand_total().total());
-}
-
-TEST(RlPolicyTest, PooledPlanIsBitIdenticalToSerial) {
-  expect_pooled_plan_matches_serial(/*greedy=*/true);
-}
-
-TEST(RlPolicyTest, PooledPlanMatchesSerialWhenSampling) {
-  // Sampling forks one rng stream per decision state, so the split across
-  // pool workers must not change which action each row samples.
-  expect_pooled_plan_matches_serial(/*greedy=*/false);
-}
-
-TEST(RlPolicyTest, SampledModeStillProducesValidTiers) {
-  const trace::RequestTrace tr = make_trace();
-  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  rl::A3CAgent agent = make_agent();
-  RlPolicy policy(agent, /*greedy=*/false);
-  PlanOptions options;
-  options.start_day = 20;
-  const PlanResult result = run_policy(tr, azure, policy, options);
-  for (const auto& day_plan : result.plan) {
-    for (pricing::StorageTier t : day_plan) {
-      EXPECT_LT(pricing::tier_index(t), pricing::kTierCount);
-    }
-  }
 }
 
 }  // namespace

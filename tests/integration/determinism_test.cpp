@@ -170,7 +170,7 @@ TEST(BatchScalarEquivalenceTest, StatefulPolicies) {
       wide_trace(), [] { return std::make_unique<core::ForecastMpcPolicy>(); });
 }
 
-TEST(BatchScalarEquivalenceTest, RlPolicyGreedyAndSampled) {
+TEST(BatchScalarEquivalenceTest, RlPolicyMatchesScalarAct) {
   const trace::RequestTrace tr = wide_trace();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
   util::ThreadPool pool(4);
@@ -180,27 +180,25 @@ TEST(BatchScalarEquivalenceTest, RlPolicyGreedyAndSampled) {
   config.workers = 1;
   rl::A3CAgent agent(config, 77);
   const rl::Featurizer& featurizer = agent.featurizer();
-  for (const bool greedy : {true, false}) {
-    core::RlPolicy policy(agent, greedy);
-    const sim::HorizonPlan plan = plan_on(tr, policy, pool);
+  core::RlPolicy policy(agent);
+  const sim::HorizonPlan plan = plan_on(tr, policy, pool);
 
-    // Oracle: the daily loop of per-file act() on the encoded state, tiers
-    // carried day to day; every file stays put until a full history exists.
-    std::vector<pricing::StorageTier> current =
-        core::static_initial_tiers(tr, azure, kEquivalenceStart);
-    sim::HorizonPlan reference;
-    for (std::size_t day = kEquivalenceStart; day < tr.days(); ++day) {
-      sim::DayPlan day_plan = current;
-      if (day >= featurizer.history_len()) {
-        for (trace::FileId f = 0; f < tr.file_count(); ++f)
-          day_plan[f] = pricing::tier_from_index(agent.act(
-              featurizer.encode(tr.file(f), day, current[f]), greedy));
-      }
-      current = day_plan;
-      reference.push_back(std::move(day_plan));
+  // Oracle: the daily loop of per-file act() on the encoded state, tiers
+  // carried day to day; every file stays put until a full history exists.
+  std::vector<pricing::StorageTier> current =
+      core::static_initial_tiers(tr, azure, kEquivalenceStart);
+  sim::HorizonPlan reference;
+  for (std::size_t day = kEquivalenceStart; day < tr.days(); ++day) {
+    sim::DayPlan day_plan = current;
+    if (day >= featurizer.history_len()) {
+      for (trace::FileId f = 0; f < tr.file_count(); ++f)
+        day_plan[f] = pricing::tier_from_index(
+            agent.act(featurizer.encode(tr.file(f), day, current[f])));
     }
-    EXPECT_EQ(plan, reference) << "greedy=" << greedy;
+    current = day_plan;
+    reference.push_back(std::move(day_plan));
   }
+  EXPECT_EQ(plan, reference);
 }
 
 // The headline reproducibility contract: the paper's evaluation — the five
@@ -278,34 +276,32 @@ TEST(DeterminismTest, ActBatchIsIdenticalUnderContendedPool) {
   const std::vector<pricing::StorageTier> tiers(
       tr.file_count(), pricing::StorageTier::kHot);
 
-  for (const bool greedy : {true, false}) {
-    const std::vector<rl::Action> serial =
-        agent.act_batch(tr.files(), day, tiers, greedy);
+  const std::vector<rl::Action> serial =
+      agent.act_batch(tr.files(), day, tiers);
 
-    util::ThreadPool pool(4);
-    // Contend: a deep queue of short foreign compute tasks keeps every
-    // worker busy while the act_batch calls run. Tasks are finite (the
-    // pool's waiting threads help drain the queue, so an unbounded task
-    // would be executed by the planner itself).
-    std::atomic<std::uint64_t> sink{0};
-    std::vector<std::future<void>> noise;
-    noise.reserve(400);
-    for (int i = 0; i < 400; ++i) {
-      noise.push_back(pool.submit([&sink, i] {
-        std::uint64_t acc = static_cast<std::uint64_t>(i);
-        for (int k = 0; k < 20000; ++k) acc = acc * 6364136223846793005ULL + 1;
-        sink.fetch_add(acc, std::memory_order_relaxed);
-      }));
-    }
-    std::vector<std::vector<rl::Action>> contended(4);
-    pool.parallel_for(0, contended.size(), [&](std::size_t k) {
-      contended[k] = agent.act_batch(tr.files(), day, tiers, greedy);
-    });
-    for (auto& f : noise) f.wait();
-
-    for (const std::vector<rl::Action>& actions : contended)
-      EXPECT_EQ(serial, actions) << "greedy=" << greedy;
+  util::ThreadPool pool(4);
+  // Contend: a deep queue of short foreign compute tasks keeps every
+  // worker busy while the act_batch calls run. Tasks are finite (the
+  // pool's waiting threads help drain the queue, so an unbounded task
+  // would be executed by the planner itself).
+  std::atomic<std::uint64_t> sink{0};
+  std::vector<std::future<void>> noise;
+  noise.reserve(400);
+  for (int i = 0; i < 400; ++i) {
+    noise.push_back(pool.submit([&sink, i] {
+      std::uint64_t acc = static_cast<std::uint64_t>(i);
+      for (int k = 0; k < 20000; ++k) acc = acc * 6364136223846793005ULL + 1;
+      sink.fetch_add(acc, std::memory_order_relaxed);
+    }));
   }
+  std::vector<std::vector<rl::Action>> contended(4);
+  pool.parallel_for(0, contended.size(), [&](std::size_t k) {
+    contended[k] = agent.act_batch(tr.files(), day, tiers);
+  });
+  for (auto& f : noise) f.wait();
+
+  for (const std::vector<rl::Action>& actions : contended)
+    EXPECT_EQ(serial, actions);
 }
 
 std::uint64_t counter_value(std::string_view name) {
@@ -355,50 +351,47 @@ TEST(DeterminismTest, ActBatchForwardsEachDistinctStateOnceAtEveryPoolSize) {
 
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
-  for (const bool greedy : {true, false}) {
-    std::vector<std::vector<rl::Action>> plans;
-    for (const std::size_t threads : {1, 3, 4}) {
-      SCOPED_TRACE("greedy=" + std::to_string(greedy) +
-                   " threads=" + std::to_string(threads));
-      util::ThreadPool pool(threads);
-      const auto block = [&](std::size_t b) {
-        return std::pair{b * n / threads, (b + 1) * n / threads - b * n / threads};
-      };
-      std::vector<pricing::StorageTier> tiers(n, pricing::StorageTier::kHot);
-      std::vector<rl::Action> plan;
-      std::size_t forwarded = 0;
-      for (std::size_t day = first_day; day < first_day + 6; ++day) {
-        std::size_t expected = 0;
-        for (std::size_t b = 0; b < threads; ++b) {
-          const auto [lo, count] = block(b);
-          expected += distinct_states(agent.featurizer(),
-                                      files.subspan(lo, count), day,
-                                      std::span(tiers).subspan(lo, count));
-        }
-        const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
-        std::vector<rl::Action> actions(n);
-        pool.parallel_for(0, threads, [&](std::size_t b) {
-          const auto [lo, count] = block(b);
-          const std::vector<rl::Action> part = agent.act_batch(
-              files.subspan(lo, count), day,
-              std::span(tiers).subspan(lo, count), greedy);
-          std::copy(part.begin(), part.end(),
-                    actions.begin() + static_cast<std::ptrdiff_t>(lo));
-        });
-        EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, expected)
-            << "day " << day;
-        forwarded += expected;
-        plan.insert(plan.end(), actions.begin(), actions.end());
-        for (std::size_t i = 0; i < n; ++i)
-          tiers[i] = pricing::tier_from_index(actions[i]);
+  std::vector<std::vector<rl::Action>> plans;
+  for (const std::size_t threads : {1, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    const auto block = [&](std::size_t b) {
+      return std::pair{b * n / threads, (b + 1) * n / threads - b * n / threads};
+    };
+    std::vector<pricing::StorageTier> tiers(n, pricing::StorageTier::kHot);
+    std::vector<rl::Action> plan;
+    std::size_t forwarded = 0;
+    for (std::size_t day = first_day; day < first_day + 6; ++day) {
+      std::size_t expected = 0;
+      for (std::size_t b = 0; b < threads; ++b) {
+        const auto [lo, count] = block(b);
+        expected += distinct_states(agent.featurizer(),
+                                    files.subspan(lo, count), day,
+                                    std::span(tiers).subspan(lo, count));
       }
-      // Otherwise the trace would not exercise the dedup at all.
-      EXPECT_LT(forwarded, plan.size() / 2);
-      plans.push_back(std::move(plan));
+      const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
+      std::vector<rl::Action> actions(n);
+      pool.parallel_for(0, threads, [&](std::size_t b) {
+        const auto [lo, count] = block(b);
+        const std::vector<rl::Action> part =
+            agent.act_batch(files.subspan(lo, count), day,
+                            std::span(tiers).subspan(lo, count));
+        std::copy(part.begin(), part.end(),
+                  actions.begin() + static_cast<std::ptrdiff_t>(lo));
+      });
+      EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, expected)
+          << "day " << day;
+      forwarded += expected;
+      plan.insert(plan.end(), actions.begin(), actions.end());
+      for (std::size_t i = 0; i < n; ++i)
+        tiers[i] = pricing::tier_from_index(actions[i]);
     }
-    EXPECT_EQ(plans[0], plans[1]) << "greedy=" << greedy;
-    EXPECT_EQ(plans[0], plans[2]) << "greedy=" << greedy;
+    // Otherwise the trace would not exercise the dedup at all.
+    EXPECT_LT(forwarded, plan.size() / 2);
+    plans.push_back(std::move(plan));
   }
+  EXPECT_EQ(plans[0], plans[1]);
+  EXPECT_EQ(plans[0], plans[2]);
   obs::set_enabled(was_enabled);
 }
 

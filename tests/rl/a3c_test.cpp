@@ -77,9 +77,6 @@ TEST(A3CAgentTest, ConstructionValidatesConfig) {
   config.workers = 0;
   EXPECT_THROW(A3CAgent(config, 1), std::invalid_argument);
   config = tiny_config();
-  config.episode_len = 0;
-  EXPECT_THROW(A3CAgent(config, 1), std::invalid_argument);
-  config = tiny_config();
   config.gamma = 1.5;
   EXPECT_THROW(A3CAgent(config, 1), std::invalid_argument);
 }
@@ -149,8 +146,8 @@ TEST(A3CAgentTest, GreedyActIsDeterministic) {
   const trace::RequestTrace trace = small_trace();
   const auto features =
       agent.featurizer().encode(trace.file(3), 20, pricing::StorageTier::kCool);
-  const Action a = agent.act(features, /*greedy=*/true);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(agent.act(features, true), a);
+  const Action a = agent.act(features);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(agent.act(features), a);
   EXPECT_LT(a, kActionCount);
 }
 
@@ -159,26 +156,10 @@ TEST(A3CAgentTest, ActBatchMatchesScalarActGreedy) {
   const trace::RequestTrace trace = small_trace();
   const std::vector<pricing::StorageTier> current(
       trace.file_count(), pricing::StorageTier::kCool);
-  const auto batched =
-      agent.act_batch(trace.files(), 20, current, /*greedy=*/true);
+  const auto batched = agent.act_batch(trace.files(), 20, current);
   ASSERT_EQ(batched.size(), trace.file_count());
   for (std::size_t i = 0; i < trace.file_count(); ++i) {
-    EXPECT_EQ(batched[i],
-              agent.act(trace.files()[i], 20, current[i], /*greedy=*/true))
-        << "file " << i;
-  }
-}
-
-TEST(A3CAgentTest, ActBatchMatchesScalarActSampled) {
-  A3CAgent agent(tiny_config(), 21);
-  const trace::RequestTrace trace = small_trace();
-  const std::vector<pricing::StorageTier> current(
-      trace.file_count(), pricing::StorageTier::kHot);
-  const auto batched =
-      agent.act_batch(trace.files(), 25, current, /*greedy=*/false);
-  for (std::size_t i = 0; i < trace.file_count(); ++i) {
-    EXPECT_EQ(batched[i],
-              agent.act(trace.files()[i], 25, current[i], /*greedy=*/false))
+    EXPECT_EQ(batched[i], agent.act(trace.files()[i], 20, current[i]))
         << "file " << i;
   }
 }
@@ -193,24 +174,20 @@ TEST(A3CAgentTest, ActBatchIsPoolSizeIndependent) {
   const std::vector<pricing::StorageTier> current(
       trace.file_count(), pricing::StorageTier::kCool);
   const std::size_t n = files.size();
-  for (const bool greedy : {true, false}) {
-    const std::vector<Action> whole =
-        agent.act_batch(files, 20, current, greedy);
-    for (const std::size_t threads : {1, 2, 3, 4}) {
-      util::ThreadPool pool(threads);
-      std::vector<Action> blocked(n);
-      pool.parallel_for(0, threads, [&](std::size_t b) {
-        const std::size_t lo = b * n / threads;
-        const std::size_t count = (b + 1) * n / threads - lo;
-        const std::vector<Action> actions =
-            agent.act_batch(files.subspan(lo, count), 20,
-                            std::span(current).subspan(lo, count), greedy);
-        std::copy(actions.begin(), actions.end(),
-                  blocked.begin() + static_cast<std::ptrdiff_t>(lo));
-      });
-      EXPECT_EQ(blocked, whole)
-          << "greedy=" << greedy << " threads=" << threads;
-    }
+  const std::vector<Action> whole = agent.act_batch(files, 20, current);
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    util::ThreadPool pool(threads);
+    std::vector<Action> blocked(n);
+    pool.parallel_for(0, threads, [&](std::size_t b) {
+      const std::size_t lo = b * n / threads;
+      const std::size_t count = (b + 1) * n / threads - lo;
+      const std::vector<Action> actions =
+          agent.act_batch(files.subspan(lo, count), 20,
+                          std::span(current).subspan(lo, count));
+      std::copy(actions.begin(), actions.end(),
+                blocked.begin() + static_cast<std::ptrdiff_t>(lo));
+    });
+    EXPECT_EQ(blocked, whole) << "threads=" << threads;
   }
 }
 
@@ -228,14 +205,11 @@ TEST(A3CAgentTest, DuplicateRowsDecideIdenticallyAtEveryBatchSize) {
       files.push_back(trace.file(i % 3));  // every 3rd row is a duplicate
       current.push_back(pricing::StorageTier::kCool);
     }
-    for (const bool greedy : {true, false}) {
-      SCOPED_TRACE("batch=" + std::to_string(batch) +
-                   " greedy=" + std::to_string(greedy));
-      const auto actions = agent.act_batch(files, 20, current, greedy);
-      ASSERT_EQ(actions.size(), batch);
-      for (std::size_t i = 0; i < batch; ++i)
-        EXPECT_EQ(actions[i], actions[i % 3]) << "row " << i;
-    }
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const auto actions = agent.act_batch(files, 20, current);
+    ASSERT_EQ(actions.size(), batch);
+    for (std::size_t i = 0; i < batch; ++i)
+      EXPECT_EQ(actions[i], actions[i % 3]) << "row " << i;
   }
 }
 
@@ -248,10 +222,10 @@ TEST(A3CAgentTest, PermutedBatchPermutesTheDecisions) {
     const std::vector<pricing::StorageTier> current(
         batch, pricing::StorageTier::kHot);
     for (std::size_t i = 0; i < batch; ++i) files.push_back(trace.file(i));
-    const auto forward = agent.act_batch(files, 20, current, true);
+    const auto forward = agent.act_batch(files, 20, current);
 
     std::vector<trace::FileRecord> reversed(files.rbegin(), files.rend());
-    const auto backward = agent.act_batch(reversed, 20, current, true);
+    const auto backward = agent.act_batch(reversed, 20, current);
     ASSERT_EQ(backward.size(), batch);
     for (std::size_t i = 0; i < batch; ++i)
       EXPECT_EQ(backward[i], forward[batch - 1 - i]) << "row " << i;
@@ -275,9 +249,9 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesActBatchOnEncodedRows) {
       std::copy(features.begin(), features.end(),
                 rows.begin() + static_cast<std::ptrdiff_t>(i * width));
     }
-    const auto reference = agent.act_batch(files, 20, current, true);
+    const auto reference = agent.act_batch(files, 20, current);
     SCOPED_TRACE("batch=" + std::to_string(batch));
-    EXPECT_EQ(agent.act_features_batch(rows, batch, true), reference);
+    EXPECT_EQ(agent.act_features_batch(rows, batch), reference);
   }
 }
 
@@ -285,7 +259,16 @@ TEST(A3CAgentTest, ActFeaturesBatchValidatesRowBufferWidth) {
   A3CAgent agent(tiny_config(), 4);
   const std::size_t width = agent.featurizer().feature_count();
   const std::vector<double> rows(width * 2 + 1);  // not a whole row count
-  EXPECT_THROW(agent.act_features_batch(rows, 2, true),
+  EXPECT_THROW(agent.act_features_batch(rows, 2), std::invalid_argument);
+}
+
+// Decisions are greedy only; the flag stays for perfbench's call.
+TEST(A3CAgentTest, ActFeaturesBatchRejectsNonGreedyDecisions) {
+  A3CAgent agent(tiny_config(), 4);
+  const std::size_t width = agent.featurizer().feature_count();
+  const std::vector<double> rows = random_rows(2, width, 3);
+  EXPECT_EQ(agent.act_features_batch(rows, 2, /*greedy=*/true).size(), 2u);
+  EXPECT_THROW(agent.act_features_batch(rows, 2, /*greedy=*/false),
                std::invalid_argument);
 }
 
@@ -325,20 +308,17 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesScalarActUnderEveryDuplicatePattern) {
       std::vector<std::size_t> source(batch);
       for (std::size_t i = 0; i < batch; ++i) source[i] = pattern.source(i);
       const std::vector<double> rows = gather_rows(palette, source, width);
-      for (const bool greedy : {true, false}) {
-        SCOPED_TRACE(pattern.name + " batch=" + std::to_string(batch) +
-                     " greedy=" + std::to_string(greedy));
-        std::vector<Action> expected(batch);
-        for (std::size_t i = 0; i < batch; ++i) {
-          expected[i] = agent.act(
-              std::span<const double>(rows).subspan(i * width, width), greedy);
-          saw_two_actions |= expected[i] != expected[0];
-        }
-        const auto actions = agent.act_features_batch(rows, batch, greedy);
-        ASSERT_EQ(actions.size(), batch);
-        for (std::size_t i = 0; i < batch; ++i)
-          ASSERT_EQ(actions[i], expected[i]) << "row " << i;
+      SCOPED_TRACE(pattern.name + " batch=" + std::to_string(batch));
+      std::vector<Action> expected(batch);
+      for (std::size_t i = 0; i < batch; ++i) {
+        expected[i] =
+            agent.act(std::span<const double>(rows).subspan(i * width, width));
+        saw_two_actions |= expected[i] != expected[0];
       }
+      const auto actions = agent.act_features_batch(rows, batch);
+      ASSERT_EQ(actions.size(), batch);
+      for (std::size_t i = 0; i < batch; ++i)
+        ASSERT_EQ(actions[i], expected[i]) << "row " << i;
     }
   }
   // Otherwise a wrong scatter could pass unnoticed.
@@ -364,17 +344,13 @@ TEST(A3CAgentTest, ActFeaturesBatchForwardsSignedZerosAndNanPayloadsApart) {
       rows.insert(rows.end(), base.begin(), base.end());
       rows[rows.size() - width] = value;
     }
-    for (const bool greedy : {true, false}) {
-      const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
-      const auto actions = agent.act_features_batch(rows, 4, greedy);
-      EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, 2u);
-      for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(actions[i],
-                  agent.act(std::span<const double>(rows).subspan(
-                                i * width, width),
-                            greedy))
-            << "row " << i;
-    }
+    const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
+    const auto actions = agent.act_features_batch(rows, 4);
+    EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, 2u);
+    for (std::size_t i = 0; i < 4; ++i)
+      EXPECT_EQ(actions[i], agent.act(std::span<const double>(rows).subspan(
+                                i * width, width)))
+          << "row " << i;
   }
   obs::set_enabled(was_enabled);
 }
@@ -390,7 +366,7 @@ TEST(A3CAgentTest, ActCountsRowsAndForwardedRowsOncePerCall) {
   obs::set_enabled(true);
   const std::uint64_t rows_before = counter_value("rl.a3c.act.rows");
   const std::uint64_t forward_before = counter_value("rl.a3c.act.forward_rows");
-  agent.act_features_batch(rows, 300, true);
+  agent.act_features_batch(rows, 300);
   EXPECT_EQ(counter_value("rl.a3c.act.rows") - rows_before, 300u);
   // The dedup spans the whole call: 3 distinct rows.
   EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - forward_before, 3u);
@@ -442,15 +418,13 @@ TEST(A3CAgentTest, ActBatchSharesOneForwardPerRawState) {
     const std::vector<trace::FileRecord> files = {c.a, c.b, c.a, c.b};
     const std::vector<pricing::StorageTier> tiers = {c.tier_a, c.tier_b,
                                                      c.tier_a, c.tier_b};
-    for (const bool greedy : {true, false}) {
-      SCOPED_TRACE(c.name + " greedy=" + std::to_string(greedy));
-      const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
-      const auto actions = agent.act_batch(files, kDay, tiers, greedy);
-      EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, c.forwards);
-      for (std::size_t i = 0; i < files.size(); ++i)
-        EXPECT_EQ(actions[i], agent.act(files[i], kDay, tiers[i], greedy))
-            << "file " << i;
-    }
+    SCOPED_TRACE(c.name);
+    const std::uint64_t before = counter_value("rl.a3c.act.forward_rows");
+    const auto actions = agent.act_batch(files, kDay, tiers);
+    EXPECT_EQ(counter_value("rl.a3c.act.forward_rows") - before, c.forwards);
+    for (std::size_t i = 0; i < files.size(); ++i)
+      EXPECT_EQ(actions[i], agent.act(files[i], kDay, tiers[i]))
+          << "file " << i;
   }
   obs::set_enabled(was_enabled);
 }
@@ -469,16 +443,18 @@ TEST(A3CAgentTest, ActBatchValidatesEveryFileNotOnlyTheDistinctOnes) {
     // past the end: a dedup that read the state without the bounds check
     // would take this file for a repeat of the first two.
     (short_reads ? files[2].reads : files[2].writes).resize(kDay - 1);
-    EXPECT_THROW(agent.act_batch(files, kDay, tiers, true), std::out_of_range)
+    EXPECT_THROW(agent.act_batch(files, kDay, tiers), std::out_of_range)
         << "short_reads=" << short_reads;
   }
 }
 
 // Duplicated files spread over 2600 rows, more than ten of act_rows'
 // 256-row (kForwardRows) forward sub-batches, decide exactly as act() does
-// on each file alone, greedy and sampled.
+// on each file alone.
 TEST(A3CAgentTest, ActBatchDuplicatesAcrossChunksDecideAsScalarAct) {
-  A3CAgent agent(tiny_config(), 41);
+  // Seed 4's untrained actor decides differently across these states (many
+  // seeds' actors take one action for all of them), so a wrong scatter shows.
+  A3CAgent agent(tiny_config(), 4);
   const trace::RequestTrace trace = small_trace(64);
   constexpr std::size_t kDay = 23;
   constexpr std::size_t kFiles = 2600;  // > 10 * kForwardRows
@@ -496,8 +472,7 @@ TEST(A3CAgentTest, ActBatchDuplicatesAcrossChunksDecideAsScalarAct) {
   std::vector<pricing::StorageTier> tiers(kFiles);
   for (std::size_t i = 0; i < kFiles; ++i)
     tiers[i] = pricing::tier_from_index((i / 3) % pricing::kTierCount);
-  // Rates and sizes spread over decades, so the untrained actor's decisions
-  // vary from file to file.
+  // Rates and sizes spread over decades.
   std::vector<trace::FileRecord> palette = trace.files();
   for (std::size_t k = 0; k < palette.size(); ++k) {
     const double scale = std::pow(4.0, static_cast<double>(k % 9));
@@ -510,15 +485,13 @@ TEST(A3CAgentTest, ActBatchDuplicatesAcrossChunksDecideAsScalarAct) {
     files.reserve(kFiles);
     for (std::size_t i = 0; i < kFiles; ++i)
       files.push_back(palette[source(i)]);
-    for (const bool greedy : {true, false}) {
-      SCOPED_TRACE(name + " greedy=" + std::to_string(greedy));
-      std::vector<Action> expected(kFiles);
-      for (std::size_t i = 0; i < kFiles; ++i) {
-        expected[i] = agent.act(files[i], kDay, tiers[i], greedy);
-        saw_two_actions |= expected[i] != expected[0];
-      }
-      ASSERT_EQ(agent.act_batch(files, kDay, tiers, greedy), expected);
+    SCOPED_TRACE(name);
+    std::vector<Action> expected(kFiles);
+    for (std::size_t i = 0; i < kFiles; ++i) {
+      expected[i] = agent.act(files[i], kDay, tiers[i]);
+      saw_two_actions |= expected[i] != expected[0];
     }
+    ASSERT_EQ(agent.act_batch(files, kDay, tiers), expected);
   }
   EXPECT_TRUE(saw_two_actions);
 }
@@ -527,7 +500,7 @@ TEST(A3CAgentTest, ActBatchValidatesWidths) {
   A3CAgent agent(tiny_config(), 25);
   const trace::RequestTrace trace = small_trace();
   const std::vector<pricing::StorageTier> wrong(3, pricing::StorageTier::kHot);
-  EXPECT_THROW(agent.act_batch(trace.files(), 20, wrong, true),
+  EXPECT_THROW(agent.act_batch(trace.files(), 20, wrong),
                std::invalid_argument);
 }
 
@@ -611,6 +584,7 @@ TEST(A3CAgentTest, TrainedParametersMatchPinnedDigest) {
       {1, OptimizerKind::kRmsProp, 0xa281a5a13cb638c5ULL},
       {2, OptimizerKind::kSgdMomentum, 0x1f32fd6cbd472635ULL},
       {2, OptimizerKind::kRmsProp, 0x6caf770b4633c0c6ULL},
+      {4, OptimizerKind::kSgdMomentum, 0xb105a03c1e0358cfULL},
   };
   const trace::RequestTrace trace = small_trace(200);
   for (const Case& c : cases) {
@@ -731,10 +705,9 @@ TEST(A3CStreamTest, EpisodeStreamsAreInjective) {
 }
 
 TEST(A3CStreamTest, EpisodeStreamsNeverAliasLegacyFamilies) {
-  // The legacy families move with runtime counters (env steps, racing
-  // candidates); even extreme counter values stay below the tag byte.
+  // The racing family moves with a runtime counter (the candidate); even
+  // an extreme counter value stays below the tag byte.
   const std::uint64_t huge_counter = 1ULL << 40;
-  EXPECT_EQ((kActStreamBase + huge_counter) >> 56, 0u);
   EXPECT_EQ((kRacingStreamBase + huge_counter) >> 56, 0u);
   EXPECT_EQ(kInitStream >> 56, 0u);
   for (std::uint64_t ordinal : {std::uint64_t{0}, std::uint64_t{1} << 32,

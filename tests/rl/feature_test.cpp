@@ -36,10 +36,10 @@ TEST(FeaturizerTest, OptionalBlocksShrinkLayout) {
   EXPECT_EQ(featurizer.feature_count(), 7u + 2 + 3);
 }
 
+// Log features are log1p(x) / 4, the featurizer's fixed log scale.
 TEST(FeaturizerTest, HistoryIsLogScaledOldestFirst) {
   FeatureConfig config;
   config.history_len = 3;
-  config.log_scale = 1.0;
   config.include_day_of_week = false;
   config.include_summary = false;
   Featurizer featurizer(config);
@@ -48,9 +48,9 @@ TEST(FeaturizerTest, HistoryIsLogScaledOldestFirst) {
   const auto features =
       featurizer.encode(f, 5, pricing::StorageTier::kHot);
   // History covers days 2,3,4 (oldest first).
-  EXPECT_NEAR(features[0], std::log1p(2.0), 1e-12);
-  EXPECT_NEAR(features[1], std::log1p(3.0), 1e-12);
-  EXPECT_NEAR(features[2], std::log1p(4.0), 1e-12);
+  EXPECT_NEAR(features[0], std::log1p(2.0) / 4.0, 1e-12);
+  EXPECT_NEAR(features[1], std::log1p(3.0) / 4.0, 1e-12);
+  EXPECT_NEAR(features[2], std::log1p(4.0) / 4.0, 1e-12);
 }
 
 TEST(FeaturizerTest, TierOneHotIsExclusive) {
@@ -85,13 +85,12 @@ TEST(FeaturizerTest, DayOfWeekOneHotRotates) {
 TEST(FeaturizerTest, SummaryFeaturesAreWindowMeans) {
   FeatureConfig config;
   config.history_len = 14;
-  config.log_scale = 1.0;
   Featurizer featurizer(config);
   const trace::FileRecord f = make_file(30, 3.0);  // constant rate
   const auto features = featurizer.encode(f, 20, pricing::StorageTier::kHot);
   const std::size_t summary_base = featurizer.feature_count() - 2;
-  EXPECT_NEAR(features[summary_base], std::log1p(3.0), 1e-12);
-  EXPECT_NEAR(features[summary_base + 1], std::log1p(3.0), 1e-12);
+  EXPECT_NEAR(features[summary_base], std::log1p(3.0) / 4.0, 1e-12);
+  EXPECT_NEAR(features[summary_base + 1], std::log1p(3.0) / 4.0, 1e-12);
 }
 
 TEST(FeaturizerTest, EncodeRejectsDayWithoutFullHistory) {
@@ -108,9 +107,6 @@ TEST(FeaturizerTest, EncodeRejectsDayWithoutFullHistory) {
 TEST(FeaturizerTest, RejectsBadConfig) {
   FeatureConfig config;
   config.history_len = 0;
-  EXPECT_THROW(Featurizer{config}, std::invalid_argument);
-  config.history_len = 14;
-  config.log_scale = 0.0;
   EXPECT_THROW(Featurizer{config}, std::invalid_argument);
 }
 

@@ -13,7 +13,6 @@ TEST(RewardTest, InverseAbsoluteMatchesEquation4) {
   config.mode = RewardMode::kInverseAbsolute;
   config.alpha = 1e-5;
   config.delta = 0.5;
-  config.cap = 100.0;
   EXPECT_NEAR(reward_from_cost(1e-4, 1.0, config), 0.1 + 0.5, 1e-12);
 }
 
@@ -22,9 +21,8 @@ TEST(RewardTest, InverseAbsoluteCapsAtConfiguredMaximum) {
   config.mode = RewardMode::kInverseAbsolute;
   config.alpha = 1.0;
   config.delta = 0.0;
-  config.cap = 5.0;
-  EXPECT_DOUBLE_EQ(reward_from_cost(1e-12, 1.0, config), 5.0);
-  EXPECT_DOUBLE_EQ(reward_from_cost(0.0, 1.0, config), 5.0);
+  EXPECT_DOUBLE_EQ(reward_from_cost(1e-12, 1.0, config), kRewardCap);
+  EXPECT_DOUBLE_EQ(reward_from_cost(0.0, 1.0, config), kRewardCap);
 }
 
 TEST(RewardTest, InverseRelativeNormalizesByBaseline) {
@@ -51,15 +49,13 @@ TEST(RewardTest, InverseRelativePreservesActionOrdering) {
 
 TEST(RewardTest, InverseRelativeCapBoundsReward) {
   RewardConfig config;
-  config.cap = 5.0;
   config.delta = 0.0;
-  EXPECT_DOUBLE_EQ(reward_from_cost(1e-9, 1.0, config), 5.0);
+  EXPECT_DOUBLE_EQ(reward_from_cost(1e-9, 1.0, config), kRewardCap);
 }
 
 TEST(RewardTest, NegativeCostModeIsAffineInCost) {
   RewardConfig config;
   config.mode = RewardMode::kNegativeCost;
-  config.negative_cost_scale = 1e-4;
   config.delta = 0.0;
   EXPECT_NEAR(reward_from_cost(2e-4, 1.0, config), -2.0, 1e-12);
   EXPECT_NEAR(reward_from_cost(0.0, 1.0, config), 0.0, 1e-12);

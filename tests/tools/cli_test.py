@@ -53,10 +53,10 @@ class CliSmokeTest(unittest.TestCase):
         cls._tmp.cleanup()
 
     @classmethod
-    def invoke(cls, *args, stdin=None):
+    def invoke(cls, *args, stdin=None, preexec_fn=None):
         return subprocess.run([BINARY, *args], cwd=cls.dir, env=cls.env,
                               input=stdin, capture_output=True, text=True,
-                              timeout=60)
+                              timeout=60, preexec_fn=preexec_fn)
 
     @classmethod
     def invoke_ok(cls, *args, stdin=None):
@@ -120,6 +120,20 @@ class CliSmokeTest(unittest.TestCase):
                                  "--shard-files", "512", "--compare")
             self.assertIn("monolithic comparison: byte-identical", out)
             self.assertEqual(self.report()["metrics"]["bills_identical"], 1)
+
+    def test_plan_pool_follows_the_cpu_affinity_mask(self):
+        # A child confined to one CPU, as under `taskset -c N`, sizes its
+        # pool at one thread. Its report's environment differs from the
+        # other runs', so it goes to the path its [report] line names.
+        cpu = min(os.sched_getaffinity(0))
+        result = self.invoke("plan", "t.mct", "--policy", "greedy",
+                             preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        self.assertEqual(result.returncode, 0, result.stderr)
+        paths = [l.split(" ", 1)[1] for l in result.stderr.splitlines()
+                 if l.startswith("[report] ")]
+        self.assertEqual(len(paths), 1, result.stderr)
+        report = json.loads((self.dir / paths[0]).read_text())
+        self.assertEqual(report["env"]["threads"], 1)
 
     def test_plan_replan_is_byte_identical(self):
         out = self.invoke_ok("plan", "t.mct", "--policy", "greedy",

@@ -1,11 +1,14 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace minicost::util {
@@ -32,6 +35,27 @@ TEST(ThreadPoolTest, DefaultSizeIsAtLeastOne) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
   EXPECT_EQ(pool.size(), hardware_threads());
+}
+
+// A thread confined to one CPU of its mask (as under `taskset -c N`) sizes
+// pools at 1. Only the test's own thread is pinned.
+TEST(ThreadPoolTest, HardwareThreadsHonoursTheAffinityMask) {
+  std::size_t pinned = 0;
+  int error = 0;
+  std::thread probe([&] {
+    cpu_set_t mask;
+    error = pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+    if (error != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &mask)) ++cpu;
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    error = pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask);
+    if (error == 0) pinned = hardware_threads();
+  });
+  probe.join();
+  ASSERT_EQ(error, 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(RunBlocksTest, BlockCountIsOnePerThreadNeverMoreThanItems) {
